@@ -95,10 +95,6 @@ class VerificationFailed(HermlatError):
         self.factor_index = factor_index
 
 
-class PreconditionViolation(HermlatError):
-    pass
-
-
 class SpecFileError(HermlatError):
     """Parse error in a lattice spec file; carries a position."""
 

@@ -529,9 +529,10 @@ class AlgElement:
         return NotImplemented
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
+        if other.__class__ is not AlgElement or other.alg is not self.alg:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return other
         return AlgElement(self.alg, self.x0 + other.x0, self.x1 + other.x1)
 
     __radd__ = __add__
@@ -540,18 +541,20 @@ class AlgElement:
         return AlgElement(self.alg, -self.x0, -self.x1)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
+        if other.__class__ is not AlgElement or other.alg is not self.alg:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return other
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
+        if other.__class__ is not AlgElement or other.alg is not self.alg:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return other
         a = self.alg
         if a.kind == EtaleAlgebra.SPLIT:
             return AlgElement(a, self.x0 * other.x0, self.x1 * other.x1)
@@ -565,9 +568,10 @@ class AlgElement:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
+        if other.__class__ is not AlgElement or other.alg is not self.alg:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return other
         a = self.alg
         if a.kind == EtaleAlgebra.SPLIT:
             if other.x0.is_zero() or other.x1.is_zero():

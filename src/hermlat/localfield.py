@@ -10,6 +10,16 @@ digit count, so all ring operations are exact on representatives.
 
 The normalized valuation ``v`` gives the uniformizer of K valuation 1
 (so v(p) = d, the ramification degree of the Eisenstein step).
+
+Normal form.  Every element is built by ``FieldElement.__init__``, which
+leaves it in normal form: a nonzero element has ``ncap <= mcap`` and its
+coefficients reduced modulo ``p^ncap``; a zero element keeps
+``ncap <= max(mcap, 2*mcap - shift)``.  The ring operations produce most
+results already in this form, and hand those to ``_normal``, which runs the
+precision guard and nothing else; the rest go through ``__init__``.  When K
+is Q_p itself (``nbasis == 1``) the operations work on the single
+coefficient directly.  Both shortcuts return the same ``(co, shift, ncap)``
+as ``__init__`` would, and raise ``PrecisionLoss`` at the same points.
 """
 
 from __future__ import annotations
@@ -97,6 +107,20 @@ def gf_elements(p, f):
 # ---------------------------------------------------------------------------
 
 
+class _Powers(dict):
+    """p**k by k, each computed on first use."""
+
+    __slots__ = ("p",)
+
+    def __init__(self, p):
+        super().__init__()
+        self.p = p
+
+    def __missing__(self, k):
+        v = self[k] = self.p ** k
+        return v
+
+
 class LocalField:
     """A finite extension of Q_p presented as an unramified-then-Eisenstein tower."""
 
@@ -148,7 +172,7 @@ class LocalField:
         base_digits = -(-(precision + guard) // self.d)  # ceil
         self.mcap = 3 * base_digits + 8
         self.pmod = p ** self.mcap
-        self._ppows = {}
+        self._ppows = _Powers(p)
         self.guard_digits = max(1, -(-guard // self.d))
         self.q = p ** self.f
         self.nbasis = self.f * self.d
@@ -302,11 +326,7 @@ class LocalField:
 
     def ppow(self, k):
         """Cached nonnegative power of p."""
-        v = self._ppows.get(k)
-        if v is None:
-            v = self.p ** k
-            self._ppows[k] = v
-        return v
+        return self._ppows[k]
 
     def residue_elements(self):
         return gf_elements(self.p, self.f)
@@ -347,6 +367,40 @@ class LocalField:
 
     def __hash__(self):
         return id(self)
+
+
+def _normal(field, co, shift, ncap):
+    """The element with these fields, which must already be in normal form
+    (``ncap <= mcap``, coefficients reduced modulo p^ncap): runs the
+    precision guard of ``FieldElement.__init__`` and nothing else."""
+    if ncap <= field.guard_digits:
+        raise PrecisionLoss(
+            f"element retains only {ncap} digits (guard {field.guard_digits})")
+    x = _new_element(FieldElement)
+    x.field = field
+    x.co = co
+    x.shift = shift
+    x.ncap = ncap
+    return x
+
+
+def _single(field, c, shift, ncap):
+    """``FieldElement(field, (c,), shift, ncap)`` for a field with a single
+    coordinate (K = Q_p) and ncap > mcap, with the renormalisation of
+    ``__init__`` done on that coordinate alone."""
+    mcap = field.mcap
+    top = 2 * mcap - shift  # ncap = min(ncap, max(mcap, top)), as in __init__
+    if ncap > top:
+        ncap = top if top > mcap else mcap
+    v = _int_valuation(c, field.p, ncap)
+    if v == ncap:  # zero modulo p^ncap
+        return _normal(field, (0,), shift, ncap)
+    # strip p^t, t = min(v, ncap - mcap): the digit count drops to mcap
+    t = v if v < ncap - mcap else ncap - mcap
+    return _normal(field, (c // field._ppows[t] % field.pmod,), shift + t, mcap)
+
+
+_new_element = object.__new__
 
 
 class FieldElement:
@@ -399,9 +453,15 @@ class FieldElement:
 
     def valuation(self):
         """Normalized valuation with v(uniformizer) = 1."""
+        fld = self.field
+        if fld.nbasis == 1:
+            c = self.co[0]
+            if not c:
+                raise ZeroValuation("element is zero at working precision")
+            return self.shift + _int_valuation(c, fld.p, self.ncap)
         if self.is_zero():
             raise ZeroValuation("element is zero at working precision")
-        return self.field.d * self.shift + self.field._co_valuation(self.co, self.ncap)
+        return fld.d * self.shift + fld._co_valuation(self.co, self.ncap)
 
     def valuation_or_none(self):
         return None if self.is_zero() else self.valuation()
@@ -418,54 +478,89 @@ class FieldElement:
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
-        fld = self.field
-        s1, s2 = self.shift, other.shift
-        if s1 == s2:
-            s = s1
-            co = tuple(a + b for a, b in zip(self.co, other.co))
-        else:
-            s = s1 if s1 < s2 else s2
-            m1 = fld.ppow(s1 - s)
-            m2 = fld.ppow(s2 - s)
-            co = tuple(a * m1 + b * m2 for a, b in zip(self.co, other.co))
-        acap = min(s1 + self.ncap, s2 + other.ncap)
-        return FieldElement(fld, co, s, acap - s)
+        if other.__class__ is not FieldElement or other.field is not self.field:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return other
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.field, tuple(-c for c in self.co), self.shift, self.ncap)
+        fld = self.field
+        ncap = self.ncap
+        if ncap > fld.mcap:  # only zeros keep more than mcap digits
+            return self
+        mod = fld._ppows[ncap]
+        if fld.nbasis == 1:
+            return _normal(fld, (-self.co[0] % mod,), self.shift, ncap)
+        return _normal(fld, tuple(-c % mod for c in self.co), self.shift, ncap)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
-        return self + (-other)
+        if other.__class__ is not FieldElement or other.field is not self.field:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return other
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
+    def _combine(self, other, sign):
+        """self + sign * other.  Subtracting in place gives the result of
+        adding -other: the coefficients agree modulo p^ncap of the sum."""
+        fld = self.field
+        pp = fld._ppows
+        s1, s2 = self.shift, other.shift
+        # the sum is known modulo p^min(s1 + ncap1, s2 + ncap2)
+        a1, a2 = s1 + self.ncap, s2 + other.ncap
+        s = s1 if s1 < s2 else s2
+        ncap = (a1 if a1 < a2 else a2) - s
+        m1, m2 = pp[s1 - s], sign * pp[s2 - s]
+        if fld.nbasis == 1:
+            c = self.co[0] * m1 + other.co[0] * m2
+            if ncap <= fld.mcap:
+                return _normal(fld, (c % pp[ncap],), s, ncap)
+            return _single(fld, c, s, ncap)
+        co = tuple(a * m1 + b * m2 for a, b in zip(self.co, other.co))
+        if ncap > fld.mcap:
+            return FieldElement(fld, co, s, ncap)
+        mod = pp[ncap]
+        return _normal(fld, tuple(c % mod for c in co), s, ncap)
+
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
+        if other.__class__ is not FieldElement or other.field is not self.field:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return other
         fld = self.field
         s = self.shift + other.shift
-        # relative precision of the product = min of the operands'
+        n1, n2 = self.ncap, other.ncap
+        if fld.nbasis == 1:
+            # relative precision of the product = min of the operands'
+            x, y, p = self.co[0], other.co[0], fld.p
+            v1 = _int_valuation(x, p, n1)
+            v2 = _int_valuation(y, p, n2)
+            r1, r2 = n1 - v1, n2 - v2
+            ncap = v1 + v2 + (r1 if r1 < r2 else r2)
+            if ncap <= 0:
+                raise PrecisionLoss("product has no guaranteed digits")
+            if ncap <= fld.mcap:
+                return _normal(fld, (x * y % fld._ppows[ncap],), s, ncap)
+            return _single(fld, x * y, s, ncap)
         d = fld.d
-        v1 = fld._co_valuation(self.co, self.ncap)
-        v2 = fld._co_valuation(other.co, other.ncap)
-        rel1 = d * self.ncap - v1
-        rel2 = d * other.ncap - v2
+        v1 = fld._co_valuation(self.co, n1)
+        v2 = fld._co_valuation(other.co, n2)
+        rel1 = d * n1 - v1
+        rel2 = d * n2 - v2
         atarget = v1 + v2 + min(rel1, rel2)
         ncap = atarget // d
         if ncap <= 0:
             raise PrecisionLoss("product has no guaranteed digits")
-        co = fld._mul_co(self.co, other.co, fld.ppow(ncap))
-        return FieldElement(fld, co, s, ncap)
+        co = fld._mul_co(self.co, other.co, fld._ppows[ncap])
+        if ncap > fld.mcap:
+            return FieldElement(fld, co, s, ncap)
+        return _normal(fld, co, s, ncap)
 
     __rmul__ = __mul__
 
@@ -484,7 +579,7 @@ class FieldElement:
             num = self.co
         spow = (vnum + r) // d
         if spow:
-            pk = p ** spow
+            pk = fld._ppows[spow]
             if any(c % pk for c in num):
                 raise HermlatError("internal: coordinate division failed")
             num = tuple(c // pk for c in num)
@@ -495,7 +590,7 @@ class FieldElement:
         res = tuple(c % p for c in num[:f])
         y0 = gf_inv(res, p, fld._respoly)
         y = tuple(list(y0) + [0] * (fld.nbasis - f))
-        mod = p ** ncap_u
+        mod = fld._ppows[ncap_u]
         known = 1
         two = tuple([2] + [0] * (fld.nbasis - 1))
         while known < ncap_u * d:
@@ -507,7 +602,8 @@ class FieldElement:
             tco = [0] * fld.nbasis
             tco[r * f] = 1
             y = fld._mul_co(y, tuple(tco), mod)
-        return FieldElement(fld, y, -self.shift - spow, ncap_u)
+        # a unit times a power of p: nonzero, and ncap_u <= ncap <= mcap
+        return _normal(fld, y, -self.shift - spow, ncap_u)
 
     def __truediv__(self, other):
         other = self._coerce(other)

@@ -203,7 +203,9 @@ def parse_lattice(text, precision=None, algebra=None):
 
     if algebra is not None:
         K = algebra.base
-        if K.p != p or (upoly or None) != (list(K._upoly) if K.f > 1 else None):
+        evecs = tuple((c,) + (0,) * (K.f - 1) for c in epoly or ())
+        if K.p != p or (upoly or None) != (list(K._upoly) if K.f > 1 else None) \
+                or evecs != K._epoly:
             raise SpecFileError("field data does not match the first lattice")
         if algebra.kind != kind:
             raise SpecFileError("algebra kind does not match the first lattice")

@@ -91,6 +91,19 @@ def test_cli_isometric(capsys):
     assert rec["failed_condition"] == 1
 
 
+def test_cli_isometric_rejects_different_fields(tmp_path, capsys):
+    # Q_2(sqrt 2) and Q_2(sqrt 6): same p, different Eisenstein polynomials
+    paths = []
+    for c in (-2, -6):
+        path = tmp_path / f"split{-c}.lat"
+        path.write_text(f"[field]\np = 2\neisenstein_poly = {c}, 0\n"
+                        "[algebra]\nkind = split\n[gram]\n1, 0\n0, 1\n")
+        paths.append(str(path))
+    assert main(["isometric", *paths]) == 2
+    assert "field data does not match" in capsys.readouterr().err
+    assert main(["isometric", paths[0], paths[0]]) == 0
+
+
 def test_cli_factor_identity(tmp_path, capsys):
     mat = tmp_path / "id.mat"
     mat.write_text("1, 0\n0, 1\n")

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from hermlat.errors import ParityMismatch, WrongKind
+from hermlat.errors import HermlatError, ParityMismatch, WrongKind
 from hermlat.etale import INF, NONNORM, NORM, EtaleAlgebra
 from hermlat.oracle import enumerate_trace_image
 
@@ -162,3 +162,11 @@ def test_different_exponent_method(Q2sqrt2, split2):
     assert Q2sqrt2.different_exponent() == 3
     with pytest.raises(WrongKind):
         split2.different_exponent()
+
+
+def test_mixed_algebras_are_rejected(Q2):
+    a, b = EtaleAlgebra.split(Q2), EtaleAlgebra.split(Q2)
+    for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y,
+               lambda x, y: x / y):
+        with pytest.raises(HermlatError, match="different algebras"):
+            op(a.one, b.one)

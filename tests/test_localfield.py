@@ -1,10 +1,17 @@
+import operator
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hermlat.errors import NegativeValuation, NotAUnit, ZeroValuation
-from hermlat.localfield import LocalField
+from hermlat.errors import (
+    HermlatError,
+    NegativeValuation,
+    NotAUnit,
+    PrecisionLoss,
+    ZeroValuation,
+)
+from hermlat.localfield import FieldElement, LocalField
 
 
 def test_integer_arithmetic_embeds(Q2):
@@ -120,15 +127,120 @@ def test_residue_system_counts(Q2):
 
 
 def test_precision_guard_raises():
-    from hermlat.errors import DivisionByZeroModPrecision, PrecisionLoss
-    from hermlat.localfield import FieldElement
+    from hermlat.errors import DivisionByZeroModPrecision
+    from hermlat.localfield import _normal
 
     K = LocalField(2, precision=8, guard=4)
     # a result carrying fewer digits than the guard is refused outright
     with pytest.raises(PrecisionLoss):
         FieldElement(K, (1,), 0, K.guard_digits)
+    with pytest.raises(PrecisionLoss):
+        _normal(K, (1,), 0, K.guard_digits)
     # dividing by something indistinguishable from zero is refused
     tiny = K.one - (K.one + K.ppow(K.mcap))
     assert tiny.is_zero()
     with pytest.raises(DivisionByZeroModPrecision):
         K.one / tiny
+
+
+# ---------------------------------------------------------------------------
+# the ring operations against the generic normalising constructor
+# ---------------------------------------------------------------------------
+
+KERNEL_FIELDS = [
+    LocalField(p, unramified_poly=upoly, eisenstein_poly=epoly,
+               precision=prec, guard=guard)
+    for p, upoly, epoly in ((2, None, None), (3, None, None), (5, None, None),
+                            (2, [1, 1], None), (2, None, [-2, 0]))
+    for prec, guard in ((8, 4), (64, 16))
+]
+
+
+def _generic_mul(x, y):
+    fld = x.field
+    d = fld.d
+    v1 = fld._co_valuation(x.co, x.ncap)
+    v2 = fld._co_valuation(y.co, y.ncap)
+    ncap = (v1 + v2 + min(d * x.ncap - v1, d * y.ncap - v2)) // d
+    if ncap <= 0:
+        raise PrecisionLoss("product has no guaranteed digits")
+    co = fld._mul_co(x.co, y.co, fld.ppow(ncap))
+    return FieldElement(fld, co, x.shift + y.shift, ncap)
+
+
+def _generic_add(x, y):
+    fld = x.field
+    s = min(x.shift, y.shift)
+    m1, m2 = fld.ppow(x.shift - s), fld.ppow(y.shift - s)
+    co = tuple(a * m1 + b * m2 for a, b in zip(x.co, y.co))
+    return FieldElement(fld, co, s, min(x.shift + x.ncap, y.shift + y.ncap) - s)
+
+
+def _generic_neg(x):
+    return FieldElement(x.field, tuple(-c for c in x.co), x.shift, x.ncap)
+
+
+def _generic_sub(x, y):
+    return _generic_add(x, _generic_neg(y))
+
+
+def _generic_valuation(x):
+    if not any(x.co):
+        raise ZeroValuation("element is zero at working precision")
+    return x.field.d * x.shift + x.field._co_valuation(x.co, x.ncap)
+
+
+def _outcome(fn, *args):
+    try:
+        r = fn(*args)
+    except (PrecisionLoss, ZeroValuation) as ex:
+        return type(ex).__name__, str(ex)
+    if isinstance(r, FieldElement):
+        # every result is in the normal form __init__ leaves behind
+        again = FieldElement(r.field, r.co, r.shift, r.ncap)
+        assert (again.co, again.shift, again.ncap) == (r.co, r.shift, r.ncap)
+        return r.co, r.shift, r.ncap
+    return r
+
+
+@st.composite
+def kernel_elements(draw, fld):
+    """Elements built by the public constructor: units, elements with
+    p-content in their coefficients, zeros (up to the largest digit count a
+    zero keeps), and digit counts just above the guard; shifts of both signs."""
+    p, g, m = fld.p, fld.guard_digits, fld.mcap
+    kind = draw(st.sampled_from(("unit", "content", "zero", "guard")))
+    shift = draw(st.integers(-m, m))
+    if kind == "zero":
+        ncap = draw(st.integers(g + 1, 3 * m))
+        return FieldElement(fld, (0,) * fld.nbasis, shift, ncap)
+    ncap = draw(st.integers(g + 1, g + 3) if kind == "guard" else st.integers(g + 1, 2 * m))
+    co = tuple(draw(st.integers(0, p ** ncap - 1)) for _ in range(fld.nbasis))
+    if kind == "content":
+        k = draw(st.integers(1, ncap))
+        co = tuple(c * p ** k for c in co)
+    return FieldElement(fld, co, shift, ncap)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_kernel_matches_generic_constructor(data):
+    fld = data.draw(st.sampled_from(KERNEL_FIELDS))
+    x = data.draw(kernel_elements(fld))
+    y = data.draw(st.one_of(kernel_elements(fld), st.just(x), st.integers(-40, 40)))
+    yk = fld.from_int(y) if isinstance(y, int) else y
+    for fast, generic in ((operator.mul, _generic_mul), (operator.add, _generic_add),
+                          (operator.sub, _generic_sub)):
+        assert _outcome(fast, x, y) == _outcome(generic, x, yk)
+        assert _outcome(fast, y, x) == _outcome(generic, yk, x)
+    assert _outcome(operator.neg, x) == _outcome(_generic_neg, x)
+    assert _outcome(FieldElement.valuation, x) == _outcome(_generic_valuation, x)
+    if any(x.co):
+        _outcome(FieldElement._invert, x)
+
+
+def test_mixed_fields_are_rejected():
+    a, b = LocalField(2), LocalField(2)
+    for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
+        with pytest.raises(HermlatError, match="different fields"):
+            op(a.one, b.one)
