@@ -17,12 +17,20 @@ from .errors import (
     PrecisionLoss,
 )
 from .etale import NONNORM, NORM, EtaleAlgebra
-from .lattice import HermitianLattice, _gram_of, _norm_attainer, _norm_exp_of_gram
+from .lattice import (
+    HermitianLattice,
+    _gram_of,
+    _norm_attainer,
+    _norm_exp_of_gram,
+    _project_off,
+)
 from .linalg import (
+    _dot,
     cols_of,
     identity,
     mat_from_cols,
-    mat_solve,
+    mat_inv,
+    mat_vec,
     vec_add,
     vec_scale,
     vec_sub,
@@ -162,10 +170,11 @@ def trace_kill(lat, u, y, max_rounds=64):
     <y,u> of pairing level; solves exactly or raises."""
     alg = lat.alg
     for _ in range(max_rounds):
-        q = lat.inner(u, u).as_K()
+        gu = lat.gram_conj(u)
+        q = _dot(u, gu).as_K()
         if q.is_zero():
             return u
-        pair = lat.inner(y, u)
+        pair = _dot(y, gu)
         lam = alg.solve_trace(pair, -q)
         cand = vec_add(u, vec_scale(lam, y))
         q2 = lat.q_value(cand)
@@ -182,13 +191,14 @@ def isotropy_refine(lat, u, helpers, max_rounds=96):
     K = alg.base
     nrpi = alg.uniformizer().norm() if alg.kind == EtaleAlgebra.RAMIFIED else None
     for _ in range(max_rounds):
-        q = lat.q_value(u)
+        gu = lat.gram_conj(u)
+        q = _dot(u, gu).as_K()
         if q.is_zero():
             return u
         m = q.valuation()
         progressed = False
         for y in helpers:
-            pair = lat.inner(y, u)
+            pair = _dot(y, gu)
             if pair.is_zero():
                 continue
             # trace-dominant: Tr(lambda * <y,u>) = -q
@@ -310,19 +320,20 @@ def split_off_pair(lat, cols, u, v):
     """Orthogonal complement of the plane (u, v) inside span(cols); u, v must
     lie in that span and pair onto its scale."""
     alg = lat.alg
-    pg = ((lat.inner(u, u), lat.inner(v, u)),
-          (lat.inner(u, v), lat.inner(v, v)))
-    gmat = tuple(zip(*pg))
+    gu, gv = lat.gram_conj(u), lat.gram_conj(v)
+    pg = ((_dot(u, gu), _dot(v, gu)),
+          (_dot(u, gv), _dot(v, gv)))
+    gmat_inv = mat_inv(tuple(zip(*pg)))
     # choose the columns replaced by the pair: where the coefficients of
     # (u, v) in the cols basis carry a unit 2x2 minor
-    cg = _gram_of(lat, cols)
-    coords_u = mat_solve(tuple(zip(*cg)), tuple(lat.inner(u, c) for c in cols))
-    coords_v = mat_solve(tuple(zip(*cg)), tuple(lat.inner(v, c) for c in cols))
+    gcs = [lat.gram_conj(c) for c in cols]
+    cg_inv = mat_inv(tuple(zip(*_gram_of(lat, cols, gcs))))
+    coords_u = mat_vec(cg_inv, tuple(_dot(u, gc) for gc in gcs))
+    coords_v = mat_vec(cg_inv, tuple(_dot(v, gc) for gc in gcs))
     keep = _pair_complement_columns(alg, cols, coords_u, coords_v)
     rest = []
     for c in keep:
-        rhs = (lat.inner(c, u), lat.inner(c, v))
-        ab = mat_solve(gmat, rhs)
+        ab = mat_vec(gmat_inv, (_dot(c, gu), _dot(c, gv)))
         c2 = vec_sub(c, vec_add(vec_scale(ab[0], u), vec_scale(ab[1], v)))
         rest.append(c2)
     return rest
@@ -396,16 +407,7 @@ def peel_lines_and_planes(lat, cols):
             piece, drop = [cols[i], cols[j]], {i, j}
         rest = [c for idx, c in enumerate(cols) if idx not in drop]
         if rest:
-            pg = _gram_of(lat, piece)
-            projected = []
-            for y in rest:
-                rhs = tuple(lat.inner(y, p) for p in piece)
-                coeffs = mat_solve(tuple(zip(*pg)), rhs)
-                yy = y
-                for cf, p in zip(coeffs, piece):
-                    yy = vec_sub(yy, vec_scale(cf, p))
-                projected.append(yy)
-            rest = projected
+            rest = _project_off(lat, rest, piece)
         cols = rest
     return lines, planes
 
@@ -1012,14 +1014,15 @@ def rearrange_jordan(lat):
         raise HypothesisViolation("need at least two Jordan blocks")
     first = groups[0]
     deeper = [c for grp in groups[1:] for c in grp]
-    i = _block_scale(alg, _gram_of(lat, first))
-    k = _norm_exp_of_gram(alg, _gram_of(lat, first))
+    fgram = _gram_of(lat, first)
+    i = _block_scale(alg, fgram)
+    k = _norm_exp_of_gram(alg, fgram)
     dgram = _gram_of(lat, deeper)
     j = _block_scale(alg, _gram_of(lat, _jordan_cols(lat, deeper)[0]))
     n = _norm_exp_of_gram(alg, dgram)
     if not 0 < j - i <= n - k:
         raise HypothesisViolation("rearrangement needs 0 < j-i <= n-k")
-    donor, _ = _norm_attainer(lat, first, _gram_of(lat, first), k)
+    donor, _ = _norm_attainer(lat, first, fgram, k)
     groups2 = _jordan_cols(lat, deeper)
     lines2, planes2 = peel_lines_and_planes(lat, groups2[0])
     if not planes2:

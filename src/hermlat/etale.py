@@ -364,8 +364,10 @@ class EtaleAlgebra:
             reps = [r * g + lift for r in reps for lift in lifts]
         return tuple(reps)
 
+    @lru_cache(maxsize=None)
     def unit_residues_O(self, m):
-        return [r for r in self.residue_system_O(m) if r.is_unit()]
+        """The units of residue_system_O(m), in its order (a cached tuple)."""
+        return tuple(r for r in self._residue_system_O(m) if r.is_unit())
 
     def key_mod_p(self, x, m):
         """Canonical hashable key of an integral x in K modulo p^m (v_p units)."""
@@ -437,13 +439,21 @@ class EtaleAlgebra:
             return AlgElement(self, a, self.base.one)
         if k <= 0:
             return self.one
-        target = self.key_mod_p(a, k)
+        eps = self._unit_of_norm_key(k, self.key_mod_p(a, k))
+        if eps is None:
+            raise NoSolutionAtPrecision(
+                f"no unit norm matches mod p^{k}; class obstruction")
+        return eps
+
+    @lru_cache(maxsize=None)
+    def _unit_of_norm_key(self, k, target):
+        """The first unit residue mod P^(2k) (p^k unramified) whose norm has
+        key `target` mod p^k, or None."""
         depth = 2 * k if self.kind == self.RAMIFIED else k
         for u in self.unit_residues_O(max(depth, 1)):
             if self.key_mod_p(u.norm(), k) == target:
                 return u
-        raise NoSolutionAtPrecision(
-            f"no unit norm matches mod p^{k}; class obstruction")
+        return None
 
     def solve_norm_unit(self, a):
         """epsilon in O^x with Nr(epsilon) = a exactly (a must be a unit norm)."""

@@ -42,10 +42,12 @@ from .isometries import (
 )
 from .lattice import _gram_of, _norm_attainer, _norm_exp_of_gram
 from .linalg import (
+    _dot,
     cols_of,
     identity,
     is_integral_matrix,
     mat_mul,
+    mat_solve,
     mat_vec,
     vec_add,
     vec_scale,
@@ -240,12 +242,12 @@ def _drive_unramified_step(drv, cols, phi):
 
 
 def _complement_of_vector(lat, cols, x):
-    qx = lat.inner(x, x)
+    gx = lat.gram_conj(x)
+    qx = _dot(x, gx)
     alg = lat.alg
-    cg = _gram_of(lat, cols)
-    from .linalg import mat_solve
-
-    coords = mat_solve(tuple(zip(*cg)), tuple(lat.inner(x, c) for c in cols))
+    gcs = [lat.gram_conj(c) for c in cols]
+    cg = _gram_of(lat, cols, gcs)
+    coords = mat_solve(tuple(zip(*cg)), tuple(_dot(x, gc) for gc in gcs))
     keep = None
     for idx, c in enumerate(coords):
         if not c.is_zero() and c.is_unit():
@@ -268,7 +270,7 @@ def _complement_of_vector(lat, cols, x):
         raise PrecisionLoss("vector is not part of a basis of the span")
     rest = []
     for c in keep:
-        coeff = lat.inner(c, x) / qx
+        coeff = _dot(c, gx) / qx
         rest.append(vec_sub(c, vec_scale(coeff, x)))
     return rest
 
@@ -316,15 +318,19 @@ def _isotropic_bridge(lat, cols, u, up, scale):
     cands = []
     y1 = y2 = None
     for c in cols:
-        if y1 is None and _attains(alg, lat.inner(u, c), scale):
+        if y1 is not None and y2 is not None:
+            break
+        gc = lat.gram_conj(c)
+        if y1 is None and _attains(alg, _dot(u, gc), scale):
             y1 = c
-        if y2 is None and _attains(alg, lat.inner(up, c), scale):
+        if y2 is None and _attains(alg, _dot(up, gc), scale):
             y2 = c
     if y1 is None or y2 is None:
         raise PrecisionLoss("no scale-attaining partners for the bridge")
     for x in (y1, y2, vec_add(y1, y2)):
-        if _attains(alg, lat.inner(u, x), scale) and \
-           _attains(alg, lat.inner(up, x), scale):
+        gx = lat.gram_conj(x)
+        if _attains(alg, _dot(u, gx), scale) and \
+           _attains(alg, _dot(up, gx), scale):
             cands.append(x)
     if not cands and alg.kind == EtaleAlgebra.SPLIT:
         # idempotent-weighted combinations reach mixed slot patterns
@@ -333,8 +339,9 @@ def _isotropic_bridge(lat, cols, u, up, scale):
             for mu in ((one, zero), (zero, one)):
                 x = vec_add(vec_scale(alg.element(*lam), y1),
                             vec_scale(alg.element(*mu), y2))
-                if _attains(alg, lat.inner(u, x), scale) and \
-                   _attains(alg, lat.inner(up, x), scale):
+                gx = lat.gram_conj(x)
+                if _attains(alg, _dot(u, gx), scale) and \
+                   _attains(alg, _dot(up, gx), scale):
                     cands.append(x)
                     break
             if cands:
@@ -361,10 +368,11 @@ def _isotropic_bridge(lat, cols, u, up, scale):
     else:
         coeff = alg.rho() * alg.from_K(qx) / lat.inner(u, x)
         y = vec_sub(x, vec_scale(coeff, u))
-    if not lat.q_value(y).is_zero():
+    gy = lat.gram_conj(y)
+    if not _dot(y, gy).as_K().is_zero():
         raise PrecisionLoss("bridge vector failed to become isotropic")
-    if not (_attains(alg, lat.inner(u, y), scale)
-            and _attains(alg, lat.inner(up, y), scale)):
+    if not (_attains(alg, _dot(u, gy), scale)
+            and _attains(alg, _dot(up, gy), scale)):
         raise PrecisionLoss("bridge vector lost its pairings")
     return y
 
@@ -380,9 +388,9 @@ def _peel_hyperbolic_unramified(drv, cols, phi, u, v):
     if all((a - b).is_zero() for a, b in zip(phi_v, v)):
         return phi
     # phi(v) = mu*u + v + y with y in the complement of the pair
-    puv = lat.inner(u, v)
-    pvu = lat.inner(v, u)
-    mu = lat.inner(phi_v, v) / puv.conj()
+    gv = lat.gram_conj(v)
+    puv = _dot(u, gv)
+    mu = _dot(phi_v, gv) / puv.conj()
     y = vec_sub(vec_sub(phi_v, v), vec_scale(mu, u))
     e = make_eichler(lat, u, v, y, mu)
     syms = eichler_to_symmetries(lat, e)
@@ -476,43 +484,42 @@ def _peel_unramified_line(drv, cols, phi, a):
 def _pairing_bridge(latr, cols, a, ap):
     """s with <s,a> and <s,ap> both units (scale zero, unramified)."""
     alg = latr.alg
+    ga, gap = latr.gram_conj(a), latr.gram_conj(ap)
     if alg.kind == EtaleAlgebra.SPLIT:
         # assemble one slot at a time; each slot is the classical argument
         # over the base valuation ring
         slots = []
         for comp in (0, 1):
-            def vals(x, vec):
-                e = latr.inner(vec, x)
+            def vals(gx, vec):
+                e = _dot(vec, gx)
                 c = e.x0 if comp == 0 else e.x1
                 return (not c.is_zero()) and c.valuation() == 0
 
-            y1 = next((c for c in cols if vals(a, c)), None)
-            y2 = next((c for c in cols if vals(ap, c)), None)
+            y1 = next((c for c in cols if vals(ga, c)), None)
+            y2 = next((c for c in cols if vals(gap, c)), None)
             if y1 is None or y2 is None:
                 raise PrecisionLoss("no pairing partners for the bridge slot")
             pick = next((x for x in (y1, y2, vec_add(y1, y2))
-                         if vals(a, x) and vals(ap, x)), None)
+                         if vals(ga, x) and vals(gap, x)), None)
             if pick is None:
                 raise PrecisionLoss("reflection bridge slot search failed")
             slots.append(pick)
         K = alg.base
         x = vec_add(vec_scale(alg.element(K.one, K.zero), slots[0]),
                     vec_scale(alg.element(K.zero, K.one), slots[1]))
-        if _attains(alg, latr.inner(x, a), 0) and \
-           _attains(alg, latr.inner(x, ap), 0):
+        if _attains(alg, _dot(x, ga), 0) and _attains(alg, _dot(x, gap), 0):
             return x
         raise PrecisionLoss("reflection bridge search failed")
     y1 = y2 = None
     for cvec in cols:
-        if y1 is None and _attains(alg, latr.inner(cvec, a), 0):
+        if y1 is None and _attains(alg, _dot(cvec, ga), 0):
             y1 = cvec
-        if y2 is None and _attains(alg, latr.inner(cvec, ap), 0):
+        if y2 is None and _attains(alg, _dot(cvec, gap), 0):
             y2 = cvec
     if y1 is None or y2 is None:
         raise PrecisionLoss("no pairing partners for the reflection bridge")
     for x in (y1, y2, vec_add(y1, y2)):
-        if _attains(alg, latr.inner(x, a), 0) and \
-           _attains(alg, latr.inner(x, ap), 0):
+        if _attains(alg, _dot(x, ga), 0) and _attains(alg, _dot(x, gap), 0):
             return x
     raise PrecisionLoss("reflection bridge search failed")
 
@@ -613,7 +620,8 @@ def _fix_vec(lat, phi, vec):
 def _rot1_eichler(lat, shared, u_from, u_to):
     """Eichler isometry fixing `shared` and mapping u_from to u_to, for
     hyperbolic pairs (shared, u_from), (shared, u_to) with equal products."""
-    beta = lat.inner(vec_sub(u_to, u_from), u_from) / lat.inner(shared, u_from)
+    gf = lat.gram_conj(u_from)
+    beta = _dot(vec_sub(u_to, u_from), gf) / _dot(shared, gf)
     w = vec_sub(vec_sub(u_to, u_from), vec_scale(beta, shared))
     return make_eichler(lat, shared, u_from, w, beta)
 
@@ -634,11 +642,12 @@ def _transport_pair(drv, cols, phi, u2, v2, scale_s):
         if done is not None:
             phi = done
             continue
-        puv = lat.inner(cur_u, cur_v)
-        alpha = lat.inner(u2, cur_v) / puv
-        beta = lat.inner(u2, cur_u) / puv.conj()
-        gamma = lat.inner(v2, cur_v) / puv
-        delta = lat.inner(v2, cur_u) / puv.conj()
+        gcu, gcv = lat.gram_conj(cur_u), lat.gram_conj(cur_v)
+        puv = _dot(cur_u, gcv)
+        alpha = _dot(u2, gcv) / puv
+        beta = _dot(u2, gcu) / puv.conj()
+        gamma = _dot(v2, gcv) / puv
+        delta = _dot(v2, gcu) / puv.conj()
         if not beta.is_zero() and beta.is_unit():
             s = vec_sub(cur_u, u2)
             sigma = lat.inner(cur_u, s)
@@ -673,8 +682,9 @@ def _transport_pair(drv, cols, phi, u2, v2, scale_s):
 
 def _scalar_coeff(lat, img, target, partner):
     """If img = a * target (tested exactly), return the unit a, else None."""
-    denom = lat.inner(target, partner)
-    a = lat.inner(img, partner) / denom
+    gp = lat.gram_conj(partner)
+    denom = _dot(target, gp)
+    a = _dot(img, gp) / denom
     if a.is_zero() or not a.is_unit():
         return None
     if all((x - y).is_zero() for x, y in zip(img, vec_scale(a, target))):

@@ -24,6 +24,7 @@ from .errors import (
 )
 from .etale import EtaleAlgebra
 from .linalg import (
+    _dot,
     basis_vector,
     is_integral_matrix,
     mat_eq,
@@ -88,33 +89,29 @@ def apply_generator(lat, g, x):
         return vec_sub(x, vec_scale(coeff, g.s))
     if isinstance(g, EichlerIsometry):
         u, v, y, mu = g.u, g.v, g.y, g.mu
-        pvu = lat.inner(v, u)
+        gu = lat.gram_conj(u)
+        pvu = _dot(v, gu)
         puv = lat.inner(u, v)
-        a = lat.inner(x, u) / pvu
+        a = _dot(x, gu) / pvu
         b = mu * a - lat.inner(x, y) / puv
         return vec_add(x, vec_add(vec_scale(a, y), vec_scale(b, u)))
     raise HermlatError(f"not a generator: {g!r}")
-
-
-def _gram_conj_vec(lat, s):
-    """The vector G * conj(s), so that <x, s> = sum x_i (G conj(s))_i."""
-    return mat_vec(lat.gram, tuple(c.conj() for c in s))
 
 
 def matrix_of(lat, g):
     alg = lat.alg
     n = lat.n
     if isinstance(g, Symmetry):
-        gs = _gram_conj_vec(lat, g.s)
+        gs = lat.gram_conj(g.s)
         sinv = alg.one / g.sigma
         coeffs = [e * sinv for e in gs]
         return tuple(tuple((alg.one if i == j else alg.zero)
                            - coeffs[j] * g.s[i]
                            for j in range(n)) for i in range(n))
     if isinstance(g, EichlerIsometry):
-        gu = _gram_conj_vec(lat, g.u)
-        gy = _gram_conj_vec(lat, g.y)
-        pvu = lat.inner(g.v, g.u)
+        gu = lat.gram_conj(g.u)
+        gy = lat.gram_conj(g.y)
+        pvu = _dot(g.v, gu)
         puv = lat.inner(g.u, g.v)
         a = [e / pvu for e in gu]
         b = [g.mu * aj - ej / puv for aj, ej in zip(a, gy)]
@@ -150,8 +147,9 @@ def in_unitary_group(lat, g_or_matrix):
             ok_fast = True
             try:
                 vs = alg.valuation_P(m.sigma)
+                gs = lat.gram_conj(m.s)
                 for i in range(lat.n):
-                    e = lat.inner(basis_vector(alg, lat.n, i), m.s)
+                    e = _dot(basis_vector(alg, lat.n, i), gs)
                     if e.is_zero():
                         continue
                     ve = alg.valuation_P(e)
@@ -425,8 +423,9 @@ def _split_vector_reduction(lat, e, fuel):
     alg = lat.alg
     K = alg.base
     u, v, w = e.u, e.v, e.y
-    puv = lat.inner(u, v)
-    pvu = lat.inner(v, u)
+    gu, gv = lat.gram_conj(u), lat.gram_conj(v)
+    puv = _dot(u, gv)
+    pvu = _dot(v, gu)
     i = _pair_scale(alg, puv)
     t_exp = alg.trace_ideal(i)
 
@@ -434,8 +433,8 @@ def _split_vector_reduction(lat, e, fuel):
     perp = []
     for k in range(lat.n):
         b = basis_vector(alg, lat.n, k)
-        m = vec_sub(b, vec_add(vec_scale(lat.inner(b, u) / pvu, v),
-                               vec_scale(lat.inner(b, v) / puv, u)))
+        m = vec_sub(b, vec_add(vec_scale(_dot(b, gu) / pvu, v),
+                               vec_scale(_dot(b, gv) / puv, u)))
         perp.append(m)
     t_vec = None
     for m in perp:

@@ -18,6 +18,7 @@ from .errors import (
 )
 from .etale import INF, EtaleAlgebra
 from .linalg import (
+    _dot,
     conj_transpose,
     cols_of,
     identity,
@@ -25,7 +26,7 @@ from .linalg import (
     mat_eq,
     mat_from_cols,
     mat_mul,
-    mat_solve,
+    mat_inv,
     mat_vec,
     vec_add,
     vec_scale,
@@ -52,14 +53,22 @@ class HermitianLattice:
 
     # -- basic maps ----------------------------------------------------------
 
+    def gram_conj(self, y):
+        """The functional G conj(y) of y: <x, y> = dot(x, gram_conj(y))."""
+        return mat_vec(self.gram, tuple(c.conj() for c in y))
+
     def inner(self, x, y):
-        """<x, y> = x^T G conj(y); E-linear in x."""
-        gy = mat_vec(self.gram, tuple(c.conj() for c in y))
-        acc = None
-        for a, b in zip(x, gy):
-            t = a * b
-            acc = t if acc is None else acc + t
-        return acc
+        """<x, y> = x^T G conj(y); E-linear in x.
+
+        This is the one definition, ``_dot(x, self.gram_conj(y))``.  A caller
+        pairing several vectors against the same y computes gram_conj(y) once
+        and reuses it through ``_dot``, keeping the argument order: the left
+        factor is the vector, the right one the functional, summed left to
+        right.  At capped precision <x, y> and conj(<y, x>) can differ in
+        their last digits or precision count, and so can a sum that skips an
+        exact-zero product, so neither shortcut stands in for inner().
+        """
+        return _dot(x, self.gram_conj(y))
 
     def q_value(self, x):
         """<x, x>, returned as an element of K."""
@@ -218,16 +227,7 @@ class HermitianLattice:
             pieces.append((s, len(piece)))
             rest = [c for idx, c in enumerate(cols) if idx not in drop]
             if rest:
-                pg = _gram_of(self, piece)
-                projected = []
-                for y in rest:
-                    rhs = tuple(self.inner(y, p) for p in piece)
-                    coeffs = mat_solve(tuple(zip(*pg)), rhs)
-                    yy = y
-                    for cf, p in zip(coeffs, piece):
-                        yy = vec_sub(yy, vec_scale(cf, p))
-                    projected.append(yy)
-                rest = projected
+                rest = _project_off(self, rest, piece)
             cols = rest
         return self._assemble_jordan(ordered, pieces)
 
@@ -333,8 +333,27 @@ class JordanSplitting:
 # -- helpers -------------------------------------------------------------------
 
 
-def _gram_of(lat, cols):
-    return tuple(tuple(lat.inner(a, b) for b in cols) for a in cols)
+def _gram_of(lat, cols, gcs=None):
+    """Gram matrix of cols, one functional per column; gcs are the
+    columns' gram_conj when the caller has them already."""
+    if gcs is None:
+        gcs = [lat.gram_conj(b) for b in cols]
+    return tuple(tuple(_dot(a, gb) for gb in gcs) for a in cols)
+
+
+def _project_off(lat, vecs, piece):
+    """vecs made orthogonal to span(piece) by subtracting their
+    <., piece>-projections; piece spans a non-degenerate sublattice."""
+    gps = [lat.gram_conj(p) for p in piece]
+    pg_inv = mat_inv(tuple(zip(*_gram_of(lat, piece, gps))))
+    out = []
+    for y in vecs:
+        coeffs = mat_vec(pg_inv, tuple(_dot(y, gp) for gp in gps))
+        yy = y
+        for cf, p in zip(coeffs, piece):
+            yy = vec_sub(yy, vec_scale(cf, p))
+        out.append(yy)
+    return out
 
 
 def _min_vP(alg, gram):

@@ -18,7 +18,7 @@ from .isometries import (
     make_eichler,
     matrix_of,
 )
-from .linalg import identity, mat_mul, vec_add, vec_scale, vec_sub
+from .linalg import _dot, identity, mat_mul, vec_add, vec_scale, vec_sub
 
 
 def enumerate_trace_image(alg, i, modulus_exp):
@@ -82,10 +82,11 @@ def random_symmetry(lat, rng, tries=60):
         s = random_vector(lat, rng)
         if all(c.is_zero() for c in s):
             continue
-        qs = lat.inner(s, s)
+        gs = lat.gram_conj(s)
+        qs = _dot(s, gs)
         if qs.is_zero():
             continue
-        pairings = [lat.inner(b, s) for b in lat.basis()]
+        pairings = [_dot(b, gs) for b in lat.basis()]
         for sigma in _sigma_candidates(lat, s, qs, rng):
             if sigma.is_zero():
                 continue
@@ -152,13 +153,14 @@ def random_eichler(lat, rng, tries=40):
         return None
     u, v, s_exp = found
     alg = lat.alg
-    puv = lat.inner(u, v)
-    pvu = lat.inner(v, u)
+    gu, gv = lat.gram_conj(u), lat.gram_conj(v)
+    puv = _dot(u, gv)
+    pvu = _dot(v, gu)
     for _ in range(tries):
         raw = random_vector(lat, rng)
         # project into the orthogonal complement of the pair
-        y = vec_sub(raw, vec_add(vec_scale(lat.inner(raw, u) / pvu, v),
-                                 vec_scale(lat.inner(raw, v) / puv, u)))
+        y = vec_sub(raw, vec_add(vec_scale(_dot(raw, gu) / pvu, v),
+                                 vec_scale(_dot(raw, gv) / puv, u)))
         # force <y, L> inside <u,v> O
         need = 0
         for kdx in range(lat.n):

@@ -7,6 +7,12 @@ representation ``(co, shift, ncap)`` of every entry of the input, of every
 emitted generator's matrix and of the certificate must stay what it was when
 these values were recorded: a change to the field arithmetic that alters any
 digit, shift or precision count of a result shows up here.
+
+The decide path is pinned the same way: for each of these lattices, a seeded
+change of basis in GL_n(O) is Jordan split (block columns, Grams and the
+transform), searched for a hyperbolic pair (the witness of
+``splits_hyperbolic``) and compared with the original lattice (the verdict and
+trace of ``isometry_conditions``).
 """
 
 import hashlib
@@ -17,9 +23,11 @@ import pytest
 
 import hermlat
 from hermlat import oracle
+from hermlat.classify import isometry_conditions, splits_hyperbolic
 from hermlat.factorize import factor_unitary, verify_factorization
 from hermlat.isometries import EichlerIsometry, matrix_of
-from hermlat.linalg import identity, mat_mul
+from hermlat.lattice import HermitianLattice
+from hermlat.linalg import cols_of, identity, mat_mul
 from hermlat.specfile import parse_lattice
 
 K_GENERATORS = 3
@@ -81,3 +89,74 @@ def run_digest(name):
 @pytest.mark.parametrize("name", sorted(EXPECTED))
 def test_factorization_is_bit_identical(name):
     assert run_digest(name) == EXPECTED[name]
+
+
+# -- the decide path ---------------------------------------------------------
+
+# lattice name -> SHA-256 of the decide run below, recorded before inner
+# products shared one G·conj(y) across the vectors paired with the same y
+EXPECTED_DECIDE = {
+    "split3":
+        "bee52ac5b06fa7ac22f103255cdfd8e0ecf008323f12dc3a6d47368dc9ae573f",
+    "inert3":
+        "8146c1819bf66e53e23f209cc669b82e8449fd49a5fbcd74f7776a02090b0ad5",
+    "q2i-h":
+        "9f7041eb8fa2367f3ee0d7bb5f73588a0c5042b69811c3f4c62ea87dff093086",
+    "q2sqrt2-h0h0":
+        "701bdd567a47e9bad10bb0a6df8bf5cbafd85e2dab9c97d827bc304a43b733b6",
+    "f4ram":
+        "23029f41c9b10e06fe1d9c6c4434eda230a56b1128a12900045bf126c5d07884",
+}
+
+
+def _key(obj):
+    """JSON-able exact form of a decide result: field elements as
+    (co, shift, ncap), containers element by element, the rest as is."""
+    if hasattr(obj, "x0"):
+        return [_field_key(obj.x0), _field_key(obj.x1)]
+    if hasattr(obj, "co"):
+        return _field_key(obj)
+    if isinstance(obj, dict):
+        return [[str(k), _key(v)] for k, v in sorted(obj.items())]
+    if isinstance(obj, (list, tuple)):
+        return [_key(v) for v in obj]
+    return obj
+
+
+def _basis_change(lat, rng):
+    """L in a seeded basis: the Gram of the columns of a lower times an
+    upper unitriangular matrix over O, so the change lies in GL_n(O)."""
+    alg, n = lat.alg, lat.n
+
+    def unitriangular(lower):
+        entries = iter([c for _ in range(n) for c in oracle.random_vector(lat, rng)])
+        return tuple(tuple(alg.one if i == j
+                           else next(entries) if (i > j) == lower else alg.zero
+                           for j in range(n)) for i in range(n))
+
+    t = mat_mul(unitriangular(True), unitriangular(False))
+    cols = cols_of(t)
+    return HermitianLattice(alg, tuple(tuple(lat.inner(a, b) for b in cols)
+                                       for a in cols))
+
+
+def decide_digest(name):
+    with open(hermlat.catalog_path(name + ".lat")) as fh:
+        lat = parse_lattice(fh.read())
+    other = _basis_change(lat, random.Random(f"decide-identity:{name}"))
+    split = other.jordan_split()
+    doc = {
+        "gram": _key(other.gram),
+        "jordan": [[blk.scale_exp, blk.rank, blk.norm_exp, blk.normal,
+                    _key(blk.cols), _key(blk.gram)] for blk in split.blocks],
+        "transform": _key(split.transform),
+        "witness": _key(splits_hyperbolic(other)),
+        "verdict": _key(isometry_conditions(lat, other)),
+    }
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_DECIDE))
+def test_decision_is_bit_identical(name):
+    assert decide_digest(name) == EXPECTED_DECIDE[name]

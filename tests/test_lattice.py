@@ -1,17 +1,20 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hermlat.errors import RangeViolation
-from hermlat.etale import NONNORM, NORM
+from hermlat.etale import NONNORM, NORM, EtaleAlgebra
 from hermlat.lattice import (
     HermitianLattice,
+    _gram_of,
     orthogonal_sum,
     standard_A,
     standard_H,
     standard_Hik,
 )
-from hermlat.linalg import basis_vector, cols_of, identity, mat_eq, mat_mul
+from hermlat.linalg import _dot, basis_vector, cols_of, identity, mat_eq, mat_mul, mat_vec
+from hermlat.localfield import FieldElement, LocalField
 
 
 def _unit_basis_change(lat, rng):
@@ -196,3 +199,70 @@ def test_primitive(Q2sqrt2, split2):
     assert Ls.is_primitive(e1)
     assert not Ls.is_primitive(
         vec_scale(split2.element(split2.base.from_int(2), split2.base.one), e1))
+
+
+# -- one functional per vector -------------------------------------------------
+
+_Q2 = LocalField(2)
+_F4 = LocalField(2, unramified_poly=[1, 1])
+HOIST_ALGEBRAS = [
+    EtaleAlgebra.split(_Q2),
+    EtaleAlgebra.quadratic(_Q2, 1, 1),    # inert
+    EtaleAlgebra.quadratic(_Q2, 2, 2),    # Q_2(i)
+    EtaleAlgebra.quadratic(_Q2, 0, -2),   # Q_2(sqrt 2)
+    EtaleAlgebra.quadratic(_F4, 0, -2),   # over Q_2(w), nbasis 2
+]
+
+
+@st.composite
+def _base_elements(draw, fld):
+    """Elements of K with p-content, exact zeros, shifts of both signs and
+    digit counts from just above the guard to the cap."""
+    ncap = draw(st.integers(fld.guard_digits + 1, fld.mcap))
+    if draw(st.integers(0, 5)) == 0:
+        co = (0,) * fld.nbasis
+    else:
+        k = draw(st.integers(0, 4))
+        co = tuple(draw(st.integers(0, 2 ** 20)) * fld.p ** k for _ in range(fld.nbasis))
+    return FieldElement(fld, co, draw(st.integers(-3, 3)), ncap)
+
+
+@st.composite
+def _alg_elements(draw, alg):
+    return alg.element(draw(_base_elements(alg.base)), draw(_base_elements(alg.base)))
+
+
+def _triple(e):
+    return [(x.co, x.shift, x.ncap) for x in (e.x0, e.x1)]
+
+
+def _inner_reference(lat, x, y):
+    """<x, y> as inner() computed it before it shared gram_conj(y): the
+    functional inline, then a left-to-right sum of the products."""
+    gy = mat_vec(lat.gram, tuple(c.conj() for c in y))
+    acc = None
+    for a, b in zip(x, gy):
+        t = a * b
+        acc = t if acc is None else acc + t
+    return acc
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_shared_functional_is_bit_identical(data):
+    alg = data.draw(st.sampled_from(HOIST_ALGEBRAS))
+    n = data.draw(st.integers(1, 3))
+    el = _alg_elements(alg)
+    upper = {(i, j): data.draw(el) for i in range(n) for j in range(i, n)}
+    # hermitian: K-valued diagonal, conjugate-symmetric off the diagonal
+    gram = tuple(tuple(alg.from_K(upper[i, i].x0) if i == j
+                       else upper[i, j] if i < j else upper[j, i].conj()
+                       for j in range(n)) for i in range(n))
+    lat = HermitianLattice(alg, gram, _skip_checks=True)
+    cols = [tuple(data.draw(el) for _ in range(n))
+            for _ in range(data.draw(st.integers(1, 3)))]
+    g = _gram_of(lat, cols)
+    for i, a in enumerate(cols):
+        for j, b in enumerate(cols):
+            assert _triple(g[i][j]) == _triple(lat.inner(a, b))
+            assert _triple(_dot(a, lat.gram_conj(b))) == _triple(_inner_reference(lat, a, b))
