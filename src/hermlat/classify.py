@@ -186,10 +186,15 @@ def trace_kill(lat, u, y, max_rounds=64):
 
 def isotropy_refine(lat, u, helpers, max_rounds=96):
     """Exact isotropy kill allowing both trace-dominant and norm-balanced
-    corrections along the helper directions."""
+    corrections along the helper directions.
+
+    The rounds can fail to converge: a norm-balanced step along a helper
+    that is u itself only rescales u.  Then the isotropic line of
+    span(u, y) is computed in closed form for each other helper y in turn
+    (``_isotropic_in_plane``), starting again from the u given."""
     alg = lat.alg
-    K = alg.base
     nrpi = alg.uniformizer().norm() if alg.kind == EtaleAlgebra.RAMIFIED else None
+    start = u
     for _ in range(max_rounds):
         gu = lat.gram_conj(u)
         q = _dot(u, gu).as_K()
@@ -248,11 +253,53 @@ def isotropy_refine(lat, u, helpers, max_rounds=96):
                     break
         if not progressed:
             raise PrecisionLoss("no isotropy progress along helper directions")
+    for y in helpers:
+        if y is start:
+            continue
+        try:
+            iso = _isotropic_in_plane(lat, start, y)
+        except HermlatError:
+            continue
+        if iso is not None:
+            return iso
     raise PrecisionLoss("isotropy refinement did not converge")
 
 
+def _isotropic_in_plane(lat, u, y):
+    """Primitive isotropic u + lambda*y, or None when span(u, y) has none.
+
+    With q = Q(u), p = <y,u> and det = q Q(y) - N(p),
+    Q(u + lambda y) = q + Tr(lambda p) + N(lambda) Q(y)
+                    = Q(y) N(lambda + conj(p)/Q(y)) + det/Q(y),
+    so lambda = w - conj(p)/Q(y) with N(w) = -det/Q(y)^2.  When Q(y) = 0
+    the condition is the trace equation Tr(lambda p) = -q."""
+    alg = lat.alg
+    gu = lat.gram_conj(u)
+    q = _dot(u, gu).as_K()
+    p = _dot(y, gu)
+    qy = lat.q_value(y)
+    if qy.is_zero():
+        lam = alg.solve_trace(p, -q)
+    else:
+        a = -(q * qy - p.norm()) / (qy * qy)
+        if a.is_zero():
+            w = alg.zero
+        elif not alg.in_E_norm_group(a):
+            return None
+        elif alg.kind == EtaleAlgebra.SPLIT:
+            w = alg.solve_norm_unit(a)
+        else:
+            nrpi = alg.uniformizer().norm()
+            k = a.valuation() // nrpi.valuation()
+            w = alg.uniformizer_pow(k) * alg.solve_norm_unit(a / nrpi ** k)
+        lam = w - p.conj() / alg.from_K(qy)
+    iso = primitivize(lat, vec_add(u, vec_scale(lam, y)))
+    return iso if lat.q_value(iso).is_zero() else None
+
+
 def primitivize(lat, u):
-    """Divide out the common uniformizer power of a nonzero lattice vector."""
+    """Scale a nonzero vector by the uniformizer power that makes it a
+    primitive lattice vector: least coordinate valuation 0."""
     alg = lat.alg
     if alg.kind == EtaleAlgebra.SPLIT:
         return u
@@ -262,7 +309,7 @@ def primitivize(lat, u):
             continue
         v = alg.vP(c)
         t = v if t is None else min(t, v)
-    if t is None or t <= 0:
+    if t is None or t == 0:
         return u
     return vec_scale(alg.uniformizer_pow(-t), u)
 

@@ -9,6 +9,20 @@ norm coset) that the lattice algorithms consume.
 
 Field-kind elements are stored as coordinates x0 + x1*g where g is a root of
 the defining polynomial x^2 + b*x + c; conjugation sends g to -b - g.
+
+Flat kernel.  When E is a field over K = Q_p (``base.nbasis == 1``), ``*``,
+``conj``, ``trace``, ``norm`` and ``linalg._dot`` work on the raw
+``(co[0], shift, ncap)`` integers of the coordinates and build
+``FieldElement``s only for the coordinates of the result.  The invariant:
+every intermediate is the one the composed formula forms with
+``FieldElement`` operations, in the same order, by the same rule
+(``localfield._mul_raw`` and ``_add_raw``, which ``FieldElement`` itself
+uses), so each result is the same ``(co, shift, ncap)`` triple.  A product
+or sum keeps at least the least ncap of its operands, so no intermediate
+can fall below the precision guard; the guard runs on the results.  Each
+operand's valuation is taken once per product, and those of b and c once,
+when the algebra is built.  Split algebras and bases with ``nbasis > 1``
+go through the composed path.
 """
 
 from __future__ import annotations
@@ -26,7 +40,14 @@ from .errors import (
     WrongKind,
     ZeroValuation,
 )
-from .localfield import FieldElement, gf_elements
+from .localfield import (
+    FieldElement,
+    _add_raw,
+    _int_valuation,
+    _mul_raw,
+    _normal,
+    gf_elements,
+)
 
 INF = math.inf
 
@@ -85,10 +106,16 @@ class EtaleAlgebra:
             self.c = None
             self.e = 0
             self._b_zero = True
+            self._flat = False
         else:
             self.b = b if isinstance(b, FieldElement) else base.from_int(b)
             self.c = c if isinstance(c, FieldElement) else base.from_int(c)
             self._b_zero = self.b.is_zero()
+            self._flat = base.nbasis == 1
+            if self._flat:
+                self._b_raw = _raw(self.b)
+                self._c_raw = _raw(self.c)
+                self._two_raw = _raw(base.from_int(2))
             if kind == self.RAMIFIED:
                 # different exponent: valuation of g'(Pi) = 2*Pi + b
                 self.e = self.vP(self.gen() * 2 + self.from_K(self.b))
@@ -96,6 +123,7 @@ class EtaleAlgebra:
                 self.e = 0
         self.zero = self.from_K(base.zero)
         self.one = self.from_K(base.one)
+        self._upows = [self.one]  # ramified kind: powers of g, filled on use
         self._rho = None
         self._eta = None
         self._u0 = None
@@ -166,13 +194,14 @@ class EtaleAlgebra:
 
     def uniformizer_pow(self, k):
         if self.kind == self.RAMIFIED:
-            # even part through p = Nr-adjusted power; keep exact: g^k
-            out = self.one
-            g = self.gen()
             if k >= 0:
-                for _ in range(k):
-                    out = out * g
-                return out
+                # g^k, each power made once by the chain g^(k-1) * g
+                pows = self._upows
+                if k >= len(pows):
+                    g = self.gen()
+                    while k >= len(pows):
+                        pows.append(pows[-1] * g)
+                return pows[k]
             return self.one / self.uniformizer_pow(-k)
         return self.from_K(self.base.uniformizer_pow(k))
 
@@ -555,7 +584,8 @@ class AlgElement:
             other = self._coerce(other)
             if other is NotImplemented:
                 return other
-        return self + (-other)
+        # in place: the same triples as self + (-other)
+        return AlgElement(self.alg, self.x0 - other.x0, self.x1 - other.x1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -566,6 +596,10 @@ class AlgElement:
             if other is NotImplemented:
                 return other
         a = self.alg
+        if a._flat:
+            c0, s0, n0, c1, s1, n1 = _flat_product(a, self, other)
+            K = a.base
+            return AlgElement(a, _normal(K, (c0,), s0, n0), _normal(K, (c1,), s1, n1))
         if a.kind == EtaleAlgebra.SPLIT:
             return AlgElement(a, self.x0 * other.x0, self.x1 * other.x1)
         x0, x1, y0, y1 = self.x0, self.x1, other.x0, other.x1
@@ -627,12 +661,25 @@ class AlgElement:
             return AlgElement(a, self.x1, self.x0)
         if a._b_zero:
             return AlgElement(a, self.x0, -self.x1)
+        if a._flat:
+            K = a.base
+            d, t, m, _ = _mul_raw(K, *a._b_raw, *_raw(self.x1))
+            x0 = self.x0
+            c, s, n = _add_raw(K, x0.co[0], x0.shift, x0.ncap, d, t, m, -1)
+            return AlgElement(a, _normal(K, (c,), s, n), -self.x1)
         return AlgElement(a, self.x0 - a.b * self.x1, -self.x1)
 
     def trace(self):
         a = self.alg
         if a.kind == EtaleAlgebra.SPLIT:
             return self.x0 + self.x1
+        if a._flat:
+            K = a.base
+            c, s, n, _ = _mul_raw(K, *_raw(self.x0), *a._two_raw)
+            if not a._b_zero:
+                d, t, m, _ = _mul_raw(K, *a._b_raw, *_raw(self.x1))
+                c, s, n = _add_raw(K, c, s, n, d, t, m, -1)
+            return _normal(K, (c,), s, n)
         if a._b_zero:
             return self.x0 * 2
         return self.x0 * 2 - a.b * self.x1
@@ -641,6 +688,16 @@ class AlgElement:
         a = self.alg
         if a.kind == EtaleAlgebra.SPLIT:
             return self.x0 * self.x1
+        if a._flat:
+            K = a.base
+            x0, x1 = _raw(self.x0), _raw(self.x1)
+            c, s, n, _ = _mul_raw(K, *x0, *x0)
+            if not a._b_zero:
+                d, t, m, _ = _mul_raw(K, *_mul_raw(K, *a._b_raw, *x0), *x1)
+                c, s, n = _add_raw(K, c, s, n, d, t, m, -1)
+            d, t, m, _ = _mul_raw(K, *_mul_raw(K, *a._c_raw, *x1), *x1)
+            c, s, n = _add_raw(K, c, s, n, d, t, m, 1)
+            return _normal(K, (c,), s, n)
         if a._b_zero:
             return self.x0 * self.x0 + a.c * self.x1 * self.x1
         return self.x0 * self.x0 - a.b * self.x0 * self.x1 + a.c * self.x1 * self.x1
@@ -683,3 +740,73 @@ class AlgElement:
         if self.x1.is_zero():
             return self.x0.poly_str()
         return f"{self.x0.poly_str()} + ({self.x1.poly_str()})*pi"
+
+
+# ---------------------------------------------------------------------------
+# the flat kernel: field kinds over K = Q_p
+# ---------------------------------------------------------------------------
+
+
+def _raw(x):
+    """``(co[0], shift, ncap, valuation)`` of a single-coordinate element,
+    the valuation capped at ncap as ``_int_valuation`` gives it."""
+    c, n = x.co[0], x.ncap
+    return c, x.shift, n, _int_valuation(c, x.field.p, n)
+
+
+def _flat_product(alg, a, b):
+    """The coordinates of a*b over a flat algebra as two raw normal-form
+    triples ``(c0, s0, n0, c1, s1, n1)``.  The intermediates are those of
+    the composed product, ``cross = x1*y1``, ``x0*y1 + x1*y0 - b*cross``
+    and ``x0*y0 - c*cross``, each formed by the rule of its
+    ``FieldElement`` operation; only the operands' valuations are new."""
+    K = alg.base
+    e = a.x0
+    x0, s0, n0 = e.co[0], e.shift, e.ncap
+    e = a.x1
+    x1, s1, n1 = e.co[0], e.shift, e.ncap
+    e = b.x0
+    y0, t0, m0 = e.co[0], e.shift, e.ncap
+    e = b.x1
+    y1, t1, m1 = e.co[0], e.shift, e.ncap
+    if K.p == 2:  # _int_valuation: a nonzero normal-form coefficient has v < ncap
+        v0 = (x0 & -x0).bit_length() - 1 if x0 else n0
+        v1 = (x1 & -x1).bit_length() - 1 if x1 else n1
+        w0 = (y0 & -y0).bit_length() - 1 if y0 else m0
+        w1 = (y1 & -y1).bit_length() - 1 if y1 else m1
+    else:
+        p = K.p
+        v0, v1 = _int_valuation(x0, p, n0), _int_valuation(x1, p, n1)
+        w0, w1 = _int_valuation(y0, p, m0), _int_valuation(y1, p, m1)
+    cross = _mul_raw(K, x1, s1, n1, v1, y1, t1, m1, w1)
+    c, s, n, _ = _mul_raw(K, x0, s0, n0, v0, y1, t1, m1, w1)
+    d, t, m, _ = _mul_raw(K, x1, s1, n1, v1, y0, t0, m0, w0)
+    c, s, n = _add_raw(K, c, s, n, d, t, m, 1)
+    if not alg._b_zero:
+        d, t, m, _ = _mul_raw(K, *alg._b_raw, *cross)
+        c, s, n = _add_raw(K, c, s, n, d, t, m, -1)
+    e, u, k, _ = _mul_raw(K, x0, s0, n0, v0, y0, t0, m0, w0)
+    d, t, m, _ = _mul_raw(K, *alg._c_raw, *cross)
+    return _add_raw(K, e, u, k, d, t, m, -1) + (c, s, n)
+
+
+def _flat_dot(alg, x, y):
+    """``sum(x[i] * y[i])`` over a flat algebra, accumulated left to right
+    on raw triples as the composed ``acc + term`` would; None when the
+    vectors are empty or hold anything but elements of alg."""
+    K = alg.base
+    acc = None
+    for a, b in zip(x, y):
+        if a.__class__ is not AlgElement or b.__class__ is not AlgElement \
+                or a.alg is not alg or b.alg is not alg:
+            return None
+        c0, s0, n0, c1, s1, n1 = _flat_product(alg, a, b)
+        if acc is None:
+            acc = (c0, s0, n0, c1, s1, n1)
+        else:
+            acc = (_add_raw(K, acc[0], acc[1], acc[2], c0, s0, n0, 1)
+                   + _add_raw(K, acc[3], acc[4], acc[5], c1, s1, n1, 1))
+    if acc is None:
+        return None
+    return AlgElement(alg, _normal(K, acc[:1], acc[1], acc[2]),
+                      _normal(K, acc[3:4], acc[4], acc[5]))

@@ -391,7 +391,7 @@ def _reduce_ramified(lat, e, fuel):
         vq = alg.vP(q)
         wl = vq if wl is None else min(wl, vq)
     if wl is not None and wl > i:
-        if alg.vP(e.mu) <= 1:
+        if not e.mu.is_zero() and alg.vP(e.mu) <= 1:
             s1 = Symmetry(vec_add(vec_scale(e.mu, e.u), e.y),
                           -(e.mu.conj() * pvu))
             s2 = Symmetry(e.y, -(e.mu * puv))

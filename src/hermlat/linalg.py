@@ -8,7 +8,7 @@ use cofactor expansion with memoization and inverses go through the adjugate.
 from __future__ import annotations
 
 from .errors import HermlatError
-from .etale import EtaleAlgebra
+from .etale import AlgElement, EtaleAlgebra, _flat_dot
 
 def vec_add(x, y):
     return tuple(a + b for a, b in zip(x, y))
@@ -56,6 +56,10 @@ def mat_mul(a, b):
 
 
 def _dot(x, y):
+    if x and x[0].__class__ is AlgElement and x[0].alg._flat:
+        out = _flat_dot(x[0].alg, x, y)
+        if out is not None:
+            return out
     acc = None
     for a, b in zip(x, y):
         term = a * b

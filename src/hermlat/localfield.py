@@ -18,8 +18,10 @@ coefficients reduced modulo ``p^ncap``; a zero element keeps
 results already in this form, and hand those to ``_normal``, which runs the
 precision guard and nothing else; the rest go through ``__init__``.  When K
 is Q_p itself (``nbasis == 1``) the operations work on the single
-coefficient directly.  Both shortcuts return the same ``(co, shift, ncap)``
-as ``__init__`` would, and raise ``PrecisionLoss`` at the same points.
+coefficient directly, through ``_mul_raw`` and ``_add_raw``, which the flat
+kernel of ``etale`` shares; for p = 2 they reduce with bit masks.  Both
+shortcuts return the same ``(co, shift, ncap)`` as ``__init__`` would, and
+raise ``PrecisionLoss`` at the same points.
 """
 
 from __future__ import annotations
@@ -108,16 +110,17 @@ def gf_elements(p, f):
 
 
 class _Powers(dict):
-    """p**k by k, each computed on first use."""
+    """p**k + offset by k, each computed on first use."""
 
-    __slots__ = ("p",)
+    __slots__ = ("p", "offset")
 
-    def __init__(self, p):
+    def __init__(self, p, offset=0):
         super().__init__()
         self.p = p
+        self.offset = offset
 
     def __missing__(self, k):
-        v = self[k] = self.p ** k
+        v = self[k] = self.p ** k + self.offset
         return v
 
 
@@ -173,6 +176,8 @@ class LocalField:
         self.mcap = 3 * base_digits + 8
         self.pmod = p ** self.mcap
         self._ppows = _Powers(p)
+        # p = 2: c % 2^k is c & (2^k - 1), for negative c too, and cheaper
+        self._masks = _Powers(2, -1) if p == 2 else None
         self.guard_digits = max(1, -(-guard // self.d))
         self.q = p ** self.f
         self.nbasis = self.f * self.d
@@ -185,6 +190,7 @@ class LocalField:
         self._mul_table = self._build_mul_table()
         self.zero = self.from_int(0)
         self.one = self.from_int(1)
+        self._upows = [self.one]  # uniformizer powers 0, 1, ..., filled on use
 
     # -- construction-time validation -------------------------------------
 
@@ -315,11 +321,14 @@ class LocalField:
 
     def uniformizer_pow(self, k):
         if k >= 0:
-            out = self.one
-            u = self.uniformizer()
-            for _ in range(k):
-                out = out * u
-            return out
+            # elements are immutable: every power is made once, by the same
+            # chain of products as an uncached pi^(k-1) * pi
+            pows = self._upows
+            if k >= len(pows):
+                u = self.uniformizer()
+                while k >= len(pows):
+                    pows.append(pows[-1] * u)
+            return pows[k]
         return self.one / self.uniformizer_pow(-k)
 
     # -- residue data ---------------------------------------------------------
@@ -385,19 +394,79 @@ def _normal(field, co, shift, ncap):
 
 
 def _single(field, c, shift, ncap):
-    """``FieldElement(field, (c,), shift, ncap)`` for a field with a single
-    coordinate (K = Q_p) and ncap > mcap, with the renormalisation of
-    ``__init__`` done on that coordinate alone."""
+    """The normal-form ``(c, shift, ncap)`` of ``FieldElement(field, (c,),
+    shift, ncap)`` for a field with a single coordinate (K = Q_p) and
+    ncap > mcap: the renormalisation of ``__init__`` done on that coordinate
+    alone."""
     mcap = field.mcap
     top = 2 * mcap - shift  # ncap = min(ncap, max(mcap, top)), as in __init__
     if ncap > top:
         ncap = top if top > mcap else mcap
     v = _int_valuation(c, field.p, ncap)
     if v == ncap:  # zero modulo p^ncap
-        return _normal(field, (0,), shift, ncap)
+        return 0, shift, ncap
     # strip p^t, t = min(v, ncap - mcap): the digit count drops to mcap
     t = v if v < ncap - mcap else ncap - mcap
-    return _normal(field, (c // field._ppows[t] % field.pmod,), shift + t, mcap)
+    if field._masks is not None:
+        return c >> t & field._masks[mcap], shift + t, mcap
+    return c // field._ppows[t] % field.pmod, shift + t, mcap
+
+
+# The ring operations of a single-coordinate field on raw fields: an element
+# enters as its ``(co[0], shift, ncap)`` and leaves as the normal-form triple
+# that ``FieldElement.__init__`` would give it.  ``FieldElement`` and the flat
+# kernel of ``etale`` both go through these, so each rule is written once.
+
+
+def _mul_raw(field, x, sx, nx, vx, y, sy, ny, vy):
+    """The product, given each factor's valuation (capped at its ncap, as
+    ``_int_valuation`` gives it): its ``(c, shift, ncap)`` and valuation.
+
+    The relative precision of a product is the least of its factors', so
+    ncap >= min(nx, ny) and the precision guard cannot fire.  The raw
+    product has valuation vx + vy <= ncap; renormalising strips p^t off it,
+    and that valuation less t is the result's."""
+    v = vx + vy
+    r1, r2 = nx - vx, ny - vy
+    n = v + (r1 if r1 < r2 else r2)
+    s = sx + sy
+    mcap = field.mcap
+    masks = field._masks
+    if n <= mcap:
+        if masks is not None:
+            return x * y & masks[n], s, n, v
+        return x * y % field._ppows[n], s, n, v
+    # the renormalisation of _single, with the valuation already known
+    top = 2 * mcap - s
+    if n > top:
+        n = top if top > mcap else mcap
+    if v >= n:
+        return 0, s, n, n
+    t = v if v < n - mcap else n - mcap
+    if masks is not None:
+        return x * y >> t & masks[mcap], s + t, mcap, v - t
+    return x * y // field._ppows[t] % field.pmod, s + t, mcap, v - t
+
+
+def _add_raw(field, x, sx, nx, y, sy, ny, sign):
+    """``x + sign * y``, sign = 1 or -1: its ``(c, shift, ncap)``.  The sum
+    is known modulo p^min(sx + nx, sy + ny), so its ncap is at least
+    min(nx, ny).  Subtracting in place gives the result of adding the
+    negation, since the coefficients agree modulo p^ncap of the sum."""
+    pp = field._ppows
+    if sx == sy:
+        s = sx
+        c = x + y if sign > 0 else x - y
+    else:
+        s = sx if sx < sy else sy
+        c = x * pp[sx - s] + sign * y * pp[sy - s]
+    a1, a2 = sx + nx, sy + ny
+    n = (a1 if a1 < a2 else a2) - s
+    if n > field.mcap:
+        return _single(field, c, s, n)
+    if field._masks is not None:
+        return c & field._masks[n], s, n
+    return c % pp[n], s, n
 
 
 _new_element = object.__new__
@@ -507,9 +576,12 @@ class FieldElement:
         return (-self) + other
 
     def _combine(self, other, sign):
-        """self + sign * other.  Subtracting in place gives the result of
-        adding -other: the coefficients agree modulo p^ncap of the sum."""
+        """self + sign * other, by the rule of ``_add_raw``."""
         fld = self.field
+        if fld.nbasis == 1:
+            c, s, ncap = _add_raw(fld, self.co[0], self.shift, self.ncap,
+                                  other.co[0], other.shift, other.ncap, sign)
+            return _normal(fld, (c,), s, ncap)
         pp = fld._ppows
         s1, s2 = self.shift, other.shift
         # the sum is known modulo p^min(s1 + ncap1, s2 + ncap2)
@@ -517,11 +589,6 @@ class FieldElement:
         s = s1 if s1 < s2 else s2
         ncap = (a1 if a1 < a2 else a2) - s
         m1, m2 = pp[s1 - s], sign * pp[s2 - s]
-        if fld.nbasis == 1:
-            c = self.co[0] * m1 + other.co[0] * m2
-            if ncap <= fld.mcap:
-                return _normal(fld, (c % pp[ncap],), s, ncap)
-            return _single(fld, c, s, ncap)
         co = tuple(a * m1 + b * m2 for a, b in zip(self.co, other.co))
         if ncap > fld.mcap:
             return FieldElement(fld, co, s, ncap)
@@ -534,20 +601,13 @@ class FieldElement:
             if other is NotImplemented:
                 return other
         fld = self.field
-        s = self.shift + other.shift
         n1, n2 = self.ncap, other.ncap
         if fld.nbasis == 1:
-            # relative precision of the product = min of the operands'
             x, y, p = self.co[0], other.co[0], fld.p
-            v1 = _int_valuation(x, p, n1)
-            v2 = _int_valuation(y, p, n2)
-            r1, r2 = n1 - v1, n2 - v2
-            ncap = v1 + v2 + (r1 if r1 < r2 else r2)
-            if ncap <= 0:
-                raise PrecisionLoss("product has no guaranteed digits")
-            if ncap <= fld.mcap:
-                return _normal(fld, (x * y % fld._ppows[ncap],), s, ncap)
-            return _single(fld, x * y, s, ncap)
+            c, s, ncap, _ = _mul_raw(fld, x, self.shift, n1, _int_valuation(x, p, n1),
+                                     y, other.shift, n2, _int_valuation(y, p, n2))
+            return _normal(fld, (c,), s, ncap)
+        s = self.shift + other.shift
         d = fld.d
         v1 = fld._co_valuation(self.co, n1)
         v2 = fld._co_valuation(other.co, n2)

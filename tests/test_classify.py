@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import hermlat
+from hermlat import oracle
 from hermlat.classify import (
     isometric,
     isometry_conditions,
@@ -17,6 +19,8 @@ from hermlat.lattice import (
     standard_H,
     standard_Hik,
 )
+from hermlat.specfile import parse_lattice
+from test_kernel_identity import _basis_change
 from test_lattice import _unit_basis_change, transformed
 
 
@@ -124,3 +128,26 @@ def test_rearrange_jordan_hypotheses(Q2sqrt2):
                        HermitianLattice(Q2sqrt2, ((Q2sqrt2.from_int(8),),)))
     with pytest.raises(HypothesisViolation):
         rearrange_jordan(L)
+
+
+def test_isotropy_fallback_finds_the_pair():
+    """A GL_4(O) change of basis of H(1) ⟂ H(1) over Q_2(√2) on which every
+    round of ``isotropy_refine`` takes the norm-balanced step along the
+    helper that is u itself: u shrinks toward 0 and Q(u) = 0 is never
+    reached.  The closed-form fallback must find the hyperbolic pair.
+
+    The change of basis is drawn from one seeded generator after the draws
+    of a three-generator word (Eichler isometry, then two symmetries)."""
+    with open(hermlat.catalog_path("q2sqrt2-h1h1.lat")) as fh:
+        lat = parse_lattice(fh.read())
+    rng = random.Random(161406199)
+    if oracle.random_eichler(lat, rng) is None:
+        oracle.random_symmetry(lat, rng)
+    oracle.random_symmetry(lat, rng)
+    oracle.random_symmetry(lat, rng)
+    other = _basis_change(lat, rng)
+    u, v, s = splits_hyperbolic(other)
+    assert other.q_value(u).is_zero() and other.q_value(v).is_zero()
+    assert other.inner(u, v) == other.alg.uniformizer_pow(s)
+    ok, _, _ = isometry_conditions(lat, other)
+    assert ok

@@ -1,11 +1,16 @@
 import math
+import operator
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hermlat.errors import HermlatError, ParityMismatch, WrongKind
-from hermlat.etale import INF, NONNORM, NORM, EtaleAlgebra
+from hermlat.etale import INF, NONNORM, NORM, AlgElement, EtaleAlgebra
+from hermlat.linalg import _dot
+from hermlat.localfield import LocalField
 from hermlat.oracle import enumerate_trace_image
+from test_localfield import kernel_elements
 
 
 def test_split_structure(split2, Q2):
@@ -170,3 +175,98 @@ def test_mixed_algebras_are_rejected(Q2):
                lambda x, y: x / y):
         with pytest.raises(HermlatError, match="different algebras"):
             op(a.one, b.one)
+
+
+# ---------------------------------------------------------------------------
+# the flat E kernel against the composed FieldElement path
+# ---------------------------------------------------------------------------
+
+FLAT_ALGEBRAS = [
+    EtaleAlgebra.quadratic(LocalField(p, precision=prec, guard=guard), b, c)
+    for p, b, c in ((2, 2, 2),     # Q_2(i): x^2 + 2x + 2, b != 0
+                    (2, 0, -2),    # Q_2(sqrt 2)
+                    (3, 0, -3),    # Q_3(sqrt 3)
+                    (2, 1, 1))     # inert over Q_2: x^2 + x + 1
+    for prec, guard in ((8, 4), (64, 16))
+]
+
+
+def _composed_mul(x, y):
+    a = x.alg
+    x0, x1, y0, y1 = x.x0, x.x1, y.x0, y.x1
+    cross = x1 * y1
+    new1 = x0 * y1 + x1 * y0
+    if not a.b.is_zero():
+        new1 = new1 - a.b * cross
+    return AlgElement(a, x0 * y0 - a.c * cross, new1)
+
+
+def _composed_sub(x, y):
+    return AlgElement(x.alg, x.x0 + (-y.x0), x.x1 + (-y.x1))
+
+
+def _composed_conj(x):
+    a = x.alg
+    if a.b.is_zero():
+        return AlgElement(a, x.x0, -x.x1)
+    return AlgElement(a, x.x0 - a.b * x.x1, -x.x1)
+
+
+def _composed_trace(x):
+    if x.alg.b.is_zero():
+        return x.x0 * 2
+    return x.x0 * 2 - x.alg.b * x.x1
+
+
+def _composed_norm(x):
+    a = x.alg
+    if a.b.is_zero():
+        return x.x0 * x.x0 + a.c * x.x1 * x.x1
+    return x.x0 * x.x0 - a.b * x.x0 * x.x1 + a.c * x.x1 * x.x1
+
+
+def _composed_dot(xs, ys):
+    acc = None
+    for x, y in zip(xs, ys):
+        term = _composed_mul(x, y)
+        acc = term if acc is None else AlgElement(x.alg, acc.x0 + term.x0,
+                                                  acc.x1 + term.x1)
+    return acc
+
+
+def _triples(fn, *args):
+    """The exact (co, shift, ncap) of a result, or the exception raised."""
+    try:
+        r = fn(*args)
+    except HermlatError as ex:
+        return type(ex).__name__, str(ex)
+    if isinstance(r, AlgElement):
+        return [(c.co, c.shift, c.ncap) for c in (r.x0, r.x1)]
+    return r.co, r.shift, r.ncap
+
+
+@st.composite
+def flat_elements(draw, alg):
+    """Elements whose coordinates are drawn like the K kernel's: units,
+    p-content, zeros keeping extra digits, guard-level ncap, shifts of
+    both signs."""
+    return AlgElement(alg, draw(kernel_elements(alg.base)), draw(kernel_elements(alg.base)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_flat_kernel_matches_composed_path(data):
+    alg = data.draw(st.sampled_from(FLAT_ALGEBRAS))
+    x = data.draw(flat_elements(alg))
+    y = data.draw(st.one_of(flat_elements(alg), st.just(x)))
+    for fast, composed in ((operator.mul, _composed_mul), (operator.sub, _composed_sub)):
+        assert _triples(fast, x, y) == _triples(composed, x, y)
+        assert _triples(fast, y, x) == _triples(composed, y, x)
+    for fast, composed in ((AlgElement.conj, _composed_conj),
+                           (AlgElement.trace, _composed_trace),
+                           (AlgElement.norm, _composed_norm)):
+        assert _triples(fast, x) == _triples(composed, x)
+    n = data.draw(st.integers(1, 4))
+    xs = tuple(data.draw(flat_elements(alg)) for _ in range(n))
+    ys = tuple(data.draw(flat_elements(alg)) for _ in range(n))
+    assert _triples(_dot, xs, ys) == _triples(_composed_dot, xs, ys)

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import hermlat
+from hermlat import oracle
 from hermlat.errors import NotAnIsometry, VerificationFailed
 from hermlat.factorize import (
     Factorization,
@@ -17,8 +19,9 @@ from hermlat.lattice import (
     standard_A,
     standard_H,
 )
-from hermlat.linalg import basis_vector, cols_of, identity, mat_vec, vec_scale
+from hermlat.linalg import basis_vector, cols_of, identity, mat_mul, mat_vec, vec_scale
 from hermlat.oracle import random_symmetry, random_unitary
+from hermlat.specfile import parse_lattice
 
 
 def test_identity_factorization(Q2sqrt2):
@@ -192,3 +195,20 @@ def test_public_peel_wrappers(Q2sqrt2):
     phi, _ = random_unitary(L3, 2, 4)
     word, rest, phi2 = peel_subnormal_dyadic(L3, phi)
     assert rest == []
+
+
+def test_eichler_with_zero_mu_factors_into_symmetries():
+    """A word on H(1) ⟂ H(1) over Q_2(i) whose Eichler factor reaches the
+    ramified reduction with mu exactly 0: case (e) must not ask for the
+    valuation of mu.  The word is a symmetry times a rescaled Eichler
+    isometry drawn by ``hermlat.oracle`` from one seeded generator."""
+    with open(hermlat.catalog_path("q2i-h1h1.lat")) as fh:
+        lat = parse_lattice(fh.read())
+    rng = random.Random(1161331496)
+    phi = identity(lat.alg, lat.n)
+    for g in (random_symmetry(lat, rng), oracle.random_eichler(lat, rng)):
+        phi = mat_mul(phi, matrix_of(lat, g))
+    f = factor_unitary(lat, phi)
+    cert = verify_factorization(lat, phi, f)
+    assert cert["det_consistent"]
+    assert f.symmetries_only and len(f) == 4
