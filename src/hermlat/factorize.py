@@ -4,8 +4,13 @@ rescaled Eichler isometries.
 The driver peels the lattice one hyperbolic plane, line, or subnormal plane
 at a time, emitting generators that align the images of the peeled basis
 vectors; the remaining map fixes the peeled part pointwise and the recursion
-continues on the orthogonal complement.  Every emitted generator is verified
-for membership, and the final product is checked against the input matrix.
+continues on the orthogonal complement.  ``_Driver.emit`` tests each
+generator it applies for membership (``in_unitary_group``, from the
+generator's data), ``eichler_to_symmetries`` each symmetry of a rewrite.
+``factor_unitary`` compares the word's product with phi once and raises
+``PrecisionLoss`` rather than return a word that misses it;
+``verify_factorization`` is the independent certificate.  All of them share
+each generator's one matrix.
 """
 
 from __future__ import annotations
@@ -35,17 +40,19 @@ from .isometries import (
     apply_generator,
     det_of,
     eichler_to_symmetries,
+    gram_preserved,
     in_unitary_group,
     make_eichler,
     make_symmetry,
     matrix_of,
 )
-from .lattice import _gram_of, _norm_attainer, _norm_exp_of_gram
+from .lattice import _gram_of, _min_vP_sym, _norm_attainer, _norm_exp_of_gram
 from .linalg import (
     _dot,
     cols_of,
     identity,
     is_integral_matrix,
+    mat_det,
     mat_mul,
     mat_solve,
     mat_vec,
@@ -67,10 +74,7 @@ class Factorization:
         self.contains_eichler = contains_eichler
 
     def matrix(self):
-        prod = identity(self.lattice.alg, self.lattice.n)
-        for g in self.generators:
-            prod = mat_mul(prod, matrix_of(self.lattice, g))
-        return prod
+        return _product(self.lattice, self.generators)
 
     def __len__(self):
         return len(self.generators)
@@ -82,6 +86,20 @@ class Factorization:
         kinds = "".join("S" if isinstance(g, Symmetry) else "E"
                         for g in self.generators)
         return f"Factorization([{kinds}])"
+
+
+def _product(lat, gens):
+    prod = identity(lat.alg, lat.n)
+    for g in gens:
+        prod = mat_mul(prod, matrix_of(lat, g))
+    return prod
+
+
+def _residual(lat, gens, phi):
+    """product(gens) - phi, and whether it is zero at working precision."""
+    diff = tuple(tuple(a - b for a, b in zip(r1, r2))
+                 for r1, r2 in zip(_product(lat, gens), phi))
+    return diff, all(e.is_zero() for row in diff for e in row)
 
 
 def _residual_precision(lat, diff):
@@ -99,26 +117,19 @@ def _residual_precision(lat, diff):
 def verify_factorization(lat, phi, factorization):
     """Recompute the product, check each factor's membership and determinant
     consistency; returns a certificate dict or raises VerificationFailed."""
-    prod = identity(lat.alg, lat.n)
     for idx, g in enumerate(factorization):
         if not in_unitary_group(lat, g):
             raise VerificationFailed(
                 f"factor {idx} is not in U(L)", factor_index=idx)
-        prod = mat_mul(prod, matrix_of(lat, g))
-    diff = tuple(tuple(a - b for a, b in zip(r1, r2))
-                 for r1, r2 in zip(prod, phi))
-    for row in diff:
-        for e in row:
-            if not e.is_zero():
-                raise VerificationFailed("product does not reproduce the input")
+    diff, ok = _residual(lat, factorization, phi)
+    if not ok:
+        raise VerificationFailed("product does not reproduce the input")
     det_prod = None
     for g in factorization:
         d = det_of(lat, g)
         det_prod = d if det_prod is None else det_prod * d
     if det_prod is None:
         det_prod = lat.alg.one
-    from .linalg import mat_det
-
     det_phi = mat_det(phi)
     if not (det_phi - det_prod).is_zero():
         raise VerificationFailed("determinant mismatch")
@@ -134,7 +145,7 @@ def _check_input(lat, phi):
         raise NotAnIsometry("matrix size does not match the lattice rank")
     if not is_integral_matrix(phi):
         raise NotAnIsometry("matrix is not integral")
-    if not in_unitary_group(lat, phi):
+    if not gram_preserved(lat, phi):
         raise NotAnIsometry("matrix does not preserve the hermitian form")
 
 
@@ -146,12 +157,11 @@ class _Driver:
     def emit(self, g, phi):
         """Record g (its inverse joins the output word) and return g * phi."""
         lat = self.lat
-        mg = matrix_of(lat, g)
-        if not in_unitary_group(lat, mg):
+        if not in_unitary_group(lat, g):
             raise PrecisionLoss("constructed generator does not preserve L")
         inv = g.inverse(lat) if isinstance(g, EichlerIsometry) else g.inverse()
         self.out.append(inv)
-        return mat_mul(mg, phi)
+        return mat_mul(matrix_of(lat, g), phi)
 
     def emit_symmetries(self, syms, phi):
         """Apply a product s_1 ∘ ... ∘ s_r to phi, emitting inverses."""
@@ -173,15 +183,9 @@ def factor_unitary(lat, phi, reduce_eichler=True):
     gens = drv.out
     if reduce_eichler:
         gens = _reduction_pass(lat, gens)
-    prod = identity(lat.alg, lat.n)
-    for g in gens:
-        prod = mat_mul(prod, matrix_of(lat, g))
-    diff = tuple(tuple(a - b for a, b in zip(r1, r2))
-                 for r1, r2 in zip(prod, phi))
-    for row in diff:
-        for e in row:
-            if not e.is_zero():
-                raise PrecisionLoss("driver product does not match the input")
+    diff, ok = _residual(lat, gens, phi)
+    if not ok:
+        raise PrecisionLoss("driver product does not match the input")
     has_eichler = any(isinstance(g, EichlerIsometry) for g in gens)
     return Factorization(lat, gens, _residual_precision(lat, diff),
                          symmetries_only=not has_eichler,
@@ -279,7 +283,7 @@ def map_isotropic(lat, cols, u_from, u_to):
     """Product of at most two symmetries of L mapping u_from to u_to, for
     isotropic vectors pairing onto the scale of span(cols); unramified kinds."""
     alg = lat.alg
-    scale = _block_scale_sym(alg, _gram_of(lat, cols))
+    scale = _min_vP_sym(alg, _gram_of(lat, cols))
     pair = lat.inner(u_from, u_to)
     if _attains(alg, pair, scale):
         s = vec_sub(u_from, u_to)
@@ -299,12 +303,6 @@ def _attains(alg, val, scale):
         return False
     v = alg.valuation_P(val)
     return v.a == scale and v.b == scale
-
-
-def _block_scale_sym(alg, gram):
-    from .lattice import _min_vP_sym
-
-    return _min_vP_sym(alg, gram)
 
 
 def _isotropic_bridge(lat, cols, u, up, scale):
@@ -537,7 +535,7 @@ def _split_residue_two_data(latr, cols, a, ap):
     iexp = big if iexp is None else iexp
     jexp = big if jexp is None else jexp
     rest = _complement_of_vector(latr, cols, a)
-    kexp = big if not rest else _block_scale_sym(alg, _gram_of(latr, rest))
+    kexp = big if not rest else _min_vP_sym(alg, _gram_of(latr, rest))
 
     if iexp <= kexp and jexp <= kexp:
         s = vec_sub(ap, a)
@@ -585,7 +583,7 @@ def _drive_ramified_step(drv, cols, phi):
             pair_info = cross
     if pair_info is not None:
         u, v, s = pair_info
-        phi = _peel_hyperbolic_ramified(drv, cols, phi, u, v, s)
+        phi = _transport_pair(drv, cols, phi, u, v, s)
         rest = split_off_pair(lat, cols, u, v)
         return rest, phi
     lines, planes = arr["lines"], arr["planes"]
@@ -800,12 +798,6 @@ def _isotropic_partner_in_plane(lat, w, wp, puv):
     if not lat.q_value(z).is_zero() or not (lat.inner(w, z) - puv).is_zero():
         raise PrecisionLoss("auxiliary isotropic vector failed its contract")
     return z
-
-
-
-
-def _peel_hyperbolic_ramified(drv, cols, phi, u, v, scale_s):
-    return _transport_pair(drv, cols, phi, u, v, scale_s)
 
 
 def _try_direct_symmetry(drv, phi, img, target):
@@ -1043,7 +1035,7 @@ def peel_hyperbolic(lat, phi, pair):
     drv = _Driver(lat)
     cols = list(cols_of(identity(lat.alg, lat.n)))
     if lat.alg.kind == EtaleAlgebra.RAMIFIED:
-        phi2 = _peel_hyperbolic_ramified(drv, cols, phi, u, v, s)
+        phi2 = _transport_pair(drv, cols, phi, u, v, s)
     else:
         phi2 = _peel_hyperbolic_unramified(drv, cols, phi, u, v)
     rest = split_off_pair(lat, cols, u, v)

@@ -6,9 +6,22 @@ hyperbolic pair (u, v) splitting the lattice, a vector y in the orthogonal
 complement of the pair with <L,y> inside <u,v>O, and mu with
 Tr(mu <u,v>) = -<y,y>.
 
-Membership in U(L) is always decided by the exact test (integral matrix that
-preserves the Gram); the ideal-theoretic sufficient conditions are used as
-fast paths only.
+Membership in U(L) is decided from a generator's data in O(n^2).  The
+defect <gx,gz> - <x,z> is the residual of the defining identity times a
+rank-one form,
+
+    -<x,s><s,z> (Tr(sigma) - <s,s>) / N(sigma)               for S,
+    <x,u><u,z> (Tr(mu <u,v>) + <y,y>) / N(<v,u>)   for E with <u,u> = <y,u> = 0,
+
+and an integral isometry has a unit determinant (N(det) = 1), so its inverse
+is integral too.  Data that break an identity are rejected, also in the
+degenerate cases where the rank-one form vanishes or, for y = 0 and
+<u,u> != 0, the matrix is still an isometry.  ``gram_preserved``, O(n^3),
+is for bare matrices.  A generator keeps its matrix and functionals, built
+once with its lattice; generators are not changed after construction.  The
+rewriting identities (``compose_eichler``, ``twist_by_skew``,
+``eichler_to_symmetries``) are exact: the tests check them, and they are not
+re-multiplied at run time.
 """
 
 from __future__ import annotations
@@ -38,13 +51,15 @@ from .linalg import (
 
 class Symmetry:
     """Carrier for (s, sigma); the invariant Tr(sigma) = <s,s> is checked by
-    make_symmetry, which knows the lattice."""
+    make_symmetry, which knows the lattice.  ``_built`` keeps what
+    ``matrix_of`` made, with its lattice."""
 
-    __slots__ = ("s", "sigma")
+    __slots__ = ("s", "sigma", "_built")
 
     def __init__(self, s, sigma):
         self.s = tuple(s)
         self.sigma = sigma
+        self._built = None
 
     def inverse(self):
         return Symmetry(self.s, self.sigma.conj())
@@ -54,13 +69,14 @@ class Symmetry:
 
 
 class EichlerIsometry:
-    __slots__ = ("u", "v", "y", "mu")
+    __slots__ = ("u", "v", "y", "mu", "_built")
 
     def __init__(self, u, v, y, mu):
         self.u = tuple(u)
         self.v = tuple(v)
         self.y = tuple(y)
         self.mu = mu
+        self._built = None
 
     def inverse(self, lat):
         pair = lat.inner(self.u, self.v)
@@ -99,26 +115,41 @@ def apply_generator(lat, g, x):
 
 
 def matrix_of(lat, g):
+    """The matrix of g on the basis of lat, built once per lattice."""
+    return _build(lat, g)[0]
+
+
+def _build(lat, g):
+    """(matrix, functionals) of g on lat, made once per lattice and kept in
+    g.  The functionals are G conj(s) of a symmetry, and (G conj(u),
+    G conj(y), <u,v>) of an Eichler isometry."""
+    if isinstance(g, (Symmetry, EichlerIsometry)) and g._built is not None \
+            and g._built[0] is lat:
+        return g._built[1]
     alg = lat.alg
     n = lat.n
     if isinstance(g, Symmetry):
-        gs = lat.gram_conj(g.s)
+        f = gs = lat.gram_conj(g.s)
         sinv = alg.one / g.sigma
         coeffs = [e * sinv for e in gs]
-        return tuple(tuple((alg.one if i == j else alg.zero)
-                           - coeffs[j] * g.s[i]
-                           for j in range(n)) for i in range(n))
-    if isinstance(g, EichlerIsometry):
+        m = tuple(tuple((alg.one if i == j else alg.zero)
+                        - coeffs[j] * g.s[i]
+                        for j in range(n)) for i in range(n))
+    elif isinstance(g, EichlerIsometry):
         gu = lat.gram_conj(g.u)
         gy = lat.gram_conj(g.y)
         pvu = _dot(g.v, gu)
         puv = lat.inner(g.u, g.v)
         a = [e / pvu for e in gu]
         b = [g.mu * aj - ej / puv for aj, ej in zip(a, gy)]
-        return tuple(tuple((alg.one if i == j else alg.zero)
-                           + a[j] * g.y[i] + b[j] * g.u[i]
-                           for j in range(n)) for i in range(n))
-    raise HermlatError(f"not a generator: {g!r}")
+        m = tuple(tuple((alg.one if i == j else alg.zero)
+                        + a[j] * g.y[i] + b[j] * g.u[i]
+                        for j in range(n)) for i in range(n))
+        f = (gu, gy, puv)
+    else:
+        raise HermlatError(f"not a generator: {g!r}")
+    g._built = (lat, (m, f))
+    return m, f
 
 
 def det_of(lat, g):
@@ -138,30 +169,28 @@ def gram_preserved(lat, m):
 
 
 def in_unitary_group(lat, g_or_matrix):
-    """Exact membership test: integral matrix preserving the Gram."""
-    m = g_or_matrix
-    if isinstance(m, (Symmetry, EichlerIsometry)):
-        # fast sufficient path for symmetries: <L, s> inside sigma * O
-        if isinstance(m, Symmetry):
-            alg = lat.alg
-            ok_fast = True
-            try:
-                vs = alg.valuation_P(m.sigma)
-                gs = lat.gram_conj(m.s)
-                for i in range(lat.n):
-                    e = _dot(basis_vector(alg, lat.n, i), gs)
-                    if e.is_zero():
-                        continue
-                    ve = alg.valuation_P(e)
-                    if ve.a < vs.a or ve.b < vs.b:
-                        ok_fast = False
-                        break
-            except HermlatError:
-                ok_fast = False
-            if ok_fast:
-                return True
-        m = matrix_of(lat, m)
-    return is_integral_matrix(m) and gram_preserved(lat, m)
+    """Membership in U(L).  A generator is tested from its data, in O(n^2):
+    the integrality of its matrix and its defining identity (see the module
+    docstring).  A bare matrix gets the exact test: integral, and
+    preserving the Gram."""
+    g = g_or_matrix
+    if not isinstance(g, (Symmetry, EichlerIsometry)):
+        return is_integral_matrix(g) and gram_preserved(lat, g)
+    m, f = _build(lat, g)
+    return is_integral_matrix(m) and _defect_vanishes(g, f)
+
+
+def _defect_vanishes(g, f):
+    """Whether <gx,gz> = <x,z> for all x, z, by the defect formulas of the
+    module docstring; f are g's functionals from ``_build``."""
+    if isinstance(g, Symmetry):
+        return (g.sigma.trace() - _dot(g.s, f).as_K()).is_zero()
+    gu, gy, puv = f
+    # <v,u> is invertible in E (nonzero, and no zero divisor when E is
+    # split), or the matrix, which divides by it, could not have been
+    # built; so <x,u><u,z> is not the zero form
+    return (_dot(g.u, gu).is_zero() and _dot(g.y, gu).is_zero()
+            and ((g.mu * puv).trace() + _dot(g.y, gy).as_K()).is_zero())
 
 
 def symmetry_between(lat, x, xp):
@@ -189,26 +218,15 @@ def compose_eichler(lat, e1, e2):
     if not (_same_vec(e1.u, e2.u) and _same_vec(e1.v, e2.v)):
         raise MismatchedPlane("different hyperbolic pairs")
     puv = lat.inner(e1.u, e1.v)
-    w = vec_add(e1.y, e2.y)
     mu = e1.mu + e2.mu - lat.inner(e2.y, e1.y) / puv
-    out = EichlerIsometry(e1.u, e1.v, w, mu)
-    lhs = mat_mul(matrix_of(lat, e1), matrix_of(lat, e2))
-    if not mat_eq(lhs, matrix_of(lat, out)):
-        raise PrecisionLoss("composition identity failed at precision")
-    return out
+    return EichlerIsometry(e1.u, e1.v, vec_add(e1.y, e2.y), mu)
 
 
 def twist_by_skew(lat, e, omega):
     """S_{u,omega} ∘ E_y^mu = E_y^(mu - <v,u>/omega) for skew omega."""
     if omega.is_zero() or not omega.trace().is_zero():
         raise NotSkew("omega must be a nonzero skew element")
-    mu2 = e.mu - lat.inner(e.v, e.u) / omega
-    out = EichlerIsometry(e.u, e.v, e.y, mu2)
-    s = Symmetry(e.u, omega)
-    lhs = mat_mul(matrix_of(lat, s), matrix_of(lat, e))
-    if not mat_eq(lhs, matrix_of(lat, out)):
-        raise PrecisionLoss("skew twist identity failed at precision")
-    return out
+    return EichlerIsometry(e.u, e.v, e.y, e.mu - lat.inner(e.v, e.u) / omega)
 
 
 def _same_vec(a, b):
@@ -267,27 +285,14 @@ def eichler_parameters_from_matrix(lat, u, v, m):
 
 
 def eichler_to_symmetries(lat, e, fuel=10):
-    """Rewrite a rescaled Eichler isometry as a product of symmetries.
+    """Rewrite a rescaled Eichler isometry of L as a product of symmetries.
 
-    Returns the list (product of the members' matrices equals the matrix of
-    e), or None in the ramified dyadic residue-two case when no rewriting
-    rule applies."""
-    if not in_unitary_group(lat, e):
-        raise InvariantViolation("Eichler isometry does not preserve L")
+    Returns the list, each member tested to lie in U(L), whose product is
+    the matrix of e (the rewriting identities are exact), or None in the
+    ramified dyadic residue-two case when no rewriting rule applies."""
     out = _reduce_eichler(lat, e, fuel)
-    if out is None:
-        return None
-    prod = None
-    for g in out:
-        mg = matrix_of(lat, g)
-        prod = mg if prod is None else mat_mul(prod, mg)
-        if not in_unitary_group(lat, g):
-            raise PrecisionLoss("reduction produced a non-member symmetry")
-    if prod is None:
-        from .linalg import identity
-        prod = identity(lat.alg, lat.n)
-    if not mat_eq(prod, matrix_of(lat, e)):
-        raise PrecisionLoss("symmetry product does not reproduce the isometry")
+    if out is not None and not all(in_unitary_group(lat, g) for g in out):
+        raise PrecisionLoss("reduction produced a non-member symmetry")
     return out
 
 
@@ -302,23 +307,22 @@ def _reduce_eichler(lat, e, fuel):
     if all(c.is_zero() for c in y):
         if mu.is_zero():
             return []
-        sigma0 = -(pvu / mu)
-        s = Symmetry(u, sigma0)
-        if not mat_eq(matrix_of(lat, s), matrix_of(lat, e)):
-            raise PrecisionLoss("shear-to-symmetry identity failed")
-        return [s]
+        return [Symmetry(u, -(pvu / mu))]
 
     if mu.is_unit():
-        s1 = Symmetry(vec_add(vec_scale(mu, u), y), -(mu.conj() * pvu))
-        s2 = Symmetry(y, -(mu * puv))
-        lhs = mat_mul(matrix_of(lat, s1), matrix_of(lat, s2))
-        if not mat_eq(lhs, matrix_of(lat, e)):
-            raise PrecisionLoss("two-symmetry identity failed")
-        return [s1, s2]
+        return _two_symmetries(e, puv, pvu)
 
     if alg.kind != EtaleAlgebra.RAMIFIED:
         return _reduce_unramified(lat, e, fuel)
     return _reduce_ramified(lat, e, fuel)
+
+
+def _two_symmetries(e, puv, pvu):
+    """[S1, S2] with S1 ∘ S2 = E_y^mu: S1 = S_{mu u + y, -conj(mu)<v,u>} and
+    S2 = S_{y, -mu<u,v>}, for invertible mu."""
+    mu = e.mu
+    return [Symmetry(vec_add(vec_scale(mu, e.u), e.y), -(mu.conj() * pvu)),
+            Symmetry(e.y, -(mu * puv))]
 
 
 def _twist_and_recurse(lat, e, omega, fuel):
@@ -392,9 +396,7 @@ def _reduce_ramified(lat, e, fuel):
         wl = vq if wl is None else min(wl, vq)
     if wl is not None and wl > i:
         if not e.mu.is_zero() and alg.vP(e.mu) <= 1:
-            s1 = Symmetry(vec_add(vec_scale(e.mu, e.u), e.y),
-                          -(e.mu.conj() * pvu))
-            s2 = Symmetry(e.y, -(e.mu * puv))
+            s1, s2 = _two_symmetries(e, puv, pvu)
             if in_unitary_group(lat, s2):
                 lhs = mat_mul(matrix_of(lat, s1), matrix_of(lat, s2))
                 if mat_eq(lhs, matrix_of(lat, e)):
@@ -503,9 +505,6 @@ def _split_vector_reduction(lat, e, fuel):
         omega = pvu / dmu
         if not omega.trace().is_zero():
             raise PrecisionLoss("connection element is not skew")
-        e_check = twist_by_skew(lat, estar, omega)
-        if not mat_eq(matrix_of(lat, e_check), matrix_of(lat, e)):
-            raise PrecisionLoss("connection twist failed")
         head = [Symmetry(u, omega)]
     r1 = _reduce_eichler(lat, e2, fuel - 1)
     r2 = _reduce_eichler(lat, e1, fuel - 1)

@@ -238,13 +238,21 @@ def test_criterion_5_generator_laws(catalog):
                 from hermlat.errors import HermlatError
 
                 try:
-                    compose_eichler(lat, e1, e2)  # verifies its own identity
+                    e12 = compose_eichler(lat, e1, e2)
                     om = (alg.special_skew(alg.e)
                           if alg.kind == EtaleAlgebra.RAMIFIED
                           else alg.eta())
-                    twist_by_skew(lat, e1, om)    # same
+                    e1t = twist_by_skew(lat, e1, om)
                 except HermlatError as ex:
                     problems.append(f"{name}: composition law failed: {ex}")
+                    break
+                m1 = matrix_of(lat, e1)
+                if not mat_eq(mat_mul(m1, matrix_of(lat, e2)), matrix_of(lat, e12)):
+                    problems.append(f"{name}: composition identity failed")
+                    break
+                if not mat_eq(mat_mul(matrix_of(lat, Symmetry(e1.u, om)), m1),
+                              matrix_of(lat, e1t)):
+                    problems.append(f"{name}: skew twist identity failed")
                     break
         if problems:
             break

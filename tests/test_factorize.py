@@ -4,7 +4,8 @@ import pytest
 
 import hermlat
 from hermlat import oracle
-from hermlat.errors import NotAnIsometry, VerificationFailed
+from hermlat import isometries
+from hermlat.errors import NotAnIsometry, PrecisionLoss, VerificationFailed
 from hermlat.factorize import (
     Factorization,
     factor_unitary,
@@ -212,3 +213,28 @@ def test_eichler_with_zero_mu_factors_into_symmetries():
     cert = verify_factorization(lat, phi, f)
     assert cert["det_consistent"]
     assert f.symmetries_only and len(f) == 4
+
+
+def test_final_product_check_stops_a_wrong_rewrite(monkeypatch):
+    """The Eichler rewrites are not re-multiplied at run time; the one
+    product comparison of factor_unitary must still stop a wrong rewrite.
+    With the last symmetry of every rewrite dropped, the word no longer
+    reproduces phi and no word comes back."""
+    with open(hermlat.catalog_path("q2i-h1h1.lat")) as fh:
+        lat = parse_lattice(fh.read())
+    rng = random.Random(1161331496)
+    phi = identity(lat.alg, lat.n)
+    for g in (random_symmetry(lat, rng), oracle.random_eichler(lat, rng)):
+        phi = mat_mul(phi, matrix_of(lat, g))
+    assert factor_unitary(lat, phi, reduce_eichler=False).contains_eichler
+    assert factor_unitary(lat, phi).symmetries_only
+
+    reduce_eichler = isometries._reduce_eichler
+
+    def drop_last(lat, e, fuel):
+        out = reduce_eichler(lat, e, fuel)
+        return out[:-1] if out else out
+
+    monkeypatch.setattr(isometries, "_reduce_eichler", drop_last)
+    with pytest.raises(PrecisionLoss, match="driver product does not match the input"):
+        factor_unitary(lat, phi)

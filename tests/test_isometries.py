@@ -1,16 +1,31 @@
 import random
+from functools import lru_cache
 
 import pytest
+from hypothesis import HealthCheck, assume, event, given, settings, strategies as st
 
-from hermlat.errors import DegeneratePair, MismatchedPlane, NotSkew, ScaleViolation
+import hermlat
+from hermlat import oracle
+from hermlat.errors import (
+    DegeneratePair,
+    HermlatError,
+    MismatchedPlane,
+    NotSkew,
+    ScaleViolation,
+)
+from hermlat.etale import EtaleAlgebra
+from hermlat.factorize import _product
 from hermlat.isometries import (
     EichlerIsometry,
     Symmetry,
+    _reduce_eichler,
+    _two_symmetries,
     apply_generator,
     compose_eichler,
     det_of,
     eichler_exists,
     eichler_to_symmetries,
+    gram_preserved,
     in_unitary_group,
     make_eichler,
     make_symmetry,
@@ -20,15 +35,21 @@ from hermlat.isometries import (
 )
 from hermlat.lattice import HermitianLattice, orthogonal_sum, standard_H
 from hermlat.linalg import (
+    _dot,
     basis_vector,
     identity,
+    is_integral_matrix,
     mat_eq,
     mat_inv,
     mat_mul,
     vec_add,
     vec_scale,
+    vec_sub,
 )
+from hermlat.localfield import LocalField
 from hermlat.oracle import random_unitary, random_symmetry, random_vector
+from hermlat.specfile import parse_lattice
+from test_kernel_identity import _basis_change
 
 
 def test_symmetry_action_examples(Q2sqrt2):
@@ -39,8 +60,6 @@ def test_symmetry_action_examples(Q2sqrt2):
     img = apply_generator(H0, g, u)
     assert all((a + b).is_zero() for a, b in zip(img, v))  # u -> -v
     # vectors orthogonal to s are fixed
-    from hermlat.linalg import vec_sub
-
     w = vec_sub(u, v)
     assert H0.inner(w, s).is_zero()
     assert all((a - b).is_zero()
@@ -133,7 +152,7 @@ def test_compose_and_twist(Q2sqrt2):
     w1, w2 = basis_vector(Q2sqrt2, 4, 2), basis_vector(Q2sqrt2, 4, 3)
     e1 = make_eichler(L, u, v, w1)
     e2 = make_eichler(L, u, v, w2)
-    prod = compose_eichler(L, e1, e2)  # matrix identity checked inside
+    prod = compose_eichler(L, e1, e2)
     assert mat_eq(mat_mul(matrix_of(L, e1), matrix_of(L, e2)),
                   matrix_of(L, prod))
     # identity composition
@@ -146,6 +165,8 @@ def test_compose_and_twist(Q2sqrt2):
     # skew twist: trace invariant of the new parameter is unchanged
     om = Q2sqrt2.special_skew(3)
     e3 = twist_by_skew(L, e1, om)
+    assert mat_eq(mat_mul(matrix_of(L, Symmetry(u, om)), matrix_of(L, e1)),
+                  matrix_of(L, e3))
     puv = L.inner(u, v)
     assert ((e3.mu * puv).trace() - (e1.mu * puv).trace()).is_zero()
     with pytest.raises(NotSkew):
@@ -231,9 +252,6 @@ def test_form_preservation_random(Q2sqrt2, inert2):
 def test_fast_path_implies_exact_membership(Q2sqrt2, inert2):
     # whenever the ideal-theoretic sufficient condition accepts a symmetry,
     # the exact matrix test must accept it too
-    from hermlat.isometries import gram_preserved
-    from hermlat.linalg import is_integral_matrix
-
     rng = random.Random(77)
     for alg in (Q2sqrt2, inert2):
         L = orthogonal_sum(standard_H(alg, 0),
@@ -253,3 +271,200 @@ def test_fast_path_implies_exact_membership(Q2sqrt2, inert2):
             if fast:
                 m = matrix_of(L, g)
                 assert is_integral_matrix(m) and gram_preserved(L, m)
+
+
+def test_matrix_is_built_once_per_lattice(Q2sqrt2):
+    L = orthogonal_sum(standard_H(Q2sqrt2, 0),
+                       HermitianLattice(Q2sqrt2, ((Q2sqrt2.from_int(2),),)))
+    g = random_symmetry(L, random.Random(3))
+    m = matrix_of(L, g)
+    assert in_unitary_group(L, g) and matrix_of(L, g) is m
+    # another lattice object gets its own build, equal here since the Gram is
+    L2 = HermitianLattice(Q2sqrt2, L.gram)
+    m2 = matrix_of(L2, g)
+    assert m2 is not m and mat_eq(m2, m) and matrix_of(L2, g) is m2
+
+
+# -- membership from the generator's data ------------------------------------
+
+# algebra name -> (p, unramified polynomial, b, c) of E = K[x]/(x^2 + bx + c);
+# b None for the split algebra K x K
+MEMBERSHIP_ALGEBRAS = {
+    "Q2(i)": (2, None, 2, 2),
+    "Q2(sqrt2)": (2, None, 0, -2),
+    "Q3(sqrt3)": (3, None, 0, -3),
+    "inert Q2": (2, None, 1, 1),
+    "split2": (2, None, None, None),
+    "F4-ramified": (2, (1, 1), 0, -2),
+}
+
+
+@lru_cache(maxsize=None)
+def _membership_lattice(name, precision):
+    """H(0) ⟂ <2> over the named algebra, at the given precision."""
+    p, upoly, b, c = MEMBERSHIP_ALGEBRAS[name]
+    K = LocalField(p, unramified_poly=upoly, precision=precision)
+    alg = EtaleAlgebra.split(K) if b is None else EtaleAlgebra.quadratic(K, b, c)
+    return orthogonal_sum(standard_H(alg, 0),
+                          HermitianLattice(alg, ((alg.from_int(2),),)))
+
+
+def _skew(alg, k):
+    """A nonzero skew element, eta * p^k."""
+    return alg.eta() * alg.from_K(alg.base.uniformizer_pow(k))
+
+
+def _eichler_on_pair(lat, u, v, y):
+    """E_y^mu on the pair (u, v), mu = -<y,y> rho / <u,v> (Tr(rho) = 1)."""
+    mu = lat.alg.from_K(-lat.q_value(y)) * lat.alg.rho() / lat.inner(u, v)
+    return make_eichler(lat, u, v, y, mu)
+
+
+@st.composite
+def perturbed_generators(draw):
+    """(L, g) for L = H(0) ⟂ <2>: a symmetry on a random vector with a sigma
+    of the right trace, a symmetry S_{u,omega} on the isotropic u of the
+    hyperbolic pair with skew omega, or an Eichler isometry on that pair
+    with y a multiple of a random vector of the complement; or one of these
+    perturbed: sigma off by pi^k, s scaled by pi^-1, mu off by a unit, or y
+    moved off u^perp (mu solved again, so that only <y,u> = 0 fails).
+    None of them is filtered by a membership test."""
+    lat = _membership_lattice(draw(st.sampled_from(sorted(MEMBERSHIP_ALGEBRAS))),
+                              draw(st.sampled_from((8, 64))))
+    alg = lat.alg
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    k = draw(st.integers(-2, 4))
+    u, v, _ = oracle._cached_pair(lat)
+    shape = draw(st.sampled_from(("symmetry", "isotropic", "eichler")))
+    if shape == "eichler":
+        raw = random_vector(lat, rng)
+        gu, gv = lat.gram_conj(u), lat.gram_conj(v)
+        y = vec_sub(raw, vec_add(vec_scale(_dot(raw, gu) / _dot(v, gu), v),
+                                 vec_scale(_dot(raw, gv) / _dot(u, gv), u)))
+        y = vec_scale(alg.uniformizer_pow(draw(st.integers(0, 2))), y)
+        how = draw(st.sampled_from(("none", "mu", "y")))
+        if how == "y":
+            return lat, _eichler_on_pair(
+                lat, u, v, vec_add(y, vec_scale(alg.uniformizer_pow(k), v)))
+        e = _eichler_on_pair(lat, u, v, y)
+        if how == "mu":
+            units = [lam for lam in alg.base.residue_lifts() if not lam.is_zero()]
+            e = EichlerIsometry(u, v, y, e.mu + alg.from_K(rng.choice(units)))
+        return lat, e
+    if shape == "isotropic":
+        g = Symmetry(u, _skew(alg, k))
+    else:
+        s = random_vector(lat, rng)
+        qs = lat.inner(s, s)
+        assume(not qs.is_zero())
+        g = Symmetry(s, rng.choice(list(oracle._sigma_candidates(lat, s, qs, rng))))
+    how = draw(st.sampled_from(("none", "sigma", "s")))
+    if how == "sigma":
+        g = Symmetry(g.s, g.sigma + alg.uniformizer_pow(k))
+    elif how == "s":
+        g = Symmetry(vec_scale(alg.uniformizer_pow(-1), g.s), g.sigma)
+    return lat, g
+
+
+def _unbuilt(g):
+    """The same generator, with no matrix built yet."""
+    if isinstance(g, Symmetry):
+        return Symmetry(g.s, g.sigma)
+    return EichlerIsometry(g.u, g.v, g.y, g.mu)
+
+
+def _outcome(test, lat, g):
+    try:
+        return test(lat, _unbuilt(g))
+    except HermlatError as ex:
+        return type(ex)
+
+
+def _matrix_test(lat, g):
+    m = matrix_of(lat, g)
+    return is_integral_matrix(m) and gram_preserved(lat, m)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(perturbed_generators())
+def test_membership_agrees_with_the_matrix_test(case):
+    """in_unitary_group decides from the generator's identity and its
+    matrix's integrality exactly what the O(n^3) test decides on the
+    matrix, raised exceptions included."""
+    lat, g = case
+    want = _outcome(_matrix_test, lat, g)
+    event(f"{type(g).__name__}: {getattr(want, '__name__', want)}")
+    assert _outcome(in_unitary_group, lat, g) == want
+
+
+def test_eichler_data_on_an_anisotropic_u_are_rejected(Q2sqrt2):
+    """u = e1 + 2 e3 on H(0) ⟂ <2>, y = e3 - 4 e2 and mu = -1: <y,u> = 0,
+    Tr(mu <u,v>) = -<y,y> and the matrix is integral, but <u,u> = 8, so the
+    map is no isometry."""
+    L = orthogonal_sum(standard_H(Q2sqrt2, 0),
+                       HermitianLattice(Q2sqrt2, ((Q2sqrt2.from_int(2),),)))
+    e1, e2, e3 = (basis_vector(Q2sqrt2, 3, i) for i in range(3))
+    u = vec_add(e1, vec_scale(Q2sqrt2.from_int(2), e3))
+    y = vec_sub(e3, vec_scale(Q2sqrt2.from_int(4), e2))
+    e = make_eichler(L, u, e2, y, Q2sqrt2.from_int(-1))
+    assert L.inner(y, u).is_zero() and is_integral_matrix(matrix_of(L, e))
+    assert not gram_preserved(L, matrix_of(L, e))
+    assert not in_unitary_group(L, e)
+
+
+# -- the rewriting identities that are not re-checked at run time ------------
+
+# catalog lattices with a hyperbolic pair in the seeded changes of basis
+PAIR_LATTICES = ("f4ram", "inert2", "q2i-h", "q2i-h1h1", "q2sqrt2-h1h1",
+                 "ram3", "split2h", "split3")
+
+
+@lru_cache(maxsize=None)
+def _catalog_lattice(name):
+    with open(hermlat.catalog_path(name + ".lat")) as fh:
+        return parse_lattice(fh.read())
+
+
+@lru_cache(maxsize=None)
+def _changed_basis(name, seed):
+    """The catalog lattice in a seeded GL_n(O) basis, so that its hyperbolic
+    pair is whatever the search finds there, not a standard one."""
+    return _basis_change(_catalog_lattice(name),
+                         random.Random(f"identities:{name}:{seed}"))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(PAIR_LATTICES), st.integers(0, 2), st.integers(0, 2 ** 32 - 1),
+       st.integers(-1, 3))
+def test_eichler_rewrites_are_identities(name, basis, seed, k):
+    """compose_eichler, twist_by_skew, the shear and two-symmetry rules and
+    eichler_to_symmetries (on members of U(L)) return what they claim,
+    matrix for matrix."""
+    lat = _changed_basis(name, basis)
+    alg = lat.alg
+    rng = random.Random(seed)
+    e1, e2 = oracle.random_eichler(lat, rng), oracle.random_eichler(lat, rng)
+    assume(e1 is not None and e2 is not None)
+    m1 = matrix_of(lat, e1)
+    u, v = e1.u, e1.v
+    puv, pvu = lat.inner(u, v), lat.inner(v, u)
+    assert mat_eq(mat_mul(m1, matrix_of(lat, e2)),
+                  matrix_of(lat, compose_eichler(lat, e1, e2)))
+    omega = _skew(alg, k)
+    assert mat_eq(mat_mul(matrix_of(lat, Symmetry(u, omega)), m1),
+                  matrix_of(lat, twist_by_skew(lat, e1, omega)))
+    mu = e1.mu
+    if not (mu.x0.is_zero() or mu.x1.is_zero() if alg.kind == EtaleAlgebra.SPLIT
+            else mu.is_zero()):
+        assert mat_eq(_product(lat, _two_symmetries(e1, puv, pvu)), m1)
+    shear = make_eichler(lat, u, v, (alg.zero,) * lat.n, omega / puv)
+    (s,) = _reduce_eichler(lat, shear, 1)
+    assert mat_eq(matrix_of(lat, s), matrix_of(lat, shear))
+    for e in (e1, e2, shear):
+        if not in_unitary_group(lat, e):
+            continue
+        syms = eichler_to_symmetries(lat, e)
+        event(f"{name}: {'kept' if syms is None else 'rewritten'}")
+        if syms is not None:
+            assert mat_eq(_product(lat, syms), matrix_of(lat, e))

@@ -13,11 +13,16 @@ change of basis in GL_n(O) is Jordan split (block columns, Grams and the
 transform), searched for a hyperbolic pair (the witness of
 ``splits_hyperbolic``) and compared with the original lattice (the verdict and
 trace of ``isometry_conditions``).
+
+Both use ``exact_key`` of ``tools/schedule_digest.py``, the exact form that
+tool hashes whole benchmark schedules with.
 """
 
 import hashlib
 import json
+import os
 import random
+import sys
 
 import pytest
 
@@ -29,6 +34,10 @@ from hermlat.isometries import EichlerIsometry, matrix_of
 from hermlat.lattice import HermitianLattice
 from hermlat.linalg import cols_of, identity, mat_mul
 from hermlat.specfile import parse_lattice
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "tools"))
+from schedule_digest import exact_key  # noqa: E402
 
 K_GENERATORS = 3
 
@@ -60,14 +69,6 @@ def _word(lat, rng, k):
     return phi
 
 
-def _field_key(x):
-    return [list(x.co), x.shift, x.ncap]
-
-
-def _matrix_key(m):
-    return [[[_field_key(a.x0), _field_key(a.x1)] for a in row] for row in m]
-
-
 def run_digest(name):
     with open(hermlat.catalog_path(name + ".lat")) as fh:
         lat = parse_lattice(fh.read())
@@ -75,9 +76,9 @@ def run_digest(name):
     fac = factor_unitary(lat, phi)
     cert = verify_factorization(lat, phi, fac)
     doc = {
-        "input": _matrix_key(phi),
+        "input": exact_key(phi),
         "generators": [["E" if isinstance(g, EichlerIsometry) else "S",
-                        _matrix_key(matrix_of(lat, g))] for g in fac],
+                        exact_key(matrix_of(lat, g))] for g in fac],
         "residual_precision": fac.residual_precision,
         "symmetries_only": fac.symmetries_only,
         "certificate": cert,
@@ -109,20 +110,6 @@ EXPECTED_DECIDE = {
 }
 
 
-def _key(obj):
-    """JSON-able exact form of a decide result: field elements as
-    (co, shift, ncap), containers element by element, the rest as is."""
-    if hasattr(obj, "x0"):
-        return [_field_key(obj.x0), _field_key(obj.x1)]
-    if hasattr(obj, "co"):
-        return _field_key(obj)
-    if isinstance(obj, dict):
-        return [[str(k), _key(v)] for k, v in sorted(obj.items())]
-    if isinstance(obj, (list, tuple)):
-        return [_key(v) for v in obj]
-    return obj
-
-
 def _basis_change(lat, rng):
     """L in a seeded basis: the Gram of the columns of a lower times an
     upper unitriangular matrix over O, so the change lies in GL_n(O)."""
@@ -146,12 +133,12 @@ def decide_digest(name):
     other = _basis_change(lat, random.Random(f"decide-identity:{name}"))
     split = other.jordan_split()
     doc = {
-        "gram": _key(other.gram),
+        "gram": exact_key(other.gram),
         "jordan": [[blk.scale_exp, blk.rank, blk.norm_exp, blk.normal,
-                    _key(blk.cols), _key(blk.gram)] for blk in split.blocks],
-        "transform": _key(split.transform),
-        "witness": _key(splits_hyperbolic(other)),
-        "verdict": _key(isometry_conditions(lat, other)),
+                    exact_key(blk.cols), exact_key(blk.gram)] for blk in split.blocks],
+        "transform": exact_key(split.transform),
+        "witness": exact_key(splits_hyperbolic(other)),
+        "verdict": exact_key(isometry_conditions(lat, other)),
     }
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()

@@ -1,0 +1,55 @@
+"""The schedule digest of ``tools/schedule_digest.py``.
+
+The tool is run on a small schedule built here, not on a benchmark schedule,
+so its records are checked without pinning ``perfbench/workloads.py``: one
+record per operation and a last schedule record, the same output on every
+run, and an operation that raises recorded as failed with its exception.
+"""
+
+import os
+import random
+import sys
+from types import SimpleNamespace
+
+import hermlat
+from hermlat import oracle
+from hermlat.isometries import matrix_of
+from hermlat.linalg import identity, mat_mul
+from hermlat.specfile import parse_lattice
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "tools"))
+from schedule_digest import exact_key, schedule_records  # noqa: E402
+
+
+def _schedule():
+    with open(hermlat.catalog_path("q2i-h.lat")) as fh:
+        lat = parse_lattice(fh.read())
+    rng = random.Random("schedule-digest")
+    phi = identity(lat.alg, lat.n)
+    for _ in range(2):
+        phi = mat_mul(phi, matrix_of(lat, oracle.random_symmetry(lat, rng)))
+    zero = tuple(tuple(lat.alg.zero for _ in range(lat.n)) for _ in range(lat.n))
+    item = dict(lattice_name="q2i-h", lattice=lat)
+    return [("factor", SimpleNamespace(phi=phi, **item)),
+            ("decide", SimpleNamespace(other=lat, **item)),
+            ("factor", SimpleNamespace(phi=zero, **item))]
+
+
+def test_schedule_records_are_exact_and_repeatable():
+    schedule = _schedule()
+    records = list(schedule_records(schedule))
+    assert records == list(schedule_records(schedule))
+    ops, whole = records[:-1], records[-1]
+    assert [r["record"] for r in ops] == ["op"] * 3 and whole["record"] == "schedule"
+    assert [r["kind"] for r in ops] == ["factor", "decide", "factor"]
+    assert len({r["sha256"] for r in ops}) == 3
+    assert "error" not in ops[0] and "error" not in ops[1]
+    assert ops[2]["error"][0] == "NotAnIsometry"
+    assert whole["ops"] == 3 and whole["failed"] == 1
+
+
+def test_exact_key_sees_the_precision_count():
+    x = SimpleNamespace(co=(5,), shift=1, ncap=8)
+    y = SimpleNamespace(co=(5,), shift=1, ncap=9)
+    assert exact_key([x]) == [[[5], 1, 8]] and exact_key(x) != exact_key(y)
