@@ -20,14 +20,16 @@ from .etale import NONNORM, NORM, EtaleAlgebra
 from .lattice import (
     HermitianLattice,
     _gram_of,
+    _min_vP_sym,
     _norm_attainer,
     _norm_exp_of_gram,
-    _project_off,
+    _peel_pieces,
 )
 from .linalg import (
     _dot,
     cols_of,
     identity,
+    mat_det,
     mat_from_cols,
     mat_inv,
     mat_vec,
@@ -85,7 +87,6 @@ def isometry_conditions(m_lat, n_lat):
         return False, 3, trace
 
     t = len(jm.blocks)
-    K = alg.base
     for i in range(t - 1):
         a_exp = norms_m[i] + norms_m[i + 1] - jm.blocks[i].scale_exp
         if a_exp <= 0:
@@ -103,8 +104,6 @@ def isometry_conditions(m_lat, n_lat):
 
 
 def _partial_det(alg, blocks):
-    from .linalg import mat_det
-
     acc = None
     for blk in blocks:
         d = mat_det(blk.gram).as_K()
@@ -147,7 +146,6 @@ def modular_standard_form(lat):
     if m % 2:
         if s % 2:
             raise NotModular("odd-rank modular lattice with odd scale")
-        det, cls = lat.det_class()
         # unit class of det * p^{-m*i/2}
         K = alg.base
         u = lat.det().as_K() / K.uniformizer_pow(m * s // 2)
@@ -236,23 +234,10 @@ def isotropy_refine(lat, u, helpers, max_rounds=96):
                         break
         if not progressed:
             # mixed trace/norm cancellations: bounded residue search
-            for y in helpers:
-                for t in range(0, 4):
-                    shift = alg.uniformizer_pow(t)
-                    for lam0 in alg.unit_residues_O(1):
-                        lam = shift * lam0
-                        cand = vec_add(u, vec_scale(lam, y))
-                        q2 = lat.q_value(cand)
-                        if q2.is_zero() or q2.valuation() > m:
-                            u = cand
-                            progressed = True
-                            break
-                    if progressed:
-                        break
-                if progressed:
-                    break
-        if not progressed:
-            raise PrecisionLoss("no isotropy progress along helper directions")
+            cand = _residue_progress(lat, u, helpers, m)
+            if cand is None:
+                raise PrecisionLoss("no isotropy progress along helper directions")
+            u = cand
     for y in helpers:
         if y is start:
             continue
@@ -425,44 +410,13 @@ def _pair_complement_columns(alg, cols, cu, cv):
 def peel_lines_and_planes(lat, cols):
     """Decompose a modular block (spanned by cols) into an orthogonal sum of
     lines (normal pieces) and rank-2 subnormal planes, all at the block scale."""
-    alg = lat.alg
     lines, planes = [], []
-    cols = list(cols)
-    while cols:
-        gram = _gram_of(lat, cols)
-        s = _block_scale(alg, gram)
-        k = _norm_exp_of_gram(alg, gram)
-        if alg.vK_in_P(k) == s:
-            x, lead = _norm_attainer(lat, cols, gram, k)
-            lines.append(x)
-            piece, drop = [x], {lead}
+    for _, piece in _peel_pieces(lat, cols):
+        if len(piece) == 1:
+            lines.append(piece[0])
         else:
-            best = None
-            m = len(cols)
-            for i in range(m):
-                for j in range(i + 1, m):
-                    e = gram[i][j]
-                    if e.is_zero():
-                        continue
-                    vv = alg.vP(e)
-                    if best is None or vv < best[0]:
-                        best = (vv, i, j)
-            if best is None or best[0] != s:
-                raise PrecisionLoss("modular block lost its scale pivot")
-            _, i, j = best
-            planes.append((cols[i], cols[j]))
-            piece, drop = [cols[i], cols[j]], {i, j}
-        rest = [c for idx, c in enumerate(cols) if idx not in drop]
-        if rest:
-            rest = _project_off(lat, rest, piece)
-        cols = rest
+            planes.append(tuple(piece))
     return lines, planes
-
-
-def _block_scale(alg, gram):
-    from .lattice import _min_vP_sym
-
-    return _min_vP_sym(alg, gram)
 
 
 def normalize_plane(lat, x, y, scale_i):
@@ -544,7 +498,7 @@ def plane_is_hyperbolic(lat, x, y, scale_i):
 
 def pair_from_hyperbolic_plane(lat, x, y, scale_i):
     """Standard hyperbolic pair inside a plane known to be H(scale_i)."""
-    x, y, k = normalize_plane(lat, x, y, scale_i)
+    x, y, _ = normalize_plane(lat, x, y, scale_i)
     u = isotropy_refine(lat, y, [x, y])
     return complete_with_partners(lat, u, [x, y], scale_i)
 
@@ -552,43 +506,12 @@ def pair_from_hyperbolic_plane(lat, x, y, scale_i):
 def combine_pieces_pair(lat, donor, target_plane, scale_i):
     """Hyperbolic pair inside donor ⟂ plane: raise the target plane's first
     basis vector into the trace ideal using the donor direction, then kill."""
-    alg = lat.alg
     x2, y2 = target_plane
     x2, y2, k2 = normalize_plane(lat, x2, y2, scale_i)
-    qd = lat.q_value(donor)
-    k1 = qd.valuation()
+    k1 = lat.q_value(donor).valuation()
     if k1 > k2:
         raise HypothesisViolation("donor norm must not exceed the plane norm")
-    target = alg.trace_ideal(scale_i)
-    nrpi = alg.uniformizer().norm()
-    x2c = x2
-    for _ in range(4 * (alg.e + 2)):
-        q = lat.q_value(x2c)
-        if q.is_zero() or q.valuation() >= target:
-            break
-        m = q.valuation()
-        t = m - k1
-        if t < 0:
-            raise PrecisionLoss("donor lost its norm level")
-        tau = -q / (qd * nrpi ** t)
-        window = min(max(target - m, 1), max(alg.e - 1, 1))
-        cand = None
-        try:
-            lam0 = alg.solve_norm_approx(tau, window)
-            trial = vec_add(x2c,
-                            vec_scale(alg.uniformizer_pow(t) * lam0, donor))
-            q2 = lat.q_value(trial)
-            if q2.is_zero() or q2.valuation() > m:
-                cand = trial
-        except HermlatError:
-            pass
-        if cand is None:
-            cand = _residue_progress(lat, x2c, [donor], m)
-        if cand is None:
-            raise PrecisionLoss("norm raising stalled")
-        x2c = cand
-    else:
-        raise PrecisionLoss("norm raising did not converge")
+    x2c = _deepen_second(lat, donor, x2, scale_i, k1)
     u = isotropy_refine(lat, x2c, [y2, x2c])
     return complete_with_partners(lat, u, [y2, x2], scale_i)
 
@@ -597,7 +520,6 @@ def lines_isotropic_pair(lat, lines, scale_i):
     """Hyperbolic pair from an orthogonal family of norm-attaining lines
     (ramified normal block); None when no pair exists (rank <= 2 cases)."""
     alg = lat.alg
-    K = alg.base
     if alg.kind != EtaleAlgebra.RAMIFIED:
         return _lines_pair_unramified(lat, lines, scale_i)
     if len(lines) < 2:
@@ -761,12 +683,6 @@ def extract_hyperbolic_in_modular(lat, cols, scale_i):
     return pair, (lines, [(x, y) for x, y, _ in norm_planes])
 
 
-def split_off_plane(lat, cols, a, b):
-    """Orthogonal complement of the (possibly non-hyperbolic) plane (a, b)
-    inside span(cols)."""
-    return split_off_pair(lat, cols, a, b)
-
-
 def cross_pair_norm_drop(lat, plane1, rest_cols, scale_i):
     """D-plane of norm p^k next to a deeper part of norm p^n with n <= k:
     produce the hyperbolic pair at the plane's scale."""
@@ -777,36 +693,44 @@ def cross_pair_norm_drop(lat, plane1, rest_cols, scale_i):
     if n > k:
         raise HypothesisViolation("requires deeper norm <= plane norm")
     z, _ = _norm_attainer(lat, rest_cols, gram, n)
+    u0 = _shift_into_trace_ideal(lat, x1, z, scale_i)
+    u = isotropy_refine(lat, u0, [y1, x1])
+    return complete_with_partners(lat, u, [y1, x1], scale_i)
+
+
+def _shift_into_trace_ideal(lat, w, z, scale_i):
+    """Add multiples pi^t * gamma * z to w until Q(w) lies in Tr(P^scale_i)
+    (one-digit norm-class solves against Q(z)); every step must deepen Q(w),
+    and the rounds run out silently."""
+    alg = lat.alg
     qz = lat.q_value(z)
-    qx = lat.q_value(x1)
+    level = qz.valuation()
     target = alg.trace_ideal(scale_i)
     nrpi = alg.uniformizer().norm()
-    u0 = x1
     for _ in range(4 * (alg.e + 2)):
-        q = lat.q_value(u0)
+        q = lat.q_value(w)
         if q.is_zero() or q.valuation() >= target:
             break
         m = q.valuation()
-        t = m - n
+        t = m - level
         if t < 0:
-            raise PrecisionLoss("attainer below the deep norm level")
+            raise PrecisionLoss("shift direction below the norm level")
         tau = -q / (qz * nrpi ** t)
         window = min(max(target - m, 1), max(alg.e - 1, 1))
         gam = alg.uniformizer_pow(t) * alg.solve_norm_approx(tau, window)
-        cand = vec_add(u0, vec_scale(gam, z))
+        cand = vec_add(w, vec_scale(gam, z))
         q2 = lat.q_value(cand)
         if not q2.is_zero() and q2.valuation() <= m:
-            raise PrecisionLoss("norm drop stalled")
-        u0 = cand
-    u = isotropy_refine(lat, u0, [y1, x1])
-    return complete_with_partners(lat, u, [y1, x1], scale_i)
+            raise PrecisionLoss("norm shift stalled")
+        w = cand
+    return w
 
 
 def cross_pair_A_second(lat, donor, plane2, scale_j):
     """Recipe for donor ⟂ A-type plane at scale j (determinant-flip case):
     hyperbolic pair at scale j."""
     alg = lat.alg
-    x2, y2, n2 = plane2
+    x2, y2, _ = plane2
     qd = lat.q_value(donor)
     kd = qd.valuation()
     nrpi = alg.uniformizer().norm()
@@ -832,24 +756,7 @@ def cross_pair_A_second(lat, donor, plane2, scale_j):
     u = isotropy_refine(lat, u0, [x2, y2])
     u = primitivize(lat, u)
     # completion partner: x2 with a donor shift into the trace ideal
-    target = alg.trace_ideal(scale_j)
-    w = x2
-    for _ in range(4 * (alg.e + 2)):
-        qw = lat.q_value(w)
-        if qw.is_zero() or qw.valuation() >= target:
-            break
-        m = qw.valuation()
-        t = m - kd
-        if t < 0:
-            raise PrecisionLoss("donor norm too deep for the completion shift")
-        tau = -qw / (qd * nrpi ** t)
-        window = min(max(target - m, 1), max(alg.e - 1, 1))
-        gam = alg.uniformizer_pow(t) * alg.solve_norm_approx(tau, window)
-        cand = vec_add(w, vec_scale(gam, donor))
-        q2 = lat.q_value(cand)
-        if not q2.is_zero() and q2.valuation() <= m:
-            raise PrecisionLoss("completion shift stalled")
-        w = cand
+    w = _shift_into_trace_ideal(lat, x2, donor, scale_j)
     return complete_hyperbolic_pair(lat, u, w, scale_j)
 
 
@@ -876,7 +783,7 @@ def rearrange_columns(lat, all_cols, donor, plane2, j, i):
     pair = lat.inner(z, y2)
     if pair.is_zero() or alg.vP(pair) != j:
         raise PrecisionLoss("rearranged plane lost its scale")
-    others = split_off_plane(lat, all_cols, z, y2)
+    others = split_off_pair(lat, all_cols, z, y2)
     return (z, y2), others
 
 
@@ -895,7 +802,6 @@ def splits_hyperbolic(lat):
 
 
 def _splits_hyperbolic_cols(lat, cols):
-    alg = lat.alg
     while cols:
         arrangement = _arrange_first_block(lat, cols)
         if arrangement["pair"] is not None:
@@ -936,7 +842,7 @@ def _arrange_first_block(lat, cols):
     groups = _jordan_cols(lat, cols)
     first = groups[0]
     deeper = [c for grp in groups[1:] for c in grp]
-    scale_i = _block_scale(alg, _gram_of(lat, first))
+    scale_i = _min_vP_sym(alg, _gram_of(lat, first))
     pair, (lines, planes) = extract_hyperbolic_in_modular(lat, first, scale_i)
     out = {
         "pair": pair,
@@ -956,6 +862,16 @@ def _arrange_first_block(lat, cols):
     return out
 
 
+def _deeper_part(lat, deeper):
+    """The deeper part span(deeper), derived once: its Jordan column groups,
+    its Gram, the scale exponent j of its first block and its norm exponent n."""
+    alg = lat.alg
+    gram = _gram_of(lat, deeper)
+    groups = _jordan_cols(lat, deeper)
+    j = _min_vP_sym(alg, _gram_of(lat, groups[0]))
+    return groups, gram, j, _norm_exp_of_gram(alg, gram)
+
+
 def _cross_block_attempt(lat, arr):
     """Try the cross-block hyperbolic shapes between the reduced first block
     and the deeper part; None when the classification excludes them."""
@@ -966,10 +882,7 @@ def _cross_block_attempt(lat, arr):
     if not deeper:
         return None
     lines, planes, scale_i = arr["lines"], arr["planes"], arr["scale"]
-    gram_m = _gram_of(lat, deeper)
-    j = _block_scale(alg, _gram_of(lat, _jordan_cols(lat, deeper)[0]))
-    n = _norm_exp_of_gram(alg, gram_m)
-    e = alg.e
+    groups, _, j, n = _deeper_part(lat, deeper)
 
     if len(planes) == 1 and not lines:
         x1, y1 = planes[0]
@@ -978,62 +891,45 @@ def _cross_block_attempt(lat, arr):
             uv = cross_pair_norm_drop(lat, (x1, y1, k), deeper, scale_i)
             return uv[0], uv[1], scale_i
         if j - scale_i <= n - k:
-            return _pair_after_rearrange(lat, arr["cols"], x1, (x1, y1, k),
-                                         deeper, j, scale_i, k)
+            return _pair_after_rearrange(lat, arr["cols"], x1, groups, j, scale_i, k)
         return None
 
     if lines and not planes:
         donor = min(lines, key=lambda c: lat.q_value(c).valuation())
         k = lat.q_value(donor).valuation()
-        dgroups = _jordan_cols(lat, deeper)
-        mgram = _gram_of(lat, dgroups[0])
-        m_norm = _norm_exp_of_gram(alg, mgram)
-        m_scale = _block_scale(alg, mgram)
-        normal_first = alg.vK_in_P(m_norm) == m_scale
-        if normal_first:
-            return None
+        m_norm = _norm_exp_of_gram(alg, _gram_of(lat, groups[0]))
+        if alg.vK_in_P(m_norm) == j:
+            return None  # the deeper part's first block is normal
         if j - scale_i <= n - k and n == m_norm:
-            return _pair_after_rearrange(lat, arr["cols"], donor, None,
-                                         deeper, j, scale_i, k)
+            return _pair_after_rearrange(lat, arr["cols"], donor, groups, j, scale_i, k)
         return None
     return None
 
 
-def _pair_after_rearrange(lat, all_cols, donor, plane1, deeper, j, i, k):
-    """Arrange the deeper part's first plane to norm p^(j-i+k), then build the
+def _pair_after_rearrange(lat, all_cols, donor, groups, j, i, k):
+    """Arrange the first plane of the deeper part (Jordan column groups
+    ``groups``, first block at scale j) to norm p^(j-i+k), then build the
     hyperbolic pair via the H-type or A-type recipe; None if excluded."""
     alg = lat.alg
-    e = alg.e
-    groups = _jordan_cols(lat, deeper)
-    first = groups[0]
-    m_scale = _block_scale(alg, _gram_of(lat, first))
-    if m_scale != j:
-        raise PrecisionLoss("deeper scale drifted during rearrangement")
-    lines2, planes2 = peel_lines_and_planes(lat, first)
+    lines2, planes2 = peel_lines_and_planes(lat, groups[0])
     if not planes2:
         return None
     x2, y2 = planes2[0]
     x2, y2, n2 = normalize_plane(lat, x2, y2, j)
-    nprime = j - i + k
-    if n2 > nprime:
+    if n2 > j - i + k:
         (z, y2b), _ = rearrange_columns(lat, all_cols, donor, (x2, y2, n2), j, i)
         x2, y2, n2 = normalize_plane(lat, z, y2b, j)
-    if n2 != nprime:
-        # the deeper block already sits at or below the target norm
-        if n2 < nprime:
-            nprime = n2
     if plane_is_hyperbolic(lat, x2, y2, j):
         uv = combine_pieces_pair(lat, donor, (x2, y2), j)
         return uv[0], uv[1], j
-    if i + e - 2 * k > j - i:
+    if i + alg.e - 2 * k > j - i:
         uv = cross_pair_A_second(lat, donor, (x2, y2, n2), j)
         return uv[0], uv[1], j
     # remaining shape: a second deeper piece of norm <= n' next to the plane
     rest2 = [c for grp in groups[1:] for c in grp]
     rest2 += [v for xy in planes2[1:] for v in xy] + lines2
     if rest2:
-        g2 = _gram_of(lat, rest2)
-        n_rest = _norm_exp_of_gram(alg, g2)
+        n_rest = _norm_exp_of_gram(alg, _gram_of(lat, rest2))
         if n_rest <= n2:
             uv = cross_pair_norm_drop(lat, (x2, y2, n2), rest2, j)
             return uv[0], uv[1], j
@@ -1062,16 +958,13 @@ def rearrange_jordan(lat):
     first = groups[0]
     deeper = [c for grp in groups[1:] for c in grp]
     fgram = _gram_of(lat, first)
-    i = _block_scale(alg, fgram)
+    i = _min_vP_sym(alg, fgram)
     k = _norm_exp_of_gram(alg, fgram)
-    dgram = _gram_of(lat, deeper)
-    j = _block_scale(alg, _gram_of(lat, _jordan_cols(lat, deeper)[0]))
-    n = _norm_exp_of_gram(alg, dgram)
+    groups2, _, j, n = _deeper_part(lat, deeper)
     if not 0 < j - i <= n - k:
         raise HypothesisViolation("rearrangement needs 0 < j-i <= n-k")
     donor, _ = _norm_attainer(lat, first, fgram, k)
-    groups2 = _jordan_cols(lat, deeper)
-    lines2, planes2 = peel_lines_and_planes(lat, groups2[0])
+    _, planes2 = peel_lines_and_planes(lat, groups2[0])
     if not planes2:
         raise HypothesisViolation("deeper block has no subnormal plane")
     x2, y2 = planes2[0]

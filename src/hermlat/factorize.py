@@ -24,13 +24,13 @@ from .errors import (
 from .etale import EtaleAlgebra
 from .classify import (
     _arrange_first_block,
-    _block_scale,
     _cross_block_attempt,
-    _jordan_cols,
+    _deeper_part,
     isotropy_refine,
     normalize_plane,
     peel_lines_and_planes,
     plane_standard_form,
+    rearrange_columns,
     split_off_pair,
 )
 from .isometries import (
@@ -231,7 +231,6 @@ def _drive(drv, cols, phi):
 
 def _drive_unramified_step(drv, cols, phi):
     lat = drv.lat
-    alg = lat.alg
     arr = _arrange_first_block(lat, cols)
     if arr["pair"] is not None:
         u, v = arr["pair"]
@@ -377,7 +376,6 @@ def _isotropic_bridge(lat, cols, u, up, scale):
 
 def _peel_hyperbolic_unramified(drv, cols, phi, u, v):
     lat = drv.lat
-    alg = lat.alg
     phi_u = mat_vec(phi, u)
     if not all((a - b).is_zero() for a, b in zip(phi_u, u)):
         syms = map_isotropic(lat, cols, phi_u, u)
@@ -605,8 +603,7 @@ def _drive_ramified_step(drv, cols, phi):
     if tag == "restart":
         return payload, phi
     u, v = payload
-    from .classify import split_off_plane
-    rest = split_off_plane(lat, cols, u, v)
+    rest = split_off_pair(lat, cols, u, v)
     return rest, phi
 
 
@@ -725,7 +722,6 @@ def _postalign(drv, phi, u2, v2, scale_s):
 def _plane_word_beta_unit(lat, u2, v2, img_u, img_v):
     """Symmetry word for the plane map u2 -> img_u, v2 -> img_v (identity on
     the complement) in the case where img_u has a unit v2-coordinate."""
-    alg = lat.alg
     s = vec_sub(u2, img_u)
     sigma = lat.inner(u2, s)
     if sigma.is_zero():
@@ -847,7 +843,6 @@ def _peel_normal_rk2(drv, cols, phi, x, y):
     """First block carries two norm-attaining lines; fix phi(x) back to x."""
     lat = drv.lat
     alg = lat.alg
-    K = alg.base
     qx = lat.q_value(x)
     qy = lat.q_value(y)
     k = qx.valuation()
@@ -922,21 +917,16 @@ def _peel_subnormal(drv, cols, phi, plane, deeper, scale_i):
     alg = lat.alg
     K = alg.base
     i = scale_i
-    e = alg.e
     x2, y2 = plane
     _, _, k = normalize_plane(lat, x2, y2, i)
 
     if deeper:
-        dgram = _gram_of(lat, deeper)
-        n_glob = _norm_exp_of_gram(alg, dgram)
-        groups = _jordan_cols(lat, deeper)
-        j = _block_scale(alg, _gram_of(lat, groups[0]))
+        groups, dgram, j, n_glob = _deeper_part(lat, deeper)
         if 0 < j - i < n_glob - k:
             # rearrange the deeper part to norm p^(j-i+k) and restart
-            from .classify import rearrange_columns
             donor, _ = _norm_attainer(lat, [x2, y2],
                                       _gram_of(lat, [x2, y2]), k)
-            lines2, planes2 = peel_lines_and_planes(lat, groups[0])
+            _, planes2 = peel_lines_and_planes(lat, groups[0])
             if planes2:
                 p2 = normalize_plane(lat, planes2[0][0], planes2[0][1], j)
                 (z, y2b), others = rearrange_columns(
@@ -961,7 +951,6 @@ def _peel_subnormal(drv, cols, phi, plane, deeper, scale_i):
 
 def _subnormal_fix_u(drv, latr, a, phi, u, v, i, k):
     alg = latr.alg
-    e = alg.e
     qv = latr.q_value(v)
     for _ in range(8):
         phiu = mat_vec(phi, u)
@@ -1080,7 +1069,5 @@ def peel_subnormal_dyadic(lat, phi):
     if tag == "restart":
         return drv.out, payload, phi2
     u, v = payload
-    from .classify import split_off_plane
-
-    rest = split_off_plane(lat, cols, u, v)
+    rest = split_off_pair(lat, cols, u, v)
     return drv.out, rest, phi2

@@ -463,7 +463,6 @@ def _split_vector_reduction(lat, e, fuel):
     if zeta is None:
         raise PrecisionLoss("residue field too small for the zeta scan")
 
-    qw = lat.q_value(w)
     qt = lat.q_value(t_vec)
     trwt = lat.inner(w, t_vec).trace()
     vqt = None if qt.is_zero() else qt.valuation()

@@ -13,12 +13,14 @@ from .errors import (
     HermlatError,
     PrecisionLoss,
     RangeViolation,
+    SearchExhausted,
     WrongKind,
     ZeroValuation,
 )
 from .etale import INF, EtaleAlgebra
 from .linalg import (
     _dot,
+    basis_vector,
     conj_transpose,
     cols_of,
     identity,
@@ -28,6 +30,7 @@ from .linalg import (
     mat_mul,
     mat_inv,
     mat_vec,
+    smith,
     vec_add,
     vec_scale,
     vec_sub,
@@ -80,7 +83,6 @@ class HermitianLattice:
         return self._det
 
     def basis(self):
-        from .linalg import basis_vector
         return [basis_vector(self.alg, self.n, i) for i in range(self.n)]
 
     def is_primitive(self, x):
@@ -153,18 +155,12 @@ class HermitianLattice:
         n = self.n
         gt = tuple(tuple(self.gram[i][j] for i in range(n)) for j in range(n))
         if alg.kind == EtaleAlgebra.SPLIT:
-            t0 = _dual_slot(alg.base, [[e.x0 for e in row] for row in gt], a_exp)
-            t1 = _dual_slot(alg.base, [[e.x1 for e in row] for row in gt], a_exp)
+            t0 = _dual_basis(alg.base, [[e.x0 for e in row] for row in gt], a_exp, _vK)
+            t1 = _dual_basis(alg.base, [[e.x1 for e in row] for row in gt], a_exp, _vK)
             t = tuple(tuple(alg.element(t0[i][j], t1[i][j]) for j in range(n))
                       for i in range(n))
         else:
-            from .linalg import smith
-            d, u, w = smith(alg, gt)
-            mus = []
-            for k in range(n):
-                vk = alg.vP(d[k][k])
-                mus.append(alg.uniformizer_pow(max(a_exp - vk, 0)))
-            t = tuple(tuple(w[i][j] * mus[j] for j in range(n)) for i in range(n))
+            t = _dual_basis(alg, gt, a_exp, alg.vP)
         gram = mat_mul(mat_mul(tuple(zip(*t)), self.gram),
                        tuple(tuple(e.conj() for e in row) for row in t))
         return t, gram
@@ -204,7 +200,7 @@ class HermitianLattice:
     def _jordan_split_split(self):
         alg, K, n = self.alg, self.alg.base, self.n
         g1 = [[e.x0 for e in row] for row in self.gram]
-        d, u, w = _smith_K(K, g1)
+        d, u, w = smith(K, g1, _vK)
         # columns of T: slot-1 occurs as U^T, slot-2 as W
         ut = list(zip(*u))
         t = tuple(tuple(alg.element(ut[i][j], w[i][j]) for j in range(n))
@@ -215,45 +211,12 @@ class HermitianLattice:
         return self._assemble_jordan(cols_of(t), pieces)
 
     def _jordan_split_field(self):
-        alg = self.alg
-        cols = list(cols_of(identity(alg, self.n)))
         ordered = []
         pieces = []  # (scale_exp, column count) per peeled piece
-        while cols:
-            gram = _gram_of(self, cols)
-            s = _min_vP(alg, gram)
-            piece, drop = self._jordan_pivot(cols, gram, s)
+        for s, piece in _peel_pieces(self, cols_of(identity(self.alg, self.n))):
             ordered.extend(piece)
             pieces.append((s, len(piece)))
-            rest = [c for idx, c in enumerate(cols) if idx not in drop]
-            if rest:
-                rest = _project_off(self, rest, piece)
-            cols = rest
         return self._assemble_jordan(ordered, pieces)
-
-    def _jordan_pivot(self, cols, gram, s):
-        """One rank-1 (normal) or rank-2 (subnormal) piece of minimal scale.
-
-        Returns (piece vectors, indices of cols eliminated by the piece)."""
-        alg = self.alg
-        m = len(cols)
-        k = _norm_exp_of_gram(alg, gram)
-        if alg.vK_in_P(k) == s:
-            x, lead = _norm_attainer(self, cols, gram, k)
-            return [x], {lead}
-        best = None
-        for i in range(m):
-            for j in range(i + 1, m):
-                e = gram[i][j]
-                if e.is_zero():
-                    continue
-                v = alg.vP(e)
-                if best is None or v < best[0]:
-                    best = (v, i, j)
-        if best is None or best[0] != s:
-            raise PrecisionLoss("no scale-attaining pivot found")
-        _, i, j = best
-        return [cols[i], cols[j]], {i, j}
 
     def _assemble_jordan(self, ordered_cols, pieces):
         alg = self.alg
@@ -276,11 +239,13 @@ class HermitianLattice:
         blocks = []
         for group in merged:
             g = _gram_of(self, group)
+            scale = _min_vP_sym(alg, g)
+            norm = _norm_exp_of_gram(alg, g)
             blocks.append(JordanBlock(
-                scale_exp=_min_vP_sym(alg, g),
+                scale_exp=scale,
                 rank=len(group),
-                norm_exp=_norm_exp_of_gram(alg, g),
-                normal=alg.vK_in_P(_norm_exp_of_gram(alg, g)) == _min_vP_sym(alg, g),
+                norm_exp=norm,
+                normal=alg.vK_in_P(norm) == scale,
                 gram=g,
                 cols=tuple(group)))
         return JordanSplitting(self, blocks, t)
@@ -356,6 +321,45 @@ def _project_off(lat, vecs, piece):
     return out
 
 
+def _peel_pieces(lat, cols):
+    """Peel span(cols) one Jordan piece at a time, least scale first.
+
+    Yields (scale_exp, piece): a piece is a norm-attaining line [x] when the
+    remaining span is normal, else a plane [x, y] whose pairing attains its
+    scale.  The columns the piece replaces are dropped and the others are
+    projected off it before the next piece is taken."""
+    alg = lat.alg
+    cols = list(cols)
+    while cols:
+        gram = _gram_of(lat, cols)
+        s = _min_vP_sym(alg, gram)
+        k = _norm_exp_of_gram(alg, gram)
+        if alg.vK_in_P(k) == s:
+            x, lead = _norm_attainer(lat, cols, gram, k)
+            piece, drop = [x], {lead}
+        else:
+            best = None
+            for i in range(len(cols)):
+                for j in range(i + 1, len(cols)):
+                    e = gram[i][j]
+                    if e.is_zero():
+                        continue
+                    v = alg.vP(e)
+                    if best is None or v < best[0]:
+                        best = (v, i, j)
+            if best is None or best[0] != s:
+                raise PrecisionLoss("no scale-attaining pivot found")
+            _, i, j = best
+            piece, drop = [cols[i], cols[j]], {i, j}
+        yield s, piece
+        rest = [c for idx, c in enumerate(cols) if idx not in drop]
+        cols = _project_off(lat, rest, piece) if rest else rest
+
+
+def _vK(x):
+    return x.valuation()
+
+
 def _min_vP(alg, gram):
     best = None
     for row in gram:
@@ -426,67 +430,16 @@ def _norm_attainer(lat, cols, gram, k):
                 q = lat.q_value(x)
                 if not q.is_zero() and q.valuation() == k:
                     return x, i
-    from .errors import SearchExhausted
     raise SearchExhausted("no norm-attaining vector found")
 
 
-def _smith_K(K, a):
-    """Smith reduction over the valuation ring of K (FieldElement entries)."""
-    n = len(a)
-    m = len(a[0]) if a else 0
-    a = [list(row) for row in a]
-    u = [[K.one if i == j else K.zero for j in range(n)] for i in range(n)]
-    w = [[K.one if i == j else K.zero for j in range(m)] for i in range(m)]
-    for kk in range(min(n, m)):
-        best = None
-        for i in range(kk, n):
-            for j in range(kk, m):
-                if a[i][j].is_zero():
-                    continue
-                v = a[i][j].valuation()
-                if best is None or v < best[0]:
-                    best = (v, i, j)
-        if best is None:
-            break
-        _, pi, pj = best
-        if pi != kk:
-            a[pi], a[kk] = a[kk], a[pi]
-            u[pi], u[kk] = u[kk], u[pi]
-        if pj != kk:
-            for row in a:
-                row[pj], row[kk] = row[kk], row[pj]
-            for row in w:
-                row[pj], row[kk] = row[kk], row[pj]
-        pivot = a[kk][kk]
-        for i in range(kk + 1, n):
-            if a[i][kk].is_zero():
-                continue
-            fac = a[i][kk] / pivot
-            for j in range(m):
-                a[i][j] = a[i][j] - fac * a[kk][j]
-            for j in range(n):
-                u[i][j] = u[i][j] - fac * u[kk][j]
-        for j in range(kk + 1, m):
-            if a[kk][j].is_zero():
-                continue
-            fac = a[kk][j] / pivot
-            for i in range(n):
-                a[i][j] = a[i][j] - fac * a[i][kk]
-            for i in range(m):
-                w[i][j] = w[i][j] - fac * w[i][kk]
-    return ([row[:] for row in a], [row[:] for row in u], [row[:] for row in w])
-
-
-def _dual_slot(K, gt_slot, a_exp):
-    """Slot-wise dual basis for the split case: {x : G^T x in p^a o^n}."""
-    n = len(gt_slot)
-    d, u, w = _smith_K(K, gt_slot)
-    cols = []
-    for k in range(n):
-        vk = d[k][k].valuation()
-        mu = K.uniformizer_pow(max(a_exp - vk, 0))
-        cols.append([w[i][k] * mu for i in range(n)])
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+def _dual_basis(ring, gt, a_exp, val):
+    """Columns spanning {x : G^T x in P^a O^n}, through the Smith reduction
+    of G^T over ring: K for one slot of a split algebra, or a field-kind E."""
+    n = len(gt)
+    d, _, w = smith(ring, gt, val)
+    mus = [ring.uniformizer_pow(max(a_exp - val(d[k][k]), 0)) for k in range(n)]
+    return tuple(tuple(w[i][j] * mus[j] for j in range(n)) for i in range(n))
 
 
 # -- standard planes --------------------------------------------------------------

@@ -8,7 +8,7 @@ use cofactor expansion with memoization and inverses go through the adjugate.
 from __future__ import annotations
 
 from .errors import HermlatError
-from .etale import AlgElement, EtaleAlgebra, _flat_dot
+from .etale import AlgElement, _flat_dot
 
 def vec_add(x, y):
     return tuple(a + b for a, b in zip(x, y))
@@ -157,55 +157,39 @@ def is_integral_matrix(a):
     return all(e.is_zero() or e.is_integral() for row in a for e in row)
 
 
-def _min_vP_entry(alg, a, skip_rows, skip_cols):
-    best = None
-    for i, row in enumerate(a):
-        if i in skip_rows:
-            continue
-        for j, e in enumerate(row):
-            if j in skip_cols or e.is_zero():
-                continue
-            v = alg.vP(e)
-            if best is None or v < best[0]:
-                best = (v, i, j)
-    return best
+def smith(ring, a, val):
+    """Smith reduction over the valuation ring of K or of a field-kind E.
 
-
-def smith(alg, a):
-    """Smith-style reduction over the ring of integers of a field-kind algebra.
-
-    Returns (d, u, w) with d = u * a * w diagonal (entries sorted by
-    valuation) and u, w unimodular over O.  Split algebras are handled by the
-    caller componentwise.
+    ``ring`` is the field of the entries (its ``one`` and ``zero`` build the
+    transforms) and ``val`` their valuation; each pivot is the first entry of
+    least valuation, in row order, of the part not yet reduced.  Returns
+    (d, u, w) with d = u * a * w diagonal, valuations non-decreasing, and u,
+    w unimodular.  Split algebras go slot by slot over K.
     """
-    if alg.kind == EtaleAlgebra.SPLIT:
-        raise HermlatError("smith() is for field kinds; split goes componentwise")
     n = len(a)
     m = len(a[0]) if a else 0
-    u = identity(alg, n)
-    w = identity(alg, m)
     a = [list(row) for row in a]
-    u = [list(row) for row in u]
-    w = [list(row) for row in w]
-
-    def swap_rows(mat, i, j):
-        mat[i], mat[j] = mat[j], mat[i]
-
-    def swap_cols(mat, i, j):
-        for row in mat:
-            row[i], row[j] = row[j], row[i]
-
+    u = [list(row) for row in identity(ring, n)]
+    w = [list(row) for row in identity(ring, m)]
     for k in range(min(n, m)):
-        piv = _min_vP_entry(alg, a, set(range(k)), set(range(k)))
+        piv = None
+        for i in range(k, n):
+            for j in range(k, m):
+                if a[i][j].is_zero():
+                    continue
+                v = val(a[i][j])
+                if piv is None or v < piv[0]:
+                    piv = (v, i, j)
         if piv is None:
             break
         _, pi, pj = piv
         if pi != k:
-            swap_rows(a, pi, k)
-            swap_rows(u, pi, k)
+            a[pi], a[k] = a[k], a[pi]
+            u[pi], u[k] = u[k], u[pi]
         if pj != k:
-            swap_cols(a, pj, k)
-            swap_cols(w, pj, k)
+            for mat in (a, w):
+                for row in mat:
+                    row[pj], row[k] = row[k], row[pj]
         pivot = a[k][k]
         for i in range(k + 1, n):
             if a[i][k].is_zero():
@@ -221,7 +205,7 @@ def smith(alg, a):
             fac = a[k][j] / pivot
             for i in range(n):
                 a[i][j] = a[i][j] - fac * a[i][k]
-            for i in range(len(w)):
+            for i in range(m):
                 w[i][j] = w[i][j] - fac * w[i][k]
     return (tuple(tuple(r) for r in a),
             tuple(tuple(r) for r in u),

@@ -8,6 +8,7 @@ by the algebra layer; property tests compare the two routes.
 from __future__ import annotations
 
 import random
+import weakref
 
 from .errors import HermlatError, SearchExhausted, Unstable
 from .etale import EtaleAlgebra
@@ -77,7 +78,6 @@ def random_vector(lat, rng, depth=3):
 
 def random_symmetry(lat, rng, tries=60):
     alg = lat.alg
-    alg = lat.alg
     for _ in range(tries):
         s = random_vector(lat, rng)
         if all(c.is_zero() for c in s):
@@ -137,14 +137,14 @@ def _sigma_candidates(lat, s, qs, rng):
             return
 
 
-_PAIR_CACHE = {}
+# lattice -> its splits_hyperbolic pair; an entry goes with its lattice
+_PAIR_CACHE = weakref.WeakKeyDictionary()
 
 
 def _cached_pair(lat):
-    key = id(lat)
-    if key not in _PAIR_CACHE:
-        _PAIR_CACHE[key] = (lat, splits_hyperbolic(lat))
-    return _PAIR_CACHE[key][1]
+    if lat not in _PAIR_CACHE:
+        _PAIR_CACHE[lat] = splits_hyperbolic(lat)
+    return _PAIR_CACHE[lat]
 
 
 def random_eichler(lat, rng, tries=40):

@@ -14,6 +14,10 @@ transform), searched for a hyperbolic pair (the witness of
 ``splits_hyperbolic``) and compared with the original lattice (the verdict and
 trace of ``isometry_conditions``).
 
+Two paths that no benchmark schedule reaches are pinned by hand: the norm-drop
+witness of ``splits_hyperbolic`` on A(1,1) ⟂ <2> over Q_2(√2), and the
+split-kind duals and Jordan splitting of a rank-3 lattice over Q_3.
+
 Both use ``exact_key`` of ``tools/schedule_digest.py``, the exact form that
 tool hashes whole benchmark schedules with.
 """
@@ -27,12 +31,14 @@ import sys
 import pytest
 
 import hermlat
-from hermlat import oracle
+from hermlat import classify, lattice, oracle
 from hermlat.classify import isometry_conditions, splits_hyperbolic
+from hermlat.etale import EtaleAlgebra
 from hermlat.factorize import factor_unitary, verify_factorization
 from hermlat.isometries import EichlerIsometry, matrix_of
-from hermlat.lattice import HermitianLattice
+from hermlat.lattice import HermitianLattice, orthogonal_sum, standard_A
 from hermlat.linalg import cols_of, identity, mat_mul
+from hermlat.localfield import LocalField
 from hermlat.specfile import parse_lattice
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -55,6 +61,11 @@ EXPECTED = {
     "f4ram":
         "537bd9e83b9af70132481e4872619dd87e69d815fef9052e07246c4208ca496c",
 }
+
+
+def _digest(doc):
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    return hashlib.sha256(blob).hexdigest()
 
 
 def _word(lat, rng, k):
@@ -83,8 +94,7 @@ def run_digest(name):
         "symmetries_only": fac.symmetries_only,
         "certificate": cert,
     }
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
+    return _digest(doc)
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED))
@@ -140,10 +150,71 @@ def decide_digest(name):
         "witness": exact_key(splits_hyperbolic(other)),
         "verdict": exact_key(isometry_conditions(lat, other)),
     }
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
+    return _digest(doc)
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_DECIDE))
 def test_decision_is_bit_identical(name):
     assert decide_digest(name) == EXPECTED_DECIDE[name]
+
+
+# -- paths no schedule reaches -----------------------------------------------
+
+# path name -> SHA-256 of its run below, recorded before the Smith reductions,
+# the peel steps and the norm-raising loops were each written once
+EXPECTED_PATHS = {
+    "norm_drop_witness":
+        "92f770ff805a9121c08602ed7c2ec6eb21597b070add7437de1ede9d19cac9a6",
+    "split_duals":
+        "54b768ec51c7056a1db7b33db4da728132463b2b4180cf0cb262c86d75af19ad",
+}
+
+
+def _norm_drop_witness():
+    """A(1,1) ⟂ <2> over Q_2(√2): a subnormal plane of norm p^1 next to a
+    deeper line of the same norm, so the witness comes from
+    ``cross_pair_norm_drop``."""
+    alg = EtaleAlgebra.quadratic(LocalField(2), 0, -2)
+    lat = orthogonal_sum(standard_A(alg, 1, 1),
+                         HermitianLattice(alg, ((alg.from_int(2),),)))
+    return {"witness": exact_key(splits_hyperbolic(lat))}
+
+
+def _split_duals():
+    """A rank-3 split lattice over Q_3 whose off-diagonal entries differ in
+    the two slots: its Jordan splitting and the duals L^(P^a), a = 0..3,
+    both through the slot-wise Smith reduction."""
+    K = LocalField(3)
+    alg = EtaleAlgebra.split(K)
+
+    def el(a, b):
+        return alg.element(K.from_int(a), K.from_int(b))
+
+    lat = HermitianLattice(alg, ((alg.from_int(3), el(1, 2), el(0, 9)),
+                                 (el(2, 1), alg.from_int(9), el(3, 6)),
+                                 (el(9, 0), el(6, 3), alg.from_int(27))))
+    split = lat.jordan_split()
+    return {"jordan": [[blk.scale_exp, blk.rank, blk.norm_exp, blk.normal,
+                        exact_key(blk.cols), exact_key(blk.gram)] for blk in split.blocks],
+            "transform": exact_key(split.transform),
+            "duals": [exact_key(lat.dual_sublattice(a)) for a in range(4)]}
+
+
+PATHS = {"norm_drop_witness": (_norm_drop_witness, classify, "cross_pair_norm_drop"),
+         "split_duals": (_split_duals, lattice, "_dual_basis")}
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_PATHS))
+def test_unscheduled_path_is_bit_identical(name, monkeypatch):
+    run, module, attr = PATHS[name]
+    calls = []
+    original = getattr(module, attr)
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, attr, spy)
+    digest = _digest(run())
+    assert calls, f"{attr} was not reached"
+    assert digest == EXPECTED_PATHS[name]

@@ -1,10 +1,11 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hermlat.errors import RangeViolation
-from hermlat.etale import NONNORM, NORM, EtaleAlgebra
+from hermlat.etale import INF, NONNORM, NORM, EtaleAlgebra
 from hermlat.lattice import (
     HermitianLattice,
     _gram_of,
@@ -13,7 +14,16 @@ from hermlat.lattice import (
     standard_H,
     standard_Hik,
 )
-from hermlat.linalg import _dot, basis_vector, cols_of, identity, mat_eq, mat_mul, mat_vec
+from hermlat.linalg import (
+    _dot,
+    basis_vector,
+    cols_of,
+    identity,
+    mat_eq,
+    mat_mul,
+    mat_vec,
+    smith,
+)
 from hermlat.localfield import FieldElement, LocalField
 
 
@@ -266,3 +276,66 @@ def test_shared_functional_is_bit_identical(data):
         for j, b in enumerate(cols):
             assert _triple(g[i][j]) == _triple(lat.inner(a, b))
             assert _triple(_dot(a, lat.gram_conj(b))) == _triple(_inner_reference(lat, a, b))
+
+
+# -- the Smith reduction ---------------------------------------------------------
+
+_Q3 = LocalField(3)
+SMITH_RINGS = [
+    (_Q2, FieldElement.valuation),
+    (_Q3, FieldElement.valuation),
+] + [(alg, alg.vP) for alg in (
+    EtaleAlgebra.quadratic(_Q2, 1, 1),    # inert
+    EtaleAlgebra.quadratic(_Q2, 2, 2),    # Q_2(i)
+    EtaleAlgebra.quadratic(_Q2, 0, -2),   # Q_2(sqrt 2)
+    EtaleAlgebra.quadratic(_Q3, 0, -3),   # Q_3(sqrt 3)
+    EtaleAlgebra.quadratic(_F4, 0, -2),   # over Q_2(w), nbasis 2
+)]
+
+
+@st.composite
+def _smith_entries(draw, ring):
+    """Zero, or a small integer (or a pair of them over E) times a power of
+    the uniformizer."""
+    if draw(st.integers(0, 4)) == 0:
+        return ring.zero
+    if isinstance(ring, LocalField):
+        c = ring.from_int(draw(st.integers(-40, 40)))
+    else:
+        K = ring.base
+        c = ring.element(K.from_int(draw(st.integers(-40, 40))),
+                         K.from_int(draw(st.integers(-40, 40))))
+    return c * ring.uniformizer_pow(draw(st.integers(0, 4)))
+
+
+def _leibniz_det(t):
+    """det t by the Leibniz expansion, for entries of K as well as of E."""
+    acc = None
+    for perm in itertools.permutations(range(len(t))):
+        term = t[0][perm[0]]
+        for i in range(1, len(t)):
+            term = term * t[i][perm[i]]
+        inversions = sum(perm[i] > perm[j] for i in range(len(t)) for j in range(i + 1, len(t)))
+        if inversions % 2:
+            term = -term
+        acc = term if acc is None else acc + term
+    return acc
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_smith_diagonalizes_with_unimodular_transforms(data):
+    ring, val = data.draw(st.sampled_from(SMITH_RINGS))
+    n, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    a = tuple(tuple(data.draw(_smith_entries(ring)) for _ in range(m)) for _ in range(n))
+    d, u, w = smith(ring, a, val)
+    uaw = mat_mul(mat_mul(u, a), w)
+    for i in range(n):
+        for j in range(m):
+            assert (uaw[i][j] - d[i][j]).is_zero()
+            assert i == j or d[i][j].is_zero()
+    diag = [INF if d[k][k].is_zero() else val(d[k][k]) for k in range(min(n, m))]
+    assert diag == sorted(diag)
+    for t in (u, w):
+        det = _leibniz_det(t)
+        assert not det.is_zero() and val(det) == 0

@@ -1,5 +1,8 @@
+import gc
 import random
+import weakref
 
+from hermlat import oracle
 from hermlat.etale import NONNORM
 from hermlat.isometries import EichlerIsometry, Symmetry, in_unitary_group, matrix_of
 from hermlat.lattice import HermitianLattice, orthogonal_sum, standard_H
@@ -67,3 +70,17 @@ def test_random_unitary_zero_generators(Q2sqrt2):
     L = standard_H(Q2sqrt2, 0)
     m, gens = random_unitary(L, 0, 1)
     assert gens == [] and mat_eq(m, identity(Q2sqrt2, 2))
+
+
+def test_pair_cache_lets_a_dropped_lattice_go(Q2sqrt2):
+    L = orthogonal_sum(standard_H(Q2sqrt2, 0),
+                       HermitianLattice(Q2sqrt2, ((Q2sqrt2.from_int(2),),)))
+    before = len(oracle._PAIR_CACHE)
+    pair = oracle._cached_pair(L)
+    assert pair is not None and oracle._cached_pair(L) is pair
+    assert len(oracle._PAIR_CACHE) == before + 1
+    ref = weakref.ref(L)
+    del L
+    gc.collect()
+    assert ref() is None
+    assert len(oracle._PAIR_CACHE) == before
