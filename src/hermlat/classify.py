@@ -163,25 +163,6 @@ def modular_standard_form(lat):
 # ---------------------------------------------------------------------------
 
 
-def trace_kill(lat, u, y, max_rounds=64):
-    """Make u isotropic by shifting along y: u' = u + lambda*y with
-    <y,u> of pairing level; solves exactly or raises."""
-    alg = lat.alg
-    for _ in range(max_rounds):
-        gu = lat.gram_conj(u)
-        q = _dot(u, gu).as_K()
-        if q.is_zero():
-            return u
-        pair = _dot(y, gu)
-        lam = alg.solve_trace(pair, -q)
-        cand = vec_add(u, vec_scale(lam, y))
-        q2 = lat.q_value(cand)
-        if not q2.is_zero() and q2.valuation() <= q.valuation():
-            raise PrecisionLoss("isotropy refinement stalled")
-        u = cand
-    raise PrecisionLoss("isotropy refinement did not converge")
-
-
 def isotropy_refine(lat, u, helpers, max_rounds=96):
     """Exact isotropy kill allowing both trace-dominant and norm-balanced
     corrections along the helper directions.
@@ -390,7 +371,7 @@ def _pair_complement_columns(alg, cols, cu, cv):
             if a == b:
                 continue
             d = cu[a] * cv[b] - cu[b] * cv[a]
-            if not d.is_zero() and d.is_unit():
+            if d.is_unit():
                 return [c for j, c in enumerate(cols) if j not in (a, b)]
     if alg.kind == EtaleAlgebra.SPLIT:
         m1 = _unit_minor_slotwise([c.x0 for c in cu], [c.x0 for c in cv])

@@ -19,7 +19,13 @@ import argparse
 import json
 import sys
 
-from .errors import HermlatError, SpecFileError, UnsupportedCase, VerificationFailed
+from .errors import (
+    HermlatError,
+    PrecisionLoss,
+    SpecFileError,
+    UnsupportedCase,
+    VerificationFailed,
+)
 from .etale import EtaleAlgebra
 from .classify import (
     isometry_conditions,
@@ -29,12 +35,13 @@ from .classify import (
 from .factorize import factor_unitary, verify_factorization
 from .isometries import Symmetry, det_of
 from .lattice import HermitianLattice
+from .localfield import LocalField
 from .oracle import (
     enumerate_trace_image,
     norm_image_index,
     random_unitary,
 )
-from .specfile import element_str, parse_lattice, parse_matrix
+from .specfile import _field_str, element_str, parse_lattice, parse_matrix
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -58,8 +65,6 @@ def _emit(records, report_path):
 def _element_record(e):
     alg = e.alg
     if alg.kind == EtaleAlgebra.SPLIT:
-        from .specfile import _field_str
-
         return {"left": _field_str(e.x0), "right": _field_str(e.x1)}
     return element_str(e)
 
@@ -144,28 +149,28 @@ def cmd_isometric(args):
     return EXIT_OK
 
 
-def _factor_with_retries(path, matrix_path, precision, attempts=5):
-    from .errors import PrecisionLoss
-
+def _with_retries(run, precision, attempts):
+    """run(prec) from prec = precision (64 when unset), doubling prec after
+    each PrecisionLoss; the PrecisionLoss of the last of `attempts` tries
+    propagates."""
     prec = precision or 64
-    last = None
-    for _ in range(attempts):
+    for _ in range(attempts - 1):
         try:
-            lat = _load_lattice(path, prec)
-            with open(matrix_path) as fh:
-                phi = parse_matrix(lat.alg, fh.read())
-            fac = factor_unitary(lat, phi)
-            cert = verify_factorization(lat, phi, fac)
-            return lat, phi, fac, cert
-        except PrecisionLoss as ex:
-            last = ex
+            return run(prec)
+        except PrecisionLoss:
             prec *= 2
-    raise last
+    return run(prec)
 
 
 def cmd_factor(args):
-    lat, phi, fac, cert = _factor_with_retries(
-        args.spec, args.isometry, args.precision)
+    def factor_at(prec):
+        lat = _load_lattice(args.spec, prec)
+        with open(args.isometry) as fh:
+            phi = parse_matrix(lat.alg, fh.read())
+        fac = factor_unitary(lat, phi)
+        return lat, fac, verify_factorization(lat, phi, fac)
+
+    lat, fac, cert = _with_retries(factor_at, args.precision, 5)
     if args.symmetries_only and fac.contains_eichler:
         records = [{"record": "factorization", "status": "eichler_remains",
                     "factors": len(fac.generators)}]
@@ -190,8 +195,6 @@ def cmd_selftest(args):
     if lat is not None:
         algs.append(("input", lat.alg))
     else:
-        from .localfield import LocalField
-
         q2 = LocalField(2)
         q3 = LocalField(3)
         algs = [
@@ -227,38 +230,30 @@ def cmd_selftest(args):
 
 
 def cmd_roundtrip(args):
-    from .errors import PrecisionLoss
-
-    prec = args.precision or 64
     trials = args.trials
     rng_seed = args.seed
     npass = 0
     failures = []
     for t in range(trials):
         seed = rng_seed + t
-        attempts, prec_t = 0, prec
-        while True:
-            try:
-                lat = _load_lattice(args.spec, prec_t)
-                k = 1 + (seed % args.generators)
-                phi, _ = random_unitary(lat, k, seed)
-                fac = factor_unitary(lat, phi)
-                cert = verify_factorization(lat, phi, fac)
-                if args.symmetries_only and fac.contains_eichler:
-                    failures.append({"trial": t, "error": "eichler_remains"})
-                    break
-                npass += 1
-                break
-            except PrecisionLoss as ex:
-                attempts += 1
-                prec_t *= 2
-                if attempts >= 4:
-                    failures.append({"trial": t, "error": f"PrecisionLoss: {ex}"})
-                    break
-            except (UnsupportedCase, VerificationFailed, HermlatError) as ex:
-                failures.append({"trial": t,
-                                 "error": f"{type(ex).__name__}: {ex}"})
-                break
+
+        def trial_at(prec):
+            lat = _load_lattice(args.spec, prec)
+            phi, _ = random_unitary(lat, 1 + (seed % args.generators), seed)
+            fac = factor_unitary(lat, phi)
+            verify_factorization(lat, phi, fac)
+            return fac
+
+        try:
+            fac = _with_retries(trial_at, args.precision, 4)
+        except HermlatError as ex:
+            failures.append({"trial": t,
+                             "error": f"{type(ex).__name__}: {ex}"})
+            continue
+        if args.symmetries_only and fac.contains_eichler:
+            failures.append({"trial": t, "error": "eichler_remains"})
+            continue
+        npass += 1
     records = [{"record": "roundtrip", "trials": trials, "passed": npass,
                 "seed": rng_seed, "failures": failures[:10]}]
     _emit(records, args.report)

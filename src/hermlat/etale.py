@@ -238,10 +238,6 @@ class EtaleAlgebra:
         """v_P of an element of K with v_p = k_exp."""
         return 2 * k_exp if self.kind == self.RAMIFIED else k_exp
 
-    def P_cap_o(self, m):
-        """Exponent a with P^m ∩ o = p^a."""
-        return -(-m // 2) if self.kind == self.RAMIFIED else m
-
     # -- special elements -----------------------------------------------------
 
     def rho(self):
@@ -419,13 +415,6 @@ class EtaleAlgebra:
             digits = max(0, -(-(m * d - tdeg) // d))  # ceil((m*d - tdeg)/d)
             key.append(cval % (p ** digits) if digits else 0)
         return tuple(key)
-
-    def key_mod_P(self, x, m):
-        """Canonical key of an integral AlgElement modulo P^m."""
-        if self.kind == self.RAMIFIED:
-            return (self.key_mod_p(x.x0, -(-m // 2)),
-                    self.key_mod_p(x.x1, m // 2))
-        return (self.key_mod_p(x.x0, m), self.key_mod_p(x.x1, m))
 
     # -- norm classes ----------------------------------------------------------
 
@@ -710,8 +699,7 @@ class AlgElement:
         if self.is_zero():
             return False
         if a.kind == EtaleAlgebra.SPLIT:
-            return (not self.x0.is_zero() and self.x0.valuation() == 0
-                    and not self.x1.is_zero() and self.x1.valuation() == 0)
+            return self.x0.is_unit() and self.x1.is_unit()
         return a.vP(self) == 0
 
     def is_in_K(self):

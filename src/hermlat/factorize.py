@@ -4,9 +4,16 @@ rescaled Eichler isometries.
 The driver peels the lattice one hyperbolic plane, line, or subnormal plane
 at a time, emitting generators that align the images of the peeled basis
 vectors; the remaining map fixes the peeled part pointwise and the recursion
-continues on the orthogonal complement.  ``_Driver.emit`` tests each
-generator it applies for membership (``in_unitary_group``, from the
-generator's data), ``eichler_to_symmetries`` each symmetry of a rewrite.
+continues on the orthogonal complement.  Each step runs one of three
+branches on the first Jordan block: ``_pair_step`` (a hyperbolic pair, also
+one found across blocks), ``_line_step`` (a norm-attaining line) or
+``_plane_step`` (a subnormal plane); the public single-step peels run the
+same branches once.  The ramified line and plane peels share one alignment
+loop, ``_align``: each round emits the first generator one of the peel's
+moves yields for the current image of the peeled vector.
+``_Driver.emit`` tests each generator it applies for membership
+(``in_unitary_group``, from the generator's data), ``eichler_to_symmetries``
+each symmetry of a rewrite.
 ``factor_unitary`` compares the word's product with phi once and raises
 ``PrecisionLoss`` rather than return a word that misses it;
 ``verify_factorization`` is the independent certificate.  All of them share
@@ -45,6 +52,7 @@ from .isometries import (
     make_eichler,
     make_symmetry,
     matrix_of,
+    reflection_data,
 )
 from .lattice import _gram_of, _min_vP_sym, _norm_attainer, _norm_exp_of_gram
 from .linalg import (
@@ -57,6 +65,7 @@ from .linalg import (
     mat_solve,
     mat_vec,
     vec_add,
+    vec_eq,
     vec_scale,
     vec_sub,
 )
@@ -105,13 +114,8 @@ def _residual(lat, gens, phi):
 def _residual_precision(lat, diff):
     """Smallest absolute precision among the entries of a matrix that is zero
     at working precision."""
-    best = None
-    for row in diff:
-        for e in row:
-            for comp in (e.x0, e.x1):
-                ap = comp.field.d * (comp.shift + comp.ncap)
-                best = ap if best is None else min(best, ap)
-    return best
+    return min((comp.abs_precision() for row in diff for e in row
+                for comp in (e.x0, e.x1)), default=None)
 
 
 def verify_factorization(lat, phi, factorization):
@@ -204,44 +208,72 @@ def _reduction_pass(lat, gens):
     return out
 
 
-def _is_identity_on(lat, phi, cols):
-    for c in cols:
-        img = mat_vec(phi, c)
-        if not all((a - b).is_zero() for a, b in zip(img, c)):
-            return False
-    return True
-
-
 def _drive(drv, cols, phi):
-    lat = drv.lat
     while cols:
-        if _is_identity_on(lat, phi, cols):
+        if all(vec_eq(mat_vec(phi, c), c) for c in cols):
             return phi
-        if lat.alg.kind == EtaleAlgebra.RAMIFIED:
-            cols, phi = _drive_ramified_step(drv, cols, phi)
-        else:
-            cols, phi = _drive_unramified_step(drv, cols, phi)
+        cols, phi = _drive_step(drv, cols, phi)
     return phi
 
 
-# ---------------------------------------------------------------------------
-# unramified driver
-# ---------------------------------------------------------------------------
-
-
-def _drive_unramified_step(drv, cols, phi):
+def _drive_step(drv, cols, phi):
+    """One peel of span(cols): arrange its first Jordan block and run the
+    branch the block's shape calls for; returns (rest, phi) with rest the
+    columns left to peel."""
     lat = drv.lat
     arr = _arrange_first_block(lat, cols)
     if arr["pair"] is not None:
-        u, v = arr["pair"]
+        return _pair_step(drv, cols, phi, *arr["pair"], arr["scale"])
+    cross = _cross_block_attempt(lat, arr)
+    if cross is not None:
+        return _pair_step(drv, cols, phi, *cross)
+    if arr["lines"]:
+        return _line_step(drv, cols, phi, arr)
+    return _plane_step(drv, cols, phi, arr)
+
+
+def _pair_step(drv, cols, phi, u, v, scale_s):
+    """Align phi on the hyperbolic pair (u, v), <u,v> of scale scale_s, and
+    split the pair off."""
+    if drv.lat.alg.kind == EtaleAlgebra.RAMIFIED:
+        phi = _transport_pair(drv, phi, u, v, scale_s)
+    else:
         phi = _peel_hyperbolic_unramified(drv, cols, phi, u, v)
-        rest = split_off_pair(lat, cols, u, v)
-        return rest, phi
+    return split_off_pair(drv.lat, cols, u, v), phi
+
+
+def _line_step(drv, cols, phi, arr):
+    """Fix phi on the first line x of the first block and split x off."""
+    lat = drv.lat
     lines = arr["lines"]
-    a = lines[0]
-    phi = _peel_unramified_line(drv, cols, phi, a)
-    rest = _complement_of_vector(lat, cols, a)
-    return rest, phi
+    x = lines[0]
+    if lat.alg.kind != EtaleAlgebra.RAMIFIED:
+        phi = _peel_unramified_line(drv, cols, phi, x)
+    elif len(lines) >= 2:
+        phi = _peel_normal_rk2(drv, phi, x, lines[1])
+    else:
+        phi = _peel_normal_rk1(drv, phi, x, arr["deeper"])
+    return _complement_of_vector(lat, cols, x), phi
+
+
+def _plane_step(drv, cols, phi, arr):
+    """Peel the one subnormal plane of the first block and split it off; a
+    restart returns a rearranged basis of the whole span instead."""
+    planes = arr["planes"]
+    if len(planes) != 1:
+        raise UnsupportedCase(
+            f"unexpected first-block shape: {len(arr['lines'])} lines, "
+            f"{len(planes)} planes after hyperbolic extraction")
+    tag, payload, phi = _peel_subnormal(drv, cols, phi, planes[0],
+                                        arr["deeper"], arr["scale"])
+    if tag == "restart":
+        return payload, phi
+    return split_off_pair(drv.lat, cols, *payload), phi
+
+
+# ---------------------------------------------------------------------------
+# unramified branches
+# ---------------------------------------------------------------------------
 
 
 def _complement_of_vector(lat, cols, x):
@@ -253,16 +285,14 @@ def _complement_of_vector(lat, cols, x):
     coords = mat_solve(tuple(zip(*cg)), tuple(_dot(x, gc) for gc in gcs))
     keep = None
     for idx, c in enumerate(coords):
-        if not c.is_zero() and c.is_unit():
+        if c.is_unit():
             keep = [col for j, col in enumerate(cols) if j != idx]
             break
     if keep is None and alg.kind == EtaleAlgebra.SPLIT:
         # the unit coordinate may sit in different slots; swap in a mixed
         # idempotent column so each slot drops its own direction
-        i1 = next((i for i, c in enumerate(coords)
-                   if not c.x0.is_zero() and c.x0.valuation() == 0), None)
-        i2 = next((i for i, c in enumerate(coords)
-                   if not c.x1.is_zero() and c.x1.valuation() == 0), None)
+        i1 = next((i for i, c in enumerate(coords) if c.x0.is_unit()), None)
+        i2 = next((i for i, c in enumerate(coords) if c.x1.is_unit()), None)
         if i1 is not None and i2 is not None and i1 != i2:
             K = alg.base
             mixed = vec_add(vec_scale(alg.element(K.one, K.zero), cols[i2]),
@@ -285,9 +315,7 @@ def map_isotropic(lat, cols, u_from, u_to):
     scale = _min_vP_sym(alg, _gram_of(lat, cols))
     pair = lat.inner(u_from, u_to)
     if _attains(alg, pair, scale):
-        s = vec_sub(u_from, u_to)
-        sigma = lat.inner(u_from, s)
-        g = make_symmetry(lat, s, sigma)
+        g = make_symmetry(lat, *reflection_data(lat, u_from, u_to))
         if not in_unitary_group(lat, g):
             raise PrecisionLoss("direct isotropic symmetry not in U(L)")
         return [g]
@@ -377,11 +405,11 @@ def _isotropic_bridge(lat, cols, u, up, scale):
 def _peel_hyperbolic_unramified(drv, cols, phi, u, v):
     lat = drv.lat
     phi_u = mat_vec(phi, u)
-    if not all((a - b).is_zero() for a, b in zip(phi_u, u)):
+    if not vec_eq(phi_u, u):
         syms = map_isotropic(lat, cols, phi_u, u)
         phi = drv.emit_symmetries(syms, phi)
     phi_v = mat_vec(phi, v)
-    if all((a - b).is_zero() for a, b in zip(phi_v, v)):
+    if vec_eq(phi_v, v):
         return phi
     # phi(v) = mu*u + v + y with y in the complement of the pair
     gv = lat.gram_conj(v)
@@ -396,7 +424,7 @@ def _peel_hyperbolic_unramified(drv, cols, phi, u, v):
     inv_word = [s.inverse() for s in reversed(syms)]
     phi = drv.emit_symmetries(inv_word, phi)
     phi_v2 = mat_vec(phi, v)
-    if not all((a - b).is_zero() for a, b in zip(phi_v2, v)):
+    if not vec_eq(phi_v2, v):
         raise PrecisionLoss("hyperbolic peel did not fix v")
     return phi
 
@@ -421,57 +449,45 @@ def map_unit_vector(lat, cols, a, a_img):
         word.insert(0, g)
         ap = apply_generator(lat, g, ap)
 
-    fuel = 12
-    while fuel > 0:
-        fuel -= 1
-        if all((x - y).is_zero() for x, y in zip(ap, a)):
+    for _ in range(12):
+        if vec_eq(ap, a):
             return word
-        d = latr.inner(a, vec_sub(a, ap))
-        if alg.kind == EtaleAlgebra.INERT:
-            if not d.is_zero() and d.is_unit():
-                s = vec_sub(ap, a)
-                push(s, latr.inner(ap, s))
-                continue
+        if latr.inner(a, vec_sub(a, ap)).is_unit():
+            push(*reflection_data(latr, ap, a))
+        elif alg.kind == EtaleAlgebra.INERT:
             s = _pairing_bridge(latr, cols, a, ap)
             push(s, alg.rho() * latr.inner(s, s))
-            continue
-        # split kind
-        if not d.is_zero() and d.is_unit():
-            s = vec_sub(ap, a)
-            push(s, latr.inner(ap, s))
-            continue
-        if alg.base.q > 2:
+        elif alg.base.q > 2:
             s = _pairing_bridge(latr, cols, a, ap)
-            qs = latr.q_value(s)
-            done = False
-            for eps in alg.base.residue_lifts():
-                if eps.is_zero() or (eps - 1).is_zero():
-                    continue
-                if (1 - eps).valuation() != 0:
-                    continue
-                for sigma in (alg.element(qs * eps, qs * (1 - eps)),
-                              alg.element(qs * (1 - eps), qs * eps)):
-                    img = apply_generator(latr, Symmetry(s, sigma), ap)
-                    dd = latr.inner(a, vec_sub(a, img))
-                    if not dd.is_zero() and dd.is_unit():
-                        push(s, sigma)
-                        done = True
-                        break
-                if done:
-                    break
-            if done:
-                continue
-            raise PrecisionLoss("no epsilon choice advanced the reflection")
-        s_sigma = _split_residue_two_data(latr, cols, a, ap)
-        push(*s_sigma)
+            push(s, _split_unit_sigma(latr, s, a, ap))
+        else:
+            push(*_split_residue_two_data(latr, cols, a, ap))
     raise UnsupportedCase("line reflection loop did not terminate")
+
+
+def _split_unit_sigma(latr, s, a, ap):
+    """Split kind, residue field larger than 2: a sigma = Q(s)*(eps, 1-eps)
+    or Q(s)*(1-eps, eps) whose symmetry brings ap to a unit distance from a."""
+    alg = latr.alg
+    qs = latr.q_value(s)
+    for eps in alg.base.residue_lifts():
+        if eps.is_zero() or (eps - 1).is_zero():
+            continue
+        if (1 - eps).valuation() != 0:
+            continue
+        for sigma in (alg.element(qs * eps, qs * (1 - eps)),
+                      alg.element(qs * (1 - eps), qs * eps)):
+            img = apply_generator(latr, Symmetry(s, sigma), ap)
+            if latr.inner(a, vec_sub(a, img)).is_unit():
+                return sigma
+    raise PrecisionLoss("no epsilon choice advanced the reflection")
 
 
 def _peel_unramified_line(drv, cols, phi, a):
     """Fix phi(a) back to a for the unit-norm line of an unramified lattice."""
     lat = drv.lat
     ap = mat_vec(phi, a)
-    if all((x - y).is_zero() for x, y in zip(ap, a)):
+    if vec_eq(ap, a):
         return phi
     word = map_unit_vector(lat, cols, a, ap)
     return drv.emit_symmetries(word, phi)
@@ -489,7 +505,7 @@ def _pairing_bridge(latr, cols, a, ap):
             def vals(gx, vec):
                 e = _dot(vec, gx)
                 c = e.x0 if comp == 0 else e.x1
-                return (not c.is_zero()) and c.valuation() == 0
+                return c.is_unit()
 
             y1 = next((c for c in cols if vals(ga, c)), None)
             y2 = next((c for c in cols if vals(gap, c)), None)
@@ -536,8 +552,7 @@ def _split_residue_two_data(latr, cols, a, ap):
     kexp = big if not rest else _min_vP_sym(alg, _gram_of(latr, rest))
 
     if iexp <= kexp and jexp <= kexp:
-        s = vec_sub(ap, a)
-        return s, latr.inner(ap, s)
+        return reflection_data(latr, ap, a)
     if iexp >= 2 and jexp >= 2:
         s = _pairing_bridge(latr, cols, a, ap)
         qs = latr.q_value(s)
@@ -564,52 +579,8 @@ def _split_residue_two_data(latr, cols, a, ap):
 
 
 # ---------------------------------------------------------------------------
-# ramified driver
+# ramified branches
 # ---------------------------------------------------------------------------
-
-
-def _drive_ramified_step(drv, cols, phi):
-    lat = drv.lat
-    arr = _arrange_first_block(lat, cols)
-    pair_info = None
-    if arr["pair"] is not None:
-        u, v = arr["pair"]
-        pair_info = (u, v, arr["scale"])
-    else:
-        cross = _cross_block_attempt(lat, arr)
-        if cross is not None:
-            pair_info = cross
-    if pair_info is not None:
-        u, v, s = pair_info
-        phi = _transport_pair(drv, cols, phi, u, v, s)
-        rest = split_off_pair(lat, cols, u, v)
-        return rest, phi
-    lines, planes = arr["lines"], arr["planes"]
-    if lines:
-        x = lines[0]
-        if len(lines) >= 2:
-            phi = _peel_normal_rk2(drv, cols, phi, x, lines[1])
-        else:
-            phi = _peel_normal_rk1(drv, cols, phi, x, arr["deeper"])
-        rest = _complement_of_vector(lat, cols, x)
-        return rest, phi
-    if len(planes) != 1:
-        raise UnsupportedCase(
-            f"unexpected first-block shape: {len(lines)} lines, "
-            f"{len(planes)} planes after hyperbolic extraction")
-    x, y = planes[0]
-    tag, payload, phi = _peel_subnormal(drv, cols, phi, (x, y),
-                                        arr["deeper"], arr["scale"])
-    if tag == "restart":
-        return payload, phi
-    u, v = payload
-    rest = split_off_pair(lat, cols, u, v)
-    return rest, phi
-
-
-def _fix_vec(lat, phi, vec):
-    img = mat_vec(phi, vec)
-    return all((a - b).is_zero() for a, b in zip(img, vec))
 
 
 def _rot1_eichler(lat, shared, u_from, u_to):
@@ -621,19 +592,17 @@ def _rot1_eichler(lat, shared, u_from, u_to):
     return make_eichler(lat, shared, u_from, w, beta)
 
 
-def _transport_pair(drv, cols, phi, u2, v2, scale_s):
+def _transport_pair(drv, phi, u2, v2, scale_s):
     """Emit generators aligning the phi-images of the target pair (u2, v2);
     returns the updated phi (which then fixes u2 and v2 pointwise)."""
     lat = drv.lat
     alg = lat.alg
-    fuel = 8
-    while fuel > 0:
-        fuel -= 1
-        if _fix_vec(lat, phi, u2) and _fix_vec(lat, phi, v2):
-            return phi
+    for _ in range(8):
         cur_u = mat_vec(phi, u2)
         cur_v = mat_vec(phi, v2)
-        done = _postalign(drv, phi, u2, v2, scale_s)
+        if vec_eq(cur_u, u2) and vec_eq(cur_v, v2):
+            return phi
+        done = _postalign(drv, phi, cur_u, cur_v, u2, v2, scale_s)
         if done is not None:
             phi = done
             continue
@@ -643,22 +612,16 @@ def _transport_pair(drv, cols, phi, u2, v2, scale_s):
         beta = _dot(u2, gcu) / puv.conj()
         gamma = _dot(v2, gcv) / puv
         delta = _dot(v2, gcu) / puv.conj()
-        if not beta.is_zero() and beta.is_unit():
-            s = vec_sub(cur_u, u2)
-            sigma = lat.inner(cur_u, s)
-            phi = drv.emit(make_symmetry(lat, s, sigma), phi)
-        elif not gamma.is_zero() and gamma.is_unit():
-            s = vec_sub(cur_v, v2)
-            sigma = lat.inner(cur_v, s)
-            phi = drv.emit(make_symmetry(lat, s, sigma), phi)
-        elif not alpha.is_zero() and alpha.is_unit():
-            target = vec_scale(alg.one / alpha, u2)
-            e = _rot1_eichler(lat, cur_v, cur_u, target)
-            phi = drv.emit(e, phi)
-        elif not delta.is_zero() and delta.is_unit():
-            target = vec_scale(alg.one / delta, v2)
-            e = _rot1_eichler(lat, cur_u, cur_v, target)
-            phi = drv.emit(e, phi)
+        if beta.is_unit():
+            g = make_symmetry(lat, *reflection_data(lat, cur_u, u2))
+        elif gamma.is_unit():
+            g = make_symmetry(lat, *reflection_data(lat, cur_v, v2))
+        elif alpha.is_unit():
+            g = _rot1_eichler(lat, cur_v, cur_u,
+                              vec_scale(alg.one / alpha, u2))
+        elif delta.is_unit():
+            g = _rot1_eichler(lat, cur_u, cur_v,
+                              vec_scale(alg.one / delta, v2))
         else:
             w = vec_sub(vec_sub(u2, vec_scale(alpha, cur_u)),
                         vec_scale(beta, cur_v))
@@ -668,9 +631,9 @@ def _transport_pair(drv, cols, phi, u2, v2, scale_s):
             shared = vec_add(cur_v, z)
             fac = alg.one + alpha
             target = vec_scale(alg.one / fac, u2)
-            e = _rot1_eichler(lat, shared, cur_u, target)
-            phi = drv.emit(e, phi)
-    if _fix_vec(lat, phi, u2) and _fix_vec(lat, phi, v2):
+            g = _rot1_eichler(lat, shared, cur_u, target)
+        phi = drv.emit(g, phi)
+    if vec_eq(mat_vec(phi, u2), u2) and vec_eq(mat_vec(phi, v2), v2):
         return phi
     raise PrecisionLoss("pair transport did not converge")
 
@@ -680,57 +643,61 @@ def _scalar_coeff(lat, img, target, partner):
     gp = lat.gram_conj(partner)
     denom = _dot(target, gp)
     a = _dot(img, gp) / denom
-    if a.is_zero() or not a.is_unit():
+    if not a.is_unit():
         return None
-    if all((x - y).is_zero() for x, y in zip(img, vec_scale(a, target))):
+    if vec_eq(img, vec_scale(a, target)):
         return a
     return None
 
 
-def _postalign(drv, phi, u2, v2, scale_s):
+def _postalign(drv, phi, cur_u, cur_v, u2, v2, scale_s):
     """When one image is a scalar multiple of its target, finish the job:
     rotate the other image into place and undo the unit scaling inside the
     plane.  Returns the new phi, or None when not applicable."""
     lat = drv.lat
     alg = lat.alg
-    cur_u = mat_vec(phi, u2)
-    cur_v = mat_vec(phi, v2)
-    a = _scalar_coeff(lat, cur_u, u2, v2)
-    if a is not None:
-        tv = vec_scale(alg.one / a.conj(), v2)
-        if not all((x - y).is_zero() for x, y in zip(cur_v, tv)):
-            e = _rot1_eichler(lat, cur_u, cur_v, tv)
+    for swapped, (img, target, other_img, other) in enumerate(
+            ((cur_u, u2, cur_v, v2), (cur_v, v2, cur_u, u2))):
+        c = _scalar_coeff(lat, img, target, other)
+        if c is None:
+            continue
+        other_coeff = alg.one / c.conj()
+        other_target = vec_scale(other_coeff, other)
+        if not vec_eq(other_img, other_target):
+            e = _rot1_eichler(lat, img, other_img, other_target)
             phi = drv.emit(e, phi)
+        # the map left on the plane is u2 -> a*u2, v2 -> conj(a)^-1 v2
+        a = other_coeff if swapped else c
         if not (a - alg.one).is_zero():
             word = _scale_map_word(lat, u2, v2, scale_s, alg.one / a)
-            phi = drv.emit_symmetries(word, phi)
-        return phi
-    b = _scalar_coeff(lat, cur_v, v2, u2)
-    if b is not None:
-        tu = vec_scale(alg.one / b.conj(), u2)
-        if not all((x - y).is_zero() for x, y in zip(cur_u, tu)):
-            e = _rot1_eichler(lat, cur_v, cur_u, tu)
-            phi = drv.emit(e, phi)
-        bb = alg.one / b.conj()
-        if not (bb - alg.one).is_zero():
-            word = _scale_map_word(lat, u2, v2, scale_s, alg.one / bb)
             phi = drv.emit_symmetries(word, phi)
         return phi
     return None
 
 
+def _realizes(lat, word, u2, v2, img_u, img_v, failure):
+    """The word, raising PrecisionLoss(failure) unless its product maps u2
+    to img_u and v2 to img_v."""
+    iu, iv = u2, v2
+    for g in reversed(word):
+        iu = apply_generator(lat, g, iu)
+        iv = apply_generator(lat, g, iv)
+    if not (vec_eq(iu, img_u) and vec_eq(iv, img_v)):
+        raise PrecisionLoss(failure)
+    return word
+
+
 def _plane_word_beta_unit(lat, u2, v2, img_u, img_v):
     """Symmetry word for the plane map u2 -> img_u, v2 -> img_v (identity on
     the complement) in the case where img_u has a unit v2-coordinate."""
-    s = vec_sub(u2, img_u)
-    sigma = lat.inner(u2, s)
+    s, sigma = reflection_data(lat, u2, img_u)
     if sigma.is_zero():
         raise PrecisionLoss("degenerate plane alignment")
     s1 = make_symmetry(lat, s, sigma)
     rv = apply_generator(lat, s1.inverse(), img_v)
     gamma = lat.inner(vec_sub(rv, v2), v2) / lat.inner(u2, v2)
     recon = vec_add(v2, vec_scale(gamma, u2))
-    if not all((x - y).is_zero() for x, y in zip(rv, recon)):
+    if not vec_eq(rv, recon):
         raise PrecisionLoss("plane map residual is not a shear")
     word = [s1]
     if not gamma.is_zero():
@@ -738,15 +705,8 @@ def _plane_word_beta_unit(lat, u2, v2, img_u, img_v):
         if not sigma2.trace().is_zero():
             raise PrecisionLoss("plane shear parameter is not skew")
         word.append(Symmetry(u2, sigma2))
-    # verify on the pair
-    iu, iv = u2, v2
-    for g in reversed(word):
-        iu = apply_generator(lat, g, iu)
-        iv = apply_generator(lat, g, iv)
-    if not (all((x - y).is_zero() for x, y in zip(iu, img_u))
-            and all((x - y).is_zero() for x, y in zip(iv, img_v))):
-        raise PrecisionLoss("plane word does not realize the map")
-    return word
+    return _realizes(lat, word, u2, v2, img_u, img_v,
+                     "plane word does not realize the map")
 
 
 def _scale_map_word(lat, u2, v2, scale_s, a):
@@ -762,17 +722,9 @@ def _scale_map_word(lat, u2, v2, scale_s, a):
     img_v = vec_scale(swap_coeff / a.conj(), u2)
     w1 = _plane_word_beta_unit(lat, u2, v2, img_u, img_v)
     word = [g.inverse() for g in reversed(w0)] + w1
-    # final check on the pair
-    iu, iv = u2, v2
-    for g in reversed(word):
-        iu = apply_generator(lat, g, iu)
-        iv = apply_generator(lat, g, iv)
-    ok_u = all((x - y).is_zero() for x, y in zip(iu, vec_scale(a, u2)))
-    ok_v = all((x - y).is_zero()
-               for x, y in zip(iv, vec_scale(alg.one / a.conj(), v2)))
-    if not (ok_u and ok_v):
-        raise PrecisionLoss("plane scaling word failed")
-    return word
+    return _realizes(lat, word, u2, v2, vec_scale(a, u2),
+                     vec_scale(alg.one / a.conj(), v2),
+                     "plane scaling word failed")
 
 
 def _isotropic_partner_in_plane(lat, w, wp, puv):
@@ -796,25 +748,40 @@ def _isotropic_partner_in_plane(lat, w, wp, puv):
     return z
 
 
-def _try_direct_symmetry(drv, phi, img, target):
-    """Symmetry mapping img back to target when sym:act applies and the
-    lattice is stabilized; returns updated phi or None."""
-    lat = drv.lat
-    s = vec_sub(img, target)
-    sigma = lat.inner(img, s)
+def _align(drv, phi, x, fuel, moves, stuck):
+    """Emit generators until phi fixes x.  Each round emits the first
+    generator that one of `moves`, called on the current image of x, yields
+    (a move returns None where it does not apply; the last one always
+    yields or raises); after `fuel` rounds raise UnsupportedCase(stuck)."""
+    for _ in range(fuel):
+        img = mat_vec(phi, x)
+        if vec_eq(img, x):
+            return phi
+        for move in moves:
+            g = move(img)
+            if g is not None:
+                break
+        phi = drv.emit(g, phi)
+    raise UnsupportedCase(stuck)
+
+
+def _direct_symmetry(lat, img, target, rescaled=None):
+    """The symmetry of reflection_data(img, target) when its sigma is nonzero
+    and it stabilizes L, else None.  With rescaled = (latr, a) the data is
+    taken against latr = a*<,> and sigma scaled back."""
+    s, sigma = reflection_data(lat if rescaled is None else rescaled[0],
+                               img, target)
     if sigma.is_zero():
         return None
-    g = Symmetry(s, sigma)
-    if not in_unitary_group(lat, g):
-        return None
-    return drv.emit(g, phi)
+    g = Symmetry(s, sigma) if rescaled is None \
+        else _scaled_symmetry(lat, s, sigma, rescaled[1])
+    return g if in_unitary_group(lat, g) else None
 
 
-def _emit_scaled(drv, phi, s, sigma_r, scale_factor):
-    """Emit a symmetry constructed against the rescaled form a*<,>."""
-    lat = drv.lat
-    g = make_symmetry(lat, s, sigma_r / lat.alg.from_K(scale_factor))
-    return drv.emit(g, phi)
+def _scaled_symmetry(lat, s, sigma_r, scale_factor):
+    """The symmetry of L whose sigma is sigma_r against the rescaled form
+    scale_factor*<,>."""
+    return make_symmetry(lat, s, sigma_r / lat.alg.from_K(scale_factor))
 
 
 def _steered_sigma(latr, qs_rho, target_vals):
@@ -839,21 +806,15 @@ def _steered_sigma(latr, qs_rho, target_vals):
     raise PrecisionLoss("no steered sigma reached the target window")
 
 
-def _peel_normal_rk2(drv, cols, phi, x, y):
+def _peel_normal_rk2(drv, phi, x, y):
     """First block carries two norm-attaining lines; fix phi(x) back to x."""
     lat = drv.lat
     alg = lat.alg
     qx = lat.q_value(x)
     qy = lat.q_value(y)
     k = qx.valuation()
-    for _ in range(8):
-        phix = mat_vec(phi, x)
-        if all((a - b).is_zero() for a, b in zip(phix, x)):
-            return phi
-        nphi = _try_direct_symmetry(drv, phi, phix, x)
-        if nphi is not None:
-            phi = nphi
-            continue
+
+    def steered(img):
         # 1 - alpha in P^2: build s = x + c*y with Q(s) deep, steered sigma
         c = alg.solve_norm_approx(-qx / qy, alg.e - 1)
         s = vec_add(x, vec_scale(c, y))
@@ -861,35 +822,31 @@ def _peel_normal_rk2(drv, cols, phi, x, y):
         if qs.is_zero() or qs.valuation() < k + alg.e - 1:
             raise PrecisionLoss("norm-mod combination missed its depth")
         sigma = _steered_sigma(lat, alg.from_K(qs) * alg.rho(),
-                               [t for t in (2 * k, 2 * k - 1)])
-        g = make_symmetry(lat, s, sigma)
-        phi = drv.emit(g, phi)
-    raise UnsupportedCase("normal rank-2 peel did not converge")
+                               [2 * k, 2 * k - 1])
+        return make_symmetry(lat, s, sigma)
+
+    return _align(drv, phi, x, 8,
+                  (lambda img: _direct_symmetry(lat, img, x), steered),
+                  "normal rank-2 peel did not converge")
 
 
-def _peel_normal_rk1(drv, cols, phi, x, deeper):
+def _peel_normal_rk1(drv, phi, x, deeper):
     """First block is a single line O*x next to a deeper part M."""
     lat = drv.lat
     alg = lat.alg
     K = alg.base
     qx = lat.q_value(x)
     k = qx.valuation()
-    for _ in range(10):
-        phix = mat_vec(phi, x)
-        if all((a - b).is_zero() for a, b in zip(phix, x)):
-            return phi
-        nphi = _try_direct_symmetry(drv, phi, phix, x)
-        if nphi is not None:
-            phi = nphi
-            continue
-        alpha = lat.inner(phix, x) / qx
+
+    def deep_alpha(img):
+        alpha = lat.inner(img, x) / qx
         one_minus = alg.one - alpha
         v_val = None if one_minus.is_zero() else alg.vP(one_minus)
         if v_val is not None and v_val >= alg.e:
-            sigma = alg.from_K(qx) * alg.rho()
-            g = make_symmetry(lat, x, sigma)
-            phi = drv.emit(g, phi)
-            continue
+            return make_symmetry(lat, x, alg.from_K(qx) * alg.rho())
+        return None
+
+    def steered(img):
         if not deeper:
             raise UnsupportedCase("rank-1 peel stuck without a deeper part")
         dgram = _gram_of(lat, deeper)
@@ -905,9 +862,12 @@ def _peel_normal_rk1(drv, cols, phi, x, deeper):
             raise PrecisionLoss("rank-1 combination missed its depth")
         sigma = _steered_sigma(lat, alg.from_K(qs) * alg.rho(),
                                [n + k, n + k - 1])
-        g = make_symmetry(lat, s, sigma)
-        phi = drv.emit(g, phi)
-    raise UnsupportedCase("normal rank-1 peel did not converge")
+        return make_symmetry(lat, s, sigma)
+
+    return _align(drv, phi, x, 10,
+                  (lambda img: _direct_symmetry(lat, img, x), deep_alpha,
+                   steered),
+                  "normal rank-1 peel did not converge")
 
 
 def _peel_subnormal(drv, cols, phi, plane, deeper, scale_i):
@@ -943,48 +903,35 @@ def _peel_subnormal(drv, cols, phi, plane, deeper, scale_i):
 
     latr = lat.rescale(scale_factor)
     u, v, k = plane_standard_form(latr, x2, y2, i)
-    phi = _subnormal_fix_u(drv, latr, scale_factor, phi, u, v, i, k)
-    phi = _subnormal_fix_v(drv, latr, scale_factor, phi, u, v, deeper,
-                           x_deep, i, k, n_glob, j)
+    phi = _subnormal_fix_u(drv, latr, scale_factor, phi, u, v, i)
+    phi = _subnormal_fix_v(drv, latr, scale_factor, phi, u, v, x_deep,
+                           i, k, n_glob, j)
     return ("done", (u, v), phi)
 
 
-def _subnormal_fix_u(drv, latr, a, phi, u, v, i, k):
+def _subnormal_fix_u(drv, latr, a, phi, u, v, i):
+    lat = drv.lat
     alg = latr.alg
     qv = latr.q_value(v)
-    for _ in range(8):
-        phiu = mat_vec(phi, u)
-        if all((c - d).is_zero() for c, d in zip(phiu, u)):
-            return phi
-        # direct attempt
-        s = vec_sub(phiu, u)
-        sigma = latr.inner(phiu, s)
-        if not sigma.is_zero():
-            g = make_symmetry(drv.lat, s, sigma / alg.from_K(a))
-            if in_unitary_group(drv.lat, g):
-                phi = drv.emit(g, phi)
-                continue
+
+    def pre_pass(img):
         # beta-deep pre-pass: S_{v, sigma} with sigma = Q(v) rho + omega
         sigma = _steered_sigma(latr, alg.from_K(qv) * alg.rho(), [i, i - 1])
-        phi = _emit_scaled(drv, phi, v, sigma, a)
-    raise UnsupportedCase("subnormal u-alignment did not converge")
+        return _scaled_symmetry(lat, v, sigma, a)
+
+    return _align(drv, phi, u, 8,
+                  (lambda img: _direct_symmetry(lat, img, u, (latr, a)),
+                   pre_pass),
+                  "subnormal u-alignment did not converge")
 
 
-def _subnormal_fix_v(drv, latr, a, phi, u, v, deeper, x_deep, i, k, n, j):
+def _subnormal_fix_v(drv, latr, a, phi, u, v, x_deep, i, k, n, j):
+    lat = drv.lat
     alg = latr.alg
     K = alg.base
     e = alg.e
-    for _ in range(10):
-        phiv = mat_vec(phi, v)
-        if all((c - d).is_zero() for c, d in zip(phiv, v)):
-            return phi
-        s = vec_sub(phiv, v)
-        sigma = latr.inner(phiv, s)
-        if not sigma.is_zero():
-            g = make_symmetry(drv.lat, s, sigma / alg.from_K(a))
-            if in_unitary_group(drv.lat, g):
-                phi = drv.emit(g, phi)
-                continue
+
+    def steered(img):
         if x_deep is None:
             raise UnsupportedCase("subnormal v-alignment stuck without M")
         # the steered pass: s = eps * pi^(n-k) v' + x
@@ -1003,8 +950,12 @@ def _subnormal_fix_v(drv, latr, a, phi, u, v, deeper, x_deep, i, k, n, j):
             raise PrecisionLoss("steered vector misses its depth")
         sigma = _steered_sigma(latr, alg.from_K(qs) * alg.rho(),
                                [n - k + i, n - k + i - 1])
-        phi = _emit_scaled(drv, phi, s, sigma, a)
-    raise UnsupportedCase("subnormal v-alignment did not converge")
+        return _scaled_symmetry(lat, s, sigma, a)
+
+    return _align(drv, phi, v, 10,
+                  (lambda img: _direct_symmetry(lat, img, v, (latr, a)),
+                   steered),
+                  "subnormal v-alignment did not converge")
 
 
 # ---------------------------------------------------------------------------
@@ -1012,62 +963,47 @@ def _subnormal_fix_v(drv, latr, a, phi, u, v, deeper, x_deep, i, k, n, j):
 # ---------------------------------------------------------------------------
 
 
+def _start_single_step(lat, phi, refusal=None):
+    """Prologue of the public peels: check phi, refuse unramified kinds with
+    `refusal` when one is given; returns a driver and the standard basis."""
+    _check_input(lat, phi)
+    if refusal is not None and lat.alg.kind != EtaleAlgebra.RAMIFIED:
+        raise UnsupportedCase(refusal)
+    return _Driver(lat), list(cols_of(identity(lat.alg, lat.n)))
+
+
 def peel_hyperbolic(lat, phi, pair):
     """Emit generators aligning phi on the hyperbolic pair; returns
     (generators, complement_columns, residual_phi) with
     product(generators) * residual_phi = phi."""
-    _check_input(lat, phi)
+    drv, cols = _start_single_step(lat, phi)
     u, v = pair
     puv = lat.inner(u, v)
     s = _pair_scale(lat.alg, puv) if lat.alg.kind != EtaleAlgebra.SPLIT \
         else lat.alg.valuation_P(puv).a
-    drv = _Driver(lat)
-    cols = list(cols_of(identity(lat.alg, lat.n)))
-    if lat.alg.kind == EtaleAlgebra.RAMIFIED:
-        phi2 = _transport_pair(drv, cols, phi, u, v, s)
-    else:
-        phi2 = _peel_hyperbolic_unramified(drv, cols, phi, u, v)
-    rest = split_off_pair(lat, cols, u, v)
+    rest, phi2 = _pair_step(drv, cols, phi, u, v, s)
     return drv.out, rest, phi2
 
 
 def peel_normal_dyadic(lat, phi):
     """One normal-line peeling step of the ramified driver; returns
     (generators, complement_columns, residual_phi)."""
-    _check_input(lat, phi)
-    if lat.alg.kind != EtaleAlgebra.RAMIFIED:
-        raise UnsupportedCase("normal peeling is for the ramified kind")
-    drv = _Driver(lat)
-    cols = list(cols_of(identity(lat.alg, lat.n)))
+    drv, cols = _start_single_step(
+        lat, phi, "normal peeling is for the ramified kind")
     arr = _arrange_first_block(lat, cols)
-    lines = arr["lines"]
-    if not lines:
+    if not arr["lines"]:
         raise UnsupportedCase("first block does not start with a line")
-    x = lines[0]
-    if len(lines) >= 2:
-        phi2 = _peel_normal_rk2(drv, cols, phi, x, lines[1])
-    else:
-        phi2 = _peel_normal_rk1(drv, cols, phi, x, arr["deeper"])
-    rest = _complement_of_vector(lat, cols, x)
+    rest, phi2 = _line_step(drv, cols, phi, arr)
     return drv.out, rest, phi2
 
 
 def peel_subnormal_dyadic(lat, phi):
     """One subnormal-plane peeling step of the ramified driver; returns
     (generators, complement_columns, residual_phi)."""
-    _check_input(lat, phi)
-    if lat.alg.kind != EtaleAlgebra.RAMIFIED:
-        raise UnsupportedCase("subnormal peeling is for the ramified kind")
-    drv = _Driver(lat)
-    cols = list(cols_of(identity(lat.alg, lat.n)))
+    drv, cols = _start_single_step(
+        lat, phi, "subnormal peeling is for the ramified kind")
     arr = _arrange_first_block(lat, cols)
     if arr["lines"] or len(arr["planes"]) != 1:
         raise UnsupportedCase("first block is not a single subnormal plane")
-    x, y = arr["planes"][0]
-    tag, payload, phi2 = _peel_subnormal(drv, cols, phi, (x, y),
-                                         arr["deeper"], arr["scale"])
-    if tag == "restart":
-        return drv.out, payload, phi2
-    u, v = payload
-    rest = split_off_pair(lat, cols, u, v)
+    rest, phi2 = _plane_step(drv, cols, phi, arr)
     return drv.out, rest, phi2

@@ -44,6 +44,7 @@ from .linalg import (
     mat_mul,
     mat_vec,
     vec_add,
+    vec_eq,
     vec_scale,
     vec_sub,
 )
@@ -193,12 +194,18 @@ def _defect_vanishes(g, f):
             and ((g.mu * puv).trace() + _dot(g.y, gy).as_K()).is_zero())
 
 
+def reflection_data(lat, x, target):
+    """(s, sigma) = (x - target, <x, s>): when <x,x> = <target,target> and
+    sigma is nonzero, S_{s,sigma} maps x to target."""
+    s = vec_sub(x, target)
+    return s, lat.inner(x, s)
+
+
 def symmetry_between(lat, x, xp):
     """Symmetry of the ambient space mapping x to xp, if it stabilizes L.
 
     Requires <x,x> = <xp,xp>; raises DegeneratePair when <x, x-xp> = 0."""
-    s = vec_sub(x, xp)
-    sigma = lat.inner(x, s)
+    s, sigma = reflection_data(lat, x, xp)
     if sigma.is_zero():
         raise DegeneratePair("<x, x - x'> = 0")
     qdiff = lat.inner(x, x) - lat.inner(xp, xp)
@@ -208,14 +215,14 @@ def symmetry_between(lat, x, xp):
     if not in_unitary_group(lat, g):
         return None
     img = apply_generator(lat, g, x)
-    if not all((a - b).is_zero() for a, b in zip(img, xp)):
+    if not vec_eq(img, xp):
         raise PrecisionLoss("symmetry failed to map x to x'")
     return g
 
 
 def compose_eichler(lat, e1, e2):
     """E1 ∘ E2 for Eichler isometries on the same hyperbolic pair."""
-    if not (_same_vec(e1.u, e2.u) and _same_vec(e1.v, e2.v)):
+    if not (vec_eq(e1.u, e2.u) and vec_eq(e1.v, e2.v)):
         raise MismatchedPlane("different hyperbolic pairs")
     puv = lat.inner(e1.u, e1.v)
     mu = e1.mu + e2.mu - lat.inner(e2.y, e1.y) / puv
@@ -227,10 +234,6 @@ def twist_by_skew(lat, e, omega):
     if omega.is_zero() or not omega.trace().is_zero():
         raise NotSkew("omega must be a nonzero skew element")
     return EichlerIsometry(e.u, e.v, e.y, e.mu - lat.inner(e.v, e.u) / omega)
-
-
-def _same_vec(a, b):
-    return all((x - y).is_zero() for x, y in zip(a, b))
 
 
 def eichler_exists(lat, u, v, w):

@@ -22,12 +22,9 @@ def vec_scale(c, x):
     return tuple(c * a for a in x)
 
 
-def vec_is_zero(x):
-    return all(a.is_zero() for a in x)
-
-
-def zero_vector(alg, n):
-    return (alg.zero,) * n
+def vec_eq(x, y):
+    """Whether x = y at working precision, entry by entry."""
+    return all((a - b).is_zero() for a, b in zip(x, y))
 
 
 def basis_vector(alg, n, i):
@@ -71,17 +68,9 @@ def mat_vec(a, x):
     return tuple(_dot(row, x) for row in a)
 
 
-def mat_conj(a):
-    return tuple(tuple(e.conj() for e in row) for row in a)
-
-
 def conj_transpose(a):
     return tuple(tuple(a[j][i].conj() for j in range(len(a)))
                  for i in range(len(a[0]) if a else 0))
-
-
-def mat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(r1, r2)) for r1, r2 in zip(a, b))
 
 
 def mat_eq(a, b):

@@ -723,15 +723,6 @@ class FieldElement:
             co = tuple(c // pk for c in co)
         return tuple(c % fld.p for c in co[:fld.f])
 
-    def shifted(self, k):
-        """Multiply by p^k without touching coefficients."""
-        return FieldElement(self.field, self.co, self.shift + k, self.ncap)
-
-    def unit_part(self):
-        """Write self = pi^v * u with u a unit; returns u."""
-        v = self.valuation()
-        return self / self.field.uniformizer_pow(v)
-
     # -- presentation -----------------------------------------------------------
 
     def flat(self):

@@ -11,6 +11,7 @@ from hermlat.specfile import (
     parse_element,
     parse_lattice,
     parse_matrix,
+    serialize_lattice,
 )
 from hermlat.errors import SpecFileError
 from hermlat.linalg import mat_eq
@@ -63,6 +64,20 @@ def test_gram_roundtrip_on_catalog():
                               for row in lat.gram)
         again = parse_matrix(lat.alg, rendered)
         assert mat_eq(again, lat.gram)
+
+
+def test_serialize_lattice_roundtrip_on_catalog():
+    def triples(gram):
+        return [[(c.co, c.shift, c.ncap) for e in row for c in (e.x0, e.x1)]
+                for row in gram]
+
+    for path in CATALOG:
+        with open(path) as fh:
+            text = fh.read()
+        lat = parse_lattice(text)
+        header = text.split("[gram]", 1)[0].splitlines()
+        again = parse_lattice(serialize_lattice(lat, header))
+        assert triples(again.gram) == triples(lat.gram), path
 
 
 def _cat(name):
@@ -144,3 +159,51 @@ def test_cli_report_file(tmp_path, capsys):
     assert main(["classify", "--spec", _cat("split2.lat"),
                  "--report", str(report)]) == 0
     assert report.read_text() == capsys.readouterr().out
+
+
+def _flaky_factor(monkeypatch, losses):
+    """Make the CLI's factor_unitary raise PrecisionLoss `losses` times
+    before it runs; returns the working precisions it was called at."""
+    import hermlat.cli as cli
+    from hermlat.errors import PrecisionLoss
+
+    precisions = []
+    real = cli.factor_unitary
+
+    def flaky(lat, phi):
+        precisions.append(lat.alg.base.precision)
+        if len(precisions) <= losses:
+            raise PrecisionLoss("injected")
+        return real(lat, phi)
+
+    monkeypatch.setattr(cli, "factor_unitary", flaky)
+    return precisions
+
+
+def test_cli_factor_retries_at_doubled_precision(tmp_path, capsys, monkeypatch):
+    precisions = _flaky_factor(monkeypatch, 2)
+    mat = tmp_path / "id.mat"
+    mat.write_text("1, 0\n0, 1\n")
+    assert main(["factor", "--spec", _cat("split2.lat"), "--isometry", str(mat)]) == 0
+    assert precisions == [64, 128, 256]
+    recs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert recs[-1]["record"] == "certificate"
+
+
+def test_cli_factor_gives_up_after_five_attempts(tmp_path, capsys, monkeypatch):
+    precisions = _flaky_factor(monkeypatch, 5)
+    mat = tmp_path / "id.mat"
+    mat.write_text("1, 0\n0, 1\n")
+    assert main(["factor", "--spec", _cat("split2.lat"), "--isometry", str(mat)]) == 2
+    assert precisions == [64, 128, 256, 512, 1024]
+    assert "error: injected" in capsys.readouterr().err
+
+
+def test_cli_roundtrip_records_precision_loss_after_four_attempts(capsys, monkeypatch):
+    precisions = _flaky_factor(monkeypatch, 4)
+    assert main(["roundtrip", "--spec", _cat("inert3.lat"),
+                 "--trials", "2", "--seed", "5"]) == 1
+    rec = json.loads(capsys.readouterr().out.splitlines()[0])
+    assert rec["passed"] == 1
+    assert rec["failures"] == [{"trial": 0, "error": "PrecisionLoss: injected"}]
+    assert precisions == [64, 128, 256, 512, 64]

@@ -14,9 +14,11 @@ transform), searched for a hyperbolic pair (the witness of
 ``splits_hyperbolic``) and compared with the original lattice (the verdict and
 trace of ``isometry_conditions``).
 
-Two paths that no benchmark schedule reaches are pinned by hand: the norm-drop
-witness of ``splits_hyperbolic`` on A(1,1) ⟂ <2> over Q_2(√2), and the
-split-kind duals and Jordan splitting of a rank-3 lattice over Q_3.
+Paths that no benchmark schedule reaches are pinned by hand: the norm-drop
+witness of ``splits_hyperbolic`` on A(1,1) ⟂ <2> over Q_2(√2), the
+split-kind duals and Jordan splitting of a rank-3 lattice over Q_3, the three
+public single-step peels of ``factorize`` and the steered-σ branch of the
+subnormal peel.
 
 Both use ``exact_key`` of ``tools/schedule_digest.py``, the exact form that
 tool hashes whole benchmark schedules with.
@@ -31,19 +33,19 @@ import sys
 import pytest
 
 import hermlat
-from hermlat import classify, lattice, oracle
+from hermlat import classify, factorize, lattice, oracle
 from hermlat.classify import isometry_conditions, splits_hyperbolic
 from hermlat.etale import EtaleAlgebra
 from hermlat.factorize import factor_unitary, verify_factorization
 from hermlat.isometries import EichlerIsometry, matrix_of
-from hermlat.lattice import HermitianLattice, orthogonal_sum, standard_A
+from hermlat.lattice import HermitianLattice, orthogonal_sum, standard_A, standard_H
 from hermlat.linalg import cols_of, identity, mat_mul
 from hermlat.localfield import LocalField
 from hermlat.specfile import parse_lattice
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "tools"))
-from schedule_digest import exact_key  # noqa: E402
+from schedule_digest import _generator, exact_key  # noqa: E402
 
 K_GENERATORS = 3
 
@@ -167,6 +169,16 @@ EXPECTED_PATHS = {
         "92f770ff805a9121c08602ed7c2ec6eb21597b070add7437de1ede9d19cac9a6",
     "split_duals":
         "54b768ec51c7056a1db7b33db4da728132463b2b4180cf0cb262c86d75af19ad",
+    # recorded before the factor driver's alignment loops, fixed-vector
+    # tests and step branches were each written once
+    "peel_hyperbolic":
+        "9e30ec69fac593a2ac032e6c2c2b8deece584ab2abba400b8b7c730077a577ee",
+    "peel_normal_dyadic":
+        "18da023dccffbaedb01d6292e9ed5b523853067c943700a0fcf16fdee5c060ac",
+    "peel_subnormal_dyadic":
+        "d7564e9d4aad05689cfb6c323f746ae4508b424e0bd71e790b2b5d351ef04a24",
+    "steered_subnormal":
+        "3dacaa5965118706c7db54707a5da5965595aa570e9fcc70be1dbbf0bf7a1f70",
 }
 
 
@@ -200,8 +212,59 @@ def _split_duals():
             "duals": [exact_key(lat.dual_sublattice(a)) for a in range(4)]}
 
 
+def _q2sqrt2():
+    return EtaleAlgebra.quadratic(LocalField(2), 0, -2)
+
+
+def _peel_key(lat, peeled):
+    word, rest, phi2 = peeled
+    return {"word": [_generator(lat, g) for g in word],
+            "rest": exact_key(rest), "phi": exact_key(phi2)}
+
+
+def _peel_hyperbolic():
+    """H(0) ⟂ <2> over Q_2(√2): one pair transport."""
+    alg = _q2sqrt2()
+    lat = orthogonal_sum(standard_H(alg, 0), HermitianLattice(alg, ((alg.from_int(2),),)))
+    u, v, _ = splits_hyperbolic(lat)
+    phi, _ = oracle.random_unitary(lat, 3, 9)
+    return _peel_key(lat, factorize.peel_hyperbolic(lat, phi, (u, v)))
+
+
+def _peel_normal():
+    """diag(1, 3) over Q_2(√2): two norm-attaining lines in the first block,
+    the only input known to reach the rank-2 normal peel."""
+    alg = _q2sqrt2()
+    lat = HermitianLattice(alg, ((alg.one, alg.zero), (alg.zero, alg.from_int(3))))
+    phi, _ = oracle.random_unitary(lat, 2, 4)
+    return _peel_key(lat, factorize.peel_normal_dyadic(lat, phi))
+
+
+def _peel_subnormal():
+    """A(0,1) over Q_2(√2): one subnormal plane."""
+    lat = standard_A(_q2sqrt2(), 0, 1)
+    phi, _ = oracle.random_unitary(lat, 2, 4)
+    return _peel_key(lat, factorize.peel_subnormal_dyadic(lat, phi))
+
+
+def _steered_subnormal():
+    """Criterion-1 trial 53 of q2sqrt2-sub: the subnormal peel runs out of
+    direct symmetries and emits a steered one."""
+    with open(hermlat.catalog_path("q2sqrt2-sub.lat")) as fh:
+        lat = parse_lattice(fh.read())
+    phi, _ = oracle.random_unitary(lat, 1 + 53 % 6, 53)
+    fac = factor_unitary(lat, phi)
+    return {"generators": [_generator(lat, g) for g in fac],
+            "residual_precision": fac.residual_precision,
+            "certificate": verify_factorization(lat, phi, fac)}
+
+
 PATHS = {"norm_drop_witness": (_norm_drop_witness, classify, "cross_pair_norm_drop"),
-         "split_duals": (_split_duals, lattice, "_dual_basis")}
+         "split_duals": (_split_duals, lattice, "_dual_basis"),
+         "peel_hyperbolic": (_peel_hyperbolic, factorize, "_transport_pair"),
+         "peel_normal_dyadic": (_peel_normal, factorize, "_peel_normal_rk2"),
+         "peel_subnormal_dyadic": (_peel_subnormal, factorize, "_peel_subnormal"),
+         "steered_subnormal": (_steered_subnormal, factorize, "_steered_sigma")}
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_PATHS))

@@ -1,0 +1,75 @@
+"""Every module-level function of ``hermlat`` is used somewhere.
+
+A function defined at the top level of ``src/hermlat/*.py`` must be named
+outside its own definition in ``src/``, ``tests/``, ``perfbench/`` or
+``tools/``: as a name or attribute in code, an imported name, or a word of a
+string that is not a docstring (``perfbench`` names the functions it wraps
+in strings).  Comments and docstrings do not count, nor does a call of the
+function inside its own body.
+"""
+
+import ast
+import os
+import re
+from collections import Counter
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SEARCHED = ("src", "tests", "perfbench", "tools")
+WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def _sources():
+    for top in SEARCHED:
+        for dirpath, _, files in os.walk(os.path.join(ROOT, top)):
+            for name in sorted(files):
+                if name.endswith(".py"):
+                    path = os.path.join(dirpath, name)
+                    with open(path, encoding="utf-8") as fh:
+                        yield path, ast.parse(fh.read())
+
+
+def _docstrings(tree):
+    docs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and node.body:
+            first = node.body[0]
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
+                docs.add(id(first.value))
+    return docs
+
+
+def _names(node, docs):
+    """How often each name is used in the subtree of `node`; `docs` holds
+    the ids of the docstring constants of its module."""
+    used = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            used[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            used[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            used[sub.name.rsplit(".", 1)[-1]] += 1
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) \
+                and id(sub) not in docs:
+            used.update(WORD.findall(sub.value))
+    return used
+
+
+def test_every_module_level_function_is_used():
+    sources = list(_sources())
+    docs = {path: _docstrings(tree) for path, tree in sources}
+    names = {path: _names(tree, docs[path]) for path, tree in sources}
+    src_dir = os.path.join(ROOT, "src", "hermlat")
+    unused = []
+    for path, tree in sources:
+        if os.path.dirname(path) != src_dir:
+            continue
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            own = _names(node, docs[path])[node.name]
+            if not any(used[node.name] > (own if other == path else 0)
+                       for other, used in names.items()):
+                unused.append(f"{os.path.basename(path)}:{node.name}")
+    assert not unused, f"module-level functions nobody uses: {unused}"
