@@ -6,6 +6,8 @@ case).  The constructive side produces explicit vectors: standard bases of
 modular blocks, hyperbolic pairs wherever the classification forces one, and
 basis changes realizing the norm-rearrangement of a deeper Jordan block.
 All constructions are verified at working precision before they are returned.
+The complement of a rearranged plane comes from ``lattice._complement``, the
+one complement step the factor driver uses too.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .errors import (
 from .etale import NONNORM, NORM, EtaleAlgebra
 from .lattice import (
     HermitianLattice,
+    _complement,
     _gram_of,
     _min_vP_sym,
     _norm_attainer,
@@ -31,11 +34,8 @@ from .linalg import (
     identity,
     mat_det,
     mat_from_cols,
-    mat_inv,
-    mat_vec,
     vec_add,
     vec_scale,
-    vec_sub,
 )
 
 # ---------------------------------------------------------------------------
@@ -327,65 +327,6 @@ def complete_hyperbolic_pair(lat, u, w0, scale_i):
     if lat.inner(u, v) != target:
         raise PrecisionLoss("pairing normalization failed")
     return u, v
-
-
-def split_off_pair(lat, cols, u, v):
-    """Orthogonal complement of the plane (u, v) inside span(cols); u, v must
-    lie in that span and pair onto its scale."""
-    alg = lat.alg
-    gu, gv = lat.gram_conj(u), lat.gram_conj(v)
-    pg = ((_dot(u, gu), _dot(v, gu)),
-          (_dot(u, gv), _dot(v, gv)))
-    gmat_inv = mat_inv(tuple(zip(*pg)))
-    # choose the columns replaced by the pair: where the coefficients of
-    # (u, v) in the cols basis carry a unit 2x2 minor
-    gcs = [lat.gram_conj(c) for c in cols]
-    cg_inv = mat_inv(tuple(zip(*_gram_of(lat, cols, gcs))))
-    coords_u = mat_vec(cg_inv, tuple(_dot(u, gc) for gc in gcs))
-    coords_v = mat_vec(cg_inv, tuple(_dot(v, gc) for gc in gcs))
-    keep = _pair_complement_columns(alg, cols, coords_u, coords_v)
-    rest = []
-    for c in keep:
-        ab = mat_vec(gmat_inv, (_dot(c, gu), _dot(c, gv)))
-        c2 = vec_sub(c, vec_add(vec_scale(ab[0], u), vec_scale(ab[1], v)))
-        rest.append(c2)
-    return rest
-
-
-def _unit_minor_slotwise(vals_u, vals_v):
-    n = len(vals_u)
-    for a in range(n):
-        for b in range(n):
-            if a == b:
-                continue
-            d = vals_u[a] * vals_v[b] - vals_u[b] * vals_v[a]
-            if not d.is_zero() and d.valuation() == 0:
-                return (a, b)
-    return None
-
-
-def _pair_complement_columns(alg, cols, cu, cv):
-    n = len(cols)
-    for a in range(n):
-        for b in range(n):
-            if a == b:
-                continue
-            d = cu[a] * cv[b] - cu[b] * cv[a]
-            if d.is_unit():
-                return [c for j, c in enumerate(cols) if j not in (a, b)]
-    if alg.kind == EtaleAlgebra.SPLIT:
-        m1 = _unit_minor_slotwise([c.x0 for c in cu], [c.x0 for c in cv])
-        m2 = _unit_minor_slotwise([c.x1 for c in cu], [c.x1 for c in cv])
-        if m1 is not None and m2 is not None:
-            K = alg.base
-            keep1 = [j for j in range(n) if j not in m1]
-            keep2 = [j for j in range(n) if j not in m2]
-            left = alg.element(K.one, K.zero)
-            right = alg.element(K.zero, K.one)
-            return [vec_add(vec_scale(left, cols[j1]),
-                            vec_scale(right, cols[j2]))
-                    for j1, j2 in zip(keep1, keep2)]
-    raise PrecisionLoss("no unit 2x2 minor; pair does not span unimodularly")
 
 
 def peel_lines_and_planes(lat, cols):
@@ -764,7 +705,7 @@ def rearrange_columns(lat, all_cols, donor, plane2, j, i):
     pair = lat.inner(z, y2)
     if pair.is_zero() or alg.vP(pair) != j:
         raise PrecisionLoss("rearranged plane lost its scale")
-    others = split_off_pair(lat, all_cols, z, y2)
+    others = _complement(lat, all_cols, [z, y2])
     return (z, y2), others
 
 
@@ -776,13 +717,7 @@ def rearrange_columns(lat, all_cols, donor, plane2, j, i):
 def splits_hyperbolic(lat):
     """Explicit hyperbolic pair splitting L, or None when the classification
     rules one out.  Returns (u, v, scale_exp) with <u,v> = pi^scale_exp."""
-    if lat.n == 0:
-        return None
     cols = list(cols_of(identity(lat.alg, lat.n)))
-    return _splits_hyperbolic_cols(lat, cols)
-
-
-def _splits_hyperbolic_cols(lat, cols):
     while cols:
         arrangement = _arrange_first_block(lat, cols)
         if arrangement["pair"] is not None:

@@ -8,12 +8,15 @@ continues on the orthogonal complement.  Each step runs one of three
 branches on the first Jordan block: ``_pair_step`` (a hyperbolic pair, also
 one found across blocks), ``_line_step`` (a norm-attaining line) or
 ``_plane_step`` (a subnormal plane); the public single-step peels run the
-same branches once.  The ramified line and plane peels share one alignment
-loop, ``_align``: each round emits the first generator one of the peel's
-moves yields for the current image of the peeled vector.
-``_Driver.emit`` tests each generator it applies for membership
-(``in_unitary_group``, from the generator's data), ``eichler_to_symmetries``
-each symmetry of a rewrite.
+same branches once.  Every branch leaves its piece's span through
+``lattice._complement``.  The ramified line and plane peels share one
+alignment loop, ``_align``: each round emits the first generator one of the
+peel's moves yields for the current image of the peeled vector.
+``_Driver.emit`` is the one membership test of each generator it applies
+(``in_unitary_group``, from the generator's data): ``map_isotropic`` and
+``map_unit_vector`` return candidates, and only ``_direct_symmetry`` tests
+one itself, to choose its move.  ``eichler_to_symmetries`` tests each
+symmetry of a rewrite.
 ``factor_unitary`` compares the word's product with phi once and raises
 ``PrecisionLoss`` rather than return a word that misses it;
 ``verify_factorization`` is the independent certificate.  All of them share
@@ -38,7 +41,6 @@ from .classify import (
     peel_lines_and_planes,
     plane_standard_form,
     rearrange_columns,
-    split_off_pair,
 )
 from .isometries import (
     EichlerIsometry,
@@ -54,7 +56,13 @@ from .isometries import (
     matrix_of,
     reflection_data,
 )
-from .lattice import _gram_of, _min_vP_sym, _norm_attainer, _norm_exp_of_gram
+from .lattice import (
+    _complement,
+    _gram_of,
+    _min_vP_sym,
+    _norm_attainer,
+    _norm_exp_of_gram,
+)
 from .linalg import (
     _dot,
     cols_of,
@@ -62,7 +70,6 @@ from .linalg import (
     is_integral_matrix,
     mat_det,
     mat_mul,
-    mat_solve,
     mat_vec,
     vec_add,
     vec_eq,
@@ -239,7 +246,7 @@ def _pair_step(drv, cols, phi, u, v, scale_s):
         phi = _transport_pair(drv, phi, u, v, scale_s)
     else:
         phi = _peel_hyperbolic_unramified(drv, cols, phi, u, v)
-    return split_off_pair(drv.lat, cols, u, v), phi
+    return _complement(drv.lat, cols, [u, v]), phi
 
 
 def _line_step(drv, cols, phi, arr):
@@ -253,7 +260,7 @@ def _line_step(drv, cols, phi, arr):
         phi = _peel_normal_rk2(drv, phi, x, lines[1])
     else:
         phi = _peel_normal_rk1(drv, phi, x, arr["deeper"])
-    return _complement_of_vector(lat, cols, x), phi
+    return _complement(lat, cols, [x]), phi
 
 
 def _plane_step(drv, cols, phi, arr):
@@ -268,7 +275,7 @@ def _plane_step(drv, cols, phi, arr):
                                         arr["deeper"], arr["scale"])
     if tag == "restart":
         return payload, phi
-    return split_off_pair(drv.lat, cols, *payload), phi
+    return _complement(drv.lat, cols, payload), phi
 
 
 # ---------------------------------------------------------------------------
@@ -276,49 +283,15 @@ def _plane_step(drv, cols, phi, arr):
 # ---------------------------------------------------------------------------
 
 
-def _complement_of_vector(lat, cols, x):
-    gx = lat.gram_conj(x)
-    qx = _dot(x, gx)
-    alg = lat.alg
-    gcs = [lat.gram_conj(c) for c in cols]
-    cg = _gram_of(lat, cols, gcs)
-    coords = mat_solve(tuple(zip(*cg)), tuple(_dot(x, gc) for gc in gcs))
-    keep = None
-    for idx, c in enumerate(coords):
-        if c.is_unit():
-            keep = [col for j, col in enumerate(cols) if j != idx]
-            break
-    if keep is None and alg.kind == EtaleAlgebra.SPLIT:
-        # the unit coordinate may sit in different slots; swap in a mixed
-        # idempotent column so each slot drops its own direction
-        i1 = next((i for i, c in enumerate(coords) if c.x0.is_unit()), None)
-        i2 = next((i for i, c in enumerate(coords) if c.x1.is_unit()), None)
-        if i1 is not None and i2 is not None and i1 != i2:
-            K = alg.base
-            mixed = vec_add(vec_scale(alg.element(K.one, K.zero), cols[i2]),
-                            vec_scale(alg.element(K.zero, K.one), cols[i1]))
-            keep = [col for j, col in enumerate(cols) if j not in (i1, i2)]
-            keep.append(mixed)
-    if keep is None:
-        raise PrecisionLoss("vector is not part of a basis of the span")
-    rest = []
-    for c in keep:
-        coeff = _dot(c, gx) / qx
-        rest.append(vec_sub(c, vec_scale(coeff, x)))
-    return rest
-
-
 def map_isotropic(lat, cols, u_from, u_to):
     """Product of at most two symmetries of L mapping u_from to u_to, for
-    isotropic vectors pairing onto the scale of span(cols); unramified kinds."""
+    isotropic vectors pairing onto the scale of span(cols); unramified kinds.
+    Membership is left to ``_Driver.emit``, which applies the word."""
     alg = lat.alg
     scale = _min_vP_sym(alg, _gram_of(lat, cols))
     pair = lat.inner(u_from, u_to)
     if _attains(alg, pair, scale):
-        g = make_symmetry(lat, *reflection_data(lat, u_from, u_to))
-        if not in_unitary_group(lat, g):
-            raise PrecisionLoss("direct isotropic symmetry not in U(L)")
-        return [g]
+        return [make_symmetry(lat, *reflection_data(lat, u_from, u_to))]
     y = _isotropic_bridge(lat, cols, u_from, u_to, scale)
     g1 = map_isotropic(lat, cols, u_from, y)
     g2 = map_isotropic(lat, cols, y, u_to)
@@ -433,7 +406,8 @@ def map_unit_vector(lat, cols, a, a_img):
     """Product of symmetries of L mapping a_img to a, where L = O a ⟂ N with
     a of unit-level form value; unramified kinds (reflection constructions).
 
-    The word w = [g1, ..., gr] satisfies (g1 ∘ ... ∘ gr)(a_img) = a."""
+    The word w = [g1, ..., gr] satisfies (g1 ∘ ... ∘ gr)(a_img) = a;
+    membership is left to ``_Driver.emit``, which applies it."""
     alg = lat.alg
     qa = lat.q_value(a)
     c = alg.base.one / qa
@@ -444,8 +418,6 @@ def map_unit_vector(lat, cols, a, a_img):
     def push(s, sigma_r):
         nonlocal ap
         g = make_symmetry(lat, s, sigma_r / alg.from_K(c))
-        if not in_unitary_group(lat, g):
-            raise PrecisionLoss("reflection symmetry does not preserve L")
         word.insert(0, g)
         ap = apply_generator(lat, g, ap)
 
@@ -548,7 +520,7 @@ def _split_residue_two_data(latr, cols, a, ap):
     big = 10 ** 6
     iexp = big if iexp is None else iexp
     jexp = big if jexp is None else jexp
-    rest = _complement_of_vector(latr, cols, a)
+    rest = _complement(latr, cols, [a])
     kexp = big if not rest else _min_vP_sym(alg, _gram_of(latr, rest))
 
     if iexp <= kexp and jexp <= kexp:

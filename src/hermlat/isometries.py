@@ -36,6 +36,7 @@ from .errors import (
     ScaleViolation,
 )
 from .etale import EtaleAlgebra
+from .lattice import _project_off
 from .linalg import (
     _dot,
     basis_vector,
@@ -434,15 +435,8 @@ def _split_vector_reduction(lat, e, fuel):
     i = _pair_scale(alg, puv)
     t_exp = alg.trace_ideal(i)
 
-    # projection of the ambient basis onto the orthogonal complement of (u,v)
-    perp = []
-    for k in range(lat.n):
-        b = basis_vector(alg, lat.n, k)
-        m = vec_sub(b, vec_add(vec_scale(_dot(b, gu) / pvu, v),
-                               vec_scale(_dot(b, gv) / puv, u)))
-        perp.append(m)
     t_vec = None
-    for m in perp:
+    for m in _project_off(lat, lat.basis(), [u, v]):
         q = lat.inner(w, m)
         if q.is_zero():
             continue

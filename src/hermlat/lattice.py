@@ -9,6 +9,8 @@ torsion-free modules are free.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from .errors import (
     HermlatError,
     PrecisionLoss,
@@ -321,6 +323,63 @@ def _project_off(lat, vecs, piece):
     return out
 
 
+def _complement(lat, cols, piece):
+    """Basis of the orthogonal complement of span(piece) inside span(cols),
+    for a piece of one or two vectors of that span with an invertible Gram:
+    a line, a plane or a hyperbolic pair that a peel splits off.
+
+    One solve against the Gram of cols gives the piece's coordinates; the
+    piece replaces the columns of their first unit 1x1 or 2x2 minor, and the
+    kept columns are projected off it (``_project_off``).  A split kind
+    whose minors are units only slot by slot drops each slot's own columns
+    (``_slotwise_keep``)."""
+    gcs = [lat.gram_conj(c) for c in cols]
+    cg_inv = mat_inv(tuple(zip(*_gram_of(lat, cols, gcs))))
+    coords = [mat_vec(cg_inv, tuple(_dot(p, gc) for gc in gcs)) for p in piece]
+    drop = _unit_minor(coords)
+    if drop is not None:
+        keep = [c for j, c in enumerate(cols) if j not in drop]
+    elif lat.alg.kind == EtaleAlgebra.SPLIT:
+        keep = _slotwise_keep(lat.alg, cols, coords)
+    else:
+        keep = None
+    if keep is None:
+        raise PrecisionLoss("piece is not part of a basis of the span")
+    return _project_off(lat, keep, piece)
+
+
+def _unit_minor(coords):
+    """Row indices of the first unit minor of the coordinate columns
+    `coords` (one or two of them, entries in E or in K), or None."""
+    for idx in combinations(range(len(coords[0])), len(coords)):
+        if len(idx) == 1:
+            d = coords[0][idx[0]]
+        else:
+            (a, b), (cu, cv) = idx, coords
+            d = cu[a] * cv[b] - cu[b] * cv[a]
+        if d.is_unit():
+            return idx
+    return None
+
+
+def _slotwise_keep(alg, cols, coords):
+    """Split kinds: the columns kept when each slot drops the rows of its own
+    first unit minor, or None.  A column neither slot drops is kept as it is;
+    each column that only slot 1 drops is mixed with one that only slot 0
+    drops: slot 0 from the first, through the idempotent (1, 0), and slot 1
+    from the second, through (0, 1)."""
+    d0 = _unit_minor([[c.x0 for c in cs] for cs in coords])
+    d1 = _unit_minor([[c.x1 for c in cs] for cs in coords])
+    if d0 is None or d1 is None:
+        return None
+    K = alg.base
+    left, right = alg.element(K.one, K.zero), alg.element(K.zero, K.one)
+    mixed = zip([j for j in d1 if j not in d0], [j for j in d0 if j not in d1])
+    return ([c for j, c in enumerate(cols) if j not in d0 and j not in d1]
+            + [vec_add(vec_scale(left, cols[a]), vec_scale(right, cols[b]))
+               for a, b in mixed])
+
+
 def _peel_pieces(lat, cols):
     """Peel span(cols) one Jordan piece at a time, least scale first.
 
@@ -360,35 +419,22 @@ def _vK(x):
     return x.valuation()
 
 
-def _min_vP(alg, gram):
+def _min_vP_sym(alg, gram):
+    """Least P-valuation of an entry of gram; for split kinds the least
+    valuation of an entry's slot."""
+    split = alg.kind == EtaleAlgebra.SPLIT
     best = None
     for row in gram:
         for e in row:
-            if e.is_zero():
-                continue
-            v = alg.vP(e)
-            if best is None or v < best:
-                best = v
+            for comp in ((e.x0, e.x1) if split else (e,)):
+                if comp.is_zero():
+                    continue
+                v = comp.valuation() if split else alg.vP(comp)
+                if best is None or v < best:
+                    best = v
     if best is None:
         raise ZeroValuation("zero Gram")
     return best
-
-
-def _min_vP_sym(alg, gram):
-    if alg.kind == EtaleAlgebra.SPLIT:
-        best = None
-        for row in gram:
-            for e in row:
-                for comp in (e.x0, e.x1):
-                    if comp.is_zero():
-                        continue
-                    v = comp.valuation()
-                    if best is None or v < best:
-                        best = v
-        if best is None:
-            raise ZeroValuation("zero Gram")
-        return best
-    return _min_vP(alg, gram)
 
 
 def _norm_exp_of_gram(alg, gram):

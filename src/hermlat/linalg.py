@@ -137,11 +137,6 @@ def mat_inv(a):
     return tuple(tuple(e * dinv for e in row) for row in adj)
 
 
-def mat_solve(a, b):
-    """Solve a x = b for a column vector b."""
-    return mat_vec(mat_inv(a), b)
-
-
 def is_integral_matrix(a):
     return all(e.is_zero() or e.is_integral() for row in a for e in row)
 

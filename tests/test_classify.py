@@ -110,6 +110,8 @@ def test_rearrange_jordan(Q2sqrt2):
     blocks = new.jordan_split().blocks
     assert blocks[1].norm_exp == 1  # j - i + k = 1
     assert isometric(L, new)
+    # the new basis is the complement of the rearranged plane, then the plane
+    assert all(new.gram[r][c].is_zero() for r in (0, 1) for c in (2, 3))
 
 
 def test_rearrange_jordan_noop_depth(Q2sqrt2):

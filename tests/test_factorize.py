@@ -4,7 +4,7 @@ import pytest
 
 import hermlat
 from hermlat import oracle
-from hermlat import isometries
+from hermlat import factorize, isometries
 from hermlat.errors import NotAnIsometry, PrecisionLoss, VerificationFailed
 from hermlat.factorize import (
     Factorization,
@@ -119,6 +119,7 @@ def test_map_isotropic(Q2sqrt2, inert2, split2):
         v = basis_vector(alg, 3, 1)
         word = map_isotropic(L, cols, u, v)
         assert 1 <= len(word) <= 2
+        assert all(isometries.in_unitary_group(L, g) for g in word)
         img = u
         for g in reversed(word):
             from hermlat.isometries import apply_generator
@@ -138,10 +139,32 @@ def test_map_unit_vector(inert2, split2):
         phi, _ = random_unitary(L, 3, 5)
         a_img = mat_vec(phi, a)
         word = map_unit_vector(L, cols, a, a_img)
+        assert all(isometries.in_unitary_group(L, g) for g in word)
         img = a_img
         for g in reversed(word):
             img = apply_generator(L, g, img)
         assert all((x - y).is_zero() for x, y in zip(img, a))
+
+
+def test_emit_rejects_a_non_member_from_map_isotropic(inert2, monkeypatch):
+    """map_isotropic returns candidates; _Driver.emit is the one membership
+    test, so a word with a non-member fails there."""
+    L = orthogonal_sum(standard_H(inert2, 0),
+                       HermitianLattice(inert2, ((inert2.from_int(2),),)))
+    phi, _ = random_unitary(L, 3, 5)
+    original = factorize.map_isotropic
+    calls = []
+
+    def broken(*args):
+        calls.append(args)
+        g, *rest = original(*args)
+        return [Symmetry(g.s, g.sigma + inert2.one)] + rest
+
+    monkeypatch.setattr(factorize, "map_isotropic", broken)
+    with pytest.raises(PrecisionLoss) as info:
+        factor_unitary(L, phi)
+    assert calls
+    assert info.traceback[-1].name == "emit"
 
 
 def test_det_consistency_on_factorizations(Q2sqrt2, inert2):

@@ -17,8 +17,9 @@ trace of ``isometry_conditions``).
 Paths that no benchmark schedule reaches are pinned by hand: the norm-drop
 witness of ``splits_hyperbolic`` on A(1,1) ⟂ <2> over Q_2(√2), the
 split-kind duals and Jordan splitting of a rank-3 lattice over Q_3, the three
-public single-step peels of ``factorize`` and the steered-σ branch of the
-subnormal peel.
+public single-step peels of ``factorize``, the steered-σ branch of the
+subnormal peel, the split-slot fallback of ``lattice._complement`` for a line
+and for a plane, ``rearrange_jordan`` and the split-vector Eichler rewrite.
 
 Both use ``exact_key`` of ``tools/schedule_digest.py``, the exact form that
 tool hashes whole benchmark schedules with.
@@ -33,13 +34,19 @@ import sys
 import pytest
 
 import hermlat
-from hermlat import classify, factorize, lattice, oracle
+from hermlat import classify, factorize, isometries, lattice, oracle
 from hermlat.classify import isometry_conditions, splits_hyperbolic
 from hermlat.etale import EtaleAlgebra
 from hermlat.factorize import factor_unitary, verify_factorization
-from hermlat.isometries import EichlerIsometry, matrix_of
-from hermlat.lattice import HermitianLattice, orthogonal_sum, standard_A, standard_H
-from hermlat.linalg import cols_of, identity, mat_mul
+from hermlat.isometries import EichlerIsometry, eichler_to_symmetries, make_eichler, matrix_of
+from hermlat.lattice import (
+    HermitianLattice,
+    orthogonal_sum,
+    standard_A,
+    standard_H,
+    standard_Hik,
+)
+from hermlat.linalg import basis_vector, cols_of, identity, mat_mul, vec_add, vec_scale
 from hermlat.localfield import LocalField
 from hermlat.specfile import parse_lattice
 
@@ -122,9 +129,9 @@ EXPECTED_DECIDE = {
 }
 
 
-def _basis_change(lat, rng):
-    """L in a seeded basis: the Gram of the columns of a lower times an
-    upper unitriangular matrix over O, so the change lies in GL_n(O)."""
+def _gl_n_O(lat, rng):
+    """A seeded matrix of GL_n(O): a lower times an upper unitriangular
+    matrix over O."""
     alg, n = lat.alg, lat.n
 
     def unitriangular(lower):
@@ -133,10 +140,14 @@ def _basis_change(lat, rng):
                            else next(entries) if (i > j) == lower else alg.zero
                            for j in range(n)) for i in range(n))
 
-    t = mat_mul(unitriangular(True), unitriangular(False))
-    cols = cols_of(t)
-    return HermitianLattice(alg, tuple(tuple(lat.inner(a, b) for b in cols)
-                                       for a in cols))
+    return mat_mul(unitriangular(True), unitriangular(False))
+
+
+def _basis_change(lat, rng):
+    """L in a seeded basis: the Gram of the columns of ``_gl_n_O``."""
+    cols = cols_of(_gl_n_O(lat, rng))
+    return HermitianLattice(lat.alg, tuple(tuple(lat.inner(a, b) for b in cols)
+                                           for a in cols))
 
 
 def decide_digest(name):
@@ -179,6 +190,18 @@ EXPECTED_PATHS = {
         "d7564e9d4aad05689cfb6c323f746ae4508b424e0bd71e790b2b5d351ef04a24",
     "steered_subnormal":
         "3dacaa5965118706c7db54707a5da5965595aa570e9fcc70be1dbbf0bf7a1f70",
+    # recorded before the four complement copies became lattice._complement
+    "line_complement_slotwise":
+        "15d54b102eb0144ed3b12202727789291dc7261bcf026e59f1cc13329e9e87a2",
+    "pair_complement_slotwise":
+        "b0ca228684e810e438109c2a2ea2cecfd9931cdf11a7d106d57a8df5d8f4675d",
+    # re-recorded after the complement of the rearranged plane became
+    # orthogonal to it: the parent's transposed solve left <c, z> = -2π
+    # between each kept column c and z (65b1a02c… before)
+    "rearrange_jordan":
+        "0bdfa20996c5dd37cb16a340a2b3d8ca6b0d78727f628132330d6ba78dbb8388",
+    "split_vector_reduction":
+        "0a07ec6271c8dca6e846d1e9b226491d9e676e3989e3e2208e918203f64a025f",
 }
 
 
@@ -259,12 +282,61 @@ def _steered_subnormal():
             "certificate": verify_factorization(lat, phi, fac)}
 
 
+def _split2h_mixed():
+    """split2h (H(0) ⟂ <2> over Q_2 x Q_2), its standard basis, and
+    x = (1,0)·e₀ + (0,1)·e₁: no coordinate of x is a unit, but slot 0 has
+    one at e₀ and slot 1 one at e₁."""
+    with open(hermlat.catalog_path("split2h.lat")) as fh:
+        lat = parse_lattice(fh.read())
+    alg, K = lat.alg, lat.alg.base
+    cols = list(cols_of(identity(alg, 3)))
+    x = vec_add(vec_scale(alg.element(K.one, K.zero), cols[0]),
+                vec_scale(alg.element(K.zero, K.one), cols[1]))
+    return lat, cols, x
+
+
+def _line_complement_slotwise():
+    """The complement of the line of x: the split-slot fallback."""
+    lat, cols, x = _split2h_mixed()
+    return {"rest": exact_key(lattice._complement(lat, cols, [x]))}
+
+
+def _pair_complement_slotwise():
+    """The complement of the plane (x, e₂): no unit 2x2 minor in E, unit
+    ones at rows (0, 2) in slot 0 and (1, 2) in slot 1."""
+    lat, cols, x = _split2h_mixed()
+    return {"rest": exact_key(lattice._complement(lat, cols, [x, cols[2]]))}
+
+
+def _rearrange_jordan():
+    """The input of test_rearrange_jordan: H(0,0) ⟂ H(1,2) over Q_2(√2)."""
+    alg = _q2sqrt2()
+    new, t = classify.rearrange_jordan(
+        orthogonal_sum(standard_Hik(alg, 0, 0), standard_Hik(alg, 1, 2)))
+    return {"gram": exact_key(new.gram), "transform": exact_key(t)}
+
+
+def _split_vector_reduction():
+    """The Eichler isometry of test_eichler_reduction_f4 on H(0) ⟂ H(0)
+    over F4ram: residue field F_4, so its rewrite splits y."""
+    alg = EtaleAlgebra.quadratic(LocalField(2, unramified_poly=[1, 1]), 0, -2)
+    lat = orthogonal_sum(standard_H(alg, 0), standard_H(alg, 0))
+    u, v, w = (basis_vector(alg, 4, i) for i in (0, 1, 2))
+    e = make_eichler(lat, u, v, w, alg.special_skew(1))
+    return {"word": [_generator(lat, g) for g in eichler_to_symmetries(lat, e)]}
+
+
 PATHS = {"norm_drop_witness": (_norm_drop_witness, classify, "cross_pair_norm_drop"),
          "split_duals": (_split_duals, lattice, "_dual_basis"),
          "peel_hyperbolic": (_peel_hyperbolic, factorize, "_transport_pair"),
          "peel_normal_dyadic": (_peel_normal, factorize, "_peel_normal_rk2"),
          "peel_subnormal_dyadic": (_peel_subnormal, factorize, "_peel_subnormal"),
-         "steered_subnormal": (_steered_subnormal, factorize, "_steered_sigma")}
+         "steered_subnormal": (_steered_subnormal, factorize, "_steered_sigma"),
+         "line_complement_slotwise": (_line_complement_slotwise, lattice, "_slotwise_keep"),
+         "pair_complement_slotwise": (_pair_complement_slotwise, lattice, "_slotwise_keep"),
+         "rearrange_jordan": (_rearrange_jordan, classify, "rearrange_columns"),
+         "split_vector_reduction": (_split_vector_reduction, isometries,
+                                    "_split_vector_reduction")}
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_PATHS))

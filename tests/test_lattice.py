@@ -1,13 +1,16 @@
 import itertools
+import os
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+import hermlat
 from hermlat.errors import RangeViolation
 from hermlat.etale import INF, NONNORM, NORM, EtaleAlgebra
 from hermlat.lattice import (
     HermitianLattice,
+    _complement,
     _gram_of,
     orthogonal_sum,
     standard_A,
@@ -19,12 +22,15 @@ from hermlat.linalg import (
     basis_vector,
     cols_of,
     identity,
+    mat_det,
     mat_eq,
     mat_mul,
     mat_vec,
     smith,
 )
 from hermlat.localfield import FieldElement, LocalField
+from test_isometries import _catalog_lattice
+from test_kernel_identity import _gl_n_O
 
 
 def _unit_basis_change(lat, rng):
@@ -339,3 +345,25 @@ def test_smith_diagonalizes_with_unimodular_transforms(data):
     for t in (u, w):
         det = _leibniz_det(t)
         assert not det.is_zero() and val(det) == 0
+
+
+CATALOG = tuple(os.path.basename(f)[:-len(".lat")] for f in hermlat.catalog_files())
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(st.sampled_from(CATALOG), st.integers(1, 2), st.integers(0, 2 ** 32 - 1))
+def test_complement_is_orthogonal_to_the_piece(name, k, seed):
+    """_complement of the first k columns of a seeded GL_n(O) basis inside
+    the standard basis: n - k vectors, each orthogonal to every vector of
+    the piece.  The two vectors of a piece need not pair symmetrically:
+    in general <u,v> != <v,u>."""
+    lat = _catalog_lattice(name)
+    alg = lat.alg
+    piece = list(cols_of(_gl_n_O(lat, random.Random(seed))))[:k]
+    det = mat_det(_gram_of(lat, piece))
+    assume(not (det.x0.is_zero() or det.x1.is_zero()) if alg.kind == EtaleAlgebra.SPLIT
+           else not det.is_zero())
+    rest = _complement(lat, list(cols_of(identity(alg, lat.n))), piece)
+    assert len(rest) == lat.n - k
+    assert all(lat.inner(c, p).is_zero() for c in rest for p in piece)

@@ -1,4 +1,4 @@
-"""Every module-level function of ``hermlat`` is used somewhere.
+"""Every module-level function and import of ``hermlat`` is used somewhere.
 
 A function defined at the top level of ``src/hermlat/*.py`` must be named
 outside its own definition in ``src/``, ``tests/``, ``perfbench/`` or
@@ -6,6 +6,9 @@ outside its own definition in ``src/``, ``tests/``, ``perfbench/`` or
 string that is not a docstring (``perfbench`` names the functions it wraps
 in strings).  Comments and docstrings do not count, nor does a call of the
 function inside its own body.
+
+A name that a module of ``src/hermlat`` imports at its top level must be
+read in that module's code.
 """
 
 import ast
@@ -73,3 +76,27 @@ def test_every_module_level_function_is_used():
                        for other, used in names.items()):
                 unused.append(f"{os.path.basename(path)}:{node.name}")
     assert not unused, f"module-level functions nobody uses: {unused}"
+
+
+def _module_imports(tree):
+    """(bound name, line) of each module-level import of `tree`, apart from
+    ``from __future__``; ``import a.b`` binds ``a``."""
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".", 1)[0], node.lineno
+
+
+def test_every_module_level_import_is_used():
+    src_dir = os.path.join(ROOT, "src", "hermlat")
+    unused = []
+    for path, tree in _sources():
+        if os.path.dirname(path) != src_dir:
+            continue
+        loaded = {sub.id for sub in ast.walk(tree)
+                  if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+        unused += [f"{os.path.basename(path)}:{line}:{name}"
+                   for name, line in _module_imports(tree) if name not in loaded]
+    assert not unused, f"module-level imports nobody uses: {unused}"
