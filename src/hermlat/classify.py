@@ -8,6 +8,14 @@ basis changes realizing the norm-rearrangement of a deeper Jordan block.
 All constructions are verified at working precision before they are returned.
 The complement of a rearranged plane comes from ``lattice._complement``, the
 one complement step the factor driver uses too.
+
+A form value Q(w) is deepened or killed by adding lambda*z, with lambda from
+the trace equation Tr(lambda <z,w>) = -Q(w) or from the norm congruence
+Nr(lambda) Q(z) = -Q(w) mod a window.  Each move is written once:
+``_norm_shift`` is the norm-balanced step, ``_deepen_once`` the round that
+tries the trace kill and then the norm shift along each helper,
+``_shift_into_trace_ideal`` the loop pushing Q(w) into Tr(P^i) along one
+direction, and ``EtaleAlgebra.solve_norm`` the exact solve of Nr(x) = a.
 """
 
 from __future__ import annotations
@@ -91,8 +99,8 @@ def isometry_conditions(m_lat, n_lat):
         a_exp = norms_m[i] + norms_m[i + 1] - jm.blocks[i].scale_exp
         if a_exp <= 0:
             continue
-        dm = _partial_det(alg, jm.blocks[: i + 1])
-        dn = _partial_det(alg, jn.blocks[: i + 1])
+        dm = _partial_det(jm.blocks[: i + 1])
+        dn = _partial_det(jn.blocks[: i + 1])
         quot = dm / dn
         if quot.is_zero() or quot.valuation() != 0:
             return False, 4, trace
@@ -103,7 +111,7 @@ def isometry_conditions(m_lat, n_lat):
     return True, None, trace
 
 
-def _partial_det(alg, blocks):
+def _partial_det(blocks):
     acc = None
     for blk in blocks:
         d = mat_det(blk.gram).as_K()
@@ -171,54 +179,19 @@ def isotropy_refine(lat, u, helpers, max_rounds=96):
     that is u itself only rescales u.  Then the isotropic line of
     span(u, y) is computed in closed form for each other helper y in turn
     (``_isotropic_in_plane``), starting again from the u given."""
-    alg = lat.alg
-    nrpi = alg.uniformizer().norm() if alg.kind == EtaleAlgebra.RAMIFIED else None
     start = u
     for _ in range(max_rounds):
         gu = lat.gram_conj(u)
         q = _dot(u, gu).as_K()
         if q.is_zero():
             return u
-        m = q.valuation()
-        progressed = False
-        for y in helpers:
-            pair = _dot(y, gu)
-            if pair.is_zero():
-                continue
-            # trace-dominant: Tr(lambda * <y,u>) = -q
-            try:
-                lam = alg.solve_trace(pair, -q)
-                cand = vec_add(u, vec_scale(lam, y))
-                q2 = lat.q_value(cand)
-                if q2.is_zero() or q2.valuation() > m:
-                    u = cand
-                    progressed = True
-                    break
-            except HermlatError:
-                pass
-            # norm-balanced: Nr(lambda)*Q(y) cancels the leading digit
-            qy = lat.q_value(y)
-            if alg.kind == EtaleAlgebra.RAMIFIED and not qy.is_zero():
-                t = m - qy.valuation()
-                if t >= 0:
-                    target = -q / (qy * nrpi ** t)
-                    try:
-                        lam0 = alg.solve_norm_approx(target, 1)
-                    except HermlatError:
-                        continue
-                    lam = alg.uniformizer_pow(t) * lam0
-                    cand = vec_add(u, vec_scale(lam, y))
-                    q2 = lat.q_value(cand)
-                    if q2.is_zero() or q2.valuation() > m:
-                        u = cand
-                        progressed = True
-                        break
-        if not progressed:
+        cand = _deepen_once(lat, u, gu, q, helpers)
+        if cand is None:
             # mixed trace/norm cancellations: bounded residue search
-            cand = _residue_progress(lat, u, helpers, m)
-            if cand is None:
-                raise PrecisionLoss("no isotropy progress along helper directions")
-            u = cand
+            cand = _residue_progress(lat, u, helpers, q.valuation())
+        if cand is None:
+            raise PrecisionLoss("no isotropy progress along helper directions")
+        u = cand
     for y in helpers:
         if y is start:
             continue
@@ -229,6 +202,56 @@ def isotropy_refine(lat, u, helpers, max_rounds=96):
         if iso is not None:
             return iso
     raise PrecisionLoss("isotropy refinement did not converge")
+
+
+def _deepens(lat, cand, m):
+    """Whether Q(cand) is zero or has valuation above m."""
+    q2 = lat.q_value(cand)
+    return q2.is_zero() or q2.valuation() > m
+
+
+def _norm_shift(lat, w, z, q, qz, window):
+    """The norm-balanced step w + pi^t lam0 z, t = v(q) - v(qz), with
+    Nr(lam0) = -q / (qz Nr(pi)^t) mod p^window: Nr(pi^t lam0) Q(z) cancels
+    the leading digits of q = Q(w) (the cross terms Tr(lam <z,w>) are the
+    caller's concern).  None when t < 0; errors of the norm solve pass
+    through, so each caller keeps its own rule for them."""
+    alg = lat.alg
+    t = q.valuation() - qz.valuation()
+    if t < 0:
+        return None
+    pit = alg.uniformizer_pow(t)
+    lam0 = alg.solve_norm_approx(-q / (qz * pit.norm()), window)
+    return vec_add(w, vec_scale(pit * lam0, z))
+
+
+def _deepen_once(lat, w, gw, q, helpers):
+    """One deepening round for q = Q(w) != 0 (gw = gram_conj(w)): along each
+    helper y not orthogonal to w, the trace kill Tr(lam <y,w>) = -q, else
+    the norm shift with window 1 (ramified kind).  Returns the first
+    candidate w + lam*y that deepens Q(w), or None."""
+    alg = lat.alg
+    m = q.valuation()
+    for y in helpers:
+        pair = _dot(y, gw)
+        if pair.is_zero():
+            continue
+        try:
+            cand = vec_add(w, vec_scale(alg.solve_trace(pair, -q), y))
+            if _deepens(lat, cand, m):
+                return cand
+        except HermlatError:
+            pass
+        qy = lat.q_value(y)
+        if alg.kind != EtaleAlgebra.RAMIFIED or qy.is_zero():
+            continue
+        try:
+            cand = _norm_shift(lat, w, y, q, qy, 1)
+        except HermlatError:
+            continue
+        if cand is not None and _deepens(lat, cand, m):
+            return cand
+    return None
 
 
 def _isotropic_in_plane(lat, u, y):
@@ -252,12 +275,8 @@ def _isotropic_in_plane(lat, u, y):
             w = alg.zero
         elif not alg.in_E_norm_group(a):
             return None
-        elif alg.kind == EtaleAlgebra.SPLIT:
-            w = alg.solve_norm_unit(a)
         else:
-            nrpi = alg.uniformizer().norm()
-            k = a.valuation() // nrpi.valuation()
-            w = alg.uniformizer_pow(k) * alg.solve_norm_unit(a / nrpi ** k)
+            w = alg.solve_norm(a)
         lam = w - p.conj() / alg.from_K(qy)
     iso = primitivize(lat, vec_add(u, vec_scale(lam, y)))
     return iso if lat.q_value(iso).is_zero() else None
@@ -353,42 +372,8 @@ def normalize_plane(lat, x, y, scale_i):
     pair = lat.inner(x, y)
     if pair.is_zero() or alg.vP(pair) != scale_i:
         raise PrecisionLoss("plane basis does not attain the scale")
-    y = _deepen_second(lat, x, y, scale_i, k)
+    y = _shift_into_trace_ideal(lat, y, x, scale_i)
     return x, y, k
-
-
-def _deepen_second(lat, x, y, scale_i, k):
-    """Push Q(y) into Tr(P^scale_i) = p^floor((scale_i+e)/2) by adding
-    multiples of x (one-digit norm-class solves; window <= e-1)."""
-    alg = lat.alg
-    target = alg.trace_ideal(scale_i)
-    nrpi = alg.uniformizer().norm()
-    qx = lat.q_value(x)
-    for _ in range(4 * (alg.e + 2)):
-        qy = lat.q_value(y)
-        if qy.is_zero() or qy.valuation() >= target:
-            return y
-        m = qy.valuation()
-        t = m - k
-        if t < 0:
-            raise PrecisionLoss("second basis vector below the block norm")
-        tau = -qy / (qx * nrpi ** t)
-        window = min(max(target - m, 1), max(alg.e - 1, 1))
-        cand = None
-        try:
-            lam0 = alg.solve_norm_approx(tau, window)
-            trial = vec_add(y, vec_scale(alg.uniformizer_pow(t) * lam0, x))
-            q2 = lat.q_value(trial)
-            if q2.is_zero() or q2.valuation() > m:
-                cand = trial
-        except HermlatError:
-            pass
-        if cand is None:
-            cand = _residue_progress(lat, y, [x], m)
-        if cand is None:
-            raise PrecisionLoss("plane deepening stalled")
-        y = cand
-    raise PrecisionLoss("plane deepening did not converge")
 
 
 def _residue_progress(lat, u, helpers, m):
@@ -399,8 +384,7 @@ def _residue_progress(lat, u, helpers, m):
             shift = alg.uniformizer_pow(t)
             for lam0 in alg.unit_residues_O(1):
                 cand = vec_add(u, vec_scale(shift * lam0, y))
-                q2 = lat.q_value(cand)
-                if q2.is_zero() or q2.valuation() > m:
+                if _deepens(lat, cand, m):
                     return cand
     return None
 
@@ -433,7 +417,7 @@ def combine_pieces_pair(lat, donor, target_plane, scale_i):
     k1 = lat.q_value(donor).valuation()
     if k1 > k2:
         raise HypothesisViolation("donor norm must not exceed the plane norm")
-    x2c = _deepen_second(lat, donor, x2, scale_i, k1)
+    x2c = _shift_into_trace_ideal(lat, x2, donor, scale_i)
     u = isotropy_refine(lat, x2c, [y2, x2c])
     return complete_with_partners(lat, u, [y2, x2], scale_i)
 
@@ -457,11 +441,7 @@ def lines_isotropic_pair(lat, lines, scale_i):
             ratio = -qs[a] / qs[b]
             if ratio.valuation() % 2 or not alg.in_E_norm_group(ratio):
                 continue
-            sft = ratio.valuation() // 2
-            nrpi = alg.uniformizer().norm()
-            mu = alg.uniformizer_pow(2 * sft) * alg.solve_norm_unit(
-                ratio / nrpi ** (2 * sft))
-            u = vec_add(lines[a], vec_scale(mu, lines[b]))
+            u = vec_add(lines[a], vec_scale(alg.solve_norm(ratio), lines[b]))
             if lat.q_value(u).is_zero():
                 found = (u, a, b, None)
                 break
@@ -479,21 +459,15 @@ def lines_isotropic_pair(lat, lines, scale_i):
         return complete_hyperbolic_pair(lat, u, w0, scale_i)
     others = [idx for idx in range(len(lines)) if idx not in {a, b, c_used}]
     candidates = others + [idx for idx in (b, c_used) if idx is not None]
-    nrpi = alg.uniformizer().norm()
     for idx in candidates:
         y = lines[idx]
-        qy = lat.q_value(y)
-        t = q0.valuation() - qy.valuation()
-        if t < 0:
-            continue
-        tau = -q0 / (qy * nrpi ** t)
+        window = min(max(target_norm - q0.valuation(), 1), max(alg.e - 1, 1))
         try:
-            window = min(max(target_norm - q0.valuation(), 1),
-                         max(alg.e - 1, 1))
-            mu3 = alg.uniformizer_pow(t) * alg.solve_norm_approx(tau, window)
+            w = _norm_shift(lat, w0, y, q0, lat.q_value(y), window)
         except HermlatError:
             continue
-        w = vec_add(w0, vec_scale(mu3, y))
+        if w is None:
+            continue
         qw = lat.q_value(w)
         pair_uw = lat.inner(u, w)
         if pair_uw.is_zero() or alg.vP(pair_uw) != scale_i:
@@ -509,7 +483,6 @@ def lines_isotropic_pair(lat, lines, scale_i):
 def _triple_isotropic(lat, lines, qs):
     """Isotropic vector u = l_a + mu*l_b + mu'*l_c with exact norm solving."""
     alg = lat.alg
-    nrpi = alg.uniformizer().norm()
     depth = 2 * alg.e + 2
     unit_reps = alg.unit_residues_O(min(depth, 6))
     pis = [alg.uniformizer_pow(t) for t in range(alg.e + 2)]
@@ -531,11 +504,9 @@ def _triple_isotropic(lat, lines, qs):
                                 return (u, a, None, c)
                             continue
                         ratio = rem / qb
-                        v = ratio.valuation()
-                        if v % 2 or not alg.in_E_norm_group(ratio):
+                        if ratio.valuation() % 2 or not alg.in_E_norm_group(ratio):
                             continue
-                        mu_b = alg.uniformizer_pow(v) * alg.solve_norm_unit(
-                            ratio / nrpi ** v)
+                        mu_b = alg.solve_norm(ratio)
                         u = vec_add(lines[a],
                                     vec_add(vec_scale(mu_b, lines[b]),
                                             vec_scale(mu_c, lines[c])))
@@ -621,31 +592,33 @@ def cross_pair_norm_drop(lat, plane1, rest_cols, scale_i):
 
 
 def _shift_into_trace_ideal(lat, w, z, scale_i):
-    """Add multiples pi^t * gamma * z to w until Q(w) lies in Tr(P^scale_i)
-    (one-digit norm-class solves against Q(z)); every step must deepen Q(w),
-    and the rounds run out silently."""
+    """Push Q(w) into Tr(P^scale_i) = p^floor((scale_i+e)/2) by norm shifts
+    along z (window <= e-1).  A shift that fails or does not deepen Q(w)
+    falls back to the residue search; PrecisionLoss when that finds nothing
+    or the rounds run out."""
     alg = lat.alg
     qz = lat.q_value(z)
-    level = qz.valuation()
     target = alg.trace_ideal(scale_i)
-    nrpi = alg.uniformizer().norm()
     for _ in range(4 * (alg.e + 2)):
         q = lat.q_value(w)
         if q.is_zero() or q.valuation() >= target:
-            break
+            return w
         m = q.valuation()
-        t = m - level
-        if t < 0:
+        if m < qz.valuation():
             raise PrecisionLoss("shift direction below the norm level")
-        tau = -q / (qz * nrpi ** t)
         window = min(max(target - m, 1), max(alg.e - 1, 1))
-        gam = alg.uniformizer_pow(t) * alg.solve_norm_approx(tau, window)
-        cand = vec_add(w, vec_scale(gam, z))
-        q2 = lat.q_value(cand)
-        if not q2.is_zero() and q2.valuation() <= m:
+        try:
+            cand = _norm_shift(lat, w, z, q, qz, window)
+            if not _deepens(lat, cand, m):
+                cand = None
+        except HermlatError:
+            cand = None
+        if cand is None:
+            cand = _residue_progress(lat, w, [z], m)
+        if cand is None:
             raise PrecisionLoss("norm shift stalled")
         w = cand
-    return w
+    raise PrecisionLoss("norm shift did not converge")
 
 
 def cross_pair_A_second(lat, donor, plane2, scale_j):
@@ -654,25 +627,18 @@ def cross_pair_A_second(lat, donor, plane2, scale_j):
     alg = lat.alg
     x2, y2, _ = plane2
     qd = lat.q_value(donor)
-    kd = qd.valuation()
-    nrpi = alg.uniformizer().norm()
     u0 = y2
     for _ in range(4 * (alg.e + 2)):
         q = lat.q_value(u0)
         if q.is_zero():
             break
-        m = q.valuation()
-        t = m - kd
-        if t < 0:
-            raise PrecisionLoss("donor norm too deep for the balance step")
-        tau = -q / (qd * nrpi ** t)
         try:
-            gam = alg.uniformizer_pow(t) * alg.solve_norm_approx(tau, 1)
+            cand = _norm_shift(lat, u0, donor, q, qd, 1)
         except HermlatError:
             break
-        cand = vec_add(u0, vec_scale(gam, donor))
-        q2 = lat.q_value(cand)
-        if not q2.is_zero() and q2.valuation() <= m:
+        if cand is None:
+            raise PrecisionLoss("donor norm too deep for the balance step")
+        if not _deepens(lat, cand, q.valuation()):
             break
         u0 = cand
     u = isotropy_refine(lat, u0, [x2, y2])
@@ -940,7 +906,7 @@ def plane_standard_form(lat, x, y, scale_i):
     v = vec_scale((target / pair).conj(), y)
     # 3. drive Q(v) down, stalling only at the anisotropy level
     floor = scale_i - k + alg.e - 1
-    v = _drive_corner_down(lat, u, v, scale_i, k, floor)
+    v = _drive_corner_down(lat, u, v, floor)
     # re-normalize the pairing (corner moves preserve it only up to deep terms)
     pair = lat.inner(u, v)
     v = vec_scale((target / pair).conj(), v)
@@ -952,46 +918,18 @@ def plane_standard_form(lat, x, y, scale_i):
     return u, v, k
 
 
-def _drive_corner_down(lat, u, v, scale_i, k, floor):
+def _drive_corner_down(lat, u, v, floor):
     """Shift v by multiples of u until Q(v) vanishes or reaches the level
     where the anisotropic obstruction stalls further progress."""
-    alg = lat.alg
-    K = alg.base
-    nrpi = alg.uniformizer().norm()
-    for _ in range(6 * (alg.e + 3)):
-        qv = lat.q_value(v)
+    for _ in range(6 * (lat.alg.e + 3)):
+        gv = lat.gram_conj(v)
+        qv = _dot(v, gv).as_K()
         if qv.is_zero():
             return v
-        m = qv.valuation()
-        pair = lat.inner(u, v)
-        progressed = False
-        # trace-dominant kill
-        try:
-            lam = alg.solve_trace(pair, -qv)
-            cand = vec_add(v, vec_scale(lam, u))
-            q2 = lat.q_value(cand)
-            if q2.is_zero() or q2.valuation() > m:
-                v = cand
-                progressed = True
-        except HermlatError:
-            pass
-        if not progressed:
-            # norm-balanced kill against Q(u) = p^k
-            t = m - k
-            if t >= 0:
-                tau = -qv / (K.uniformizer_pow(k) * nrpi ** t)
-                try:
-                    lam0 = alg.solve_norm_approx(tau, 1)
-                    lam = alg.uniformizer_pow(t) * lam0
-                    cand = vec_add(v, vec_scale(lam, u))
-                    q2 = lat.q_value(cand)
-                    if q2.is_zero() or q2.valuation() > m:
-                        v = cand
-                        progressed = True
-                except HermlatError:
-                    pass
-        if not progressed:
-            if m >= floor:
+        cand = _deepen_once(lat, v, gv, qv, [u])
+        if cand is None:
+            if qv.valuation() >= floor:
                 return v
             raise PrecisionLoss("corner reduction stalled above the floor")
+        v = cand
     return v

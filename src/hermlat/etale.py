@@ -46,7 +46,9 @@ from .localfield import (
     _int_valuation,
     _mul_raw,
     _normal,
+    gf_add,
     gf_elements,
+    gf_mul,
 )
 
 INF = math.inf
@@ -152,8 +154,6 @@ class EtaleAlgebra:
     @staticmethod
     def _residue_irreducible(base, b, c):
         rb, rc = b.residue(), c.residue()
-        from .localfield import gf_add, gf_mul
-
         red = base._respoly
         p = base.p
         for x in gf_elements(p, base.f):
@@ -494,6 +494,15 @@ class EtaleAlgebra:
             z = self.solve_trace(self.one, diff - z.norm())
             eps = eps * (self.one + z)
         raise NoSolutionAtPrecision("norm-equation lifting did not converge")
+
+    def solve_norm(self, a):
+        """epsilon in E with Nr(epsilon) = a exactly, for a in Nr(E^x):
+        pi^k * solve_norm_unit(a / Nr(pi)^k) with k = v(a) / v(Nr(pi))."""
+        if self.kind == self.SPLIT:
+            return self.solve_norm_unit(a)
+        nrpi = self.uniformizer().norm()
+        k = a.valuation() // nrpi.valuation()
+        return self.uniformizer_pow(k) * self.solve_norm_unit(a / nrpi ** k)
 
     # -- the normic defect -------------------------------------------------------
 

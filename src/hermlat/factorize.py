@@ -118,7 +118,7 @@ def _residual(lat, gens, phi):
     return diff, all(e.is_zero() for row in diff for e in row)
 
 
-def _residual_precision(lat, diff):
+def _residual_precision(diff):
     """Smallest absolute precision among the entries of a matrix that is zero
     at working precision."""
     return min((comp.abs_precision() for row in diff for e in row
@@ -145,7 +145,7 @@ def verify_factorization(lat, phi, factorization):
     if not (det_phi - det_prod).is_zero():
         raise VerificationFailed("determinant mismatch")
     return {
-        "residual_precision": _residual_precision(lat, diff),
+        "residual_precision": _residual_precision(diff),
         "factors": len(factorization.generators),
         "det_consistent": True,
     }
@@ -198,7 +198,7 @@ def factor_unitary(lat, phi, reduce_eichler=True):
     if not ok:
         raise PrecisionLoss("driver product does not match the input")
     has_eichler = any(isinstance(g, EichlerIsometry) for g in gens)
-    return Factorization(lat, gens, _residual_precision(lat, diff),
+    return Factorization(lat, gens, _residual_precision(diff),
                          symmetries_only=not has_eichler,
                          contains_eichler=has_eichler)
 

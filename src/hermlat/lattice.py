@@ -120,18 +120,7 @@ class HermitianLattice:
         """Exponent of norm(L) as an o-ideal (v_p units)."""
         if self.n == 0:
             raise HermlatError("norm of the zero lattice")
-        alg = self.alg
-        best = INF
-        for i in range(self.n):
-            d = self.gram[i][i]
-            if not d.is_zero():
-                best = min(best, d.as_K().valuation())
-            for j in range(i + 1, self.n):
-                t = alg.trace_ideal_of(self.gram[i][j])
-                best = min(best, t)
-        if best is INF:
-            raise HermlatError("zero Gram matrix")
-        return best
+        return _norm_exp_of_gram(self.alg, self.gram)
 
     def is_normal(self):
         """norm(L) O == scale(L)."""

@@ -19,7 +19,7 @@ from .isometries import (
     make_eichler,
     matrix_of,
 )
-from .linalg import _dot, identity, mat_mul, vec_add, vec_scale, vec_sub
+from .linalg import _dot, basis_vector, identity, mat_mul, vec_add, vec_scale, vec_sub
 
 
 def enumerate_trace_image(alg, i, modulus_exp):
@@ -87,7 +87,7 @@ def random_symmetry(lat, rng, tries=60):
         if qs.is_zero():
             continue
         pairings = [_dot(b, gs) for b in lat.basis()]
-        for sigma in _sigma_candidates(lat, s, qs, rng):
+        for sigma in _sigma_candidates(lat, qs, rng):
             if sigma.is_zero():
                 continue
             # cheap sufficient test <L,s> inside sigma*O before the exact one
@@ -111,7 +111,7 @@ def random_symmetry(lat, rng, tries=60):
     raise SearchExhausted("no random symmetry found")
 
 
-def _sigma_candidates(lat, s, qs, rng):
+def _sigma_candidates(lat, qs, rng):
     alg = lat.alg
     qk = qs.as_K()
     if alg.kind == EtaleAlgebra.SPLIT:
@@ -164,8 +164,6 @@ def random_eichler(lat, rng, tries=40):
         # force <y, L> inside <u,v> O
         need = 0
         for kdx in range(lat.n):
-            from .linalg import basis_vector
-
             q = lat.inner(y, basis_vector(alg, lat.n, kdx))
             if q.is_zero():
                 continue

@@ -1,17 +1,20 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import hermlat
 from hermlat import oracle
 from hermlat.classify import (
+    _norm_shift,
     isometric,
     isometry_conditions,
     modular_standard_form,
     rearrange_jordan,
     splits_hyperbolic,
 )
-from hermlat.errors import HypothesisViolation
+from hermlat.errors import HypothesisViolation, NoSolutionAtPrecision
+from hermlat.etale import NONNORM
 from hermlat.lattice import (
     HermitianLattice,
     orthogonal_sum,
@@ -19,7 +22,9 @@ from hermlat.lattice import (
     standard_H,
     standard_Hik,
 )
+from hermlat.linalg import basis_vector, vec_scale
 from hermlat.specfile import parse_lattice
+from test_isometries import _catalog_lattice
 from test_kernel_identity import _basis_change
 from test_lattice import _unit_basis_change, transformed
 
@@ -153,3 +158,40 @@ def test_isotropy_fallback_finds_the_pair():
     assert other.inner(u, v) == other.alg.uniformizer_pow(s)
     ok, _, _ = isometry_conditions(lat, other)
     assert ok
+
+
+RAMIFIED_CATALOG = ("f4ram", "q2i-diag", "q2i-h", "q2i-h0h0", "q2i-h1h1",
+                    "q2sqrt2-a01", "q2sqrt2-h0h0", "q2sqrt2-h1h1", "q2sqrt2-sub", "ram3")
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(st.sampled_from(RAMIFIED_CATALOG), st.integers(0, 2 ** 32 - 1), st.integers(0, 3))
+def test_norm_shift_cancels_the_leading_digits(name, seed, s):
+    """``_norm_shift(lat, w, z, q, qz, window)`` along a basis column z of a
+    seeded basis: None exactly when v(q) < v(qz); otherwise w + lam*z with
+    v(q + Nr(lam) qz) >= v(q) + window, for every window 1..max(e-1, 1).
+    The norm solve may fail only where no unit norm reaches the class."""
+    rng = random.Random(seed)
+    lat = _basis_change(_catalog_lattice(name), rng)
+    alg = lat.alg
+    j = rng.randrange(lat.n)
+    z = basis_vector(alg, lat.n, j)
+    w = vec_scale(alg.uniformizer_pow(s), oracle.random_vector(lat, rng))
+    q, qz = lat.q_value(w), lat.q_value(z)
+    assume(not q.is_zero() and not qz.is_zero())
+    t = q.valuation() - qz.valuation()
+    for window in range(1, max(alg.e - 1, 1) + 1):
+        try:
+            cand = _norm_shift(lat, w, z, q, qz, window)
+        except NoSolutionAtPrecision:
+            tau = -q / (qz * alg.uniformizer_pow(t).norm())
+            assert window == max(alg.e, 1) and alg.norm_class(tau) == NONNORM
+            continue
+        if t < 0:
+            assert cand is None
+            continue
+        assert all(cand[i] == w[i] for i in range(lat.n) if i != j)
+        lam = cand[j] - w[j]
+        rest = q + lam.norm() * qz
+        assert rest.is_zero() or rest.valuation() >= q.valuation() + window

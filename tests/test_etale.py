@@ -3,7 +3,7 @@ import operator
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hermlat.errors import HermlatError, ParityMismatch, WrongKind
 from hermlat.etale import INF, NONNORM, NORM, AlgElement, EtaleAlgebra
@@ -133,6 +133,46 @@ def test_units_approximated_by_norms(Q2sqrt2, Q2i):
             eps = alg.solve_norm_approx(a, alg.e - 1)
             diff = a - eps.norm()
             assert diff.is_zero() or diff.valuation() >= alg.e - 1
+
+
+def _norm_algebras():
+    for prec, guard in ((8, 4), (64, 16)):
+        Q2 = LocalField(2, precision=prec, guard=guard)
+        Q3 = LocalField(3, precision=prec, guard=guard)
+        F4 = LocalField(2, unramified_poly=[1, 1], precision=prec, guard=guard)
+        yield EtaleAlgebra.split(Q2)
+        for K, b, c in ((Q2, 1, 1),     # inert over Q_2
+                        (Q2, 2, 2),     # Q_2(i)
+                        (Q2, 0, -2),    # Q_2(sqrt 2)
+                        (Q3, 0, -3),    # Q_3(sqrt 3)
+                        (F4, 0, -2)):   # F_4-ramified
+            yield EtaleAlgebra.quadratic(K, b, c)
+
+
+NORM_ALGEBRAS = list(_norm_algebras())
+
+
+@st.composite
+def nonzero_elements(draw, alg):
+    """x0 + x1*g with integral coordinates, times pi^k for any sign of k;
+    split slots are drawn separately, so their valuations may differ."""
+    K = alg.base
+
+    def coord():
+        return K.from_coeffs([draw(st.integers(-10 ** 6, 10 ** 6))
+                              for _ in range(K.nbasis)])
+
+    x = AlgElement(alg, coord(), coord())
+    assume(not x.norm().is_zero())
+    return x * alg.uniformizer_pow(draw(st.integers(-4, 8)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_solve_norm_solves_every_norm(data):
+    alg = data.draw(st.sampled_from(NORM_ALGEBRAS))
+    a = data.draw(nonzero_elements(alg)).norm()
+    assert alg.solve_norm(a).norm() == a
 
 
 def test_residue_one_iff_norm_residue_one(Q2sqrt2):

@@ -357,7 +357,7 @@ def perturbed_generators(draw):
         s = random_vector(lat, rng)
         qs = lat.inner(s, s)
         assume(not qs.is_zero())
-        g = Symmetry(s, rng.choice(list(oracle._sigma_candidates(lat, s, qs, rng))))
+        g = Symmetry(s, rng.choice(list(oracle._sigma_candidates(lat, qs, rng))))
     how = draw(st.sampled_from(("none", "sigma", "s")))
     if how == "sigma":
         g = Symmetry(g.s, g.sigma + alg.uniformizer_pow(k))

@@ -8,7 +8,10 @@ in strings).  Comments and docstrings do not count, nor does a call of the
 function inside its own body.
 
 A name that a module of ``src/hermlat`` imports at its top level must be
-read in that module's code.
+read in that module's code, and no function body imports anything.  Every
+parameter of a function defined at module or class level is read in its
+body (``self`` and ``cls`` apart; callbacks nested in a function are not
+checked).
 """
 
 import ast
@@ -89,14 +92,53 @@ def _module_imports(tree):
                 yield alias.asname or alias.name.split(".", 1)[0], node.lineno
 
 
-def test_every_module_level_import_is_used():
+def _src_trees():
+    """(file name, tree) of each module of ``src/hermlat``."""
     src_dir = os.path.join(ROOT, "src", "hermlat")
-    unused = []
     for path, tree in _sources():
-        if os.path.dirname(path) != src_dir:
-            continue
+        if os.path.dirname(path) == src_dir:
+            yield os.path.basename(path), tree
+
+
+def test_every_module_level_import_is_used():
+    unused = []
+    for name, tree in _src_trees():
         loaded = {sub.id for sub in ast.walk(tree)
                   if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
-        unused += [f"{os.path.basename(path)}:{line}:{name}"
-                   for name, line in _module_imports(tree) if name not in loaded]
+        unused += [f"{name}:{line}:{bound}"
+                   for bound, line in _module_imports(tree) if bound not in loaded]
     assert not unused, f"module-level imports nobody uses: {unused}"
+
+
+def _defined_functions(tree):
+    """Functions defined at module level or directly in a module-level class;
+    functions nested in a function body (callbacks) are not listed."""
+    for node in tree.body:
+        body = node.body if isinstance(node, ast.ClassDef) else [node]
+        for sub in body:
+            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield sub
+
+
+def test_every_parameter_is_read():
+    unread = []
+    for name, tree in _src_trees():
+        for fn in _defined_functions(tree):
+            a = fn.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [
+                p for p in (a.vararg, a.kwarg) if p is not None]
+            loaded = {sub.id for sub in ast.walk(fn)
+                      if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+            unread += [f"{name}:{fn.name}({p.arg})" for p in params
+                       if p.arg not in ("self", "cls") and p.arg not in loaded]
+    assert not unread, f"parameters never read: {unread}"
+
+
+def test_no_function_imports_inside_its_body():
+    local = set()
+    for name, tree in _src_trees():
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                local.update(f"{name}:{node.lineno}" for node in ast.walk(fn)
+                             if isinstance(node, (ast.Import, ast.ImportFrom)))
+    assert not local, f"imports inside function bodies: {sorted(local)}"
