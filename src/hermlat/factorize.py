@@ -25,6 +25,8 @@ each generator's one matrix.
 
 from __future__ import annotations
 
+from functools import reduce
+
 from .errors import (
     NotAnIsometry,
     PrecisionLoss,
@@ -105,10 +107,10 @@ class Factorization:
 
 
 def _product(lat, gens):
-    prod = identity(lat.alg, lat.n)
-    for g in gens:
-        prod = mat_mul(prod, matrix_of(lat, g))
-    return prod
+    """The product of the generators' matrices, left to right; the identity
+    for an empty word."""
+    mats = [matrix_of(lat, g) for g in gens]
+    return reduce(mat_mul, mats) if mats else identity(lat.alg, lat.n)
 
 
 def _residual(lat, gens, phi):

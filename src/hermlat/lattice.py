@@ -5,10 +5,21 @@ matrix is taken with respect to the standard basis.  Sublattices are always
 described by transform matrices (columns = new basis vectors in the original
 coordinates), never by generating sets: O is local, so finitely generated
 torsion-free modules are free.
+
+Every pairing <x, y> goes through one functional, ``gram_conj(y) = G
+conj(y)``, which is memoised in ``_FUNCTIONALS``: the key is the lattice's
+id and the exact ``(co, shift, ncap)`` of both coordinates of each entry of
+y, the value the functional with a weak reference to the lattice, and
+beyond ``_FUNCTIONALS_BOUND = 64`` entries the oldest is dropped.  A hit
+needs the reference to be the lattice itself: the memo keeps no lattice
+alive, and a recycled id misses.  The functional is a pure function of those
+triples and the lattice, so a hit returns what the computation would, bit
+for bit.
 """
 
 from __future__ import annotations
 
+import weakref
 from itertools import combinations
 
 from .errors import (
@@ -38,6 +49,9 @@ from .linalg import (
     vec_sub,
 )
 
+_FUNCTIONALS = {}
+_FUNCTIONALS_BOUND = 64
+
 
 class HermitianLattice:
     def __init__(self, alg, gram, _skip_checks=False):
@@ -59,19 +73,36 @@ class HermitianLattice:
     # -- basic maps ----------------------------------------------------------
 
     def gram_conj(self, y):
-        """The functional G conj(y) of y: <x, y> = dot(x, gram_conj(y))."""
-        return mat_vec(self.gram, tuple(c.conj() for c in y))
+        """The functional G conj(y) of y: <x, y> = dot(x, gram_conj(y)).
+
+        Memoised in ``_FUNCTIONALS`` by this lattice and the exact
+        ``(co, shift, ncap)`` of y's coordinates, so a vector rebuilt equal
+        in value gets the functional computed the first time."""
+        # Triples, not one flat tuple of 6n + 1 items: freed tuples of such a
+        # length pile up on CPython's tuple free list (up to 2,000 per
+        # length), about 1 MB of peak RSS on the unramified benchmark.
+        key = (id(self), *[(x.co, x.shift, x.ncap) for c in y for x in (c.x0, c.x1)])
+        hit = _FUNCTIONALS.get(key)
+        if hit is not None and hit[0]() is self:
+            return hit[1]
+        gy = mat_vec(self.gram, tuple(c.conj() for c in y))
+        if hit is None and len(_FUNCTIONALS) >= _FUNCTIONALS_BOUND:
+            del _FUNCTIONALS[next(iter(_FUNCTIONALS))]
+        _FUNCTIONALS[key] = (weakref.ref(self), gy)
+        return gy
 
     def inner(self, x, y):
         """<x, y> = x^T G conj(y); E-linear in x.
 
-        This is the one definition, ``_dot(x, self.gram_conj(y))``.  A caller
-        pairing several vectors against the same y computes gram_conj(y) once
-        and reuses it through ``_dot``, keeping the argument order: the left
-        factor is the vector, the right one the functional, summed left to
-        right.  At capped precision <x, y> and conj(<y, x>) can differ in
-        their last digits or precision count, and so can a sum that skips an
-        exact-zero product, so neither shortcut stands in for inner().
+        This is the one definition, ``_dot(x, self.gram_conj(y))``.  Pairing
+        several vectors against the same y computes gram_conj(y) once: the
+        memo in gram_conj returns it again.  A caller that holds the
+        functional reuses it through ``_dot``, keeping the argument order:
+        the left factor is the vector, the right one the functional, summed
+        left to right.  At capped precision <x, y> and conj(<y, x>) can
+        differ in their last digits or precision count, and so can a sum
+        that skips an exact-zero product, so neither shortcut stands in for
+        inner().
         """
         return _dot(x, self.gram_conj(y))
 
@@ -289,22 +320,19 @@ class JordanSplitting:
 # -- helpers -------------------------------------------------------------------
 
 
-def _gram_of(lat, cols, gcs=None):
-    """Gram matrix of cols, one functional per column; gcs are the
-    columns' gram_conj when the caller has them already."""
-    if gcs is None:
-        gcs = [lat.gram_conj(b) for b in cols]
+def _gram_of(lat, cols):
+    """Gram matrix of cols, one functional per column."""
+    gcs = [lat.gram_conj(b) for b in cols]
     return tuple(tuple(_dot(a, gb) for gb in gcs) for a in cols)
 
 
 def _project_off(lat, vecs, piece):
     """vecs made orthogonal to span(piece) by subtracting their
     <., piece>-projections; piece spans a non-degenerate sublattice."""
-    gps = [lat.gram_conj(p) for p in piece]
-    pg_inv = mat_inv(tuple(zip(*_gram_of(lat, piece, gps))))
+    pg_inv = mat_inv(tuple(zip(*_gram_of(lat, piece))))
     out = []
     for y in vecs:
-        coeffs = mat_vec(pg_inv, tuple(_dot(y, gp) for gp in gps))
+        coeffs = mat_vec(pg_inv, tuple(lat.inner(y, p) for p in piece))
         yy = y
         for cf, p in zip(coeffs, piece):
             yy = vec_sub(yy, vec_scale(cf, p))
@@ -322,9 +350,8 @@ def _complement(lat, cols, piece):
     kept columns are projected off it (``_project_off``).  A split kind
     whose minors are units only slot by slot drops each slot's own columns
     (``_slotwise_keep``)."""
-    gcs = [lat.gram_conj(c) for c in cols]
-    cg_inv = mat_inv(tuple(zip(*_gram_of(lat, cols, gcs))))
-    coords = [mat_vec(cg_inv, tuple(_dot(p, gc) for gc in gcs)) for p in piece]
+    cg_inv = mat_inv(tuple(zip(*_gram_of(lat, cols))))
+    coords = [mat_vec(cg_inv, tuple(lat.inner(p, c) for c in cols)) for p in piece]
     drop = _unit_minor(coords)
     if drop is not None:
         keep = [c for j, c in enumerate(cols) if j not in drop]

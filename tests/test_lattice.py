@@ -1,11 +1,14 @@
+import gc
 import itertools
 import os
 import random
+import weakref
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import hermlat
+from hermlat import lattice
 from hermlat.errors import RangeViolation
 from hermlat.etale import INF, NONNORM, NORM, EtaleAlgebra
 from hermlat.lattice import (
@@ -30,7 +33,7 @@ from hermlat.linalg import (
 )
 from hermlat.localfield import FieldElement, LocalField
 from test_isometries import _catalog_lattice
-from test_kernel_identity import _gl_n_O
+from test_kernel_identity import _gl_n_O, exact_key
 
 
 def _unit_basis_change(lat, rng):
@@ -282,6 +285,49 @@ def test_shared_functional_is_bit_identical(data):
         for j, b in enumerate(cols):
             assert _triple(g[i][j]) == _triple(lat.inner(a, b))
             assert _triple(_dot(a, lat.gram_conj(b))) == _triple(_inner_reference(lat, a, b))
+
+
+MEMO_LATTICES = ("split2", "inert2", "q2i-h", "q2sqrt2-h0h0", "f4ram")
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(MEMO_LATTICES), st.data())
+def test_memoised_functional_is_exact(name, data):
+    """gram_conj returns the functional that G conj(y) computes, triple for
+    triple, on repeated calls, on vectors rebuilt equal in value, and on calls
+    interleaved between L and L.rescale(pi): same vectors, another Gram."""
+    lat = _catalog_lattice(name)
+    alg = lat.alg
+    lats = [lat, lat.rescale(alg.base.uniformizer_pow(1))]
+    el = _alg_elements(alg)
+    vecs = [tuple(data.draw(el) for _ in range(lat.n))
+            for _ in range(data.draw(st.integers(1, 4)))]
+    for _ in range(data.draw(st.integers(1, 12))):
+        m = data.draw(st.sampled_from(lats))
+        y = data.draw(st.sampled_from(vecs))
+        if data.draw(st.booleans()):
+            y = tuple(alg.element(c.x0, c.x1) for c in y)
+        want = mat_vec(m.gram, tuple(c.conj() for c in y))
+        assert exact_key(m.gram_conj(y)) == exact_key(want)
+        assert len(lattice._FUNCTIONALS) <= lattice._FUNCTIONALS_BOUND
+
+
+def test_functional_memo_is_bounded(Q2sqrt2):
+    lat = standard_H(Q2sqrt2, 0)
+    for k in range(3 * lattice._FUNCTIONALS_BOUND):
+        lat.gram_conj((Q2sqrt2.from_int(k), Q2sqrt2.one))
+        assert len(lattice._FUNCTIONALS) <= lattice._FUNCTIONALS_BOUND
+    assert len(lattice._FUNCTIONALS) == lattice._FUNCTIONALS_BOUND
+
+
+def test_functional_memo_lets_a_dropped_lattice_go(Q2sqrt2):
+    lat = standard_H(Q2sqrt2, 1)
+    for k in range(3):
+        lat.gram_conj((Q2sqrt2.one, Q2sqrt2.from_int(k)))
+    ref = weakref.ref(lat)
+    del lat
+    gc.collect()
+    assert ref() is None
 
 
 # -- the Smith reduction ---------------------------------------------------------
