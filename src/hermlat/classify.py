@@ -171,16 +171,16 @@ def modular_standard_form(lat):
 # ---------------------------------------------------------------------------
 
 
-def isotropy_refine(lat, u, helpers, max_rounds=96):
+def isotropy_refine(lat, u, helpers):
     """Exact isotropy kill allowing both trace-dominant and norm-balanced
     corrections along the helper directions.
 
-    The rounds can fail to converge: a norm-balanced step along a helper
-    that is u itself only rescales u.  Then the isotropic line of
+    Its 96 rounds can fail to converge: a norm-balanced step along a
+    helper that is u itself only rescales u.  Then the isotropic line of
     span(u, y) is computed in closed form for each other helper y in turn
     (``_isotropic_in_plane``), starting again from the u given."""
     start = u
-    for _ in range(max_rounds):
+    for _ in range(96):
         gu = lat.gram_conj(u)
         q = _dot(u, gu).as_K()
         if q.is_zero():

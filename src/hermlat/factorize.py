@@ -19,13 +19,12 @@ one itself, to choose its move.  ``eichler_to_symmetries`` tests each
 symmetry of a rewrite.
 ``factor_unitary`` compares the word's product with phi once and raises
 ``PrecisionLoss`` rather than return a word that misses it;
-``verify_factorization`` is the independent certificate.  All of them share
-each generator's one matrix.
+``verify_factorization`` is the independent certificate, from the generator
+list alone.  All of them apply words through ``isometries.apply_word``, so no
+matrix product runs after the input check.
 """
 
 from __future__ import annotations
-
-from functools import reduce
 
 from .errors import (
     NotAnIsometry,
@@ -49,13 +48,13 @@ from .isometries import (
     Symmetry,
     _pair_scale,
     apply_generator,
+    apply_word,
     det_of,
     eichler_to_symmetries,
     gram_preserved,
     in_unitary_group,
     make_eichler,
     make_symmetry,
-    matrix_of,
     reflection_data,
 )
 from .lattice import (
@@ -71,7 +70,6 @@ from .linalg import (
     identity,
     is_integral_matrix,
     mat_det,
-    mat_mul,
     mat_vec,
     vec_add,
     vec_eq,
@@ -92,7 +90,8 @@ class Factorization:
         self.contains_eichler = contains_eichler
 
     def matrix(self):
-        return _product(self.lattice, self.generators)
+        lat = self.lattice
+        return apply_word(lat, self.generators, identity(lat.alg, lat.n))
 
     def __len__(self):
         return len(self.generators)
@@ -106,17 +105,10 @@ class Factorization:
         return f"Factorization([{kinds}])"
 
 
-def _product(lat, gens):
-    """The product of the generators' matrices, left to right; the identity
-    for an empty word."""
-    mats = [matrix_of(lat, g) for g in gens]
-    return reduce(mat_mul, mats) if mats else identity(lat.alg, lat.n)
-
-
 def _residual(lat, gens, phi):
     """product(gens) - phi, and whether it is zero at working precision."""
-    diff = tuple(tuple(a - b for a, b in zip(r1, r2))
-                 for r1, r2 in zip(_product(lat, gens), phi))
+    prod = apply_word(lat, gens, identity(lat.alg, lat.n))
+    diff = tuple(tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(prod, phi))
     return diff, all(e.is_zero() for row in diff for e in row)
 
 
@@ -134,7 +126,7 @@ def verify_factorization(lat, phi, factorization):
         if not in_unitary_group(lat, g):
             raise VerificationFailed(
                 f"factor {idx} is not in U(L)", factor_index=idx)
-    diff, ok = _residual(lat, factorization, phi)
+    diff, ok = _residual(lat, factorization.generators, phi)
     if not ok:
         raise VerificationFailed("product does not reproduce the input")
     det_prod = None
@@ -174,7 +166,7 @@ class _Driver:
             raise PrecisionLoss("constructed generator does not preserve L")
         inv = g.inverse(lat) if isinstance(g, EichlerIsometry) else g.inverse()
         self.out.append(inv)
-        return mat_mul(matrix_of(lat, g), phi)
+        return apply_word(lat, [g], phi)
 
     def emit_symmetries(self, syms, phi):
         """Apply a product s_1 ∘ ... ∘ s_r to phi, emitting inverses."""

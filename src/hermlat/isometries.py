@@ -17,11 +17,16 @@ and an integral isometry has a unit determinant (N(det) = 1), so its inverse
 is integral too.  Data that break an identity are rejected, also in the
 degenerate cases where the rank-one form vanishes or, for y = 0 and
 <u,u> != 0, the matrix is still an isometry.  ``gram_preserved``, O(n^3),
-is for bare matrices.  A generator keeps its matrix and functionals, built
-once with its lattice; generators are not changed after construction.  The
-rewriting identities (``compose_eichler``, ``twist_by_skew``,
-``eichler_to_symmetries``) are exact: the tests check them, and they are not
-re-multiplied at run time.
+is for bare matrices.
+
+A generator is I + sum w r^T over its update terms (w, r), one for a
+symmetry and two for an Eichler isometry (``_build``).  Its matrix and its
+action on vectors (``apply_generator``) and on matrices (``apply_word``) all
+come from these terms, built once with its lattice and kept with its
+functionals (a generator is not changed after construction); no word is
+multiplied out as matrices.  The rewriting identities (``compose_eichler``,
+``twist_by_skew``, ``eichler_to_symmetries``) are exact: the tests check
+them, and they are not re-multiplied at run time.
 """
 
 from __future__ import annotations
@@ -40,8 +45,11 @@ from .lattice import _project_off
 from .linalg import (
     _dot,
     basis_vector,
+    cols_of,
+    identity,
     is_integral_matrix,
     mat_eq,
+    mat_from_cols,
     mat_mul,
     mat_vec,
     vec_add,
@@ -102,18 +110,24 @@ def make_symmetry(lat, s, sigma):
 
 
 def apply_generator(lat, g, x):
-    if isinstance(g, Symmetry):
-        coeff = lat.inner(x, g.s) / g.sigma
-        return vec_sub(x, vec_scale(coeff, g.s))
-    if isinstance(g, EichlerIsometry):
-        u, v, y, mu = g.u, g.v, g.y, g.mu
-        gu = lat.gram_conj(u)
-        pvu = _dot(v, gu)
-        puv = lat.inner(u, v)
-        a = _dot(x, gu) / pvu
-        b = mu * a - lat.inner(x, y) / puv
-        return vec_add(x, vec_add(vec_scale(a, y), vec_scale(b, u)))
-    raise HermlatError(f"not a generator: {g!r}")
+    """g(x) = x + sum (r.x) w over the update terms (w, r) of g; every
+    coefficient is read from the x given."""
+    terms = _build(lat, g)[2]
+    coeffs = [_dot(x, r) for _, r in terms]
+    for c, (w, _) in zip(coeffs, terms):
+        x = vec_add(x, vec_scale(c, w))
+    return x
+
+
+def apply_word(lat, word, m):
+    """word * m for the word g_1 ... g_k (g_k acts first), one column of m
+    at a time through ``apply_generator``."""
+    cols = []
+    for x in cols_of(m):
+        for g in reversed(word):
+            x = apply_generator(lat, g, x)
+        cols.append(x)
+    return mat_from_cols(cols)
 
 
 def matrix_of(lat, g):
@@ -122,36 +136,36 @@ def matrix_of(lat, g):
 
 
 def _build(lat, g):
-    """(matrix, functionals) of g on lat, made once per lattice and kept in
-    g.  The functionals are G conj(s) of a symmetry, and (G conj(u),
-    G conj(y), <u,v>) of an Eichler isometry."""
+    """(matrix, functionals, terms) of g on lat, made once per lattice and
+    kept in g.  g is I + sum w r^T over its update terms (w, r): (s, -c)
+    for a symmetry, c = G conj(s)/sigma; (y, a) and (u, b) for an Eichler
+    isometry, a = G conj(u)/<v,u> and b = mu a - G conj(y)/<u,v>.  The
+    functionals are G conj(s) of a symmetry, and (G conj(u), G conj(y),
+    <u,v>) of an Eichler isometry."""
     if isinstance(g, (Symmetry, EichlerIsometry)) and g._built is not None \
             and g._built[0] is lat:
         return g._built[1]
     alg = lat.alg
-    n = lat.n
     if isinstance(g, Symmetry):
         f = gs = lat.gram_conj(g.s)
         sinv = alg.one / g.sigma
-        coeffs = [e * sinv for e in gs]
-        m = tuple(tuple((alg.one if i == j else alg.zero)
-                        - coeffs[j] * g.s[i]
-                        for j in range(n)) for i in range(n))
+        terms = ((g.s, tuple(-(e * sinv) for e in gs)),)
     elif isinstance(g, EichlerIsometry):
         gu = lat.gram_conj(g.u)
         gy = lat.gram_conj(g.y)
         pvu = _dot(g.v, gu)
         puv = lat.inner(g.u, g.v)
-        a = [e / pvu for e in gu]
-        b = [g.mu * aj - ej / puv for aj, ej in zip(a, gy)]
-        m = tuple(tuple((alg.one if i == j else alg.zero)
-                        + a[j] * g.y[i] + b[j] * g.u[i]
-                        for j in range(n)) for i in range(n))
+        a = tuple(e / pvu for e in gu)
+        b = tuple(g.mu * aj - ej / puv for aj, ej in zip(a, gy))
         f = (gu, gy, puv)
+        terms = ((g.y, a), (g.u, b))
     else:
         raise HermlatError(f"not a generator: {g!r}")
-    g._built = (lat, (m, f))
-    return m, f
+    m = identity(alg, lat.n)
+    for w, r in terms:
+        m = tuple(tuple(e + rj * wi for e, rj in zip(row, r)) for row, wi in zip(m, w))
+    g._built = (lat, (m, f, terms))
+    return g._built[1]
 
 
 def det_of(lat, g):
@@ -178,7 +192,7 @@ def in_unitary_group(lat, g_or_matrix):
     g = g_or_matrix
     if not isinstance(g, (Symmetry, EichlerIsometry)):
         return is_integral_matrix(g) and gram_preserved(lat, g)
-    m, f = _build(lat, g)
+    m, f, _ = _build(lat, g)
     return is_integral_matrix(m) and _defect_vanishes(g, f)
 
 
@@ -288,13 +302,14 @@ def eichler_parameters_from_matrix(lat, u, v, m):
     return y, mu
 
 
-def eichler_to_symmetries(lat, e, fuel=10):
+def eichler_to_symmetries(lat, e):
     """Rewrite a rescaled Eichler isometry of L as a product of symmetries.
 
     Returns the list, each member tested to lie in U(L), whose product is
     the matrix of e (the rewriting identities are exact), or None in the
-    ramified dyadic residue-two case when no rewriting rule applies."""
-    out = _reduce_eichler(lat, e, fuel)
+    ramified dyadic residue-two case when no rewriting rule applies.  The
+    rewrite recurses at most 10 times."""
+    out = _reduce_eichler(lat, e, 10)
     if out is not None and not all(in_unitary_group(lat, g) for g in out):
         raise PrecisionLoss("reduction produced a non-member symmetry")
     return out
@@ -369,7 +384,7 @@ def _reduce_unramified(lat, e, fuel):
         g = Symmetry(s, sigma)
         if not in_unitary_group(lat, g):
             continue
-        m2 = mat_mul(matrix_of(lat, g), matrix_of(lat, e))
+        m2 = apply_word(lat, [g, e], identity(alg, lat.n))
         y2, mu2 = eichler_parameters_from_matrix(lat, e.u, e.v, m2)
         e2 = EichlerIsometry(e.u, e.v, y2, mu2)
         if not mat_eq(matrix_of(lat, e2), m2):
@@ -402,7 +417,7 @@ def _reduce_ramified(lat, e, fuel):
         if not e.mu.is_zero() and alg.vP(e.mu) <= 1:
             s1, s2 = _two_symmetries(e, puv, pvu)
             if in_unitary_group(lat, s2):
-                lhs = mat_mul(matrix_of(lat, s1), matrix_of(lat, s2))
+                lhs = apply_word(lat, [s1, s2], identity(alg, lat.n))
                 if mat_eq(lhs, matrix_of(lat, e)):
                     return [s1, s2]
         for t in (i, i - 1):

@@ -78,38 +78,34 @@ def mat_eq(a, b):
 
 
 def mat_det(a):
-    n = len(a)
-    if n == 0:
+    if not a:
         raise HermlatError("determinant of an empty matrix")
-    memo = {}
+    return _minor(a, {}, 0, (1 << len(a)) - 1)
 
-    def minor(row, mask):
-        if mask == 0:
-            return None
-        key = (row, mask)
-        if key in memo:
-            return memo[key]
-        cols = [j for j in range(n) if mask & (1 << j)]
-        if len(cols) == 1:
-            memo[key] = a[row][cols[0]]
-            return memo[key]
-        acc = None
-        sign = 1
-        for idx, j in enumerate(cols):
-            entry = a[row][j]
-            if not entry.is_zero():
-                sub = minor(row + 1, mask & ~(1 << j))
-                term = entry * sub
-                if sign < 0:
-                    term = -term
-                acc = term if acc is None else acc + term
-            sign = -sign
-        if acc is None:
-            acc = a[0][0].alg.zero
-        memo[key] = acc
-        return acc
 
-    return minor(0, (1 << n) - 1)
+def _minor(a, memo, row, mask):
+    """Cofactor expansion of the minor of a on rows row.. and the columns
+    in mask, along its first row; memo keeps every minor computed."""
+    key = (row, mask)
+    if key in memo:
+        return memo[key]
+    cols = [j for j in range(len(a)) if mask & (1 << j)]
+    if len(cols) == 1:
+        return a[row][cols[0]]
+    acc = None
+    sign = 1
+    for j in cols:
+        entry = a[row][j]
+        if not entry.is_zero():
+            term = entry * _minor(a, memo, row + 1, mask & ~(1 << j))
+            if sign < 0:
+                term = -term
+            acc = term if acc is None else acc + term
+        sign = -sign
+    if acc is None:
+        acc = a[0][0].alg.zero
+    memo[key] = acc
+    return acc
 
 
 def mat_adjugate(a):

@@ -15,11 +15,11 @@ from .etale import EtaleAlgebra
 from .classify import splits_hyperbolic
 from .isometries import (
     Symmetry,
+    apply_word,
     in_unitary_group,
     make_eichler,
-    matrix_of,
 )
-from .linalg import _dot, basis_vector, identity, mat_mul, vec_add, vec_scale, vec_sub
+from .linalg import _dot, basis_vector, identity, vec_add, vec_scale, vec_sub
 
 
 def enumerate_trace_image(alg, i, modulus_exp):
@@ -76,9 +76,9 @@ def random_vector(lat, rng, depth=3):
     return tuple(coords)
 
 
-def random_symmetry(lat, rng, tries=60):
+def random_symmetry(lat, rng):
     alg = lat.alg
-    for _ in range(tries):
+    for _ in range(60):
         s = random_vector(lat, rng)
         if all(c.is_zero() for c in s):
             continue
@@ -147,7 +147,7 @@ def _cached_pair(lat):
     return _PAIR_CACHE[lat]
 
 
-def random_eichler(lat, rng, tries=40):
+def random_eichler(lat, rng):
     found = _cached_pair(lat)
     if found is None:
         return None
@@ -156,7 +156,7 @@ def random_eichler(lat, rng, tries=40):
     gu, gv = lat.gram_conj(u), lat.gram_conj(v)
     puv = _dot(u, gv)
     pvu = _dot(v, gu)
-    for _ in range(tries):
+    for _ in range(40):
         raw = random_vector(lat, rng)
         # project into the orthogonal complement of the pair
         y = vec_sub(raw, vec_add(vec_scale(_dot(raw, gu) / pvu, v),
@@ -186,10 +186,10 @@ def random_eichler(lat, rng, tries=40):
     return None
 
 
-def random_generator(lat, seed_or_rng, eichler_ratio=0.3):
+def random_generator(lat, seed_or_rng):
     rng = seed_or_rng if isinstance(seed_or_rng, random.Random) \
         else random.Random(seed_or_rng)
-    if rng.random() < eichler_ratio:
+    if rng.random() < 0.3:
         e = random_eichler(lat, rng)
         if e is not None:
             return e
@@ -199,10 +199,5 @@ def random_generator(lat, seed_or_rng, eichler_ratio=0.3):
 def random_unitary(lat, k, seed):
     """Product of k random generators; deterministic in the seed."""
     rng = random.Random(seed)
-    m = identity(lat.alg, lat.n)
-    gens = []
-    for _ in range(k):
-        g = random_generator(lat, rng)
-        gens.append(g)
-        m = mat_mul(m, matrix_of(lat, g))
-    return m, gens
+    gens = [random_generator(lat, rng) for _ in range(k)]
+    return apply_word(lat, gens, identity(lat.alg, lat.n)), gens

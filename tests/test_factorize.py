@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -261,3 +262,28 @@ def test_final_product_check_stops_a_wrong_rewrite(monkeypatch):
     monkeypatch.setattr(isometries, "_reduce_eichler", drop_last)
     with pytest.raises(PrecisionLoss, match="driver product does not match the input"):
         factor_unitary(lat, phi)
+
+
+def test_factor_unitary_multiplies_no_matrices(monkeypatch):
+    """The driver applies each generator, and the product check each word,
+    through the generators' update terms: the only matrix products of one
+    factor_unitary are the two of the input check's gram_preserved."""
+    with open(hermlat.catalog_path("q2i-h1h1.lat")) as fh:
+        lat = parse_lattice(fh.read())
+    rng = random.Random(1161331496)
+    phi = identity(lat.alg, lat.n)
+    for g in (random_symmetry(lat, rng), oracle.random_eichler(lat, rng)):
+        phi = mat_mul(phi, matrix_of(lat, g))
+    callers = []
+
+    def spy(a, b):
+        frame = sys._getframe(1)
+        callers.append((frame.f_code.co_name, frame.f_back.f_code.co_name))
+        return mat_mul(a, b)
+
+    for module in vars(hermlat).values():
+        if getattr(module, "mat_mul", None) is mat_mul:
+            monkeypatch.setattr(module, "mat_mul", spy)
+    f = factor_unitary(lat, phi)
+    assert callers == [("gram_preserved", "_check_input")] * 2
+    assert f.symmetries_only and len(f) == 4

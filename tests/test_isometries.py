@@ -1,3 +1,4 @@
+import os
 import random
 from functools import lru_cache
 
@@ -14,13 +15,13 @@ from hermlat.errors import (
     ScaleViolation,
 )
 from hermlat.etale import EtaleAlgebra
-from hermlat.factorize import _product
 from hermlat.isometries import (
     EichlerIsometry,
     Symmetry,
     _reduce_eichler,
     _two_symmetries,
     apply_generator,
+    apply_word,
     compose_eichler,
     det_of,
     eichler_exists,
@@ -40,9 +41,12 @@ from hermlat.linalg import (
     identity,
     is_integral_matrix,
     mat_eq,
+    mat_from_cols,
     mat_inv,
     mat_mul,
+    mat_vec,
     vec_add,
+    vec_eq,
     vec_scale,
     vec_sub,
 )
@@ -457,7 +461,8 @@ def test_eichler_rewrites_are_identities(name, basis, seed, k):
     mu = e1.mu
     if not (mu.x0.is_zero() or mu.x1.is_zero() if alg.kind == EtaleAlgebra.SPLIT
             else mu.is_zero()):
-        assert mat_eq(_product(lat, _two_symmetries(e1, puv, pvu)), m1)
+        assert mat_eq(apply_word(lat, _two_symmetries(e1, puv, pvu), identity(alg, lat.n)),
+                      m1)
     shear = make_eichler(lat, u, v, (alg.zero,) * lat.n, omega / puv)
     (s,) = _reduce_eichler(lat, shear, 1)
     assert mat_eq(matrix_of(lat, s), matrix_of(lat, shear))
@@ -467,4 +472,33 @@ def test_eichler_rewrites_are_identities(name, basis, seed, k):
         syms = eichler_to_symmetries(lat, e)
         event(f"{name}: {'kept' if syms is None else 'rewritten'}")
         if syms is not None:
-            assert mat_eq(_product(lat, syms), matrix_of(lat, e))
+            assert mat_eq(apply_word(lat, syms, identity(alg, lat.n)), matrix_of(lat, e))
+
+
+# -- one update form per generator -------------------------------------------
+
+CATALOG = tuple(os.path.basename(path)[:-4] for path in hermlat.catalog_files())
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(CATALOG), st.integers(0, 2 ** 32 - 1), st.integers(1, 3))
+def test_update_terms_act_as_the_matrix(name, seed, k):
+    """apply_generator and apply_word, which act through a generator's
+    update terms, agree with its matrix on vectors and matrices over O, for
+    random symmetries and, where the lattice has a pair, Eichler isometries."""
+    lat = _catalog_lattice(name)
+    rng = random.Random(seed)
+    word = []
+    for _ in range(k):
+        g = oracle.random_eichler(lat, rng) if rng.random() < 0.5 else None
+        word.append(g if g is not None else random_symmetry(lat, rng))
+    event(f"{name}: {''.join(type(g).__name__[0] for g in word)}")
+    x = random_vector(lat, rng)
+    m = mat_from_cols([random_vector(lat, rng) for _ in range(lat.n)])
+    for g in word:
+        assert vec_eq(apply_generator(lat, g, x), mat_vec(matrix_of(lat, g), x))
+        assert mat_eq(apply_word(lat, [g], m), mat_mul(matrix_of(lat, g), m))
+    prod = identity(lat.alg, lat.n)
+    for g in word:
+        prod = mat_mul(prod, matrix_of(lat, g))
+    assert mat_eq(apply_word(lat, word, identity(lat.alg, lat.n)), prod)

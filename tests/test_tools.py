@@ -4,6 +4,7 @@ The tool is run on a small schedule built here, not on a benchmark schedule,
 so its records are checked without pinning ``perfbench/workloads.py``: one
 record per operation and a last schedule record, the same output on every
 run, and an operation that raises recorded as failed with its exception.
+The value digest sees values, not precision counts.
 """
 
 import os
@@ -14,12 +15,14 @@ from types import SimpleNamespace
 import hermlat
 from hermlat import oracle
 from hermlat.isometries import matrix_of
+from hermlat.etale import AlgElement
 from hermlat.linalg import identity, mat_mul
+from hermlat.localfield import FieldElement
 from hermlat.specfile import parse_lattice
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "tools"))
-from schedule_digest import exact_key, schedule_records  # noqa: E402
+from schedule_digest import digests, exact_key, schedule_records  # noqa: E402
 
 
 def _schedule():
@@ -44,6 +47,7 @@ def test_schedule_records_are_exact_and_repeatable():
     assert [r["record"] for r in ops] == ["op"] * 3 and whole["record"] == "schedule"
     assert [r["kind"] for r in ops] == ["factor", "decide", "factor"]
     assert len({r["sha256"] for r in ops}) == 3
+    assert len({r["value_sha256"] for r in ops}) == 3 and "value_sha256" in whole
     assert "error" not in ops[0] and "error" not in ops[1]
     assert ops[2]["error"][0] == "NotAnIsometry"
     assert whole["ops"] == 3 and whole["failed"] == 1
@@ -53,3 +57,16 @@ def test_exact_key_sees_the_precision_count():
     x = SimpleNamespace(co=(5,), shift=1, ncap=8)
     y = SimpleNamespace(co=(5,), shift=1, ncap=9)
     assert exact_key([x]) == [[[5], 1, 8]] and exact_key(x) != exact_key(y)
+
+
+def test_value_digest_ignores_the_precision_count():
+    """Two results equal in value, one entry kept to fewer digits: the same
+    value_sha256, different sha256."""
+    lat = _schedule()[0][1].lattice
+    alg, K = lat.alg, lat.alg.base
+    x = alg.from_int(5)
+    y = AlgElement(alg, FieldElement(K, list(x.x0.co), x.x0.shift, K.precision), x.x1)
+    assert x == y and x.x0.ncap != y.x0.ncap
+    (sha_x, value_x), (sha_y, value_y) = (
+        digests({"generators": [[e, alg.one]], "residual_precision": 64}) for e in (x, y))
+    assert value_x == value_y and sha_x != sha_y

@@ -6,8 +6,11 @@ Run from the root of a checkout; the program is imported from ``src/`` and
 the schedule from ``perfbench/workloads.py``, so the operations are the ones
 ``perfbench/run.py`` times at that seed.  Every operation runs once.
 
-For each operation a SHA-256 is taken over the exact representation
-``(co, shift, ncap)`` of what it returns:
+For each operation two SHA-256 digests are taken of what it returns:
+``sha256`` over the exact representation ``(co, shift, ncap)`` of every
+element, and ``value_sha256`` over every element reduced to the guaranteed
+precision (``workloads._entry_key``, the form of the benchmark's input
+digest).  The results are:
 
 - ``factor``: each generator's kind, data and matrix, the residual
   precision, the kinds flag and the certificate of
@@ -18,9 +21,10 @@ For each operation a SHA-256 is taken over the exact representation
 
 An operation that raises is hashed by its exception class and message.
 Output is JSON lines: the benchmark's input digest, one line per operation
-and, last, the digest of the whole schedule with the failure count.  Equal
+and, last, both digests of the whole schedule with the failure count.  Equal
 lines on two commits show that they compute the same results on that
-schedule.
+schedule; equal ``value_sha256`` alone, the same values with other
+precision counts.
 
 ``exact_key`` is the one exact form of results; the golden digests of
 ``tests/test_kernel_identity.py`` use it too.
@@ -42,18 +46,29 @@ from hermlat import classify, factorize  # noqa: E402
 from hermlat.isometries import EichlerIsometry, matrix_of  # noqa: E402
 
 
-def exact_key(obj):
-    """JSON-able exact form: algebra and field elements as (co, shift,
-    ncap), containers element by element, everything else as is."""
+def _keyed(obj, field_key):
+    """JSON-able form: each field element through field_key, an algebra
+    element as its two coordinates, containers element by element,
+    everything else as is."""
     if hasattr(obj, "x0"):
-        return [exact_key(obj.x0), exact_key(obj.x1)]
+        return [field_key(obj.x0), field_key(obj.x1)]
     if hasattr(obj, "co"):
-        return [list(obj.co), obj.shift, obj.ncap]
+        return field_key(obj)
     if isinstance(obj, dict):
-        return [[str(k), exact_key(v)] for k, v in sorted(obj.items())]
+        return [[str(k), _keyed(v, field_key)] for k, v in sorted(obj.items())]
     if isinstance(obj, (list, tuple)):
-        return [exact_key(v) for v in obj]
+        return [_keyed(v, field_key) for v in obj]
     return obj
+
+
+def exact_key(obj):
+    """The exact form: field elements as (co, shift, ncap)."""
+    return _keyed(obj, lambda x: [list(x.co), x.shift, x.ncap])
+
+
+def value_key(obj):
+    """The value form: field elements reduced to the guaranteed precision."""
+    return _keyed(obj, workloads._field_key)
 
 
 def _error(ex):
@@ -65,7 +80,7 @@ def _generator(lat, g):
         data = ["E", g.u, g.v, g.y, g.mu]
     else:
         data = ["S", g.s, g.sigma]
-    return exact_key(data + [matrix_of(lat, g)])
+    return data + [matrix_of(lat, g)]
 
 
 def factor_result(item):
@@ -78,19 +93,19 @@ def factor_result(item):
     return {"generators": [_generator(lat, g) for g in fac],
             "residual_precision": fac.residual_precision,
             "symmetries_only": fac.symmetries_only,
-            "certificate": exact_key(cert)}
+            "certificate": cert}
 
 
 def decide_result(item):
     doc = {}
     try:
-        doc["verdict"] = exact_key(classify.isometry_conditions(item.lattice, item.other))
+        doc["verdict"] = classify.isometry_conditions(item.lattice, item.other)
         split = item.other.jordan_split()
         doc["jordan"] = [[blk.scale_exp, blk.rank, blk.norm_exp, blk.normal,
-                          exact_key(blk.cols), exact_key(blk.gram)] for blk in split.blocks]
-        doc["transform"] = exact_key(split.transform)
-        doc["witness"] = exact_key(classify.splits_hyperbolic(item.other))
-        doc["record"] = exact_key(workloads.classify_record(item.other))
+                          blk.cols, blk.gram] for blk in split.blocks]
+        doc["transform"] = split.transform
+        doc["witness"] = classify.splits_hyperbolic(item.other)
+        doc["record"] = workloads.classify_record(item.other)
     except Exception as ex:  # noqa: BLE001
         doc.update(_error(ex))
     return doc
@@ -99,29 +114,36 @@ def decide_result(item):
 RESULTS = {"factor": factor_result, "decide": decide_result}
 
 
-def _sha(doc):
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"), default=repr)
-    return hashlib.sha256(blob.encode()).hexdigest()
+def digests(doc):
+    """(sha256, value_sha256) of a result: its top-level fields through
+    ``exact_key`` and through ``value_key``."""
+    out = []
+    for key in (exact_key, value_key):
+        blob = json.dumps({k: key(v) for k, v in doc.items()}, sort_keys=True,
+                          separators=(",", ":"), default=repr)
+        out.append(hashlib.sha256(blob.encode()).hexdigest())
+    return tuple(out)
 
 
 def schedule_records(schedule):
     """One record per ``(kind, item)`` of ``schedule``, then the schedule
     record; an item needs ``lattice``, ``lattice_name`` and ``phi`` (factor)
     or ``other`` (decide)."""
-    whole = hashlib.sha256()
+    whole, whole_value = hashlib.sha256(), hashlib.sha256()
     failed = 0
     for index, (kind, item) in enumerate(schedule):
         doc = RESULTS[kind](item)
         failed += "error" in doc
-        sha = _sha(doc)
+        sha, value_sha = digests(doc)
         whole.update(sha.encode())
+        whole_value.update(value_sha.encode())
         line = {"record": "op", "index": index, "kind": kind,
-                "lattice": item.lattice_name, "sha256": sha}
+                "lattice": item.lattice_name, "sha256": sha, "value_sha256": value_sha}
         if "error" in doc:
             line["error"] = doc["error"]
         yield line
     yield {"record": "schedule", "ops": len(schedule), "failed": failed,
-           "sha256": whole.hexdigest()}
+           "sha256": whole.hexdigest(), "value_sha256": whole_value.hexdigest()}
 
 
 def main(argv=None):
