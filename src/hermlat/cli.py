@@ -234,11 +234,16 @@ def cmd_roundtrip(args):
     rng_seed = args.seed
     npass = 0
     failures = []
+    # working precision -> the spec's lattice: the trials at one precision
+    # share it, and with it its factorization plan and hyperbolic pair
+    lats = {}
     for t in range(trials):
         seed = rng_seed + t
 
         def trial_at(prec):
-            lat = _load_lattice(args.spec, prec)
+            if prec not in lats:
+                lats[prec] = _load_lattice(args.spec, prec)
+            lat = lats[prec]
             phi, _ = random_unitary(lat, 1 + (seed % args.generators), seed)
             fac = factor_unitary(lat, phi)
             verify_factorization(lat, phi, fac)

@@ -4,14 +4,26 @@ rescaled Eichler isometries.
 The driver peels the lattice one hyperbolic plane, line, or subnormal plane
 at a time, emitting generators that align the images of the peeled basis
 vectors; the remaining map fixes the peeled part pointwise and the recursion
-continues on the orthogonal complement.  Each step runs one of three
-branches on the first Jordan block: ``_pair_step`` (a hyperbolic pair, also
-one found across blocks), ``_line_step`` (a norm-attaining line) or
-``_plane_step`` (a subnormal plane); the public single-step peels run the
-same branches once.  Every branch leaves its piece's span through
-``lattice._complement``.  The ramified line and plane peels share one
-alignment loop, ``_align``: each round emits the first generator one of the
-peel's moves yields for the current image of the peeled vector.
+continues on the orthogonal complement.
+
+Each step has two halves.  The *plan* is what depends on L alone: the span,
+the arrangement of its first Jordan block, the branch that block calls for
+(a hyperbolic pair, also one found across blocks; a norm-attaining line; a
+subnormal plane; or a restart in a rearranged basis), the data that branch
+reads, and the complement the piece leaves (``lattice._complement``).  The
+*alignment* is what depends on phi: the generators that make phi fix the
+piece (``_peel_pair``, ``_peel_line``, ``_peel_subnormal``).  The plan of a
+lattice is kept in ``_PLANS``, weakly keyed by the lattice object, so it
+lives only as long as its lattice.  It is extended lazily: a call that
+reaches a step not yet planned computes it from its span, and stores it once
+its alignment and complement succeeded; a step that raises is not stored.
+Every later call on the lattice walks the stored steps, so it recomputes no
+geometry, and gets what it would have computed, bit for bit.  The public
+single-step peels run step 0 of the plan.
+
+The ramified line and plane peels share one alignment loop, ``_align``: each
+round emits the first generator one of the peel's moves yields for the
+current image of the peeled vector.
 ``_Driver.emit`` is the one membership test of each generator it applies
 (``in_unitary_group``, from the generator's data): ``map_isotropic`` and
 ``map_unit_vector`` return candidates, and only ``_direct_symmetry`` tests
@@ -25,6 +37,8 @@ matrix product runs after the input check.
 """
 
 from __future__ import annotations
+
+import weakref
 
 from .errors import (
     NotAnIsometry,
@@ -183,8 +197,7 @@ def factor_unitary(lat, phi, reduce_eichler=True):
     the ramified dyadic residue-two case)."""
     _check_input(lat, phi)
     drv = _Driver(lat)
-    cols = list(cols_of(identity(lat.alg, lat.n)))
-    _drive(drv, cols, phi)
+    _drive(drv, phi)
     gens = drv.out
     if reduce_eichler:
         gens = _reduction_pass(lat, gens)
@@ -209,67 +222,109 @@ def _reduction_pass(lat, gens):
     return out
 
 
-def _drive(drv, cols, phi):
+# lattice -> its plan, the list of the peel steps planned so far; a plan
+# goes with its lattice
+_PLANS = weakref.WeakKeyDictionary()
+
+
+class _Step:
+    """One peel of span(cols) as far as it depends on L alone.
+
+    ``branch`` is ``"pair"``, ``"line"``, ``"plane"`` or ``"restart"``, and
+    ``data`` holds the last arguments of its alignment (``_align_step``):
+    ``(u, v, s)`` for a pair, ``(lines, deeper)`` for a line, the rescaled
+    lattice and standard plane of ``_plan_subnormal`` for a plane.  ``rest``
+    spans what is left to peel: the complement of ``piece`` in span(cols),
+    or the rearranged basis of a restart.  No field holds the lattice
+    itself, so a plan does not keep its lattice alive."""
+
+    __slots__ = ("cols", "branch", "data", "piece", "rest")
+
+    def __init__(self, cols, branch, data=(), piece=None, rest=None):
+        self.cols = cols
+        self.branch = branch
+        self.data = data
+        self.piece = piece
+        self.rest = rest
+
+
+def _drive(drv, phi):
+    """Walk the plan of drv.lat, extending it where phi reaches a step not
+    yet planned, until phi fixes the span left."""
+    lat = drv.lat
+    plan = _PLANS.setdefault(lat, [])
+    cols = list(cols_of(identity(lat.alg, lat.n)))
+    idx = 0
     while cols:
         if all(vec_eq(mat_vec(phi, c), c) for c in cols):
             return phi
-        cols, phi = _drive_step(drv, cols, phi)
+        step = plan[idx] if idx < len(plan) else _plan_step(lat, cols)
+        phi = _align_step(drv, step, phi)
+        cols = _settle(lat, plan, idx, step)
+        idx += 1
     return phi
 
 
-def _drive_step(drv, cols, phi):
-    """One peel of span(cols): arrange its first Jordan block and run the
-    branch the block's shape calls for; returns (rest, phi) with rest the
-    columns left to peel."""
-    lat = drv.lat
+def _plan_step(lat, cols):
+    """The step of span(cols): arrange its first Jordan block and take the
+    branch the block's shape calls for."""
     arr = _arrange_first_block(lat, cols)
-    if arr["pair"] is not None:
-        return _pair_step(drv, cols, phi, *arr["pair"], arr["scale"])
-    cross = _cross_block_attempt(lat, arr)
-    if cross is not None:
-        return _pair_step(drv, cols, phi, *cross)
-    if arr["lines"]:
-        return _line_step(drv, cols, phi, arr)
-    return _plane_step(drv, cols, phi, arr)
-
-
-def _pair_step(drv, cols, phi, u, v, scale_s):
-    """Align phi on the hyperbolic pair (u, v), <u,v> of scale scale_s, and
-    split the pair off."""
-    if drv.lat.alg.kind == EtaleAlgebra.RAMIFIED:
-        phi = _transport_pair(drv, phi, u, v, scale_s)
+    pair = arr["pair"]
+    if pair is None:
+        pair = _cross_block_attempt(lat, arr)
     else:
-        phi = _peel_hyperbolic_unramified(drv, cols, phi, u, v)
-    return _complement(drv.lat, cols, [u, v]), phi
-
-
-def _line_step(drv, cols, phi, arr):
-    """Fix phi on the first line x of the first block and split x off."""
-    lat = drv.lat
+        pair = (*pair, arr["scale"])
+    if pair is not None:
+        return _Step(cols, "pair", pair, pair[:2])
     lines = arr["lines"]
-    x = lines[0]
-    if lat.alg.kind != EtaleAlgebra.RAMIFIED:
-        phi = _peel_unramified_line(drv, cols, phi, x)
-    elif len(lines) >= 2:
-        phi = _peel_normal_rk2(drv, phi, x, lines[1])
-    else:
-        phi = _peel_normal_rk1(drv, phi, x, arr["deeper"])
-    return _complement(lat, cols, [x]), phi
-
-
-def _plane_step(drv, cols, phi, arr):
-    """Peel the one subnormal plane of the first block and split it off; a
-    restart returns a rearranged basis of the whole span instead."""
+    if lines:
+        return _Step(cols, "line", (lines, arr["deeper"]), lines[:1])
     planes = arr["planes"]
     if len(planes) != 1:
         raise UnsupportedCase(
-            f"unexpected first-block shape: {len(arr['lines'])} lines, "
+            f"unexpected first-block shape: {len(lines)} lines, "
             f"{len(planes)} planes after hyperbolic extraction")
-    tag, payload, phi = _peel_subnormal(drv, cols, phi, planes[0],
-                                        arr["deeper"], arr["scale"])
-    if tag == "restart":
-        return payload, phi
-    return _complement(drv.lat, cols, payload), phi
+    return _plan_subnormal(lat, cols, planes[0], arr["deeper"], arr["scale"])
+
+
+def _align_step(drv, step, phi):
+    """The alignment of a step: the generators that make phi fix its piece
+    (a restart has none); returns the updated phi."""
+    if step.branch == "pair":
+        return _peel_pair(drv, step.cols, phi, *step.data)
+    if step.branch == "line":
+        return _peel_line(drv, step.cols, phi, *step.data)
+    if step.branch == "plane":
+        return _peel_subnormal(drv, phi, *step.data)
+    return phi
+
+
+def _settle(lat, plan, idx, step):
+    """step.rest, the complement computed after the step's first alignment
+    (so an alignment failure raises first, as without a plan), and step
+    stored as step idx of the plan once that succeeded."""
+    if step.rest is None:
+        step.rest = _complement(lat, step.cols, step.piece)
+    if idx == len(plan):
+        plan.append(step)
+    return step.rest
+
+
+def _peel_pair(drv, cols, phi, u, v, scale_s):
+    """Align phi on the hyperbolic pair (u, v), <u,v> of scale scale_s."""
+    if drv.lat.alg.kind == EtaleAlgebra.RAMIFIED:
+        return _transport_pair(drv, phi, u, v, scale_s)
+    return _peel_hyperbolic_unramified(drv, cols, phi, u, v)
+
+
+def _peel_line(drv, cols, phi, lines, deeper):
+    """Fix phi on the first line x of the first block."""
+    x = lines[0]
+    if drv.lat.alg.kind != EtaleAlgebra.RAMIFIED:
+        return _peel_unramified_line(drv, cols, phi, x)
+    if len(lines) >= 2:
+        return _peel_normal_rk2(drv, phi, x, lines[1])
+    return _peel_normal_rk1(drv, phi, x, deeper)
 
 
 # ---------------------------------------------------------------------------
@@ -836,12 +891,11 @@ def _peel_normal_rk1(drv, phi, x, deeper):
                   "normal rank-1 peel did not converge")
 
 
-def _peel_subnormal(drv, cols, phi, plane, deeper, scale_i):
-    """Peel a subnormal first-block plane: fix u then v, following the
-    valuation-steered symmetry constructions."""
-    lat = drv.lat
-    alg = lat.alg
-    K = alg.base
+def _plan_subnormal(lat, cols, plane, deeper, scale_i):
+    """The plan of a subnormal first-block plane: rearrange the deeper part
+    and restart, or the rescaled lattice, the standard plane (u, v) and the
+    exponents that the u and v alignments of ``_peel_subnormal`` read."""
+    K = lat.alg.base
     i = scale_i
     x2, y2 = plane
     _, _, k = normalize_plane(lat, x2, y2, i)
@@ -857,7 +911,7 @@ def _peel_subnormal(drv, cols, phi, plane, deeper, scale_i):
                 p2 = normalize_plane(lat, planes2[0][0], planes2[0][1], j)
                 (z, y2b), others = rearrange_columns(
                     lat, cols, donor, p2, j, i)
-                return ("restart", others + [z, y2b], phi)
+                return _Step(cols, "restart", rest=others + [z, y2b])
         # global rescale so the deep norm attainer has form value p^n exactly
         x_deep, _ = _norm_attainer(lat, deeper, dgram, n_glob)
         scale_factor = K.uniformizer_pow(n_glob) / lat.q_value(x_deep)
@@ -869,10 +923,15 @@ def _peel_subnormal(drv, cols, phi, plane, deeper, scale_i):
 
     latr = lat.rescale(scale_factor)
     u, v, k = plane_standard_form(latr, x2, y2, i)
-    phi = _subnormal_fix_u(drv, latr, scale_factor, phi, u, v, i)
-    phi = _subnormal_fix_v(drv, latr, scale_factor, phi, u, v, x_deep,
-                           i, k, n_glob, j)
-    return ("done", (u, v), phi)
+    return _Step(cols, "plane",
+                 (latr, scale_factor, u, v, x_deep, i, k, n_glob, j), [u, v])
+
+
+def _peel_subnormal(drv, phi, latr, a, u, v, x_deep, i, k, n, j):
+    """Peel a subnormal first-block plane: fix u then v, following the
+    valuation-steered symmetry constructions."""
+    phi = _subnormal_fix_u(drv, latr, a, phi, u, v, i)
+    return _subnormal_fix_v(drv, latr, a, phi, u, v, x_deep, i, k, n, j)
 
 
 def _subnormal_fix_u(drv, latr, a, phi, u, v, i):
@@ -929,47 +988,47 @@ def _subnormal_fix_v(drv, latr, a, phi, u, v, x_deep, i, k, n, j):
 # ---------------------------------------------------------------------------
 
 
-def _start_single_step(lat, phi, refusal=None):
-    """Prologue of the public peels: check phi, refuse unramified kinds with
-    `refusal` when one is given; returns a driver and the standard basis."""
-    _check_input(lat, phi)
-    if refusal is not None and lat.alg.kind != EtaleAlgebra.RAMIFIED:
-        raise UnsupportedCase(refusal)
-    return _Driver(lat), list(cols_of(identity(lat.alg, lat.n)))
-
-
 def peel_hyperbolic(lat, phi, pair):
     """Emit generators aligning phi on the hyperbolic pair; returns
     (generators, complement_columns, residual_phi) with
     product(generators) * residual_phi = phi."""
-    drv, cols = _start_single_step(lat, phi)
+    _check_input(lat, phi)
+    drv, cols = _Driver(lat), list(cols_of(identity(lat.alg, lat.n)))
     u, v = pair
     puv = lat.inner(u, v)
     s = _pair_scale(lat.alg, puv) if lat.alg.kind != EtaleAlgebra.SPLIT \
         else lat.alg.valuation_P(puv).a
-    rest, phi2 = _pair_step(drv, cols, phi, u, v, s)
-    return drv.out, rest, phi2
+    phi2 = _peel_pair(drv, cols, phi, u, v, s)
+    return drv.out, _complement(lat, cols, [u, v]), phi2
+
+
+def _peel_first_step(lat, phi, refusal, branches, mismatch):
+    """Step 0 of the plan of lat run on phi, refusing unramified kinds with
+    `refusal` and a step outside `branches` with `mismatch`; returns
+    (generators, complement_columns, residual_phi)."""
+    _check_input(lat, phi)
+    if lat.alg.kind != EtaleAlgebra.RAMIFIED:
+        raise UnsupportedCase(refusal)
+    plan = _PLANS.setdefault(lat, [])
+    step = plan[0] if plan else _plan_step(lat, list(cols_of(identity(lat.alg, lat.n))))
+    if step.branch not in branches:
+        raise UnsupportedCase(mismatch)
+    drv = _Driver(lat)
+    phi2 = _align_step(drv, step, phi)
+    return drv.out, list(_settle(lat, plan, 0, step)), phi2
 
 
 def peel_normal_dyadic(lat, phi):
     """One normal-line peeling step of the ramified driver; returns
     (generators, complement_columns, residual_phi)."""
-    drv, cols = _start_single_step(
-        lat, phi, "normal peeling is for the ramified kind")
-    arr = _arrange_first_block(lat, cols)
-    if not arr["lines"]:
-        raise UnsupportedCase("first block does not start with a line")
-    rest, phi2 = _line_step(drv, cols, phi, arr)
-    return drv.out, rest, phi2
+    return _peel_first_step(lat, phi, "normal peeling is for the ramified kind",
+                            ("line",), "the first peel step is not a normal line")
 
 
 def peel_subnormal_dyadic(lat, phi):
-    """One subnormal-plane peeling step of the ramified driver; returns
-    (generators, complement_columns, residual_phi)."""
-    drv, cols = _start_single_step(
-        lat, phi, "subnormal peeling is for the ramified kind")
-    arr = _arrange_first_block(lat, cols)
-    if arr["lines"] or len(arr["planes"]) != 1:
-        raise UnsupportedCase("first block is not a single subnormal plane")
-    rest, phi2 = _plane_step(drv, cols, phi, arr)
-    return drv.out, rest, phi2
+    """One subnormal-plane peeling step of the ramified driver (or the
+    restart of its plane in a rearranged basis); returns (generators,
+    complement_columns, residual_phi)."""
+    return _peel_first_step(lat, phi, "subnormal peeling is for the ramified kind",
+                            ("plane", "restart"),
+                            "the first peel step is not a subnormal plane")

@@ -207,3 +207,22 @@ def test_cli_roundtrip_records_precision_loss_after_four_attempts(capsys, monkey
     assert rec["passed"] == 1
     assert rec["failures"] == [{"trial": 0, "error": "PrecisionLoss: injected"}]
     assert precisions == [64, 128, 256, 512, 64]
+
+
+def test_cli_roundtrip_loads_the_spec_once_per_precision(capsys, monkeypatch):
+    """The trials at one working precision share one lattice, and with it
+    its factorization plan and hyperbolic pair."""
+    import hermlat.cli as cli
+
+    loads = []
+    real = cli._load_lattice
+
+    def counting(*args):
+        loads.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "_load_lattice", counting)
+    assert main(["roundtrip", "--spec", _cat("q2sqrt2-sub.lat"),
+                 "--trials", "6", "--seed", "5"]) == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[0])["passed"] == 6
+    assert loads == [(_cat("q2sqrt2-sub.lat"), 64)]

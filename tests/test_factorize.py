@@ -1,5 +1,9 @@
+import gc
+import os
 import random
 import sys
+import weakref
+from collections import Counter
 
 import pytest
 
@@ -24,6 +28,10 @@ from hermlat.lattice import (
 from hermlat.linalg import basis_vector, cols_of, identity, mat_mul, mat_vec, vec_scale
 from hermlat.oracle import random_symmetry, random_unitary
 from hermlat.specfile import parse_lattice
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "tools"))
+from schedule_digest import _generator, exact_key  # noqa: E402
 
 
 def test_identity_factorization(Q2sqrt2):
@@ -287,3 +295,89 @@ def test_factor_unitary_multiplies_no_matrices(monkeypatch):
     f = factor_unitary(lat, phi)
     assert callers == [("gram_preserved", "_check_input")] * 2
     assert f.symmetries_only and len(f) == 4
+
+
+def _catalog_lattice(name):
+    with open(hermlat.catalog_path(name)) as fh:
+        return parse_lattice(fh.read())
+
+
+def _factor_key(lat, phi):
+    fac = factor_unitary(lat, phi)
+    return exact_key({"generators": [_generator(lat, g) for g in fac],
+                      "residual_precision": fac.residual_precision,
+                      "certificate": verify_factorization(lat, phi, fac)})
+
+
+def test_a_cold_plan_and_a_warm_plan_give_the_same_result(monkeypatch):
+    """Each word factors to the same generators and certificate with the
+    plan store cleared and with the plan warm, and the spans its steps run
+    on are the first steps of the lattice's plan."""
+    runs = []
+    align_step = factorize._align_step
+
+    def spy(drv, step, phi):
+        runs[-1].append(exact_key(step.cols))
+        return align_step(drv, step, phi)
+
+    monkeypatch.setattr(factorize, "_align_step", spy)
+    for path in hermlat.catalog_files():
+        with open(path) as fh:
+            lat = parse_lattice(fh.read())
+        words = [random_unitary(lat, 4, seed)[0] for seed in (21, 22)]
+        cold = []
+        for phi in words:
+            factorize._PLANS.clear()
+            runs.append([])
+            cold.append(_factor_key(lat, phi))
+        for phi, key in zip(words, cold):
+            runs.append([])
+            assert _factor_key(lat, phi) == key, path
+        plan = [exact_key(step.cols) for step in factorize._PLANS[lat]]
+        assert all(spans == plan[:len(spans)] for spans in runs), path
+        assert any(runs), path
+        runs.clear()
+
+
+def test_a_plan_goes_with_its_lattice():
+    """No step of a plan holds its own lattice (the plane step's rescaled
+    lattice is another one), so the weak key dictionary lets it go."""
+    lat = _catalog_lattice("q2sqrt2-sub.lat")
+    phi = random_unitary(lat, 4, 3)[0]  # its generators hold the lattice
+    gc.collect()  # lattices that earlier tests left in reference cycles go first
+    before = len(factorize._PLANS)
+    factor_unitary(lat, phi)
+    assert len(factorize._PLANS) == before + 1
+    assert "plane" in [step.branch for step in factorize._PLANS[lat]]
+    ref = weakref.ref(lat)
+    del lat
+    gc.collect()
+    assert ref() is None
+    assert len(factorize._PLANS) == before
+
+
+def test_a_second_call_recomputes_no_geometry(monkeypatch):
+    """Once the plan of a lattice is complete, factoring another phi on it
+    arranges no block, tries no cross-block pair, standardizes no plane and
+    takes no complement of a peeled piece."""
+    lat = _catalog_lattice("q2sqrt2-sub.lat")
+    calls = Counter()
+    complement_callers = []
+    for name in ("_arrange_first_block", "_cross_block_attempt",
+                 "plane_standard_form", "_complement"):
+        def spy(*args, _name=name, _original=getattr(factorize, name)):
+            calls[_name] += 1
+            if _name == "_complement":
+                complement_callers.append(sys._getframe(1).f_code.co_name)
+            return _original(*args)
+
+        monkeypatch.setattr(factorize, name, spy)
+    factor_unitary(lat, random_unitary(lat, 4, 3)[0])
+    assert set(calls) == {"_arrange_first_block", "_cross_block_attempt",
+                          "plane_standard_form", "_complement"}
+    assert factorize._PLANS[lat][-1].rest == []  # the plan is complete
+    calls.clear()
+    complement_callers.clear()
+    factor_unitary(lat, random_unitary(lat, 5, 4)[0])
+    assert not calls.keys() - {"_complement"}
+    assert set(complement_callers) <= {"_split_residue_two_data"}
