@@ -9,6 +9,14 @@ All constructions are verified at working precision before they are returned.
 The complement of a rearranged plane comes from ``lattice._complement``, the
 one complement step the factor driver uses too.
 
+The decide path reads what a lattice keeps of itself: ``isometry_conditions``
+takes the Jordan splitting and the dual norms of both lattices from
+``jordan_split()`` and ``dual_norms()``, and the first round of
+``splits_hyperbolic`` (like ``rearrange_jordan`` and step 0 of the factor
+plan) takes the Jordan column groups of the standard basis from that
+splitting (``split_groups``), so each lattice object is split once.  Spans
+of later rounds are split afresh.
+
 A form value Q(w) is deepened or killed by adding lambda*z, with lambda from
 the trace equation Tr(lambda <z,w>) = -Q(w) or from the norm congruence
 Nr(lambda) Q(z) = -Q(w) mod a window.  Each move is written once:
@@ -83,13 +91,7 @@ def isometry_conditions(m_lat, n_lat):
     if alg.kind != EtaleAlgebra.RAMIFIED:
         return True, None, trace
 
-    norms_m, norms_n = [], []
-    for blk in jm.blocks:
-        _, g = m_lat.dual_sublattice(blk.scale_exp)
-        norms_m.append(_norm_exp_of_gram(alg, g))
-    for blk in jn.blocks:
-        _, g = n_lat.dual_sublattice(blk.scale_exp)
-        norms_n.append(_norm_exp_of_gram(alg, g))
+    norms_m, norms_n = m_lat.dual_norms(), n_lat.dual_norms()
     trace["dual_norms"] = (norms_m, norms_n)
     if norms_m != norms_n:
         return False, 3, trace
@@ -682,10 +684,15 @@ def rearrange_columns(lat, all_cols, donor, plane2, j, i):
 
 def splits_hyperbolic(lat):
     """Explicit hyperbolic pair splitting L, or None when the classification
-    rules one out.  Returns (u, v, scale_exp) with <u,v> = pi^scale_exp."""
+    rules one out.  Returns (u, v, scale_exp) with <u,v> = pi^scale_exp.
+
+    The first round arranges the standard basis, whose Jordan column groups
+    are the blocks of ``lat.jordan_split()``."""
     cols = list(cols_of(identity(lat.alg, lat.n)))
+    groups = split_groups(lat)
     while cols:
-        arrangement = _arrange_first_block(lat, cols)
+        arrangement = _arrange_first_block(lat, cols, groups)
+        groups = None
         if arrangement["pair"] is not None:
             u, v = arrangement["pair"]
             return u, v, arrangement["scale"]
@@ -695,6 +702,13 @@ def splits_hyperbolic(lat):
         # drop the shallowest piece and keep scanning
         cols = arrangement["after_first_piece"]
     return None
+
+
+def split_groups(lat):
+    """The Jordan column groups of the standard basis of L, read from the
+    splitting kept on the lattice: what ``_jordan_cols`` returns for the
+    identity columns, without splitting L again."""
+    return [list(blk.cols) for blk in lat.jordan_split().blocks]
 
 
 def _jordan_cols(lat, cols):
@@ -717,11 +731,13 @@ def _jordan_cols(lat, cols):
     return groups
 
 
-def _arrange_first_block(lat, cols):
+def _arrange_first_block(lat, cols, groups):
     """Jordan-arrange span(cols); reduce the minimal-scale block; try to
-    extract a hyperbolic pair inside it."""
+    extract a hyperbolic pair inside it.  ``groups`` are the Jordan column
+    groups of span(cols) when already known, else None."""
     alg = lat.alg
-    groups = _jordan_cols(lat, cols)
+    if groups is None:
+        groups = _jordan_cols(lat, cols)
     first = groups[0]
     deeper = [c for grp in groups[1:] for c in grp]
     scale_i = _min_vP_sym(alg, _gram_of(lat, first))
@@ -834,7 +850,7 @@ def rearrange_jordan(lat):
     if alg.kind != EtaleAlgebra.RAMIFIED:
         raise HypothesisViolation("rearrangement applies to the ramified kind")
     cols = list(cols_of(identity(alg, lat.n)))
-    groups = _jordan_cols(lat, cols)
+    groups = split_groups(lat)
     if len(groups) < 2:
         raise HypothesisViolation("need at least two Jordan blocks")
     first = groups[0]

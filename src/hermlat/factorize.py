@@ -18,8 +18,12 @@ lives only as long as its lattice.  It is extended lazily: a call that
 reaches a step not yet planned computes it from its span, and stores it once
 its alignment and complement succeeded; a step that raises is not stored.
 Every later call on the lattice walks the stored steps, so it recomputes no
-geometry, and gets what it would have computed, bit for bit.  The public
-single-step peels run step 0 of the plan.
+geometry, and gets what it would have computed, bit for bit.  Step 0 spans
+the standard basis and reads its Jordan column groups from the splitting the
+lattice keeps (``classify.split_groups``), the one the decide path reads.  A
+pair step also keeps its swap word (``_scale_map_word``) once an alignment
+needed it, as ``(s, sigma)`` data.  The public single-step peels run step 0
+of the plan.
 
 The ramified line and plane peels share one alignment loop, ``_align``: each
 round emits the first generator one of the peel's moves yields for the
@@ -56,6 +60,7 @@ from .classify import (
     peel_lines_and_planes,
     plane_standard_form,
     rearrange_columns,
+    split_groups,
 )
 from .isometries import (
     EichlerIsometry,
@@ -232,11 +237,14 @@ class _Step:
 
     ``branch`` is ``"pair"``, ``"line"``, ``"plane"`` or ``"restart"``, and
     ``data`` holds the last arguments of its alignment (``_align_step``):
-    ``(u, v, s)`` for a pair, ``(lines, deeper)`` for a line, the rescaled
-    lattice and standard plane of ``_plan_subnormal`` for a plane.  ``rest``
-    spans what is left to peel: the complement of ``piece`` in span(cols),
-    or the rearranged basis of a restart.  No field holds the lattice
-    itself, so a plan does not keep its lattice alive."""
+    ``(u, v, s, swap)`` for a pair, ``(lines, deeper)`` for a line, the
+    rescaled lattice and standard plane of ``_plan_subnormal`` for a plane.
+    A pair's ``swap`` list is empty until an alignment first needs the
+    pair's swap word (``_scale_map_word``), then holds the ``(s, sigma)`` of
+    its inverse.  ``rest`` spans what is left to peel: the complement of
+    ``piece`` in span(cols), or the rearranged basis of a restart.  No field
+    holds the lattice itself (a swap word is kept as data, not as built
+    generators), so a plan does not keep its lattice alive."""
 
     __slots__ = ("cols", "branch", "data", "piece", "rest")
 
@@ -258,24 +266,27 @@ def _drive(drv, phi):
     while cols:
         if all(vec_eq(mat_vec(phi, c), c) for c in cols):
             return phi
-        step = plan[idx] if idx < len(plan) else _plan_step(lat, cols)
+        step = plan[idx] if idx < len(plan) else _plan_step(
+            lat, cols, split_groups(lat) if idx == 0 else None)
         phi = _align_step(drv, step, phi)
         cols = _settle(lat, plan, idx, step)
         idx += 1
     return phi
 
 
-def _plan_step(lat, cols):
+def _plan_step(lat, cols, groups):
     """The step of span(cols): arrange its first Jordan block and take the
-    branch the block's shape calls for."""
-    arr = _arrange_first_block(lat, cols)
+    branch the block's shape calls for.  ``groups`` are as for
+    ``_arrange_first_block``: step 0, whose cols are the standard basis,
+    passes the Jordan column groups of L's own splitting."""
+    arr = _arrange_first_block(lat, cols, groups)
     pair = arr["pair"]
     if pair is None:
         pair = _cross_block_attempt(lat, arr)
     else:
         pair = (*pair, arr["scale"])
     if pair is not None:
-        return _Step(cols, "pair", pair, pair[:2])
+        return _Step(cols, "pair", (*pair, []), pair[:2])
     lines = arr["lines"]
     if lines:
         return _Step(cols, "line", (lines, arr["deeper"]), lines[:1])
@@ -310,10 +321,11 @@ def _settle(lat, plan, idx, step):
     return step.rest
 
 
-def _peel_pair(drv, cols, phi, u, v, scale_s):
-    """Align phi on the hyperbolic pair (u, v), <u,v> of scale scale_s."""
+def _peel_pair(drv, cols, phi, u, v, scale_s, swap):
+    """Align phi on the hyperbolic pair (u, v), <u,v> of scale scale_s;
+    ``swap`` keeps the pair's swap word (``_scale_map_word``)."""
     if drv.lat.alg.kind == EtaleAlgebra.RAMIFIED:
-        return _transport_pair(drv, phi, u, v, scale_s)
+        return _transport_pair(drv, phi, u, v, scale_s, swap)
     return _peel_hyperbolic_unramified(drv, cols, phi, u, v)
 
 
@@ -613,7 +625,7 @@ def _rot1_eichler(lat, shared, u_from, u_to):
     return make_eichler(lat, shared, u_from, w, beta)
 
 
-def _transport_pair(drv, phi, u2, v2, scale_s):
+def _transport_pair(drv, phi, u2, v2, scale_s, swap):
     """Emit generators aligning the phi-images of the target pair (u2, v2);
     returns the updated phi (which then fixes u2 and v2 pointwise)."""
     lat = drv.lat
@@ -623,7 +635,7 @@ def _transport_pair(drv, phi, u2, v2, scale_s):
         cur_v = mat_vec(phi, v2)
         if vec_eq(cur_u, u2) and vec_eq(cur_v, v2):
             return phi
-        done = _postalign(drv, phi, cur_u, cur_v, u2, v2, scale_s)
+        done = _postalign(drv, phi, cur_u, cur_v, u2, v2, scale_s, swap)
         if done is not None:
             phi = done
             continue
@@ -671,7 +683,7 @@ def _scalar_coeff(lat, img, target, partner):
     return None
 
 
-def _postalign(drv, phi, cur_u, cur_v, u2, v2, scale_s):
+def _postalign(drv, phi, cur_u, cur_v, u2, v2, scale_s, swap):
     """When one image is a scalar multiple of its target, finish the job:
     rotate the other image into place and undo the unit scaling inside the
     plane.  Returns the new phi, or None when not applicable."""
@@ -690,7 +702,7 @@ def _postalign(drv, phi, cur_u, cur_v, u2, v2, scale_s):
         # the map left on the plane is u2 -> a*u2, v2 -> conj(a)^-1 v2
         a = other_coeff if swapped else c
         if not (a - alg.one).is_zero():
-            word = _scale_map_word(lat, u2, v2, scale_s, alg.one / a)
+            word = _scale_map_word(lat, u2, v2, scale_s, alg.one / a, swap)
             phi = drv.emit_symmetries(word, phi)
         return phi
     return None
@@ -730,19 +742,25 @@ def _plane_word_beta_unit(lat, u2, v2, img_u, img_v):
                      "plane word does not realize the map")
 
 
-def _scale_map_word(lat, u2, v2, scale_s, a):
-    """Symmetry word for the unitary plane map u2 -> a*u2, v2 -> conj(a)^-1 v2."""
+def _scale_map_word(lat, u2, v2, scale_s, a, swap):
+    """Symmetry word for the unitary plane map u2 -> a*u2, v2 -> conj(a)^-1 v2.
+
+    It is the inverse of the swap word w0 (u2 -> v2, v2 -> c*u2 with
+    c = conj(pi^s)/pi^s) after the word w1 of the swap composed with the
+    scaling.  w0 depends on the pair alone: ``swap`` holds the (s, sigma) of
+    its inverse once computed, and an empty ``swap`` is filled here."""
     alg = lat.alg
     if (a - alg.one).is_zero():
         return []
     pi_s = alg.uniformizer_pow(scale_s)
     swap_coeff = pi_s.conj() / pi_s
-    w0 = _plane_word_beta_unit(lat, u2, v2, v2, vec_scale(swap_coeff, u2))
-    # compose the swap with the scaling map
+    if not swap:
+        w0 = _plane_word_beta_unit(lat, u2, v2, v2, vec_scale(swap_coeff, u2))
+        swap.extend((g.s, g.sigma.conj()) for g in reversed(w0))
     img_u = vec_scale(a, v2)
     img_v = vec_scale(swap_coeff / a.conj(), u2)
     w1 = _plane_word_beta_unit(lat, u2, v2, img_u, img_v)
-    word = [g.inverse() for g in reversed(w0)] + w1
+    word = [Symmetry(s, sigma) for s, sigma in swap] + w1
     return _realizes(lat, word, u2, v2, vec_scale(a, u2),
                      vec_scale(alg.one / a.conj(), v2),
                      "plane scaling word failed")
@@ -998,7 +1016,7 @@ def peel_hyperbolic(lat, phi, pair):
     puv = lat.inner(u, v)
     s = _pair_scale(lat.alg, puv) if lat.alg.kind != EtaleAlgebra.SPLIT \
         else lat.alg.valuation_P(puv).a
-    phi2 = _peel_pair(drv, cols, phi, u, v, s)
+    phi2 = _peel_pair(drv, cols, phi, u, v, s, [])
     return drv.out, _complement(lat, cols, [u, v]), phi2
 
 
@@ -1010,7 +1028,8 @@ def _peel_first_step(lat, phi, refusal, branches, mismatch):
     if lat.alg.kind != EtaleAlgebra.RAMIFIED:
         raise UnsupportedCase(refusal)
     plan = _PLANS.setdefault(lat, [])
-    step = plan[0] if plan else _plan_step(lat, list(cols_of(identity(lat.alg, lat.n))))
+    step = plan[0] if plan else _plan_step(
+        lat, list(cols_of(identity(lat.alg, lat.n))), split_groups(lat))
     if step.branch not in branches:
         raise UnsupportedCase(mismatch)
     drv = _Driver(lat)

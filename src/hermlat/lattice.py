@@ -15,6 +15,14 @@ needs the reference to be the lattice itself: the memo keeps no lattice
 alive, and a recycled id misses.  The functional is a pure function of those
 triples and the lattice, so a hit returns what the computation would, bit
 for bit.
+
+The Jordan splitting (``jordan_split``) and the norms of the duals at its
+block scales (``dual_norms``) are computed once per lattice object, lazily on
+the first call, and kept on the lattice like its determinant: they depend on
+L alone, every caller reads the same immutable value (the blocks are a tuple,
+their columns and Grams tuples), and they live exactly as long as the
+lattice.  Nothing is computed when a lattice is built, and a computation that
+raises keeps nothing.
 """
 
 from __future__ import annotations
@@ -69,6 +77,8 @@ class HermitianLattice:
             self._det = det
         else:
             self._det = None
+        self._split = None
+        self._dual_norms = None
 
     # -- basic maps ----------------------------------------------------------
 
@@ -213,11 +223,26 @@ class HermitianLattice:
     # -- Jordan splitting --------------------------------------------------------
 
     def jordan_split(self):
-        if self.n == 0:
-            return JordanSplitting(self, [], ())
-        if self.alg.kind == EtaleAlgebra.SPLIT:
-            return self._jordan_split_split()
-        return self._jordan_split_field()
+        """The Jordan splitting of L, computed on the first call and kept on
+        the lattice: every later call returns the same object.  A split
+        that raises keeps nothing."""
+        if self._split is None:
+            if self.n == 0:
+                self._split = JordanSplitting(self.alg, (), ())
+            elif self.alg.kind == EtaleAlgebra.SPLIT:
+                self._split = self._jordan_split_split()
+            else:
+                self._split = self._jordan_split_field()
+        return self._split
+
+    def dual_norms(self):
+        """Norm exponent of L^(P^s) for the scale P^s of each Jordan block,
+        computed on the first call and kept like the splitting."""
+        if self._dual_norms is None:
+            self._dual_norms = tuple(
+                _norm_exp_of_gram(self.alg, self.dual_sublattice(blk.scale_exp)[1])
+                for blk in self.jordan_split().blocks)
+        return self._dual_norms
 
     def _jordan_split_split(self):
         alg, K, n = self.alg, self.alg.base, self.n
@@ -270,7 +295,7 @@ class HermitianLattice:
                 normal=alg.vK_in_P(norm) == scale,
                 gram=g,
                 cols=tuple(group)))
-        return JordanSplitting(self, blocks, t)
+        return JordanSplitting(alg, tuple(blocks), t)
 
 
 class JordanBlock:
@@ -291,8 +316,13 @@ class JordanBlock:
 
 
 class JordanSplitting:
-    def __init__(self, lattice, blocks, transform):
-        self.lattice = lattice
+    """The blocks of a Jordan splitting (a tuple, shallowest scale first) and
+    the transform whose columns are their basis vectors.  It holds the
+    algebra, not the lattice, so a lattice that keeps its splitting makes no
+    reference cycle."""
+
+    def __init__(self, alg, blocks, transform):
+        self.alg = alg
         self.blocks = blocks
         self.transform = transform
 
@@ -300,7 +330,7 @@ class JordanSplitting:
         return tuple((b.rank, b.scale_exp, b.normal) for b in self.blocks)
 
     def block_diagonal(self):
-        alg = self.lattice.alg
+        alg = self.alg
         n = sum(b.rank for b in self.blocks)
         rows = []
         off = 0

@@ -1,10 +1,12 @@
 import random
+import sys
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import hermlat
-from hermlat import oracle
+from hermlat import classify, oracle
 from hermlat.classify import (
     _norm_shift,
     isometric,
@@ -107,6 +109,52 @@ def test_splits_hyperbolic_cross_block(Q2sqrt2):
     # determinant-flip shape from the deeper-block relations
     L2 = orthogonal_sum(standard_A(Q2sqrt2, 1, 1), standard_Hik(Q2sqrt2, 2, 2))
     _check_pair(L2, splits_hyperbolic(L2))
+
+
+def test_each_lattice_object_is_split_once(monkeypatch):
+    """Deciding L against M, searching M for a hyperbolic pair and deciding
+    L against M2 split each of L, M and M2 once and take the dual of each
+    of their blocks once.  Every other splitting is of a sub-span: one per
+    round of the pair search after the first, which reads M's own
+    splitting, and one per deeper part of a cross-block attempt."""
+    cat = _catalog_lattice("q2sqrt2-sub")  # shared with other tests
+    lat = HermitianLattice(cat.alg, cat.gram)
+    m1 = _basis_change(lat, random.Random("split-once:1"))
+    m2 = _basis_change(lat, random.Random("split-once:2"))
+    splits, duals, sub_spans = Counter(), Counter(), Counter()
+    field, dual = HermitianLattice._jordan_split_field, HermitianLattice.dual_sublattice
+    jcols, arrange = classify._jordan_cols, classify._arrange_first_block
+
+    def count_split(self):
+        splits[id(self)] += 1
+        return field(self)
+
+    def count_dual(self, a_exp):
+        duals[id(self)] += 1
+        return dual(self, a_exp)
+
+    def count_sub_span(lat_, cols):
+        sub_spans[sys._getframe(1).f_code.co_name] += 1
+        return jcols(lat_, cols)
+
+    def count_round(*args):
+        sub_spans["rounds"] += 1
+        return arrange(*args)
+
+    monkeypatch.setattr(HermitianLattice, "_jordan_split_field", count_split)
+    monkeypatch.setattr(HermitianLattice, "dual_sublattice", count_dual)
+    monkeypatch.setattr(classify, "_jordan_cols", count_sub_span)
+    monkeypatch.setattr(classify, "_arrange_first_block", count_round)
+    assert isometry_conditions(lat, m1)[0]
+    assert splits_hyperbolic(m1) is None
+    assert isometry_conditions(lat, m2)[0]
+    mine = {id(x): x for x in (lat, m1, m2)}
+    assert {k: splits[k] for k in mine} == dict.fromkeys(mine, 1)
+    assert sub_spans["rounds"] > 1
+    assert sub_spans["_arrange_first_block"] == sub_spans["rounds"] - 1
+    assert (sum(v for k, v in splits.items() if k not in mine)
+            == sub_spans["_arrange_first_block"] + sub_spans["_deeper_part"])
+    assert duals == {k: len(x.jordan_split().blocks) for k, x in mine.items()}
 
 
 def test_rearrange_jordan(Q2sqrt2):

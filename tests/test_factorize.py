@@ -381,3 +381,30 @@ def test_a_second_call_recomputes_no_geometry(monkeypatch):
     factor_unitary(lat, random_unitary(lat, 5, 4)[0])
     assert not calls.keys() - {"_complement"}
     assert set(complement_callers) <= {"_split_residue_two_data"}
+
+
+def test_a_pair_step_keeps_its_swap_word_as_data(monkeypatch):
+    """The swap word of a planned hyperbolic pair is computed by the first
+    alignment that needs it and kept with the pair step as (s, sigma) data,
+    not as generators, whose built data would hold the lattice: later
+    alignments on the pair reuse it, and the plan still goes with its
+    lattice."""
+    lat = _catalog_lattice("q2sqrt2-h1h1.lat")
+    calls = Counter()
+    for name in ("_scale_map_word", "_plane_word_beta_unit"):
+        def spy(*args, _name=name, _original=getattr(factorize, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(factorize, name, spy)
+    for seed in range(4):
+        factor_unitary(lat, random_unitary(lat, 4, seed)[0])
+    kept = [step.data[3] for step in factorize._PLANS[lat]
+            if step.branch == "pair" and step.data[3]]
+    assert kept and calls["_scale_map_word"] > len(kept)
+    assert calls["_plane_word_beta_unit"] == calls["_scale_map_word"] + len(kept)
+    assert all(type(s) is tuple and not isinstance(sigma, (Symmetry, EichlerIsometry))
+               for swap in kept for s, sigma in swap)
+    ref = weakref.ref(lat)
+    del lat, kept
+    gc.collect()
+    assert ref() is None

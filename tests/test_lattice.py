@@ -6,7 +6,7 @@ import weakref
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from hermlat import lattice
+from hermlat import classify, lattice
 from hermlat.errors import RangeViolation
 from hermlat.etale import INF, NONNORM, NORM, EtaleAlgebra
 from hermlat.lattice import (
@@ -31,7 +31,7 @@ from hermlat.linalg import (
 )
 from hermlat.localfield import FieldElement, LocalField
 from test_isometries import CATALOG, _catalog_lattice
-from test_kernel_identity import _gl_n_O, exact_key
+from test_kernel_identity import _basis_change, _gl_n_O, exact_key
 
 
 def _unit_basis_change(lat, rng):
@@ -145,6 +145,38 @@ def test_jordan_roundtrip(Q2sqrt2, mk):
     g = mat_mul(mat_mul(tuple(zip(*tt)), L2.gram),
                 tuple(tuple(e.conj() for e in row) for row in tt))
     assert mat_eq(g, js.block_diagonal())
+
+
+def _split_key(lat):
+    split = lat.jordan_split()
+    return exact_key({"cols": [blk.cols for blk in split.blocks],
+                      "grams": [blk.gram for blk in split.blocks],
+                      "transform": split.transform,
+                      "dual_norms": lat.dual_norms()})
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_the_kept_splitting_equals_a_fresh_one(name):
+    """The splitting a lattice keeps is one immutable object, equal bit for
+    bit to the splitting of the same Gram built afresh, also after the
+    lattice has been decided and searched for a hyperbolic pair; and the
+    column groups of its blocks are what ``_jordan_cols`` computes for the
+    standard basis, the shortcut of the first arrangement and plan step 0."""
+    base = _catalog_lattice(name)
+    for lat in [base] + [_basis_change(base, random.Random(f"kept-split:{name}:{k}"))
+                         for k in range(3)]:
+        split = lat.jordan_split()
+        assert lat.jordan_split() is split
+        assert isinstance(split.blocks, tuple)
+        kept = _split_key(lat)
+        classify.isometry_conditions(lat, base)
+        classify.splits_hyperbolic(lat)
+        assert lat.jordan_split() is split
+        assert _split_key(lat) == kept
+        assert _split_key(HermitianLattice(lat.alg, lat.gram)) == kept
+        ident = list(cols_of(identity(lat.alg, lat.n)))
+        assert (exact_key(classify._jordan_cols(lat, ident))
+                == exact_key([list(blk.cols) for blk in split.blocks]))
 
 
 def test_det_class(Q2sqrt2):
@@ -326,6 +358,27 @@ def test_functional_memo_lets_a_dropped_lattice_go(Q2sqrt2):
     del lat
     gc.collect()
     assert ref() is None
+
+
+def test_a_split_lattice_goes_without_the_collector(Q2sqrt2):
+    """The splitting and dual norms a lattice keeps refer to its algebra,
+    not to the lattice, so dropping a lattice that was split, decided and
+    searched for a hyperbolic pair frees it at once, with the cyclic
+    collector off."""
+    other = _catalog_lattice("q2sqrt2-sub")
+    lat = _basis_change(other, random.Random("freed-split"))
+    gc.collect()
+    gc.disable()
+    try:
+        lat.jordan_split()
+        assert classify.isometry_conditions(lat, other)[0]
+        assert lat.dual_norms() == other.dual_norms()
+        classify.splits_hyperbolic(lat)
+        ref = weakref.ref(lat)
+        del lat
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # -- the Smith reduction ---------------------------------------------------------
