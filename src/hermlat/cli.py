@@ -180,7 +180,7 @@ def cmd_factor(args):
     records.append({
         "record": "certificate",
         "factors": len(fac.generators),
-        "symmetries_only": fac.symmetries_only,
+        "symmetries_only": not fac.contains_eichler,
         "contains_eichler": fac.contains_eichler,
         "residual_precision": cert["residual_precision"],
         "det_consistent": cert["det_consistent"],

@@ -61,19 +61,11 @@ class HypothesisViolation(HermlatError):
     """Preconditions of a rewriting step do not hold."""
 
 
-class DegeneratePair(HermlatError):
-    pass
-
-
 class MismatchedPlane(HermlatError):
     """Two Eichler isometries refer to different hyperbolic pairs."""
 
 
 class NotSkew(HermlatError):
-    pass
-
-
-class ScaleViolation(HermlatError):
     pass
 
 

@@ -28,15 +28,23 @@ of the plan.
 The ramified line and plane peels share one alignment loop, ``_align``: each
 round emits the first generator one of the peel's moves yields for the
 current image of the peeled vector.
-``_Driver.emit`` is the one membership test of each generator it applies
-(``in_unitary_group``, from the generator's data): ``map_isotropic`` and
+``_Driver.emit`` applies a generator g to phi and records g^-1 in the
+output word once g^-1 passed ``in_unitary_group``: ``map_isotropic`` and
 ``map_unit_vector`` return candidates, and only ``_direct_symmetry`` tests
-one itself, to choose its move.  ``eichler_to_symmetries`` tests each
-symmetry of a rewrite.
-``factor_unitary`` compares the word's product with phi once and raises
-``PrecisionLoss`` rather than return a word that misses it;
-``verify_factorization`` is the independent certificate, from the generator
-list alone.  All of them apply words through ``isometries.apply_word``, so no
+one itself, to choose its move.  A verdict is kept with the generator's
+built data, so the certificate reads the verdicts already reached.
+
+Without the certificate, ``factor_unitary`` guarantees the following, or
+raises ``PrecisionLoss``:
+- every generator of its word passed the membership test (in ``emit``, or
+  in ``eichler_to_symmetries`` for the symmetries of a rewrite);
+- the word's product is phi: the phi the driver ends with is the identity,
+  and ``emit`` records the inverse of each generator it applies;
+- each rewrite of the reduction pass, applied to the identity, equals the
+  matrix of the Eichler factor it replaces (``eichler_to_symmetries``).
+It does not multiply its word out: ``verify_factorization``, the
+independent certificate from the generator list alone, is the one place
+that does.  Words are applied through ``isometries.apply_word``, so no
 matrix product runs after the input check.
 """
 
@@ -89,6 +97,7 @@ from .linalg import (
     identity,
     is_integral_matrix,
     mat_det,
+    mat_eq,
     mat_vec,
     vec_add,
     vec_eq,
@@ -98,15 +107,16 @@ from .linalg import (
 
 
 class Factorization:
-    """Ordered generator list with a verification certificate."""
+    """Ordered generator list of a lattice; ``verify_factorization`` gives
+    its certificate."""
 
-    def __init__(self, lattice, generators, residual_precision,
-                 symmetries_only, contains_eichler):
+    def __init__(self, lattice, generators):
         self.lattice = lattice
         self.generators = list(generators)
-        self.residual_precision = residual_precision
-        self.symmetries_only = symmetries_only
-        self.contains_eichler = contains_eichler
+
+    @property
+    def contains_eichler(self):
+        return any(isinstance(g, EichlerIsometry) for g in self.generators)
 
     def matrix(self):
         lat = self.lattice
@@ -131,16 +141,11 @@ def _residual(lat, gens, phi):
     return diff, all(e.is_zero() for row in diff for e in row)
 
 
-def _residual_precision(diff):
-    """Smallest absolute precision among the entries of a matrix that is zero
-    at working precision."""
-    return min((comp.abs_precision() for row in diff for e in row
-                for comp in (e.x0, e.x1)), default=None)
-
-
 def verify_factorization(lat, phi, factorization):
     """Recompute the product, check each factor's membership and determinant
-    consistency; returns a certificate dict or raises VerificationFailed."""
+    consistency; returns a certificate dict or raises VerificationFailed.
+    The residual precision is the smallest absolute precision among the
+    entries of product - phi."""
     for idx, g in enumerate(factorization):
         if not in_unitary_group(lat, g):
             raise VerificationFailed(
@@ -158,7 +163,9 @@ def verify_factorization(lat, phi, factorization):
     if not (det_phi - det_prod).is_zero():
         raise VerificationFailed("determinant mismatch")
     return {
-        "residual_precision": _residual_precision(diff),
+        "residual_precision": min((comp.abs_precision() for row in diff
+                                   for e in row for comp in (e.x0, e.x1)),
+                                  default=None),
         "factors": len(factorization.generators),
         "det_consistent": True,
     }
@@ -179,11 +186,12 @@ class _Driver:
         self.out = []
 
     def emit(self, g, phi):
-        """Record g (its inverse joins the output word) and return g * phi."""
+        """Record the inverse of g in the output word, once it is tested for
+        membership, and return g * phi."""
         lat = self.lat
-        if not in_unitary_group(lat, g):
-            raise PrecisionLoss("constructed generator does not preserve L")
         inv = g.inverse(lat) if isinstance(g, EichlerIsometry) else g.inverse()
+        if not in_unitary_group(lat, inv):
+            raise PrecisionLoss("constructed generator does not preserve L")
         self.out.append(inv)
         return apply_word(lat, [g], phi)
 
@@ -194,25 +202,17 @@ class _Driver:
         return phi
 
 
-def factor_unitary(lat, phi, reduce_eichler=True):
+def factor_unitary(lat, phi):
     """Factor phi in U(L) into symmetries and rescaled Eichler isometries.
 
-    When reduce_eichler is set, a final pass rewrites Eichler factors as
-    symmetries wherever the rewriting rules apply (always possible except in
-    the ramified dyadic residue-two case)."""
+    A final pass rewrites Eichler factors as symmetries wherever the
+    rewriting rules apply (always possible except in the ramified dyadic
+    residue-two case)."""
     _check_input(lat, phi)
     drv = _Driver(lat)
-    _drive(drv, phi)
-    gens = drv.out
-    if reduce_eichler:
-        gens = _reduction_pass(lat, gens)
-    diff, ok = _residual(lat, gens, phi)
-    if not ok:
-        raise PrecisionLoss("driver product does not match the input")
-    has_eichler = any(isinstance(g, EichlerIsometry) for g in gens)
-    return Factorization(lat, gens, _residual_precision(diff),
-                         symmetries_only=not has_eichler,
-                         contains_eichler=has_eichler)
+    if not mat_eq(_drive(drv, phi), identity(lat.alg, lat.n)):
+        raise PrecisionLoss("the driver left a map other than the identity")
+    return Factorization(lat, _reduction_pass(lat, drv.out))
 
 
 def _reduction_pass(lat, gens):

@@ -23,22 +23,22 @@ A generator is I + sum w r^T over its update terms (w, r), one for a
 symmetry and two for an Eichler isometry (``_build``).  Its matrix and its
 action on vectors (``apply_generator``) and on matrices (``apply_word``) all
 come from these terms, built once with its lattice and kept with its
-functionals (a generator is not changed after construction); no word is
-multiplied out as matrices.  The rewriting identities (``compose_eichler``,
-``twist_by_skew``, ``eichler_to_symmetries``) are exact: the tests check
-them, and they are not re-multiplied at run time.
+functionals and, once decided, its membership verdict (a generator is not
+changed after construction); no word is multiplied out as matrices.  The
+rewriting identities (``compose_eichler``, ``twist_by_skew``) are exact, and
+``eichler_to_symmetries`` checks each rewrite once where it is made: each
+symmetry's membership, and the word applied to the identity against the
+Eichler isometry's matrix.
 """
 
 from __future__ import annotations
 
 from .errors import (
-    DegeneratePair,
     HermlatError,
     InvariantViolation,
     MismatchedPlane,
     NotSkew,
     PrecisionLoss,
-    ScaleViolation,
 )
 from .etale import EtaleAlgebra
 from .lattice import _project_off
@@ -62,7 +62,7 @@ from .linalg import (
 class Symmetry:
     """Carrier for (s, sigma); the invariant Tr(sigma) = <s,s> is checked by
     make_symmetry, which knows the lattice.  ``_built`` keeps what
-    ``matrix_of`` made, with its lattice."""
+    ``_build`` made, with its lattice."""
 
     __slots__ = ("s", "sigma", "_built")
 
@@ -136,8 +136,9 @@ def matrix_of(lat, g):
 
 
 def _build(lat, g):
-    """(matrix, functionals, terms) of g on lat, made once per lattice and
-    kept in g.  g is I + sum w r^T over its update terms (w, r): (s, -c)
+    """[matrix, functionals, terms, member] of g on lat, made once per
+    lattice and kept in g; ``member`` is None until ``in_unitary_group``
+    decides it.  g is I + sum w r^T over its update terms (w, r): (s, -c)
     for a symmetry, c = G conj(s)/sigma; (y, a) and (u, b) for an Eichler
     isometry, a = G conj(u)/<v,u> and b = mu a - G conj(y)/<u,v>.  The
     functionals are G conj(s) of a symmetry, and (G conj(u), G conj(y),
@@ -164,7 +165,7 @@ def _build(lat, g):
     m = identity(alg, lat.n)
     for w, r in terms:
         m = tuple(tuple(e + rj * wi for e, rj in zip(row, r)) for row, wi in zip(m, w))
-    g._built = (lat, (m, f, terms))
+    g._built = (lat, [m, f, terms, None])
     return g._built[1]
 
 
@@ -185,15 +186,17 @@ def gram_preserved(lat, m):
 
 
 def in_unitary_group(lat, g_or_matrix):
-    """Membership in U(L).  A generator is tested from its data, in O(n^2):
-    the integrality of its matrix and its defining identity (see the module
-    docstring).  A bare matrix gets the exact test: integral, and
-    preserving the Gram."""
+    """Membership in U(L).  A generator is tested from its data, in O(n^2),
+    once per lattice: the integrality of its matrix and its defining
+    identity (see the module docstring).  A bare matrix gets the exact test:
+    integral, and preserving the Gram."""
     g = g_or_matrix
     if not isinstance(g, (Symmetry, EichlerIsometry)):
         return is_integral_matrix(g) and gram_preserved(lat, g)
-    m, f, _ = _build(lat, g)
-    return is_integral_matrix(m) and _defect_vanishes(g, f)
+    built = _build(lat, g)
+    if built[3] is None:
+        built[3] = is_integral_matrix(built[0]) and _defect_vanishes(g, built[1])
+    return built[3]
 
 
 def _defect_vanishes(g, f):
@@ -216,25 +219,6 @@ def reflection_data(lat, x, target):
     return s, lat.inner(x, s)
 
 
-def symmetry_between(lat, x, xp):
-    """Symmetry of the ambient space mapping x to xp, if it stabilizes L.
-
-    Requires <x,x> = <xp,xp>; raises DegeneratePair when <x, x-xp> = 0."""
-    s, sigma = reflection_data(lat, x, xp)
-    if sigma.is_zero():
-        raise DegeneratePair("<x, x - x'> = 0")
-    qdiff = lat.inner(x, x) - lat.inner(xp, xp)
-    if not qdiff.is_zero():
-        raise InvariantViolation("<x,x> != <x',x'>")
-    g = Symmetry(s, sigma)
-    if not in_unitary_group(lat, g):
-        return None
-    img = apply_generator(lat, g, x)
-    if not vec_eq(img, xp):
-        raise PrecisionLoss("symmetry failed to map x to x'")
-    return g
-
-
 def compose_eichler(lat, e1, e2):
     """E1 ∘ E2 for Eichler isometries on the same hyperbolic pair."""
     if not (vec_eq(e1.u, e2.u) and vec_eq(e1.v, e2.v)):
@@ -249,26 +233,6 @@ def twist_by_skew(lat, e, omega):
     if omega.is_zero() or not omega.trace().is_zero():
         raise NotSkew("omega must be a nonzero skew element")
     return EichlerIsometry(e.u, e.v, e.y, e.mu - lat.inner(e.v, e.u) / omega)
-
-
-def eichler_exists(lat, u, v, w):
-    """Whether some E_w^mu exists on the pair (u, v); returns (bool, mu)."""
-    alg = lat.alg
-    puv = lat.inner(u, v)
-    vp = alg.valuation_P(puv)
-    for k in range(lat.n):
-        e = lat.inner(w, basis_vector(alg, lat.n, k))
-        if e.is_zero():
-            continue
-        ve = alg.valuation_P(e)
-        if ve.a < vp.a or ve.b < vp.b:
-            raise ScaleViolation("<w, L> exceeds <u,v>O")
-    qw = lat.inner(w, w).as_K()
-    if qw.is_zero():
-        return True, alg.zero
-    if qw.valuation() < alg.trace_ideal_of(puv):
-        return False, None
-    return True, alg.solve_trace(puv, -qw)
 
 
 def make_eichler(lat, u, v, y, mu=None):
@@ -306,12 +270,16 @@ def eichler_to_symmetries(lat, e):
     """Rewrite a rescaled Eichler isometry of L as a product of symmetries.
 
     Returns the list, each member tested to lie in U(L), whose product is
-    the matrix of e (the rewriting identities are exact), or None in the
-    ramified dyadic residue-two case when no rewriting rule applies.  The
-    rewrite recurses at most 10 times."""
+    checked to equal the matrix of e, or None in the ramified dyadic
+    residue-two case when no rewriting rule applies.  The rewrite recurses
+    at most 10 times."""
     out = _reduce_eichler(lat, e, 10)
-    if out is not None and not all(in_unitary_group(lat, g) for g in out):
+    if out is None:
+        return None
+    if not all(in_unitary_group(lat, g) for g in out):
         raise PrecisionLoss("reduction produced a non-member symmetry")
+    if not mat_eq(apply_word(lat, out, identity(lat.alg, lat.n)), matrix_of(lat, e)):
+        raise PrecisionLoss("rewrite does not reproduce the Eichler isometry")
     return out
 
 

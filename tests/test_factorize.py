@@ -25,7 +25,17 @@ from hermlat.lattice import (
     standard_A,
     standard_H,
 )
-from hermlat.linalg import basis_vector, cols_of, identity, mat_mul, mat_vec, vec_scale
+from hermlat.linalg import (
+    _dot,
+    basis_vector,
+    cols_of,
+    identity,
+    mat_from_cols,
+    mat_mul,
+    mat_vec,
+    vec_add,
+    vec_scale,
+)
 from hermlat.oracle import random_symmetry, random_unitary
 from hermlat.specfile import parse_lattice
 
@@ -38,7 +48,7 @@ def test_identity_factorization(Q2sqrt2):
     L = standard_A(Q2sqrt2, 0, 1)
     f = factor_unitary(L, identity(Q2sqrt2, 2))
     assert len(f) == 0
-    assert f.symmetries_only
+    assert not f.contains_eichler
     cert = verify_factorization(L, identity(Q2sqrt2, 2), f)
     assert cert["det_consistent"]
 
@@ -76,8 +86,7 @@ def test_verification_catches_tampering(Q2sqrt2):
                 break
     else:
         pytest.skip("no asymmetric factor to flip")
-    tampered = Factorization(L, bad, f.residual_precision,
-                             f.symmetries_only, f.contains_eichler)
+    tampered = Factorization(L, bad)
     with pytest.raises(VerificationFailed):
         verify_factorization(L, phi, tampered)
 
@@ -108,15 +117,21 @@ def test_roundtrip_small(alg_name, mk, request):
         f = factor_unitary(L, phi)
         verify_factorization(L, phi, f)
         if alg.kind in ("split", "inert"):
-            assert f.symmetries_only
+            assert not f.contains_eichler
+
+
+def _driver_word(lat, phi):
+    """The driver's word for phi, before the reduction pass."""
+    drv = factorize._Driver(lat)
+    factorize._drive(drv, phi)
+    return drv.out
 
 
 def test_hyperbolic_free_raw_output_is_symmetries_only(Q2sqrt2):
     L = standard_A(Q2sqrt2, 0, 1)
     for seed in range(6):
         phi, _ = random_unitary(L, 1 + seed % 5, seed)
-        f = factor_unitary(L, phi, reduce_eichler=False)
-        assert f.symmetries_only
+        assert all(isinstance(g, Symmetry) for g in _driver_word(L, phi))
 
 
 def test_map_isotropic(Q2sqrt2, inert2, split2):
@@ -230,36 +245,42 @@ def test_public_peel_wrappers(Q2sqrt2):
     assert rest == []
 
 
-def test_eichler_with_zero_mu_factors_into_symmetries():
-    """A word on H(1) ⟂ H(1) over Q_2(i) whose Eichler factor reaches the
-    ramified reduction with mu exactly 0: case (e) must not ask for the
-    valuation of mu.  The word is a symmetry times a rescaled Eichler
-    isometry drawn by ``hermlat.oracle`` from one seeded generator."""
-    with open(hermlat.catalog_path("q2i-h1h1.lat")) as fh:
-        lat = parse_lattice(fh.read())
+def _catalog_lattice(name):
+    with open(hermlat.catalog_path(name)) as fh:
+        return parse_lattice(fh.read())
+
+
+def _zero_mu_word():
+    """H(1) ⟂ H(1) over Q_2(i) (q2i-h1h1) and a word on it whose Eichler
+    factor reaches the ramified reduction with mu exactly 0: a symmetry
+    times a rescaled Eichler isometry drawn by ``hermlat.oracle`` from one
+    seeded generator.  The reduction pass rewrites the driver's Eichler
+    factor."""
+    lat = _catalog_lattice("q2i-h1h1.lat")
     rng = random.Random(1161331496)
     phi = identity(lat.alg, lat.n)
     for g in (random_symmetry(lat, rng), oracle.random_eichler(lat, rng)):
         phi = mat_mul(phi, matrix_of(lat, g))
+    return lat, phi
+
+
+def test_eichler_with_zero_mu_factors_into_symmetries():
+    """Case (e) of the ramified reduction must not ask for the valuation
+    of mu = 0."""
+    lat, phi = _zero_mu_word()
     f = factor_unitary(lat, phi)
     cert = verify_factorization(lat, phi, f)
     assert cert["det_consistent"]
-    assert f.symmetries_only and len(f) == 4
+    assert not f.contains_eichler and len(f) == 4
 
 
 def test_final_product_check_stops_a_wrong_rewrite(monkeypatch):
-    """The Eichler rewrites are not re-multiplied at run time; the one
-    product comparison of factor_unitary must still stop a wrong rewrite.
-    With the last symmetry of every rewrite dropped, the word no longer
-    reproduces phi and no word comes back."""
-    with open(hermlat.catalog_path("q2i-h1h1.lat")) as fh:
-        lat = parse_lattice(fh.read())
-    rng = random.Random(1161331496)
-    phi = identity(lat.alg, lat.n)
-    for g in (random_symmetry(lat, rng), oracle.random_eichler(lat, rng)):
-        phi = mat_mul(phi, matrix_of(lat, g))
-    assert factor_unitary(lat, phi, reduce_eichler=False).contains_eichler
-    assert factor_unitary(lat, phi).symmetries_only
+    """factor_unitary does not multiply its word out; the check of each
+    rewrite against its Eichler matrix must still stop a wrong rewrite.
+    With the last symmetry of every rewrite dropped, no word comes back."""
+    lat, phi = _zero_mu_word()
+    assert any(isinstance(g, EichlerIsometry) for g in _driver_word(lat, phi))
+    assert not factor_unitary(lat, phi).contains_eichler
 
     reduce_eichler = isometries._reduce_eichler
 
@@ -268,20 +289,92 @@ def test_final_product_check_stops_a_wrong_rewrite(monkeypatch):
         return out[:-1] if out else out
 
     monkeypatch.setattr(isometries, "_reduce_eichler", drop_last)
-    with pytest.raises(PrecisionLoss, match="driver product does not match the input"):
+    with pytest.raises(PrecisionLoss,
+                       match="rewrite does not reproduce the Eichler isometry"):
         factor_unitary(lat, phi)
 
 
+def test_exit_check_stops_an_emit_that_applies_more_than_it_records(monkeypatch):
+    """The driver's word is the input because emit records the inverse of
+    each generator it applies.  Here emit, after the first peel step, also
+    applies the transvection x -> x + <x,v> v, v the second vector of the
+    first step's pair: it fixes the orthogonal complement of v, where the
+    later steps run, and moves the pair's u.  The later alignments do not
+    see it, so the check that the driver ends at the identity must."""
+    lat = _catalog_lattice("q2i-h1h1.lat")
+    phi = random_unitary(lat, 4, 2)[0]
+    factor_unitary(lat, phi)
+    u, v = factorize._PLANS[lat][0].piece
+    gv = lat.gram_conj(v)
+    assert not lat.inner(u, v).is_zero()
+    settled, moved = [], []
+    settle, emit = factorize._settle, factorize._Driver.emit
+
+    def count_settled(*args):
+        settled.append(args[2])
+        return settle(*args)
+
+    def emit_and_shear(self, g, phi):
+        phi = emit(self, g, phi)
+        if not settled:
+            return phi
+        moved.append(g)
+        return mat_from_cols([vec_add(x, vec_scale(_dot(x, gv), v))
+                              for x in cols_of(phi)])
+
+    monkeypatch.setattr(factorize, "_settle", count_settled)
+    monkeypatch.setattr(factorize._Driver, "emit", emit_and_shear)
+    with pytest.raises(PrecisionLoss,
+                       match="the driver left a map other than the identity"):
+        factor_unitary(lat, phi)
+    assert moved
+
+
+def test_one_factor_op_multiplies_its_word_out_once(monkeypatch):
+    """factor_unitary plus its certificate compute the word's product once,
+    in verify_factorization."""
+    lat, phi = _zero_mu_word()
+    callers = []
+    residual = factorize._residual
+
+    def spy(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return residual(*args)
+
+    monkeypatch.setattr(factorize, "_residual", spy)
+    f = factor_unitary(lat, phi)
+    assert callers == []
+    verify_factorization(lat, phi, f)
+    assert callers == ["verify_factorization"]
+
+
+def test_membership_is_decided_once_per_generator(monkeypatch):
+    """Over a factor op whose Eichler factor is rewritten and its
+    certificate, each generator object's membership is computed once; the
+    certificate reads the verdicts the factor op reached."""
+    lat, phi = _zero_mu_word()
+    decided = []
+    defect_vanishes = isometries._defect_vanishes
+
+    def spy(g, f):
+        decided.append(g)
+        return defect_vanishes(g, f)
+
+    monkeypatch.setattr(isometries, "_defect_vanishes", spy)
+    f = factor_unitary(lat, phi)
+    in_factor_op = len(decided)
+    verify_factorization(lat, phi, f)
+    assert len(decided) == in_factor_op
+    assert len({id(g) for g in decided}) == len(decided)
+    assert {id(g) for g in f} <= {id(g) for g in decided}
+    assert any(isinstance(g, EichlerIsometry) for g in decided)
+
+
 def test_factor_unitary_multiplies_no_matrices(monkeypatch):
-    """The driver applies each generator, and the product check each word,
-    through the generators' update terms: the only matrix products of one
-    factor_unitary are the two of the input check's gram_preserved."""
-    with open(hermlat.catalog_path("q2i-h1h1.lat")) as fh:
-        lat = parse_lattice(fh.read())
-    rng = random.Random(1161331496)
-    phi = identity(lat.alg, lat.n)
-    for g in (random_symmetry(lat, rng), oracle.random_eichler(lat, rng)):
-        phi = mat_mul(phi, matrix_of(lat, g))
+    """The driver applies each generator, and the rewrite check each
+    rewrite, through the generators' update terms: the only matrix products
+    of one factor_unitary are the two of the input check's gram_preserved."""
+    lat, phi = _zero_mu_word()
     callers = []
 
     def spy(a, b):
@@ -294,19 +387,15 @@ def test_factor_unitary_multiplies_no_matrices(monkeypatch):
             monkeypatch.setattr(module, "mat_mul", spy)
     f = factor_unitary(lat, phi)
     assert callers == [("gram_preserved", "_check_input")] * 2
-    assert f.symmetries_only and len(f) == 4
-
-
-def _catalog_lattice(name):
-    with open(hermlat.catalog_path(name)) as fh:
-        return parse_lattice(fh.read())
+    assert not f.contains_eichler and len(f) == 4
 
 
 def _factor_key(lat, phi):
     fac = factor_unitary(lat, phi)
+    cert = verify_factorization(lat, phi, fac)
     return exact_key({"generators": [_generator(lat, g) for g in fac],
-                      "residual_precision": fac.residual_precision,
-                      "certificate": verify_factorization(lat, phi, fac)})
+                      "residual_precision": cert["residual_precision"],
+                      "certificate": cert})
 
 
 def test_a_cold_plan_and_a_warm_plan_give_the_same_result(monkeypatch):

@@ -8,11 +8,9 @@ from hypothesis import HealthCheck, assume, event, given, settings, strategies a
 import hermlat
 from hermlat import oracle
 from hermlat.errors import (
-    DegeneratePair,
     HermlatError,
     MismatchedPlane,
     NotSkew,
-    ScaleViolation,
 )
 from hermlat.etale import EtaleAlgebra
 from hermlat.isometries import (
@@ -24,14 +22,12 @@ from hermlat.isometries import (
     apply_word,
     compose_eichler,
     det_of,
-    eichler_exists,
     eichler_to_symmetries,
     gram_preserved,
     in_unitary_group,
     make_eichler,
     make_symmetry,
     matrix_of,
-    symmetry_between,
     twist_by_skew,
 )
 from hermlat.lattice import HermitianLattice, orthogonal_sum, standard_H
@@ -135,19 +131,6 @@ def test_in_unitary_group_counterexample(Q2i):
     assert not in_unitary_group(H0, g)
 
 
-def test_symmetry_between(Q2sqrt2):
-    L = HermitianLattice(Q2sqrt2, ((Q2sqrt2.one, Q2sqrt2.zero),
-                                   (Q2sqrt2.zero, Q2sqrt2.from_int(-1))))
-    x = basis_vector(Q2sqrt2, 2, 0)
-    with pytest.raises(DegeneratePair):
-        symmetry_between(L, x, x)
-    # map e1 to -e1
-    g = symmetry_between(L, x, vec_scale(Q2sqrt2.from_int(-1), x))
-    assert g is not None
-    img = apply_generator(L, g, x)
-    assert all((a + b).is_zero() for a, b in zip(img, x))
-
-
 def test_compose_and_twist(Q2sqrt2):
     L = orthogonal_sum(standard_H(Q2sqrt2, 0),
                        HermitianLattice(Q2sqrt2, ((Q2sqrt2.from_int(2), Q2sqrt2.zero),
@@ -178,25 +161,6 @@ def test_compose_and_twist(Q2sqrt2):
     with pytest.raises(MismatchedPlane):
         compose_eichler(L, e1, EichlerIsometry(w1, v, (Q2sqrt2.zero,) * 4,
                                                Q2sqrt2.zero))
-
-
-def test_eichler_exists_iff(Q2sqrt2):
-    # w with Q(w) generating exactly the trace ideal: exists; one deeper
-    # on the wrong side: does not
-    e = Q2sqrt2.e
-    L = orthogonal_sum(standard_H(Q2sqrt2, 0),
-                       HermitianLattice(Q2sqrt2, ((Q2sqrt2.from_int(2), Q2sqrt2.zero),
-                                                  (Q2sqrt2.zero, Q2sqrt2.from_int(1)))))
-    u, v = basis_vector(Q2sqrt2, 4, 0), basis_vector(Q2sqrt2, 4, 1)
-    w_good = basis_vector(Q2sqrt2, 4, 2)   # Q = 2, v_p = 1 = floor((0+e)/2)
-    ok, mu = eichler_exists(L, u, v, w_good)
-    assert ok and mu is not None
-    w_bad = basis_vector(Q2sqrt2, 4, 3)    # Q = 1, below the trace ideal
-    ok2, mu2 = eichler_exists(L, u, v, w_bad)
-    assert not ok2
-    # zero vector always works
-    ok3, mu3 = eichler_exists(L, u, v, (Q2sqrt2.zero,) * 4)
-    assert ok3 and mu3.is_zero()
 
 
 def test_eichler_to_symmetries_unit_case(Q2sqrt2):

@@ -104,8 +104,8 @@ def run_digest(name):
         "input": exact_key(phi),
         "generators": [["E" if isinstance(g, EichlerIsometry) else "S",
                         exact_key(matrix_of(lat, g))] for g in fac],
-        "residual_precision": fac.residual_precision,
-        "symmetries_only": fac.symmetries_only,
+        "residual_precision": cert["residual_precision"],
+        "symmetries_only": not fac.contains_eichler,
         "certificate": cert,
     }
     return _digest(doc)
@@ -287,9 +287,10 @@ def _steered_subnormal():
         lat = parse_lattice(fh.read())
     phi, _ = oracle.random_unitary(lat, 1 + 53 % 6, 53)
     fac = factor_unitary(lat, phi)
+    cert = verify_factorization(lat, phi, fac)
     return {"generators": exact_key([_generator(lat, g) for g in fac]),
-            "residual_precision": fac.residual_precision,
-            "certificate": verify_factorization(lat, phi, fac)}
+            "residual_precision": cert["residual_precision"],
+            "certificate": cert}
 
 
 def _split2h_mixed():

@@ -11,7 +11,8 @@ A name that a module of ``src/hermlat`` imports at its top level must be
 read in that module's code, and no function body imports anything.  Every
 parameter of a function defined at module or class level is read in its
 body (``self`` and ``cls`` apart; callbacks nested in a function are not
-checked).
+checked).  Every exception class of ``hermlat.errors`` but the base
+``HermlatError`` is raised somewhere in ``src/hermlat``.
 """
 
 import ast
@@ -142,3 +143,18 @@ def test_no_function_imports_inside_its_body():
                 local.update(f"{name}:{node.lineno}" for node in ast.walk(fn)
                              if isinstance(node, (ast.Import, ast.ImportFrom)))
     assert not local, f"imports inside function bodies: {sorted(local)}"
+
+
+def test_every_error_class_is_raised():
+    trees = dict(_src_trees())
+    classes = [node.name for node in trees["errors.py"].body
+               if isinstance(node, ast.ClassDef) and node.name != "HermlatError"]
+    raised = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    assert classes and not set(classes) - raised, \
+        f"error classes never raised: {sorted(set(classes) - raised)}"

@@ -91,8 +91,8 @@ def factor_result(item):
     except Exception as ex:  # noqa: BLE001 - a failure is a result too
         return _error(ex)
     return {"generators": [_generator(lat, g) for g in fac],
-            "residual_precision": fac.residual_precision,
-            "symmetries_only": fac.symmetries_only,
+            "residual_precision": cert["residual_precision"],
+            "symmetries_only": not fac.contains_eichler,
             "certificate": cert}
 
 
