@@ -28,12 +28,7 @@ direction, and ``EtaleAlgebra.solve_norm`` the exact solve of Nr(x) = a.
 
 from __future__ import annotations
 
-from .errors import (
-    HermlatError,
-    HypothesisViolation,
-    NotModular,
-    PrecisionLoss,
-)
+from .errors import HermlatError, PrecisionLoss, UnsupportedCase
 from .etale import NONNORM, NORM, EtaleAlgebra
 from .lattice import (
     HermitianLattice,
@@ -148,14 +143,14 @@ def modular_standard_form(lat):
     """
     alg = lat.alg
     if alg.kind != EtaleAlgebra.RAMIFIED:
-        raise NotModular("standard forms are for the ramified kind")
+        raise HermlatError("standard forms are for the ramified kind")
     s = lat.scale_exp()
     if not lat.is_modular(s):
-        raise NotModular("lattice is not modular")
+        raise HermlatError("lattice is not modular")
     m = lat.n
     if m % 2:
         if s % 2:
-            raise NotModular("odd-rank modular lattice with odd scale")
+            raise HermlatError("odd-rank modular lattice with odd scale")
         # unit class of det * p^{-m*i/2}
         K = alg.base
         u = lat.det().as_K() / K.uniformizer_pow(m * s // 2)
@@ -192,7 +187,7 @@ def isotropy_refine(lat, u, helpers):
             # mixed trace/norm cancellations: bounded residue search
             cand = _residue_progress(lat, u, helpers, q.valuation())
         if cand is None:
-            raise PrecisionLoss("no isotropy progress along helper directions")
+            raise UnsupportedCase("no isotropy progress along helper directions")
         u = cand
     for y in helpers:
         if y is start:
@@ -203,7 +198,7 @@ def isotropy_refine(lat, u, helpers):
             continue
         if iso is not None:
             return iso
-    raise PrecisionLoss("isotropy refinement did not converge")
+    raise UnsupportedCase("isotropy refinement did not converge")
 
 
 def _deepens(lat, cand, m):
@@ -309,7 +304,7 @@ def complete_with_partners(lat, u, candidates, scale_i):
     for w in candidates:
         try:
             return complete_hyperbolic_pair(lat, u, w, scale_i)
-        except PrecisionLoss as ex:
+        except (UnsupportedCase, PrecisionLoss) as ex:
             last = ex
     extra = []
     for a in range(len(candidates)):
@@ -318,9 +313,9 @@ def complete_with_partners(lat, u, candidates, scale_i):
     for w in extra:
         try:
             return complete_hyperbolic_pair(lat, u, w, scale_i)
-        except PrecisionLoss as ex:
+        except (UnsupportedCase, PrecisionLoss) as ex:
             last = ex
-    raise last if last is not None else PrecisionLoss("no completion partner")
+    raise last if last is not None else UnsupportedCase("no completion partner")
 
 
 def complete_hyperbolic_pair(lat, u, w0, scale_i):
@@ -330,10 +325,10 @@ def complete_hyperbolic_pair(lat, u, w0, scale_i):
     alg = lat.alg
     pair = lat.inner(u, w0)
     if pair.is_zero():
-        raise PrecisionLoss("partner does not pair at the block scale")
+        raise UnsupportedCase("partner does not pair at the block scale")
     vp = alg.valuation_P(pair)
     if vp.a != scale_i or vp.b != scale_i:
-        raise PrecisionLoss("partner does not pair at the block scale")
+        raise UnsupportedCase("partner does not pair at the block scale")
     q = lat.q_value(w0)
     if not q.is_zero():
         lam = alg.solve_trace(pair, -q)
@@ -344,9 +339,9 @@ def complete_hyperbolic_pair(lat, u, w0, scale_i):
     factor = (target / pair).conj()
     v = vec_scale(factor, w0)
     if not lat.q_value(v).is_zero():
-        raise PrecisionLoss("completion lost isotropy")
+        raise UnsupportedCase("completion lost isotropy")
     if lat.inner(u, v) != target:
-        raise PrecisionLoss("pairing normalization failed")
+        raise UnsupportedCase("pairing normalization failed")
     return u, v
 
 
@@ -373,7 +368,7 @@ def normalize_plane(lat, x, y, scale_i):
     x, y = attainer, partner
     pair = lat.inner(x, y)
     if pair.is_zero() or alg.vP(pair) != scale_i:
-        raise PrecisionLoss("plane basis does not attain the scale")
+        raise UnsupportedCase("plane basis does not attain the scale")
     y = _shift_into_trace_ideal(lat, y, x, scale_i)
     return x, y, k
 
@@ -418,7 +413,7 @@ def combine_pieces_pair(lat, donor, target_plane, scale_i):
     x2, y2, k2 = normalize_plane(lat, x2, y2, scale_i)
     k1 = lat.q_value(donor).valuation()
     if k1 > k2:
-        raise HypothesisViolation("donor norm must not exceed the plane norm")
+        raise UnsupportedCase("donor norm must not exceed the plane norm")
     x2c = _shift_into_trace_ideal(lat, x2, donor, scale_i)
     u = isotropy_refine(lat, x2c, [y2, x2c])
     return complete_with_partners(lat, u, [y2, x2], scale_i)
@@ -527,7 +522,7 @@ def _lines_pair_unramified(lat, lines, scale_i):
     mu = alg.solve_norm_unit(-qa / qb)
     u = vec_add(a, vec_scale(mu, b))
     if not lat.q_value(u).is_zero():
-        raise PrecisionLoss("unramified isotropic combination failed")
+        raise UnsupportedCase("unramified isotropic combination failed")
     return complete_hyperbolic_pair(lat, u, a, scale_i)
 
 
@@ -541,7 +536,7 @@ def extract_hyperbolic_in_modular(lat, cols, scale_i):
     if alg.kind != EtaleAlgebra.RAMIFIED:
         if planes:
             # unramified blocks are always normal; planes should not occur
-            raise PrecisionLoss("unexpected subnormal piece (unramified)")
+            raise UnsupportedCase("unexpected subnormal piece (unramified)")
         pair = _lines_pair_unramified(lat, lines, scale_i)
         return pair, (lines, planes)
     norm_planes = []
@@ -586,7 +581,7 @@ def cross_pair_norm_drop(lat, plane1, rest_cols, scale_i):
     gram = _gram_of(lat, rest_cols)
     n = _norm_exp_of_gram(alg, gram)
     if n > k:
-        raise HypothesisViolation("requires deeper norm <= plane norm")
+        raise UnsupportedCase("requires deeper norm <= plane norm")
     z, _ = _norm_attainer(lat, rest_cols, gram, n)
     u0 = _shift_into_trace_ideal(lat, x1, z, scale_i)
     u = isotropy_refine(lat, u0, [y1, x1])
@@ -596,7 +591,7 @@ def cross_pair_norm_drop(lat, plane1, rest_cols, scale_i):
 def _shift_into_trace_ideal(lat, w, z, scale_i):
     """Push Q(w) into Tr(P^scale_i) = p^floor((scale_i+e)/2) by norm shifts
     along z (window <= e-1).  A shift that fails or does not deepen Q(w)
-    falls back to the residue search; PrecisionLoss when that finds nothing
+    falls back to the residue search; UnsupportedCase when that finds nothing
     or the rounds run out."""
     alg = lat.alg
     qz = lat.q_value(z)
@@ -607,7 +602,7 @@ def _shift_into_trace_ideal(lat, w, z, scale_i):
             return w
         m = q.valuation()
         if m < qz.valuation():
-            raise PrecisionLoss("shift direction below the norm level")
+            raise UnsupportedCase("shift direction below the norm level")
         window = min(max(target - m, 1), max(alg.e - 1, 1))
         try:
             cand = _norm_shift(lat, w, z, q, qz, window)
@@ -618,9 +613,9 @@ def _shift_into_trace_ideal(lat, w, z, scale_i):
         if cand is None:
             cand = _residue_progress(lat, w, [z], m)
         if cand is None:
-            raise PrecisionLoss("norm shift stalled")
+            raise UnsupportedCase("norm shift stalled")
         w = cand
-    raise PrecisionLoss("norm shift did not converge")
+    raise UnsupportedCase("norm shift did not converge")
 
 
 def cross_pair_A_second(lat, donor, plane2, scale_j):
@@ -639,7 +634,7 @@ def cross_pair_A_second(lat, donor, plane2, scale_j):
         except HermlatError:
             break
         if cand is None:
-            raise PrecisionLoss("donor norm too deep for the balance step")
+            raise UnsupportedCase("donor norm too deep for the balance step")
         if not _deepens(lat, cand, q.valuation()):
             break
         u0 = cand
@@ -662,17 +657,17 @@ def rearrange_columns(lat, all_cols, donor, plane2, j, i):
     k = qd.valuation()
     nprime = j - i + k
     if not 0 < j - i <= n2 - k:
-        raise HypothesisViolation("rearrangement needs 0 < j-i <= n-k")
+        raise UnsupportedCase("rearrangement needs 0 < j-i <= n-k")
     z = vec_add(vec_scale(alg.uniformizer_pow(j - i), donor), x2)
     qz = lat.q_value(z)
     if qz.is_zero() or qz.valuation() != nprime:
         if n2 == nprime:
             z = x2  # already arranged
         else:
-            raise PrecisionLoss("rearranged vector misses the target norm")
+            raise UnsupportedCase("rearranged vector misses the target norm")
     pair = lat.inner(z, y2)
     if pair.is_zero() or alg.vP(pair) != j:
-        raise PrecisionLoss("rearranged plane lost its scale")
+        raise UnsupportedCase("rearranged plane lost its scale")
     others = _complement(lat, all_cols, [z, y2])
     return (z, y2), others
 
@@ -844,15 +839,15 @@ def rearrange_jordan(lat):
     deeper with scale P^j and norm p^n, 0 < j-i <= n-k) into an isometric
     lattice whose deeper block has norm p^(j-i+k).
 
-    Returns (new_lattice, transform); raises HypothesisViolation when the
+    Returns (new_lattice, transform); raises UnsupportedCase when the
     inputs do not satisfy the rearrangement hypotheses."""
     alg = lat.alg
     if alg.kind != EtaleAlgebra.RAMIFIED:
-        raise HypothesisViolation("rearrangement applies to the ramified kind")
+        raise UnsupportedCase("rearrangement applies to the ramified kind")
     cols = list(cols_of(identity(alg, lat.n)))
     groups = split_groups(lat)
     if len(groups) < 2:
-        raise HypothesisViolation("need at least two Jordan blocks")
+        raise UnsupportedCase("need at least two Jordan blocks")
     first = groups[0]
     deeper = [c for grp in groups[1:] for c in grp]
     fgram = _gram_of(lat, first)
@@ -860,11 +855,11 @@ def rearrange_jordan(lat):
     k = _norm_exp_of_gram(alg, fgram)
     groups2, _, j, n = _deeper_part(lat, deeper)
     if not 0 < j - i <= n - k:
-        raise HypothesisViolation("rearrangement needs 0 < j-i <= n-k")
+        raise UnsupportedCase("rearrangement needs 0 < j-i <= n-k")
     donor, _ = _norm_attainer(lat, first, fgram, k)
     _, planes2 = peel_lines_and_planes(lat, groups2[0])
     if not planes2:
-        raise HypothesisViolation("deeper block has no subnormal plane")
+        raise UnsupportedCase("deeper block has no subnormal plane")
     x2, y2 = planes2[0]
     x2, y2, n2 = normalize_plane(lat, x2, y2, j)
     (z, y2b), others = rearrange_columns(lat, cols, donor, (x2, y2, n2), j, i)
@@ -874,7 +869,7 @@ def rearrange_jordan(lat):
     new_lat = HermitianLattice(alg, gram)
     ok, failed, _ = isometry_conditions(lat, new_lat)
     if not ok:
-        raise PrecisionLoss(
+        raise UnsupportedCase(
             f"rearranged lattice failed the isometry check (condition {failed})")
     return new_lat, t
 
@@ -908,14 +903,14 @@ def plane_standard_form(lat, x, y, scale_i):
                 found = cand
                 break
         if found is None:
-            raise PrecisionLoss("no norm-class flip for the plane leader")
+            raise UnsupportedCase("no norm-class flip for the plane leader")
         x = found
         qx = lat.q_value(x)
         eps = qx / K.uniformizer_pow(k)
     mu = alg.solve_norm_unit(K.one / eps)
     u = vec_scale(mu, x)
     if lat.q_value(u) != K.uniformizer_pow(k):
-        raise PrecisionLoss("leader normalization failed")
+        raise UnsupportedCase("leader normalization failed")
     # 2. pairing to exactly pi^i
     pair = lat.inner(u, y)
     target = alg.uniformizer_pow(scale_i)
@@ -928,9 +923,9 @@ def plane_standard_form(lat, x, y, scale_i):
     v = vec_scale((target / pair).conj(), v)
     qv = lat.q_value(v)
     if not qv.is_zero() and qv.valuation() < floor:
-        raise PrecisionLoss("plane corner stuck above the anisotropy level")
+        raise UnsupportedCase("plane corner stuck above the anisotropy level")
     if lat.inner(u, v) != target:
-        raise PrecisionLoss("pairing normalization failed")
+        raise UnsupportedCase("pairing normalization failed")
     return u, v, k
 
 
@@ -946,6 +941,6 @@ def _drive_corner_down(lat, u, v, floor):
         if cand is None:
             if qv.valuation() >= floor:
                 return v
-            raise PrecisionLoss("corner reduction stalled above the floor")
+            raise UnsupportedCase("corner reduction stalled above the floor")
         v = cand
     return v

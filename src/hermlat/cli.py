@@ -8,9 +8,10 @@ Subcommands:
     selftest   run the enumeration oracles against the closed forms
     roundtrip  randomized factor-verify trials
 
-Exit codes: 0 success, 1 verification failure, 2 input error,
-3 unsupported case (including --symmetries-only with surviving Eichler
-factors).
+Exit codes: 0 success, 1 verification failure, 2 input error or bad
+argument, 3 unsupported case (including --symmetries-only with surviving
+Eichler factors).  Only PrecisionLoss, the base field running out of
+digits, is retried at doubled precision.
 """
 
 from __future__ import annotations

@@ -1,7 +1,18 @@
-"""Exception hierarchy for hermlat.
+"""The failure classes of hermlat, one per action a caller takes.
 
-Every failure mode that callers may want to catch gets its own class; all
-inherit from HermlatError so `except HermlatError` catches the lot.
+- ``HermlatError``: a bad argument, or an answer of "no solution" (no
+  trace or norm solution, a zero valuation, a non-integral matrix); the CLI
+  exits 2 with ``error:``.  The other classes derive from it.
+- ``SpecFileError``: a spec file that does not parse, with its line; the
+  CLI exits 2 with ``input error:``.
+- ``PrecisionLoss``: a result would carry fewer guaranteed digits than the
+  guard allows; raised by ``localfield`` only.  ``factor`` and
+  ``roundtrip`` double the precision and retry.
+- ``UnsupportedCase``: a construction or search found no candidate, or a
+  proof-branch precondition failed at run time; more precision does not
+  help.  The CLI exits 3.
+- ``VerificationFailed``: the certificate rejected a factorization; the CLI
+  exits 1 and the benchmark counts a wrong answer.
 """
 
 
@@ -9,89 +20,18 @@ class HermlatError(Exception):
     pass
 
 
+class SpecFileError(HermlatError):
+    def __init__(self, message, line=None):
+        super().__init__(message if line is None else f"line {line}: {message}")
+
+
 class PrecisionLoss(HermlatError):
-    """A result would carry fewer guaranteed digits than the guard allows."""
-
-
-class DivisionByZeroModPrecision(HermlatError):
-    """Divisor is indistinguishable from zero at working precision."""
-
-
-class ZeroValuation(HermlatError):
-    """Valuation requested of an element that is zero at working precision."""
-
-
-class NegativeValuation(HermlatError):
-    """Residue requested of a non-integral element."""
-
-
-class NotAUnit(HermlatError):
-    pass
-
-
-class WrongKind(HermlatError):
-    """Operation requires a different kind of etale algebra (split/inert/ramified)."""
-
-
-class ParityMismatch(HermlatError):
-    """Requested skew valuation has the wrong parity."""
-
-
-class SearchExhausted(HermlatError):
-    """A bounded residue search failed; indicates a bug or bad input."""
-
-
-class Unstable(HermlatError):
-    """Enumeration oracle did not stabilize within its modulus budget."""
-
-
-class NoSolutionAtPrecision(HermlatError):
-    pass
-
-
-class NotModular(HermlatError):
-    pass
-
-
-class RangeViolation(HermlatError):
-    """Standard-plane parameters outside their admissible range."""
-
-
-class HypothesisViolation(HermlatError):
-    """Preconditions of a rewriting step do not hold."""
-
-
-class MismatchedPlane(HermlatError):
-    """Two Eichler isometries refer to different hyperbolic pairs."""
-
-
-class NotSkew(HermlatError):
-    pass
-
-
-class InvariantViolation(HermlatError):
-    pass
-
-
-class NotAnIsometry(HermlatError):
     pass
 
 
 class UnsupportedCase(HermlatError):
-    """A proof-branch precondition failed at runtime; no factorization emitted."""
+    pass
 
 
 class VerificationFailed(HermlatError):
-    def __init__(self, message, factor_index=None):
-        super().__init__(message)
-        self.factor_index = factor_index
-
-
-class SpecFileError(HermlatError):
-    """Parse error in a lattice spec file; carries a position."""
-
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
+    pass

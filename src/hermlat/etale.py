@@ -30,16 +30,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .errors import (
-    DivisionByZeroModPrecision,
-    HermlatError,
-    NoSolutionAtPrecision,
-    ParityMismatch,
-    SearchExhausted,
-    Unstable,
-    WrongKind,
-    ZeroValuation,
-)
+from .errors import HermlatError, UnsupportedCase
 from .localfield import (
     FieldElement,
     _add_raw,
@@ -210,11 +201,11 @@ class EtaleAlgebra:
     def vP(self, x):
         """Normalized P-adic valuation; field kinds only."""
         if self.kind == self.SPLIT:
-            raise WrongKind("split algebra has componentwise valuations")
+            raise HermlatError("split algebra has componentwise valuations")
         v0 = x.x0.valuation_or_none()
         v1 = x.x1.valuation_or_none()
         if v0 is None and v1 is None:
-            raise ZeroValuation("element is zero at working precision")
+            raise HermlatError("element is zero at working precision")
         if self.kind == self.INERT:
             return min(v for v in (v0, v1) if v is not None)
         cands = []
@@ -230,7 +221,7 @@ class EtaleAlgebra:
             v0 = x.x0.valuation_or_none()
             v1 = x.x1.valuation_or_none()
             if v0 is None and v1 is None:
-                raise ZeroValuation("element is zero at working precision")
+                raise HermlatError("element is zero at working precision")
             return IdealExp(INF if v0 is None else v0, INF if v1 is None else v1)
         return IdealExp(self.vP(x))
 
@@ -277,7 +268,7 @@ class EtaleAlgebra:
         eta = self.eta()
         ve = self.vP(eta)
         if (target_valuation - ve) % 2 != 0:
-            raise ParityMismatch(
+            raise HermlatError(
                 f"skew elements have valuation = {ve % 2} mod 2; "
                 f"requested {target_valuation}")
         shift = (target_valuation - ve) // 2
@@ -286,7 +277,7 @@ class EtaleAlgebra:
     def u0(self):
         """u0 in o with u0*o = p^(e-1) and 1 + u0 a non-norm unit (ramified)."""
         if self.kind != self.RAMIFIED:
-            raise WrongKind("u0 is defined for ramified algebras")
+            raise HermlatError("u0 is defined for ramified algebras")
         if self._u0 is not None:
             return self._u0
         K = self.base
@@ -299,7 +290,7 @@ class EtaleAlgebra:
             if self.norm_class(one_plus) == NONNORM:
                 self._u0 = cand
                 return cand
-        raise SearchExhausted("no u0 found; enumeration or precision bug")
+        raise UnsupportedCase("no u0 found; enumeration or precision bug")
 
     # -- trace ideals -----------------------------------------------------------
 
@@ -307,13 +298,13 @@ class EtaleAlgebra:
         """e with different = P^e; ramified kind only (0 by convention
         otherwise, but asking is treated as a usage error)."""
         if self.kind != self.RAMIFIED:
-            raise WrongKind("the different exponent is for the ramified kind")
+            raise HermlatError("the different exponent is for the ramified kind")
         return self.e
 
     def trace_ideal(self, i):
         """Exponent a with Tr(P^i) = p^a; ramified kind."""
         if self.kind != self.RAMIFIED:
-            raise WrongKind("trace_ideal applies to the ramified kind")
+            raise HermlatError("trace_ideal applies to the ramified kind")
         return (i + self.e) // 2
 
     def trace_ideal_of(self, x):
@@ -335,7 +326,7 @@ class EtaleAlgebra:
         if t.is_zero():
             return self.zero
         if c.is_zero():
-            raise NoSolutionAtPrecision("c = 0 but t != 0")
+            raise HermlatError("c = 0 but t != 0")
         vt = t.valuation()
         if self.kind == self.SPLIT:
             cands = []
@@ -345,7 +336,7 @@ class EtaleAlgebra:
                 cands.append((c.x1.valuation(), 1))
             v, slot = min(cands)
             if vt < v:
-                raise NoSolutionAtPrecision("t is not in the trace ideal of c*O")
+                raise HermlatError("t is not in the trace ideal of c*O")
             if slot == 0:
                 return AlgElement(self, t / c.x0, self.base.zero)
             return AlgElement(self, self.base.zero, t / c.x1)
@@ -355,10 +346,10 @@ class EtaleAlgebra:
         vb = INF if bq.is_zero() else bq.valuation()
         if va <= vb:
             if vt < va:
-                raise NoSolutionAtPrecision("t is not in the trace ideal of c*O")
+                raise HermlatError("t is not in the trace ideal of c*O")
             return self.from_K(t / a)
         if vt < vb:
-            raise NoSolutionAtPrecision("t is not in the trace ideal of c*O")
+            raise HermlatError("t is not in the trace ideal of c*O")
         return self.gen() * self.from_K(t / bq)
 
     # -- canonical residues -------------------------------------------------------
@@ -459,7 +450,7 @@ class EtaleAlgebra:
             return self.one
         eps = self._unit_of_norm_key(k, self.key_mod_p(a, k))
         if eps is None:
-            raise NoSolutionAtPrecision(
+            raise HermlatError(
                 f"no unit norm matches mod p^{k}; class obstruction")
         return eps
 
@@ -487,13 +478,13 @@ class EtaleAlgebra:
                 return eps
             cur = diff.valuation()
             if prev is not None and cur <= prev:
-                raise NoSolutionAtPrecision("norm-equation lifting stalled")
+                raise HermlatError("norm-equation lifting stalled")
             prev = cur
             # Nr(1+z) = 1 + Tr(z) + Nr(z); one second-order correction pass
             z = self.solve_trace(self.one, diff)
             z = self.solve_trace(self.one, diff - z.norm())
             eps = eps * (self.one + z)
-        raise NoSolutionAtPrecision("norm-equation lifting did not converge")
+        raise HermlatError("norm-equation lifting did not converge")
 
     def solve_norm(self, a):
         """epsilon in E with Nr(epsilon) = a exactly, for a in Nr(E^x):
@@ -539,7 +530,7 @@ class EtaleAlgebra:
                 break
             prev = cur
         else:
-            raise Unstable("normic defect enumeration did not stabilize")
+            raise UnsupportedCase("normic defect enumeration did not stabilize")
         return v + best
 
 
@@ -617,12 +608,12 @@ class AlgElement:
         a = self.alg
         if a.kind == EtaleAlgebra.SPLIT:
             if other.x0.is_zero() or other.x1.is_zero():
-                raise DivisionByZeroModPrecision(
+                raise HermlatError(
                     "split divisor has a zero component at precision")
             return AlgElement(a, self.x0 / other.x0, self.x1 / other.x1)
         nr = other.norm()
         if nr.is_zero():
-            raise DivisionByZeroModPrecision("divisor is zero at precision")
+            raise HermlatError("divisor is zero at precision")
         return self * other.conj() * self.alg.from_K(nr._invert())
 
     def __rtruediv__(self, other):
@@ -722,10 +713,9 @@ class AlgElement:
         return self.x0
 
     def is_integral(self):
-        try:
-            v = self.alg.valuation_P(self)
-        except ZeroValuation:
+        if self.is_zero():
             return True
+        v = self.alg.valuation_P(self)
         return v.a >= 0 and v.b >= 0
 
     def __repr__(self):

@@ -35,7 +35,7 @@ one itself, to choose its move.  A verdict is kept with the generator's
 built data, so the certificate reads the verdicts already reached.
 
 Without the certificate, ``factor_unitary`` guarantees the following, or
-raises ``PrecisionLoss``:
+raises ``UnsupportedCase``:
 - every generator of its word passed the membership test (in ``emit``, or
   in ``eichler_to_symmetries`` for the symmetries of a rewrite);
 - the word's product is phi: the phi the driver ends with is the identity,
@@ -52,12 +52,7 @@ from __future__ import annotations
 
 import weakref
 
-from .errors import (
-    NotAnIsometry,
-    PrecisionLoss,
-    UnsupportedCase,
-    VerificationFailed,
-)
+from .errors import HermlatError, UnsupportedCase, VerificationFailed
 from .etale import EtaleAlgebra
 from .classify import (
     _arrange_first_block,
@@ -148,8 +143,7 @@ def verify_factorization(lat, phi, factorization):
     entries of product - phi."""
     for idx, g in enumerate(factorization):
         if not in_unitary_group(lat, g):
-            raise VerificationFailed(
-                f"factor {idx} is not in U(L)", factor_index=idx)
+            raise VerificationFailed(f"factor {idx} is not in U(L)")
     diff, ok = _residual(lat, factorization.generators, phi)
     if not ok:
         raise VerificationFailed("product does not reproduce the input")
@@ -173,11 +167,11 @@ def verify_factorization(lat, phi, factorization):
 
 def _check_input(lat, phi):
     if len(phi) != lat.n or any(len(r) != lat.n for r in phi):
-        raise NotAnIsometry("matrix size does not match the lattice rank")
+        raise HermlatError("matrix size does not match the lattice rank")
     if not is_integral_matrix(phi):
-        raise NotAnIsometry("matrix is not integral")
+        raise HermlatError("matrix is not integral")
     if not gram_preserved(lat, phi):
-        raise NotAnIsometry("matrix does not preserve the hermitian form")
+        raise HermlatError("matrix does not preserve the hermitian form")
 
 
 class _Driver:
@@ -191,7 +185,7 @@ class _Driver:
         lat = self.lat
         inv = g.inverse(lat) if isinstance(g, EichlerIsometry) else g.inverse()
         if not in_unitary_group(lat, inv):
-            raise PrecisionLoss("constructed generator does not preserve L")
+            raise UnsupportedCase("constructed generator does not preserve L")
         self.out.append(inv)
         return apply_word(lat, [g], phi)
 
@@ -211,7 +205,7 @@ def factor_unitary(lat, phi):
     _check_input(lat, phi)
     drv = _Driver(lat)
     if not mat_eq(_drive(drv, phi), identity(lat.alg, lat.n)):
-        raise PrecisionLoss("the driver left a map other than the identity")
+        raise UnsupportedCase("the driver left a map other than the identity")
     return Factorization(lat, _reduction_pass(lat, drv.out))
 
 
@@ -385,7 +379,7 @@ def _isotropic_bridge(lat, cols, u, up, scale):
         if y2 is None and _attains(alg, _dot(up, gc), scale):
             y2 = c
     if y1 is None or y2 is None:
-        raise PrecisionLoss("no scale-attaining partners for the bridge")
+        raise UnsupportedCase("no scale-attaining partners for the bridge")
     for x in (y1, y2, vec_add(y1, y2)):
         gx = lat.gram_conj(x)
         if _attains(alg, _dot(u, gx), scale) and \
@@ -406,7 +400,7 @@ def _isotropic_bridge(lat, cols, u, up, scale):
             if cands:
                 break
     if not cands:
-        raise PrecisionLoss("bridge search failed")
+        raise UnsupportedCase("bridge search failed")
     x = cands[0]
     qx = lat.q_value(x)
     if qx.is_zero():
@@ -429,10 +423,10 @@ def _isotropic_bridge(lat, cols, u, up, scale):
         y = vec_sub(x, vec_scale(coeff, u))
     gy = lat.gram_conj(y)
     if not _dot(y, gy).as_K().is_zero():
-        raise PrecisionLoss("bridge vector failed to become isotropic")
+        raise UnsupportedCase("bridge vector failed to become isotropic")
     if not (_attains(alg, _dot(u, gy), scale)
             and _attains(alg, _dot(up, gy), scale)):
-        raise PrecisionLoss("bridge vector lost its pairings")
+        raise UnsupportedCase("bridge vector lost its pairings")
     return y
 
 
@@ -459,7 +453,7 @@ def _peel_hyperbolic_unramified(drv, cols, phi, u, v):
     phi = drv.emit_symmetries(inv_word, phi)
     phi_v2 = mat_vec(phi, v)
     if not vec_eq(phi_v2, v):
-        raise PrecisionLoss("hyperbolic peel did not fix v")
+        raise UnsupportedCase("hyperbolic peel did not fix v")
     return phi
 
 
@@ -513,7 +507,7 @@ def _split_unit_sigma(latr, s, a, ap):
             img = apply_generator(latr, Symmetry(s, sigma), ap)
             if latr.inner(a, vec_sub(a, img)).is_unit():
                 return sigma
-    raise PrecisionLoss("no epsilon choice advanced the reflection")
+    raise UnsupportedCase("no epsilon choice advanced the reflection")
 
 
 def _peel_unramified_line(drv, cols, phi, a):
@@ -543,18 +537,18 @@ def _pairing_bridge(latr, cols, a, ap):
             y1 = next((c for c in cols if vals(ga, c)), None)
             y2 = next((c for c in cols if vals(gap, c)), None)
             if y1 is None or y2 is None:
-                raise PrecisionLoss("no pairing partners for the bridge slot")
+                raise UnsupportedCase("no pairing partners for the bridge slot")
             pick = next((x for x in (y1, y2, vec_add(y1, y2))
                          if vals(ga, x) and vals(gap, x)), None)
             if pick is None:
-                raise PrecisionLoss("reflection bridge slot search failed")
+                raise UnsupportedCase("reflection bridge slot search failed")
             slots.append(pick)
         K = alg.base
         x = vec_add(vec_scale(alg.element(K.one, K.zero), slots[0]),
                     vec_scale(alg.element(K.zero, K.one), slots[1]))
         if _attains(alg, _dot(x, ga), 0) and _attains(alg, _dot(x, gap), 0):
             return x
-        raise PrecisionLoss("reflection bridge search failed")
+        raise UnsupportedCase("reflection bridge search failed")
     y1 = y2 = None
     for cvec in cols:
         if y1 is None and _attains(alg, _dot(cvec, ga), 0):
@@ -562,11 +556,11 @@ def _pairing_bridge(latr, cols, a, ap):
         if y2 is None and _attains(alg, _dot(cvec, gap), 0):
             y2 = cvec
     if y1 is None or y2 is None:
-        raise PrecisionLoss("no pairing partners for the reflection bridge")
+        raise UnsupportedCase("no pairing partners for the reflection bridge")
     for x in (y1, y2, vec_add(y1, y2)):
         if _attains(alg, _dot(x, ga), 0) and _attains(alg, _dot(x, gap), 0):
             return x
-    raise PrecisionLoss("reflection bridge search failed")
+    raise UnsupportedCase("reflection bridge search failed")
 
 
 def _split_residue_two_data(latr, cols, a, ap):
@@ -607,7 +601,7 @@ def _split_residue_two_data(latr, cols, a, ap):
         sigma = alg.element(K.from_int(-1), K.one)
     u = vec_add(vec_scale(weight, a), n_part)
     if not latr.q_value(u).is_zero():
-        raise PrecisionLoss("four-case trick vector is not isotropic")
+        raise UnsupportedCase("four-case trick vector is not isotropic")
     return u, sigma
 
 
@@ -668,7 +662,7 @@ def _transport_pair(drv, phi, u2, v2, scale_s, swap):
         phi = drv.emit(g, phi)
     if vec_eq(mat_vec(phi, u2), u2) and vec_eq(mat_vec(phi, v2), v2):
         return phi
-    raise PrecisionLoss("pair transport did not converge")
+    raise UnsupportedCase("pair transport did not converge")
 
 
 def _scalar_coeff(lat, img, target, partner):
@@ -709,14 +703,14 @@ def _postalign(drv, phi, cur_u, cur_v, u2, v2, scale_s, swap):
 
 
 def _realizes(lat, word, u2, v2, img_u, img_v, failure):
-    """The word, raising PrecisionLoss(failure) unless its product maps u2
+    """The word, raising UnsupportedCase(failure) unless its product maps u2
     to img_u and v2 to img_v."""
     iu, iv = u2, v2
     for g in reversed(word):
         iu = apply_generator(lat, g, iu)
         iv = apply_generator(lat, g, iv)
     if not (vec_eq(iu, img_u) and vec_eq(iv, img_v)):
-        raise PrecisionLoss(failure)
+        raise UnsupportedCase(failure)
     return word
 
 
@@ -725,18 +719,18 @@ def _plane_word_beta_unit(lat, u2, v2, img_u, img_v):
     the complement) in the case where img_u has a unit v2-coordinate."""
     s, sigma = reflection_data(lat, u2, img_u)
     if sigma.is_zero():
-        raise PrecisionLoss("degenerate plane alignment")
+        raise UnsupportedCase("degenerate plane alignment")
     s1 = make_symmetry(lat, s, sigma)
     rv = apply_generator(lat, s1.inverse(), img_v)
     gamma = lat.inner(vec_sub(rv, v2), v2) / lat.inner(u2, v2)
     recon = vec_add(v2, vec_scale(gamma, u2))
     if not vec_eq(rv, recon):
-        raise PrecisionLoss("plane map residual is not a shear")
+        raise UnsupportedCase("plane map residual is not a shear")
     word = [s1]
     if not gamma.is_zero():
         sigma2 = -(lat.inner(v2, u2) / gamma)
         if not sigma2.trace().is_zero():
-            raise PrecisionLoss("plane shear parameter is not skew")
+            raise UnsupportedCase("plane shear parameter is not skew")
         word.append(Symmetry(u2, sigma2))
     return _realizes(lat, word, u2, v2, img_u, img_v,
                      "plane word does not realize the map")
@@ -772,7 +766,7 @@ def _isotropic_partner_in_plane(lat, w, wp, puv):
     alg = lat.alg
     pww = lat.inner(w, wp)
     if pww.is_zero() or alg.vP(pww) != alg.vP(puv):
-        raise PrecisionLoss("auxiliary plane lost the pairing level")
+        raise UnsupportedCase("auxiliary plane lost the pairing level")
     qwp = lat.q_value(wp)
     z = wp
     if not qwp.is_zero():
@@ -783,7 +777,7 @@ def _isotropic_partner_in_plane(lat, w, wp, puv):
     fac = (puv / lat.inner(w, z)).conj()
     z = vec_scale(fac, z)
     if not lat.q_value(z).is_zero() or not (lat.inner(w, z) - puv).is_zero():
-        raise PrecisionLoss("auxiliary isotropic vector failed its contract")
+        raise UnsupportedCase("auxiliary isotropic vector failed its contract")
     return z
 
 
@@ -842,7 +836,7 @@ def _steered_sigma(latr, qs_rho, target_vals):
                 continue
             if alg.vP(sigma) == t:
                 return sigma
-    raise PrecisionLoss("no steered sigma reached the target window")
+    raise UnsupportedCase("no steered sigma reached the target window")
 
 
 def _peel_normal_rk2(drv, phi, x, y):
@@ -859,7 +853,7 @@ def _peel_normal_rk2(drv, phi, x, y):
         s = vec_add(x, vec_scale(c, y))
         qs = lat.q_value(s)
         if qs.is_zero() or qs.valuation() < k + alg.e - 1:
-            raise PrecisionLoss("norm-mod combination missed its depth")
+            raise UnsupportedCase("norm-mod combination missed its depth")
         sigma = _steered_sigma(lat, alg.from_K(qs) * alg.rho(),
                                [2 * k, 2 * k - 1])
         return make_symmetry(lat, s, sigma)
@@ -898,7 +892,7 @@ def _peel_normal_rk1(drv, phi, x, deeper):
         s = vec_add(vec_scale(alg.uniformizer_pow(n - k), x), y)
         qs = lat.q_value(s)
         if qs.is_zero() or qs.valuation() < n + alg.e - 1:
-            raise PrecisionLoss("rank-1 combination missed its depth")
+            raise UnsupportedCase("rank-1 combination missed its depth")
         sigma = _steered_sigma(lat, alg.from_K(qs) * alg.rho(),
                                [n + k, n + k - 1])
         return make_symmetry(lat, s, sigma)
@@ -990,7 +984,7 @@ def _subnormal_fix_v(drv, latr, a, phi, u, v, x_deep, i, k, n, j):
                     x_deep)
         qs = latr.q_value(s)
         if not qs.is_zero() and qs.valuation() < h:
-            raise PrecisionLoss("steered vector misses its depth")
+            raise UnsupportedCase("steered vector misses its depth")
         sigma = _steered_sigma(latr, alg.from_K(qs) * alg.rho(),
                                [n - k + i, n - k + i - 1])
         return _scaled_symmetry(lat, s, sigma, a)

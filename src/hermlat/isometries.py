@@ -33,13 +33,7 @@ Eichler isometry's matrix.
 
 from __future__ import annotations
 
-from .errors import (
-    HermlatError,
-    InvariantViolation,
-    MismatchedPlane,
-    NotSkew,
-    PrecisionLoss,
-)
+from .errors import HermlatError, UnsupportedCase
 from .etale import EtaleAlgebra
 from .lattice import _project_off
 from .linalg import (
@@ -103,9 +97,9 @@ def make_symmetry(lat, s, sigma):
     """Symmetry with the invariant Tr(sigma) = <s,s> verified against lat."""
     qs = lat.inner(s, s).as_K()
     if not (sigma.trace() - qs).is_zero():
-        raise InvariantViolation("Tr(sigma) != <s,s>")
+        raise HermlatError("Tr(sigma) != <s,s>")
     if sigma.is_zero():
-        raise InvariantViolation("sigma = 0")
+        raise HermlatError("sigma = 0")
     return Symmetry(s, sigma)
 
 
@@ -222,7 +216,7 @@ def reflection_data(lat, x, target):
 def compose_eichler(lat, e1, e2):
     """E1 ∘ E2 for Eichler isometries on the same hyperbolic pair."""
     if not (vec_eq(e1.u, e2.u) and vec_eq(e1.v, e2.v)):
-        raise MismatchedPlane("different hyperbolic pairs")
+        raise HermlatError("different hyperbolic pairs")
     puv = lat.inner(e1.u, e1.v)
     mu = e1.mu + e2.mu - lat.inner(e2.y, e1.y) / puv
     return EichlerIsometry(e1.u, e1.v, vec_add(e1.y, e2.y), mu)
@@ -231,7 +225,7 @@ def compose_eichler(lat, e1, e2):
 def twist_by_skew(lat, e, omega):
     """S_{u,omega} ∘ E_y^mu = E_y^(mu - <v,u>/omega) for skew omega."""
     if omega.is_zero() or not omega.trace().is_zero():
-        raise NotSkew("omega must be a nonzero skew element")
+        raise HermlatError("omega must be a nonzero skew element")
     return EichlerIsometry(e.u, e.v, e.y, e.mu - lat.inner(e.v, e.u) / omega)
 
 
@@ -244,14 +238,14 @@ def make_eichler(lat, u, v, y, mu=None):
         mu = alg.solve_trace(puv, -qy)
     tri = (mu * puv).trace() + qy
     if not tri.is_zero():
-        raise InvariantViolation("Tr(mu <u,v>) != -<y,y>")
+        raise HermlatError("Tr(mu <u,v>) != -<y,y>")
     return EichlerIsometry(u, v, y, mu)
 
 
 def _pair_scale(alg, puv):
     v = alg.valuation_P(puv)
     if v.a != v.b:
-        raise InvariantViolation("pair product ideal is not conjugation-stable")
+        raise HermlatError("pair product ideal is not conjugation-stable")
     return v.a
 
 
@@ -277,16 +271,16 @@ def eichler_to_symmetries(lat, e):
     if out is None:
         return None
     if not all(in_unitary_group(lat, g) for g in out):
-        raise PrecisionLoss("reduction produced a non-member symmetry")
+        raise UnsupportedCase("reduction produced a non-member symmetry")
     if not mat_eq(apply_word(lat, out, identity(lat.alg, lat.n)), matrix_of(lat, e)):
-        raise PrecisionLoss("rewrite does not reproduce the Eichler isometry")
+        raise UnsupportedCase("rewrite does not reproduce the Eichler isometry")
     return out
 
 
 def _reduce_eichler(lat, e, fuel):
     alg = lat.alg
     if fuel <= 0:
-        raise PrecisionLoss("Eichler reduction recursion exhausted")
+        raise UnsupportedCase("Eichler reduction recursion exhausted")
     u, v, y, mu = e.u, e.v, e.y, e.mu
     puv = lat.inner(u, v)
     pvu = lat.inner(v, u)
@@ -339,7 +333,7 @@ def _reduce_unramified(lat, e, fuel):
         if mu2.is_unit():
             return _twist_and_recurse(lat, e, omega, fuel)
     if alg.kind != EtaleAlgebra.SPLIT:
-        raise PrecisionLoss("no unit-producing skew twist found (inert)")
+        raise UnsupportedCase("no unit-producing skew twist found (inert)")
     # split residue field F_2, mu congruent to the twist unit in one slot:
     # compose with the idempotent-weighted symmetry from the four-case proof
     one, zero = K.one, K.zero
@@ -363,7 +357,7 @@ def _reduce_unramified(lat, e, fuel):
         if rest is None:
             return None
         return [g.inverse()] + rest
-    raise PrecisionLoss("split residue-two reduction failed")
+    raise UnsupportedCase("split residue-two reduction failed")
 
 
 def _reduce_ramified(lat, e, fuel):
@@ -385,9 +379,7 @@ def _reduce_ramified(lat, e, fuel):
         if not e.mu.is_zero() and alg.vP(e.mu) <= 1:
             s1, s2 = _two_symmetries(e, puv, pvu)
             if in_unitary_group(lat, s2):
-                lhs = apply_word(lat, [s1, s2], identity(alg, lat.n))
-                if mat_eq(lhs, matrix_of(lat, e)):
-                    return [s1, s2]
+                return [s1, s2]
         for t in (i, i - 1):
             if (t - e_exp) % 2 == 0:
                 omega = alg.special_skew(t)
@@ -399,7 +391,7 @@ def _reduce_ramified(lat, e, fuel):
         mu2 = e.mu - pvu / omega
         if mu2.is_unit():
             return _twist_and_recurse(lat, e, omega, fuel)
-        raise PrecisionLoss("parity twist failed to produce a unit")
+        raise UnsupportedCase("parity twist failed to produce a unit")
 
     if alg.base.q >= 4:
         return _split_vector_reduction(lat, e, fuel)
@@ -431,7 +423,7 @@ def _split_vector_reduction(lat, e, fuel):
                 t_vec = cand
                 break
     if t_vec is None:
-        raise PrecisionLoss("no trace-attaining partner for the split step")
+        raise UnsupportedCase("no trace-attaining partner for the split step")
 
     zeta = None
     for lam in K.residue_lifts():
@@ -441,7 +433,7 @@ def _split_vector_reduction(lat, e, fuel):
             zeta = lam
             break
     if zeta is None:
-        raise PrecisionLoss("residue field too small for the zeta scan")
+        raise UnsupportedCase("residue field too small for the zeta scan")
 
     qt = lat.q_value(t_vec)
     trwt = lat.inner(w, t_vec).trace()
@@ -464,7 +456,7 @@ def _split_vector_reduction(lat, e, fuel):
                 alpha = lam
                 break
         if alpha is None:
-            raise PrecisionLoss("no alpha avoiding both residue constraints")
+            raise UnsupportedCase("no alpha avoiding both residue constraints")
         wp = vec_add(vec_scale(alg.from_K(zeta), w),
                      vec_scale(alg.from_K(alpha), t_vec))
 
@@ -472,7 +464,7 @@ def _split_vector_reduction(lat, e, fuel):
     for piece in (wp, w2):
         qp = lat.q_value(piece)
         if qp.is_zero() or qp.valuation() != t_exp:
-            raise PrecisionLoss("split piece misses the trace ideal exactly")
+            raise UnsupportedCase("split piece misses the trace ideal exactly")
     mu1 = alg.solve_trace(puv, -lat.q_value(wp))
     mu2 = alg.solve_trace(puv, -lat.q_value(w2))
     e1 = EichlerIsometry(u, v, wp, mu1)
@@ -483,7 +475,7 @@ def _split_vector_reduction(lat, e, fuel):
     if not dmu.is_zero():
         omega = pvu / dmu
         if not omega.trace().is_zero():
-            raise PrecisionLoss("connection element is not skew")
+            raise UnsupportedCase("connection element is not skew")
         head = [Symmetry(u, omega)]
     r1 = _reduce_eichler(lat, e2, fuel - 1)
     r2 = _reduce_eichler(lat, e1, fuel - 1)

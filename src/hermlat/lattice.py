@@ -30,14 +30,7 @@ from __future__ import annotations
 import weakref
 from itertools import combinations
 
-from .errors import (
-    HermlatError,
-    PrecisionLoss,
-    RangeViolation,
-    SearchExhausted,
-    WrongKind,
-    ZeroValuation,
-)
+from .errors import HermlatError, UnsupportedCase
 from .etale import INF, EtaleAlgebra
 from .linalg import (
     _dot,
@@ -228,7 +221,7 @@ class HermitianLattice:
         that raises keeps nothing."""
         if self._split is None:
             if self.n == 0:
-                self._split = JordanSplitting(self.alg, (), ())
+                self._split = JordanSplitting((), ())
             elif self.alg.kind == EtaleAlgebra.SPLIT:
                 self._split = self._jordan_split_split()
             else:
@@ -271,7 +264,7 @@ class HermitianLattice:
         tdet = mat_det(t)
         v = alg.valuation_P(tdet)
         if not (v.a == 0 and v.b == 0):
-            raise PrecisionLoss("Jordan transform is not unimodular")
+            raise UnsupportedCase("Jordan transform is not unimodular")
         # merge consecutive peeled pieces of equal scale into one modular block
         merged = []
         pos = 0
@@ -295,7 +288,7 @@ class HermitianLattice:
                 normal=alg.vK_in_P(norm) == scale,
                 gram=g,
                 cols=tuple(group)))
-        return JordanSplitting(alg, tuple(blocks), t)
+        return JordanSplitting(tuple(blocks), t)
 
 
 class JordanBlock:
@@ -317,31 +310,16 @@ class JordanBlock:
 
 class JordanSplitting:
     """The blocks of a Jordan splitting (a tuple, shallowest scale first) and
-    the transform whose columns are their basis vectors.  It holds the
-    algebra, not the lattice, so a lattice that keeps its splitting makes no
-    reference cycle."""
+    the transform whose columns are their basis vectors.  It does not hold
+    the lattice, so a lattice that keeps its splitting makes no reference
+    cycle."""
 
-    def __init__(self, alg, blocks, transform):
-        self.alg = alg
+    def __init__(self, blocks, transform):
         self.blocks = blocks
         self.transform = transform
 
     def jordan_type(self):
         return tuple((b.rank, b.scale_exp, b.normal) for b in self.blocks)
-
-    def block_diagonal(self):
-        alg = self.alg
-        n = sum(b.rank for b in self.blocks)
-        rows = []
-        off = 0
-        zero = alg.zero
-        grams = [b.gram for b in self.blocks]
-        for g in grams:
-            for r in g:
-                rows.append((zero,) * off + tuple(r) +
-                            (zero,) * (n - off - len(r)))
-            off += len(g)
-        return tuple(rows)
 
     def __repr__(self):
         return f"JordanSplitting({list(self.blocks)})"
@@ -390,7 +368,7 @@ def _complement(lat, cols, piece):
     else:
         keep = None
     if keep is None:
-        raise PrecisionLoss("piece is not part of a basis of the span")
+        raise UnsupportedCase("piece is not part of a basis of the span")
     return _project_off(lat, keep, piece)
 
 
@@ -453,7 +431,7 @@ def _peel_pieces(lat, cols):
                     if best is None or v < best[0]:
                         best = (v, i, j)
             if best is None or best[0] != s:
-                raise PrecisionLoss("no scale-attaining pivot found")
+                raise UnsupportedCase("no scale-attaining pivot found")
             _, i, j = best
             piece, drop = [cols[i], cols[j]], {i, j}
         yield s, piece
@@ -479,7 +457,7 @@ def _min_vP_sym(alg, gram):
                 if best is None or v < best:
                     best = v
     if best is None:
-        raise ZeroValuation("zero Gram")
+        raise HermlatError("zero Gram")
     return best
 
 
@@ -492,7 +470,7 @@ def _norm_exp_of_gram(alg, gram):
         for j in range(i + 1, len(gram)):
             best = min(best, alg.trace_ideal_of(gram[i][j]))
     if best is INF:
-        raise ZeroValuation("zero Gram")
+        raise HermlatError("zero Gram")
     return best
 
 
@@ -522,7 +500,7 @@ def _norm_attainer(lat, cols, gram, k):
                 q = lat.q_value(x)
                 if not q.is_zero() and q.valuation() == k:
                     return x, i
-    raise SearchExhausted("no norm-attaining vector found")
+    raise UnsupportedCase("no norm-attaining vector found")
 
 
 def _dual_basis(ring, gt, a_exp, val):
@@ -544,9 +522,9 @@ def standard_H(alg, i):
 
 def standard_Hik(alg, i, k):
     if alg.kind != EtaleAlgebra.RAMIFIED:
-        raise WrongKind("H(i,k) standard planes require the ramified kind")
+        raise HermlatError("H(i,k) standard planes require the ramified kind")
     if not (i + alg.e >= 2 * k >= i):
-        raise RangeViolation(f"H({i},{k}) needs {i} <= 2k <= {i}+e")
+        raise HermlatError(f"H({i},{k}) needs {i} <= 2k <= {i}+e")
     pi = alg.uniformizer_pow(i)
     pk = alg.from_K(alg.base.uniformizer_pow(k))
     return HermitianLattice(alg, ((pk, pi), (pi.conj(), alg.zero)))
@@ -554,9 +532,9 @@ def standard_Hik(alg, i, k):
 
 def standard_A(alg, i, k):
     if alg.kind != EtaleAlgebra.RAMIFIED:
-        raise WrongKind("A(i,k) standard planes require the ramified kind")
+        raise HermlatError("A(i,k) standard planes require the ramified kind")
     if not (i <= 2 * k < i + alg.e):
-        raise RangeViolation(f"A({i},{k}) needs i <= 2k < i+e")
+        raise HermlatError(f"A({i},{k}) needs i <= 2k < i+e")
     pi = alg.uniformizer_pow(i)
     pk = alg.from_K(alg.base.uniformizer_pow(k))
     corner = alg.from_K(-alg.u0() * alg.base.uniformizer_pow(i - k))

@@ -29,14 +29,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .errors import (
-    DivisionByZeroModPrecision,
-    HermlatError,
-    NegativeValuation,
-    NotAUnit,
-    PrecisionLoss,
-    ZeroValuation,
-)
+from .errors import HermlatError, PrecisionLoss
 
 
 def _int_valuation(n, p, cap):
@@ -526,10 +519,10 @@ class FieldElement:
         if fld.nbasis == 1:
             c = self.co[0]
             if not c:
-                raise ZeroValuation("element is zero at working precision")
+                raise HermlatError("element is zero at working precision")
             return self.shift + _int_valuation(c, fld.p, self.ncap)
         if self.is_zero():
-            raise ZeroValuation("element is zero at working precision")
+            raise HermlatError("element is zero at working precision")
         return fld.d * self.shift + fld._co_valuation(self.co, self.ncap)
 
     def valuation_or_none(self):
@@ -627,7 +620,7 @@ class FieldElement:
     def _invert(self):
         fld = self.field
         if self.is_zero():
-            raise DivisionByZeroModPrecision("division by zero at working precision")
+            raise HermlatError("division by zero at working precision")
         p, d, f = fld.p, fld.d, fld.f
         vnum = fld._co_valuation(self.co, self.ncap)
         r = (d - vnum % d) % d
@@ -700,7 +693,7 @@ class FieldElement:
 
     def invert_unit(self):
         if self.is_zero() or self.valuation() != 0:
-            raise NotAUnit("invert_unit requires valuation 0")
+            raise HermlatError("invert_unit requires valuation 0")
         return self._invert()
 
     def is_unit(self):
@@ -712,7 +705,7 @@ class FieldElement:
         if self.is_zero():
             return (0,) * fld.f
         if self.valuation() < 0:
-            raise NegativeValuation("element is not integral")
+            raise HermlatError("element is not integral")
         co, shift = self.co, self.shift
         if shift > 0:
             return (0,) * fld.f

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 import weakref
 
-from .errors import HermlatError, SearchExhausted, Unstable
+from .errors import HermlatError, UnsupportedCase
 from .etale import EtaleAlgebra
 from .classify import splits_hyperbolic
 from .isometries import (
@@ -39,7 +39,7 @@ def enumerate_trace_image(alg, i, modulus_exp):
             best = v if best is None else min(best, v)
         vals.append(best)
     if vals[0] != vals[1]:
-        raise Unstable("trace image enumeration did not stabilize")
+        raise UnsupportedCase("trace image enumeration did not stabilize")
     return vals[0]
 
 
@@ -61,7 +61,7 @@ def enumerate_norm_image(alg, modulus_exp):
 def norm_image_index(alg, modulus_exp):
     image, units = enumerate_norm_image(alg, modulus_exp)
     if len(units) % len(image):
-        raise Unstable("norm image does not evenly divide the units")
+        raise UnsupportedCase("norm image does not evenly divide the units")
     return len(units) // len(image)
 
 
@@ -108,7 +108,7 @@ def random_symmetry(lat, rng):
                     return g
             except HermlatError:
                 continue
-    raise SearchExhausted("no random symmetry found")
+    raise UnsupportedCase("no random symmetry found")
 
 
 def _sigma_candidates(lat, qs, rng):

@@ -15,7 +15,7 @@ from hermlat.classify import (
     rearrange_jordan,
     splits_hyperbolic,
 )
-from hermlat.errors import HypothesisViolation, NoSolutionAtPrecision
+from hermlat.errors import HermlatError, UnsupportedCase
 from hermlat.etale import NONNORM
 from hermlat.lattice import (
     HermitianLattice,
@@ -176,12 +176,12 @@ def test_rearrange_jordan_noop_depth(Q2sqrt2):
 
 
 def test_rearrange_jordan_hypotheses(Q2sqrt2):
-    with pytest.raises(HypothesisViolation):
+    with pytest.raises(UnsupportedCase, match="at least two Jordan blocks"):
         rearrange_jordan(standard_A(Q2sqrt2, 0, 1))  # single block
     # deeper block too deep: j - i > n - k
     L = orthogonal_sum(standard_A(Q2sqrt2, 0, 1),
                        HermitianLattice(Q2sqrt2, ((Q2sqrt2.from_int(8),),)))
-    with pytest.raises(HypothesisViolation):
+    with pytest.raises(UnsupportedCase, match="0 < j-i <= n-k"):
         rearrange_jordan(L)
 
 
@@ -232,7 +232,8 @@ def test_norm_shift_cancels_the_leading_digits(name, seed, s):
     for window in range(1, max(alg.e - 1, 1) + 1):
         try:
             cand = _norm_shift(lat, w, z, q, qz, window)
-        except NoSolutionAtPrecision:
+        except HermlatError as ex:
+            assert "no unit norm matches" in str(ex), ex
             tau = -q / (qz * alg.uniformizer_pow(t).norm())
             assert window == max(alg.e, 1) and alg.norm_class(tau) == NONNORM
             continue

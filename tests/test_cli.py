@@ -13,7 +13,7 @@ from hermlat.specfile import (
     parse_matrix,
     serialize_lattice,
 )
-from hermlat.errors import SpecFileError
+from hermlat.errors import PrecisionLoss, SpecFileError, UnsupportedCase
 from hermlat.linalg import mat_eq
 
 
@@ -138,6 +138,25 @@ def test_cli_factor_bad_input(tmp_path, capsys):
     assert rc == 2
 
 
+def test_cli_factor_non_integral_matrix_is_an_input_error(tmp_path, capsys):
+    mat = tmp_path / "half.mat"
+    mat.write_text("1/2, 0\n0, 1\n")
+    rc = main(["factor", "--spec", _cat("split2.lat"), "--isometry", str(mat)])
+    assert rc == 2
+    assert "error: matrix is not integral" in capsys.readouterr().err
+
+
+def test_cli_classify_unsupported_case_exits_3(tmp_path, capsys):
+    """A(0,1) ⟂ <2> over Q_2(√2) is a valid lattice on which the
+    hyperbolic-pair search finds no candidate: that is a gap in the code,
+    exit 3, not an input error."""
+    spec = tmp_path / "a01_2.lat"
+    spec.write_text("[field]\np = 2\n[algebra]\nkind = ramified\npoly = -2, 0\n"
+                    "[gram]\n2, 1, 0\n1, -2, 0\n0, 0, 2\n")
+    assert main(["classify", "--spec", str(spec)]) == 3
+    assert "unsupported case:" in capsys.readouterr().err
+
+
 def test_cli_roundtrip_deterministic(tmp_path, capsys):
     args = ["roundtrip", "--spec", _cat("inert3.lat"),
             "--trials", "3", "--seed", "5"]
@@ -161,11 +180,10 @@ def test_cli_report_file(tmp_path, capsys):
     assert report.read_text() == capsys.readouterr().out
 
 
-def _flaky_factor(monkeypatch, losses):
-    """Make the CLI's factor_unitary raise PrecisionLoss `losses` times
-    before it runs; returns the working precisions it was called at."""
+def _flaky_factor(monkeypatch, losses, error=PrecisionLoss):
+    """Make the CLI's factor_unitary raise `error` `losses` times before it
+    runs; returns the working precisions it was called at."""
     import hermlat.cli as cli
-    from hermlat.errors import PrecisionLoss
 
     precisions = []
     real = cli.factor_unitary
@@ -173,7 +191,7 @@ def _flaky_factor(monkeypatch, losses):
     def flaky(lat, phi):
         precisions.append(lat.alg.base.precision)
         if len(precisions) <= losses:
-            raise PrecisionLoss("injected")
+            raise error("injected")
         return real(lat, phi)
 
     monkeypatch.setattr(cli, "factor_unitary", flaky)
@@ -207,6 +225,25 @@ def test_cli_roundtrip_records_precision_loss_after_four_attempts(capsys, monkey
     assert rec["passed"] == 1
     assert rec["failures"] == [{"trial": 0, "error": "PrecisionLoss: injected"}]
     assert precisions == [64, 128, 256, 512, 64]
+
+
+def test_cli_factor_does_not_retry_an_unsupported_case(tmp_path, capsys, monkeypatch):
+    precisions = _flaky_factor(monkeypatch, 1, UnsupportedCase)
+    mat = tmp_path / "id.mat"
+    mat.write_text("1, 0\n0, 1\n")
+    assert main(["factor", "--spec", _cat("split2.lat"), "--isometry", str(mat)]) == 3
+    assert precisions == [64]
+    assert "unsupported case: injected" in capsys.readouterr().err
+
+
+def test_cli_roundtrip_does_not_retry_an_unsupported_case(capsys, monkeypatch):
+    precisions = _flaky_factor(monkeypatch, 1, UnsupportedCase)
+    assert main(["roundtrip", "--spec", _cat("inert3.lat"),
+                 "--trials", "2", "--seed", "5"]) == 1
+    rec = json.loads(capsys.readouterr().out.splitlines()[0])
+    assert rec["passed"] == 1
+    assert rec["failures"] == [{"trial": 0, "error": "UnsupportedCase: injected"}]
+    assert precisions == [64, 64]
 
 
 def test_cli_roundtrip_loads_the_spec_once_per_precision(capsys, monkeypatch):

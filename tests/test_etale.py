@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from hermlat.errors import HermlatError, ParityMismatch, WrongKind
+from hermlat.errors import HermlatError
 from hermlat.etale import INF, NONNORM, NORM, AlgElement, EtaleAlgebra
 from hermlat.linalg import _dot
 from hermlat.localfield import LocalField
@@ -38,7 +38,7 @@ def test_different_exponents(Q3sqrt3, Q2i, Q2sqrt2):
     assert Q3sqrt3.e == 1
     assert Q2i.e == 2
     assert Q2sqrt2.e == 3  # = 2 v(2) + 1
-    with pytest.raises(WrongKind):
+    with pytest.raises(HermlatError, match="u0 is defined for ramified"):
         EtaleAlgebra.split(Q3sqrt3.base).u0()
 
 
@@ -69,7 +69,7 @@ def test_rho(Q2sqrt2, Q2i, Q3sqrt3, inert2):
 def test_skew_elements(Q2sqrt2, Q2i, inert2):
     om = Q2sqrt2.special_skew(1)
     assert om.trace().is_zero() and Q2sqrt2.vP(om) == 1
-    with pytest.raises(ParityMismatch):
+    with pytest.raises(HermlatError, match="skew elements have valuation"):
         Q2sqrt2.special_skew(2)
     om2 = Q2i.special_skew(2)
     assert om2.trace().is_zero() and Q2i.vP(om2) == 2
@@ -205,7 +205,7 @@ def test_conj_involution_random(Q2i):
 
 def test_different_exponent_method(Q2sqrt2, split2):
     assert Q2sqrt2.different_exponent() == 3
-    with pytest.raises(WrongKind):
+    with pytest.raises(HermlatError, match="different exponent is for"):
         split2.different_exponent()
 
 

@@ -10,7 +10,7 @@ import pytest
 import hermlat
 from hermlat import oracle
 from hermlat import factorize, isometries
-from hermlat.errors import NotAnIsometry, PrecisionLoss, VerificationFailed
+from hermlat.errors import HermlatError, UnsupportedCase, VerificationFailed
 from hermlat.factorize import (
     Factorization,
     factor_unitary,
@@ -67,7 +67,7 @@ def test_not_an_isometry_rejected(split2):
     L = HermitianLattice(split2, ((split2.one, split2.zero),
                                   (split2.zero, split2.from_int(2))))
     swap = ((split2.zero, split2.one), (split2.one, split2.zero))
-    with pytest.raises(NotAnIsometry):
+    with pytest.raises(HermlatError, match="does not preserve the hermitian form"):
         factor_unitary(L, swap)
 
 
@@ -185,7 +185,7 @@ def test_emit_rejects_a_non_member_from_map_isotropic(inert2, monkeypatch):
         return [Symmetry(g.s, g.sigma + inert2.one)] + rest
 
     monkeypatch.setattr(factorize, "map_isotropic", broken)
-    with pytest.raises(PrecisionLoss) as info:
+    with pytest.raises(UnsupportedCase) as info:
         factor_unitary(L, phi)
     assert calls
     assert info.traceback[-1].name == "emit"
@@ -289,7 +289,7 @@ def test_final_product_check_stops_a_wrong_rewrite(monkeypatch):
         return out[:-1] if out else out
 
     monkeypatch.setattr(isometries, "_reduce_eichler", drop_last)
-    with pytest.raises(PrecisionLoss,
+    with pytest.raises(UnsupportedCase,
                        match="rewrite does not reproduce the Eichler isometry"):
         factor_unitary(lat, phi)
 
@@ -324,7 +324,7 @@ def test_exit_check_stops_an_emit_that_applies_more_than_it_records(monkeypatch)
 
     monkeypatch.setattr(factorize, "_settle", count_settled)
     monkeypatch.setattr(factorize._Driver, "emit", emit_and_shear)
-    with pytest.raises(PrecisionLoss,
+    with pytest.raises(UnsupportedCase,
                        match="the driver left a map other than the identity"):
         factor_unitary(lat, phi)
     assert moved

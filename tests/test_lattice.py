@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from hermlat import classify, lattice
-from hermlat.errors import RangeViolation
+from hermlat.errors import HermlatError
 from hermlat.etale import INF, NONNORM, NORM, EtaleAlgebra
 from hermlat.lattice import (
     HermitianLattice,
@@ -144,7 +144,8 @@ def test_jordan_roundtrip(Q2sqrt2, mk):
     tt = js.transform
     g = mat_mul(mat_mul(tuple(zip(*tt)), L2.gram),
                 tuple(tuple(e.conj() for e in row) for row in tt))
-    assert mat_eq(g, js.block_diagonal())
+    blocks = orthogonal_sum(*(HermitianLattice(L2.alg, b.gram) for b in js.blocks))
+    assert mat_eq(g, blocks.gram)
 
 
 def _split_key(lat):
@@ -212,9 +213,9 @@ def test_standard_forms(Q2sqrt2):
     A = standard_A(Q2sqrt2, 0, 1)
     corner = A.gram[1][1].as_K()
     assert corner.valuation() == Q2sqrt2.e - 1 - 1  # v(u0 p^{-1}) = 1
-    with pytest.raises(RangeViolation):
+    with pytest.raises(HermlatError, match=r"A\(0,2\) needs"):
         standard_A(Q2sqrt2, 0, 2)
-    with pytest.raises(RangeViolation):
+    with pytest.raises(HermlatError, match=r"H\(0,4\) needs"):
         standard_Hik(Q2sqrt2, 0, 4)
 
 

@@ -4,13 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hermlat.errors import (
-    HermlatError,
-    NegativeValuation,
-    NotAUnit,
-    PrecisionLoss,
-    ZeroValuation,
-)
+from hermlat.errors import HermlatError, PrecisionLoss
 from hermlat.localfield import FieldElement, LocalField
 
 
@@ -33,7 +27,7 @@ def test_eisenstein_relation():
 def test_valuations(Q3, Q2):
     assert Q3.from_int(3).valuation() == 1
     assert Q3.from_int(4).valuation() == 0  # 1 + p
-    with pytest.raises(ZeroValuation):
+    with pytest.raises(HermlatError, match="element is zero"):
         Q2.from_int(0).valuation()
 
 
@@ -42,7 +36,7 @@ def test_residue(Q3):
     assert Q3.from_int(3).residue() == (0,)
     K = LocalField(2, unramified_poly=[1, 1])
     assert K.gen_unramified().residue() == (0, 1)
-    with pytest.raises(NegativeValuation):
+    with pytest.raises(HermlatError, match="not integral"):
         (Q3.one / 3).residue()
 
 
@@ -53,7 +47,7 @@ def test_invert_unit(Q2):
     diff = inv - Q2.from_int(11)
     assert diff.is_zero() or diff.valuation() >= 5
     assert Q2.from_int(-1).invert_unit() == -1
-    with pytest.raises(NotAUnit):
+    with pytest.raises(HermlatError, match="requires valuation 0"):
         Q2.from_int(2).invert_unit()
 
 
@@ -116,7 +110,7 @@ def test_tower_residue_field_size():
 
 
 def test_unramified_poly_rejected_when_reducible():
-    with pytest.raises(Exception):
+    with pytest.raises(HermlatError, match="reducible"):
         LocalField(2, unramified_poly=[0, 1])  # x^2 + x = x(x+1)
 
 
@@ -127,7 +121,6 @@ def test_residue_system_counts(Q2):
 
 
 def test_precision_guard_raises():
-    from hermlat.errors import DivisionByZeroModPrecision
     from hermlat.localfield import _normal
 
     K = LocalField(2, precision=8, guard=4)
@@ -139,7 +132,7 @@ def test_precision_guard_raises():
     # dividing by something indistinguishable from zero is refused
     tiny = K.one - (K.one + K.ppow(K.mcap))
     assert tiny.is_zero()
-    with pytest.raises(DivisionByZeroModPrecision):
+    with pytest.raises(HermlatError, match="division by zero"):
         K.one / tiny
 
 
@@ -184,16 +177,22 @@ def _generic_sub(x, y):
     return _generic_add(x, _generic_neg(y))
 
 
+ZERO_VALUATION = "element is zero at working precision"
+
+
 def _generic_valuation(x):
     if not any(x.co):
-        raise ZeroValuation("element is zero at working precision")
+        raise HermlatError(ZERO_VALUATION)
     return x.field.d * x.shift + x.field._co_valuation(x.co, x.ncap)
 
 
 def _outcome(fn, *args):
     try:
         r = fn(*args)
-    except (PrecisionLoss, ZeroValuation) as ex:
+    except HermlatError as ex:
+        # the guard and a zero valuation are outcomes; any other error is a fault
+        if not isinstance(ex, PrecisionLoss) and str(ex) != ZERO_VALUATION:
+            raise
         return type(ex).__name__, str(ex)
     if isinstance(r, FieldElement):
         # every result is in the normal form __init__ leaves behind

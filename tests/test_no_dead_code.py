@@ -12,7 +12,9 @@ read in that module's code, and no function body imports anything.  Every
 parameter of a function defined at module or class level is read in its
 body (``self`` and ``cls`` apart; callbacks nested in a function are not
 checked).  Every exception class of ``hermlat.errors`` but the base
-``HermlatError`` is raised somewhere in ``src/hermlat``.
+``HermlatError`` is raised somewhere in ``src/hermlat``, and a caller in
+``src/hermlat`` or ``perfbench`` acts on it: it is named in an ``except``
+clause or in an ``isinstance`` test.
 """
 
 import ast
@@ -145,10 +147,14 @@ def test_no_function_imports_inside_its_body():
     assert not local, f"imports inside function bodies: {sorted(local)}"
 
 
+def _error_classes(trees):
+    return [node.name for node in trees["errors.py"].body
+            if isinstance(node, ast.ClassDef) and node.name != "HermlatError"]
+
+
 def test_every_error_class_is_raised():
     trees = dict(_src_trees())
-    classes = [node.name for node in trees["errors.py"].body
-               if isinstance(node, ast.ClassDef) and node.name != "HermlatError"]
+    classes = _error_classes(trees)
     raised = set()
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -158,3 +164,28 @@ def test_every_error_class_is_raised():
                     raised.add(exc.id)
     assert classes and not set(classes) - raised, \
         f"error classes never raised: {sorted(set(classes) - raised)}"
+
+
+def _class_names(node):
+    """The names of an ``except`` type or an ``isinstance`` class argument:
+    a name or a tuple of names."""
+    for elt in node.elts if isinstance(node, ast.Tuple) else [node]:
+        if isinstance(elt, ast.Name):
+            yield elt.id
+
+
+def test_every_error_class_is_caught():
+    classes = _error_classes(dict(_src_trees()))
+    caught = set()
+    for path, tree in _sources():
+        if not path.startswith((os.path.join(ROOT, "src", "hermlat"),
+                                os.path.join(ROOT, "perfbench"))):
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught.update(_class_names(node.type))
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id == "isinstance" and len(node.args) == 2:
+                caught.update(_class_names(node.args[1]))
+    assert classes and not set(classes) - caught, \
+        f"error classes no caller acts on: {sorted(set(classes) - caught)}"

@@ -49,7 +49,7 @@ def test_schedule_records_are_exact_and_repeatable():
     assert len({r["sha256"] for r in ops}) == 3
     assert len({r["value_sha256"] for r in ops}) == 3 and "value_sha256" in whole
     assert "error" not in ops[0] and "error" not in ops[1]
-    assert ops[2]["error"][0] == "NotAnIsometry"
+    assert ops[2]["error"][0] == "HermlatError"
     assert whole["ops"] == 3 and whole["failed"] == 1
 
 
