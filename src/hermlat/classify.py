@@ -9,13 +9,12 @@ All constructions are verified at working precision before they are returned.
 The complement of a rearranged plane comes from ``lattice._complement``, the
 one complement step the factor driver uses too.
 
-The decide path reads what a lattice keeps of itself: ``isometry_conditions``
-takes the Jordan splitting and the dual norms of both lattices from
-``jordan_split()`` and ``dual_norms()``, and the first round of
-``splits_hyperbolic`` (like ``rearrange_jordan`` and step 0 of the factor
-plan) takes the Jordan column groups of the standard basis from that
-splitting (``split_groups``), so each lattice object is split once.  Spans
-of later rounds are split afresh.
+A peel round reads a ``Span``, made once and shared by ``splits_hyperbolic``,
+the factor plan and ``rearrange_jordan`` (see its docstring).  The decide
+path reads what a lattice keeps of itself: ``isometry_conditions`` the
+Jordan splittings and dual norms, ``splits_hyperbolic`` the span of the
+standard basis that L keeps (``standard_span``, grouped by that splitting)
+and its own kept answer.  So each lattice object is split and arranged once.
 
 A form value Q(w) is deepened or killed by adding lambda*z, with lambda from
 the trace equation Tr(lambda <z,w>) = -Q(w) or from the norm congruence
@@ -386,31 +385,23 @@ def _residue_progress(lat, u, helpers, m):
     return None
 
 
-def plane_is_hyperbolic(lat, x, y, scale_i):
-    """Whether the plane spanned by (x, y) is isometric to H(scale_i)."""
+def plane_is_hyperbolic(lat, plane, scale_i):
+    """Whether the normalized plane (x, y, k) is isometric to H(scale_i)."""
     alg = lat.alg
-    gram = _gram_of(lat, [x, y])
-    k = _norm_exp_of_gram(alg, gram)
+    x, y, k = plane
     if alg.kind != EtaleAlgebra.RAMIFIED:
         return True  # unramified modular planes of rank 2 always split H
     if k != alg.trace_ideal(scale_i):
         return False
+    gram = _gram_of(lat, [x, y])
     d = (gram[0][0] * gram[1][1] - gram[0][1] * gram[1][0]).as_K()
     return alg.in_E_norm_group(-d)
 
 
-def pair_from_hyperbolic_plane(lat, x, y, scale_i):
-    """Standard hyperbolic pair inside a plane known to be H(scale_i)."""
-    x, y, _ = normalize_plane(lat, x, y, scale_i)
-    u = isotropy_refine(lat, y, [x, y])
-    return complete_with_partners(lat, u, [x, y], scale_i)
-
-
 def combine_pieces_pair(lat, donor, target_plane, scale_i):
     """Hyperbolic pair inside donor ⟂ plane: raise the target plane's first
-    basis vector into the trace ideal using the donor direction, then kill."""
-    x2, y2 = target_plane
-    x2, y2, k2 = normalize_plane(lat, x2, y2, scale_i)
+    normalized basis vector into the trace ideal along the donor, then kill."""
+    x2, y2, k2 = target_plane
     k1 = lat.q_value(donor).valuation()
     if k1 > k2:
         raise UnsupportedCase("donor norm must not exceed the plane norm")
@@ -530,7 +521,8 @@ def extract_hyperbolic_in_modular(lat, cols, scale_i):
     """Hyperbolic pair inside the modular block spanned by cols, or None.
 
     Returns (pair | None, pieces) where pieces = (lines, planes) is the
-    orthogonal decomposition computed along the way (planes normalized)."""
+    orthogonal decomposition computed along the way, each plane the
+    normalized ``(x, y, k)`` of ``normalize_plane``, least k first."""
     alg = lat.alg
     lines, planes = peel_lines_and_planes(lat, cols)
     if alg.kind != EtaleAlgebra.RAMIFIED:
@@ -544,33 +536,27 @@ def extract_hyperbolic_in_modular(lat, cols, scale_i):
         x, y, k = normalize_plane(lat, x, y, scale_i)
         norm_planes.append((x, y, k))
     norm_planes.sort(key=lambda tr: tr[2])
-    # single-plane hyperbolic test
+    # a hyperbolic plane: kill its second vector, complete the pair
     for (x, y, k) in norm_planes:
-        if plane_is_hyperbolic(lat, x, y, scale_i):
-            pair = pair_from_hyperbolic_plane(lat, x, y, scale_i)
-            return pair, (lines, [(x, y) for x, y, _ in norm_planes])
+        if plane_is_hyperbolic(lat, (x, y, k), scale_i):
+            u = isotropy_refine(lat, y, [x, y])
+            return complete_with_partners(lat, u, [x, y], scale_i), (lines, norm_planes)
     # combine two pieces: the lowest-norm donor raises another plane
-    pieces = [(lat.q_value(c).valuation(), ("line", c)) for c in lines]
-    pieces += [(k, ("plane", (x, y))) for (x, y, k) in norm_planes]
+    pieces = [(lat.q_value(c).valuation(), c, None) for c in lines]
+    pieces += [(plane[2], plane[0], plane) for plane in norm_planes]
     pieces.sort(key=lambda tr: tr[0])
-    if len(pieces) >= 2:
-        for di in range(len(pieces)):
-            dk, (dkind, dval) = pieces[di]
-            donor = dval if dkind == "line" else dval[0]
-            for ti in range(len(pieces)):
-                if ti == di:
-                    continue
-                tk, (tkind, tval) = pieces[ti]
-                if tkind != "plane" or tk < dk:
-                    continue
-                try:
-                    pair = combine_pieces_pair(lat, donor, tval, scale_i)
-                    return pair, (lines, [(x, y) for x, y, _ in norm_planes])
-                except HermlatError:
-                    continue
+    for di, (dk, donor, _) in enumerate(pieces):
+        for ti, (tk, _, target) in enumerate(pieces):
+            if ti == di or target is None or tk < dk:
+                continue
+            try:
+                pair = combine_pieces_pair(lat, donor, target, scale_i)
+                return pair, (lines, norm_planes)
+            except HermlatError:
+                continue
     # normal block: all lines
     pair = lines_isotropic_pair(lat, lines, scale_i)
-    return pair, (lines, [(x, y) for x, y, _ in norm_planes])
+    return pair, (lines, norm_planes)
 
 
 def cross_pair_norm_drop(lat, plane1, rest_cols, scale_i):
@@ -645,14 +631,18 @@ def cross_pair_A_second(lat, donor, plane2, scale_j):
     return complete_hyperbolic_pair(lat, u, w, scale_j)
 
 
-def rearrange_columns(lat, all_cols, donor, plane2, j, i):
-    """Replace the deeper plane (x2, y2) by (z, y2) with z = pi^(j-i) * donor
-    + x2, realizing the norm rearrangement n -> j - i + k as a basis change.
-
-    Returns (new_plane, other_cols) where other_cols spans the orthogonal
-    complement of the new plane inside span(all_cols)."""
+def rearrange_columns(lat, span, donor):
+    """Replace the span's deeper plane (x2, y2) (``Span.deeper_plane``) by
+    (z, y2) with z = pi^(j-i) * donor + x2: the norm rearrangement
+    n -> j - i + k as a basis change.  Returns (new_plane, other_cols),
+    other_cols spanning the orthogonal complement of the new plane inside
+    span(span.cols); None when there is no deeper plane."""
     alg = lat.alg
-    x2, y2, n2 = plane2
+    found = span.deeper_plane(lat)
+    if found is None:
+        return None
+    (x2, y2, n2), _ = found
+    j, i = span.deeper(lat)[2], span.scale
     qd = lat.q_value(donor)
     k = qd.valuation()
     nprime = j - i + k
@@ -668,7 +658,7 @@ def rearrange_columns(lat, all_cols, donor, plane2, j, i):
     pair = lat.inner(z, y2)
     if pair.is_zero() or alg.vP(pair) != j:
         raise UnsupportedCase("rearranged plane lost its scale")
-    others = _complement(lat, all_cols, [z, y2])
+    others = _complement(lat, span.cols, [z, y2])
     return (z, y2), others
 
 
@@ -677,33 +667,94 @@ def rearrange_columns(lat, all_cols, donor, plane2, j, i):
 # ---------------------------------------------------------------------------
 
 
+class Span:
+    """span(cols), grouped into Jordan blocks (``groups``, shallowest first;
+    ``deeper_cols`` all but the first), with its first block arranged: its
+    scale, the hyperbolic pair (u, v, scale) inside it or None, and its
+    ``lines`` and ``planes``, each plane normalized as ``(x, y, k)``.  The
+    cross-block attempt, ``deeper`` and ``deeper_plane`` are computed on
+    first use and kept (in a 1-tuple if they may be None).  No field holds
+    the lattice."""
+
+    __slots__ = ("cols", "groups", "scale", "pair", "lines", "planes",
+                 "deeper_cols", "_cross", "_deeper", "_deeper_plane")
+
+    def __init__(self, cols, groups, scale, pair, lines, planes):
+        self.cols = cols
+        self.groups = groups
+        self.scale = scale
+        self.pair = None if pair is None else (*pair, scale)
+        self.lines = lines
+        self.planes = planes
+        self.deeper_cols = [c for grp in groups[1:] for c in grp]
+        self._cross = self._deeper = self._deeper_plane = None
+
+    def deeper(self, lat):
+        """The deeper part span(deeper_cols): its Jordan column groups, its
+        Gram, the scale j of its first block and its norm exponent n."""
+        if self._deeper is None:
+            alg = lat.alg
+            gram = _gram_of(lat, self.deeper_cols)
+            groups = _jordan_cols(lat, self.deeper_cols)
+            j = _min_vP_sym(alg, _gram_of(lat, groups[0]))
+            self._deeper = (groups, gram, j, _norm_exp_of_gram(alg, gram))
+        return self._deeper
+
+    def deeper_plane(self, lat):
+        """The deeper part's first plane normalized at j, with the deeper
+        columns beside it; None when its first block has no plane."""
+        if self._deeper_plane is None:
+            groups, _, j, _ = self.deeper(lat)
+            lines2, planes2 = peel_lines_and_planes(lat, groups[0])
+            found = None
+            if planes2:
+                beside = [c for grp in groups[1:] for c in grp]
+                beside += [v for xy in planes2[1:] for v in xy] + lines2
+                found = (normalize_plane(lat, *planes2[0], j), beside)
+            self._deeper_plane = (found,)
+        return self._deeper_plane[0]
+
+
 def splits_hyperbolic(lat):
     """Explicit hyperbolic pair splitting L, or None when the classification
     rules one out.  Returns (u, v, scale_exp) with <u,v> = pi^scale_exp.
+    Found once, from ``standard_span(lat)`` on, and kept on L."""
+    if lat._hyperbolic is None:
+        lat._hyperbolic = (_search_pair(lat),)
+    return lat._hyperbolic[0]
 
-    The first round arranges the standard basis, whose Jordan column groups
-    are the blocks of ``lat.jordan_split()``."""
-    cols = list(cols_of(identity(lat.alg, lat.n)))
-    groups = split_groups(lat)
-    while cols:
-        arrangement = _arrange_first_block(lat, cols, groups)
-        groups = None
-        if arrangement["pair"] is not None:
-            u, v = arrangement["pair"]
-            return u, v, arrangement["scale"]
-        cross = _cross_block_attempt(lat, arrangement)
-        if cross is not None:
-            return cross
-        # drop the shallowest piece and keep scanning
-        cols = arrangement["after_first_piece"]
+
+def _search_pair(lat):
+    span = standard_span(lat) if lat.n else None
+    while span is not None:
+        found = span.pair or _cross_block_attempt(lat, span)
+        if found is not None:
+            return found
+        span = _next_round(lat, span)
     return None
 
 
-def split_groups(lat):
-    """The Jordan column groups of the standard basis of L, read from the
-    splitting kept on the lattice: what ``_jordan_cols`` returns for the
-    identity columns, without splitting L again."""
-    return [list(blk.cols) for blk in lat.jordan_split().blocks]
+def _next_round(lat, span):
+    """The span left when the first piece of the span's first block is
+    dropped, or None.  When that block is one piece, what is left is the
+    deeper part, whose split is reused."""
+    pieces = [[c] for c in span.lines] + [[x, y] for x, y, _ in span.planes]
+    if len(pieces) == 1:
+        if not span.deeper_cols:
+            return None
+        return _arrange_first_block(lat, span.deeper_cols, span.deeper(lat)[0])
+    cols = [v for piece in pieces[1:] for v in piece] + span.deeper_cols
+    return _arrange_first_block(lat, cols, _jordan_cols(lat, cols))
+
+
+def standard_span(lat):
+    """The span of the standard basis of L, kept on L and grouped by the
+    blocks of ``lat.jordan_split()``, so L is not split again."""
+    if lat._span is None:
+        lat._span = _arrange_first_block(
+            lat, list(cols_of(identity(lat.alg, lat.n))),
+            [list(blk.cols) for blk in lat.jordan_split().blocks])
+    return lat._span
 
 
 def _jordan_cols(lat, cols):
@@ -727,64 +778,40 @@ def _jordan_cols(lat, cols):
 
 
 def _arrange_first_block(lat, cols, groups):
-    """Jordan-arrange span(cols); reduce the minimal-scale block; try to
-    extract a hyperbolic pair inside it.  ``groups`` are the Jordan column
-    groups of span(cols) when already known, else None."""
-    alg = lat.alg
-    if groups is None:
-        groups = _jordan_cols(lat, cols)
+    """The ``Span`` of cols, whose Jordan column groups are ``groups``:
+    reduce the minimal-scale block and try to extract a hyperbolic pair
+    inside it."""
     first = groups[0]
-    deeper = [c for grp in groups[1:] for c in grp]
-    scale_i = _min_vP_sym(alg, _gram_of(lat, first))
+    scale_i = _min_vP_sym(lat.alg, _gram_of(lat, first))
     pair, (lines, planes) = extract_hyperbolic_in_modular(lat, first, scale_i)
-    out = {
-        "pair": pair,
-        "scale": scale_i,
-        "lines": lines,
-        "planes": planes,
-        "deeper": deeper,
-        "cols": cols,
-    }
-    # columns remaining after dropping the shallowest piece of the block
-    if lines:
-        out["after_first_piece"] = lines[1:] + [v for xy in planes for v in xy] + deeper
-    elif planes:
-        out["after_first_piece"] = [v for xy in planes[1:] for v in xy] + deeper
-    else:
-        out["after_first_piece"] = deeper
-    return out
+    return Span(cols, groups, scale_i, pair, lines, planes)
 
 
-def _deeper_part(lat, deeper):
-    """The deeper part span(deeper), derived once: its Jordan column groups,
-    its Gram, the scale exponent j of its first block and its norm exponent n."""
-    alg = lat.alg
-    gram = _gram_of(lat, deeper)
-    groups = _jordan_cols(lat, deeper)
-    j = _min_vP_sym(alg, _gram_of(lat, groups[0]))
-    return groups, gram, j, _norm_exp_of_gram(alg, gram)
+def _cross_block_attempt(lat, span):
+    """The hyperbolic pair (u, v, scale) across the span's first block and
+    its deeper part, or None when the classification excludes it; kept on
+    the span."""
+    if span._cross is None:
+        span._cross = (_cross_pair(lat, span),)
+    return span._cross[0]
 
 
-def _cross_block_attempt(lat, arr):
-    """Try the cross-block hyperbolic shapes between the reduced first block
-    and the deeper part; None when the classification excludes them."""
+def _cross_pair(lat, span):
     alg = lat.alg
     if alg.kind != EtaleAlgebra.RAMIFIED:
         return None
-    deeper = arr["deeper"]
-    if not deeper:
+    if not span.deeper_cols:
         return None
-    lines, planes, scale_i = arr["lines"], arr["planes"], arr["scale"]
-    groups, _, j, n = _deeper_part(lat, deeper)
+    lines, planes, scale_i = span.lines, span.planes, span.scale
+    groups, _, j, n = span.deeper(lat)
 
     if len(planes) == 1 and not lines:
-        x1, y1 = planes[0]
-        x1, y1, k = normalize_plane(lat, x1, y1, scale_i)
+        x1, _, k = planes[0]
         if n <= k:
-            uv = cross_pair_norm_drop(lat, (x1, y1, k), deeper, scale_i)
-            return uv[0], uv[1], scale_i
+            return (*cross_pair_norm_drop(lat, planes[0], span.deeper_cols, scale_i),
+                    scale_i)
         if j - scale_i <= n - k:
-            return _pair_after_rearrange(lat, arr["cols"], x1, groups, j, scale_i, k)
+            return _pair_after_rearrange(lat, span, x1, k)
         return None
 
     if lines and not planes:
@@ -794,38 +821,33 @@ def _cross_block_attempt(lat, arr):
         if alg.vK_in_P(m_norm) == j:
             return None  # the deeper part's first block is normal
         if j - scale_i <= n - k and n == m_norm:
-            return _pair_after_rearrange(lat, arr["cols"], donor, groups, j, scale_i, k)
+            return _pair_after_rearrange(lat, span, donor, k)
         return None
     return None
 
 
-def _pair_after_rearrange(lat, all_cols, donor, groups, j, i, k):
-    """Arrange the first plane of the deeper part (Jordan column groups
-    ``groups``, first block at scale j) to norm p^(j-i+k), then build the
-    hyperbolic pair via the H-type or A-type recipe; None if excluded."""
+def _pair_after_rearrange(lat, span, donor, k):
+    """Arrange the first plane of the span's deeper part (first block at
+    scale j) to norm p^(j-i+k), then build the hyperbolic pair via the
+    H-type or A-type recipe; None if excluded."""
     alg = lat.alg
-    lines2, planes2 = peel_lines_and_planes(lat, groups[0])
-    if not planes2:
+    found = span.deeper_plane(lat)
+    if found is None:
         return None
-    x2, y2 = planes2[0]
-    x2, y2, n2 = normalize_plane(lat, x2, y2, j)
+    (x2, y2, n2), rest2 = found
+    j, i = span.deeper(lat)[2], span.scale
     if n2 > j - i + k:
-        (z, y2b), _ = rearrange_columns(lat, all_cols, donor, (x2, y2, n2), j, i)
+        (z, y2b), _ = rearrange_columns(lat, span, donor)
         x2, y2, n2 = normalize_plane(lat, z, y2b, j)
-    if plane_is_hyperbolic(lat, x2, y2, j):
-        uv = combine_pieces_pair(lat, donor, (x2, y2), j)
-        return uv[0], uv[1], j
+    if plane_is_hyperbolic(lat, (x2, y2, n2), j):
+        return (*combine_pieces_pair(lat, donor, (x2, y2, n2), j), j)
     if i + alg.e - 2 * k > j - i:
-        uv = cross_pair_A_second(lat, donor, (x2, y2, n2), j)
-        return uv[0], uv[1], j
+        return (*cross_pair_A_second(lat, donor, (x2, y2, n2), j), j)
     # remaining shape: a second deeper piece of norm <= n' next to the plane
-    rest2 = [c for grp in groups[1:] for c in grp]
-    rest2 += [v for xy in planes2[1:] for v in xy] + lines2
     if rest2:
         n_rest = _norm_exp_of_gram(alg, _gram_of(lat, rest2))
         if n_rest <= n2:
-            uv = cross_pair_norm_drop(lat, (x2, y2, n2), rest2, j)
-            return uv[0], uv[1], j
+            return (*cross_pair_norm_drop(lat, (x2, y2, n2), rest2, j), j)
     return None
 
 
@@ -844,25 +866,19 @@ def rearrange_jordan(lat):
     alg = lat.alg
     if alg.kind != EtaleAlgebra.RAMIFIED:
         raise UnsupportedCase("rearrangement applies to the ramified kind")
-    cols = list(cols_of(identity(alg, lat.n)))
-    groups = split_groups(lat)
-    if len(groups) < 2:
+    blocks = lat.jordan_split().blocks
+    if len(blocks) < 2:
         raise UnsupportedCase("need at least two Jordan blocks")
-    first = groups[0]
-    deeper = [c for grp in groups[1:] for c in grp]
-    fgram = _gram_of(lat, first)
-    i = _min_vP_sym(alg, fgram)
-    k = _norm_exp_of_gram(alg, fgram)
-    groups2, _, j, n = _deeper_part(lat, deeper)
-    if not 0 < j - i <= n - k:
+    span, first = standard_span(lat), blocks[0]
+    k = first.norm_exp
+    _, _, j, n = span.deeper(lat)
+    if not 0 < j - span.scale <= n - k:
         raise UnsupportedCase("rearrangement needs 0 < j-i <= n-k")
-    donor, _ = _norm_attainer(lat, first, fgram, k)
-    _, planes2 = peel_lines_and_planes(lat, groups2[0])
-    if not planes2:
+    donor, _ = _norm_attainer(lat, first.cols, first.gram, k)
+    moved = rearrange_columns(lat, span, donor)
+    if moved is None:
         raise UnsupportedCase("deeper block has no subnormal plane")
-    x2, y2 = planes2[0]
-    x2, y2, n2 = normalize_plane(lat, x2, y2, j)
-    (z, y2b), others = rearrange_columns(lat, cols, donor, (x2, y2, n2), j, i)
+    (z, y2b), others = moved
     new_cols = others + [z, y2b]
     t = mat_from_cols(new_cols)
     gram = _gram_of(lat, new_cols)

@@ -236,7 +236,7 @@ def cmd_roundtrip(args):
     npass = 0
     failures = []
     # working precision -> the spec's lattice: the trials at one precision
-    # share it, and with it its factorization plan and hyperbolic pair
+    # share it, and with it its kept span, hyperbolic pair and factor plan
     lats = {}
     for t in range(trials):
         seed = rng_seed + t

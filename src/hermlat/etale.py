@@ -28,7 +28,6 @@ go through the composed path.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 from .errors import HermlatError, UnsupportedCase
 from .localfield import (
@@ -117,6 +116,11 @@ class EtaleAlgebra:
         self.zero = self.from_K(base.zero)
         self.one = self.from_K(base.one)
         self._upows = [self.one]  # ramified kind: powers of g, filled on use
+        # tables filled on use (an lru_cache on a method would hold self)
+        self._residues = {}  # m -> residue_system_O(m) as a tuple
+        self._unit_residues = {}  # m -> unit_residues_O(m)
+        self._norm_keys = {}  # k -> _unit_norm_keys(k)
+        self._norm_key_units = {}  # (k, target) -> _unit_of_norm_key(k, target)
         self._rho = None
         self._eta = None
         self._u0 = None
@@ -357,8 +361,12 @@ class EtaleAlgebra:
     def residue_system_O(self, m):
         return list(self._residue_system_O(m))
 
-    @lru_cache(maxsize=None)
     def _residue_system_O(self, m):
+        if m not in self._residues:
+            self._residues[m] = self._build_residue_system_O(m)
+        return self._residues[m]
+
+    def _build_residue_system_O(self, m):
         if m <= 0:
             return (self.zero,)
         K = self.base
@@ -380,10 +388,12 @@ class EtaleAlgebra:
             reps = [r * g + lift for r in reps for lift in lifts]
         return tuple(reps)
 
-    @lru_cache(maxsize=None)
     def unit_residues_O(self, m):
-        """The units of residue_system_O(m), in its order (a cached tuple)."""
-        return tuple(r for r in self._residue_system_O(m) if r.is_unit())
+        """The units of residue_system_O(m), in its order (a kept tuple)."""
+        if m not in self._unit_residues:
+            self._unit_residues[m] = tuple(
+                r for r in self._residue_system_O(m) if r.is_unit())
+        return self._unit_residues[m]
 
     def key_mod_p(self, x, m):
         """Canonical hashable key of an integral x in K modulo p^m (v_p units)."""
@@ -409,14 +419,13 @@ class EtaleAlgebra:
 
     # -- norm classes ----------------------------------------------------------
 
-    @lru_cache(maxsize=None)
     def _unit_norm_keys(self, k):
         """Keys mod p^k of Nr(O^x), from enumeration of units mod P^(2k)."""
-        depth = 2 * k if self.kind == self.RAMIFIED else k
-        keys = set()
-        for u in self.unit_residues_O(max(depth, 1)):
-            keys.add(self.key_mod_p(u.norm(), k))
-        return keys
+        if k not in self._norm_keys:
+            depth = 2 * k if self.kind == self.RAMIFIED else k
+            self._norm_keys[k] = {self.key_mod_p(u.norm(), k)
+                                  for u in self.unit_residues_O(max(depth, 1))}
+        return self._norm_keys[k]
 
     def norm_class(self, a):
         """Decide a in Nr(O^x) for a unit a of o."""
@@ -454,15 +463,15 @@ class EtaleAlgebra:
                 f"no unit norm matches mod p^{k}; class obstruction")
         return eps
 
-    @lru_cache(maxsize=None)
     def _unit_of_norm_key(self, k, target):
         """The first unit residue mod P^(2k) (p^k unramified) whose norm has
         key `target` mod p^k, or None."""
-        depth = 2 * k if self.kind == self.RAMIFIED else k
-        for u in self.unit_residues_O(max(depth, 1)):
-            if self.key_mod_p(u.norm(), k) == target:
-                return u
-        return None
+        if (k, target) not in self._norm_key_units:
+            depth = 2 * k if self.kind == self.RAMIFIED else k
+            self._norm_key_units[(k, target)] = next(
+                (u for u in self.unit_residues_O(max(depth, 1))
+                 if self.key_mod_p(u.norm(), k) == target), None)
+        return self._norm_key_units[(k, target)]
 
     def solve_norm_unit(self, a):
         """epsilon in O^x with Nr(epsilon) = a exactly (a must be a unit norm)."""

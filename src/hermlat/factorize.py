@@ -18,12 +18,12 @@ lives only as long as its lattice.  It is extended lazily: a call that
 reaches a step not yet planned computes it from its span, and stores it once
 its alignment and complement succeeded; a step that raises is not stored.
 Every later call on the lattice walks the stored steps, so it recomputes no
-geometry, and gets what it would have computed, bit for bit.  Step 0 spans
-the standard basis and reads its Jordan column groups from the splitting the
-lattice keeps (``classify.split_groups``), the one the decide path reads.  A
-pair step also keeps its swap word (``_scale_map_word``) once an alignment
-needed it, as ``(s, sigma)`` data.  The public single-step peels run step 0
-of the plan.
+geometry, and gets what it would have computed, bit for bit.  A step reads
+a ``classify.Span``; step 0 the one L keeps (``standard_span``), perhaps
+arranged already by the oracle or the decide path.  ``_PLANS`` is a module
+table, not a slot on L, as its tests pin its weak-key lifetime.  A pair step
+also keeps its swap word (``_scale_map_word``) once an alignment needed it,
+as ``(s, sigma)`` data.  The public single-step peels run step 0 of the plan.
 
 The ramified line and plane peels share one alignment loop, ``_align``: each
 round emits the first generator one of the peel's moves yields for the
@@ -57,13 +57,11 @@ from .etale import EtaleAlgebra
 from .classify import (
     _arrange_first_block,
     _cross_block_attempt,
-    _deeper_part,
+    _jordan_cols,
     isotropy_refine,
-    normalize_plane,
-    peel_lines_and_planes,
     plane_standard_form,
     rearrange_columns,
-    split_groups,
+    standard_span,
 )
 from .isometries import (
     EichlerIsometry,
@@ -261,35 +259,28 @@ def _drive(drv, phi):
         if all(vec_eq(mat_vec(phi, c), c) for c in cols):
             return phi
         step = plan[idx] if idx < len(plan) else _plan_step(
-            lat, cols, split_groups(lat) if idx == 0 else None)
+            lat, standard_span(lat) if idx == 0
+            else _arrange_first_block(lat, cols, _jordan_cols(lat, cols)))
         phi = _align_step(drv, step, phi)
         cols = _settle(lat, plan, idx, step)
         idx += 1
     return phi
 
 
-def _plan_step(lat, cols, groups):
-    """The step of span(cols): arrange its first Jordan block and take the
-    branch the block's shape calls for.  ``groups`` are as for
-    ``_arrange_first_block``: step 0, whose cols are the standard basis,
-    passes the Jordan column groups of L's own splitting."""
-    arr = _arrange_first_block(lat, cols, groups)
-    pair = arr["pair"]
-    if pair is None:
-        pair = _cross_block_attempt(lat, arr)
-    else:
-        pair = (*pair, arr["scale"])
+def _plan_step(lat, span):
+    """The step of a ``classify.Span``: the branch its first block calls for."""
+    pair = span.pair or _cross_block_attempt(lat, span)
     if pair is not None:
-        return _Step(cols, "pair", (*pair, []), pair[:2])
-    lines = arr["lines"]
+        return _Step(span.cols, "pair", (*pair, []), pair[:2])
+    lines = span.lines
     if lines:
-        return _Step(cols, "line", (lines, arr["deeper"]), lines[:1])
-    planes = arr["planes"]
+        return _Step(span.cols, "line", (lines, span.deeper_cols), lines[:1])
+    planes = span.planes
     if len(planes) != 1:
         raise UnsupportedCase(
             f"unexpected first-block shape: {len(lines)} lines, "
             f"{len(planes)} planes after hyperbolic extraction")
-    return _plan_subnormal(lat, cols, planes[0], arr["deeper"], arr["scale"])
+    return _plan_subnormal(lat, span)
 
 
 def _align_step(drv, step, phi):
@@ -903,29 +894,25 @@ def _peel_normal_rk1(drv, phi, x, deeper):
                   "normal rank-1 peel did not converge")
 
 
-def _plan_subnormal(lat, cols, plane, deeper, scale_i):
+def _plan_subnormal(lat, span):
     """The plan of a subnormal first-block plane: rearrange the deeper part
     and restart, or the rescaled lattice, the standard plane (u, v) and the
     exponents that the u and v alignments of ``_peel_subnormal`` read."""
     K = lat.alg.base
-    i = scale_i
-    x2, y2 = plane
-    _, _, k = normalize_plane(lat, x2, y2, i)
+    i = span.scale
+    x2, y2, k = span.planes[0]
 
-    if deeper:
-        groups, dgram, j, n_glob = _deeper_part(lat, deeper)
+    if span.deeper_cols:
+        _, dgram, j, n_glob = span.deeper(lat)
         if 0 < j - i < n_glob - k:
-            # rearrange the deeper part to norm p^(j-i+k) and restart
-            donor, _ = _norm_attainer(lat, [x2, y2],
-                                      _gram_of(lat, [x2, y2]), k)
-            _, planes2 = peel_lines_and_planes(lat, groups[0])
-            if planes2:
-                p2 = normalize_plane(lat, planes2[0][0], planes2[0][1], j)
-                (z, y2b), others = rearrange_columns(
-                    lat, cols, donor, p2, j, i)
-                return _Step(cols, "restart", rest=others + [z, y2b])
+            # rearrange the deeper part to norm p^(j-i+k) against x2, which
+            # attains the plane's norm, and restart
+            moved = rearrange_columns(lat, span, x2)
+            if moved is not None:
+                (z, y2b), others = moved
+                return _Step(span.cols, "restart", rest=others + [z, y2b])
         # global rescale so the deep norm attainer has form value p^n exactly
-        x_deep, _ = _norm_attainer(lat, deeper, dgram, n_glob)
+        x_deep, _ = _norm_attainer(lat, span.deeper_cols, dgram, n_glob)
         scale_factor = K.uniformizer_pow(n_glob) / lat.q_value(x_deep)
     else:
         x_deep = None
@@ -935,7 +922,7 @@ def _plan_subnormal(lat, cols, plane, deeper, scale_i):
 
     latr = lat.rescale(scale_factor)
     u, v, k = plane_standard_form(latr, x2, y2, i)
-    return _Step(cols, "plane",
+    return _Step(span.cols, "plane",
                  (latr, scale_factor, u, v, x_deep, i, k, n_glob, j), [u, v])
 
 
@@ -1022,8 +1009,7 @@ def _peel_first_step(lat, phi, refusal, branches, mismatch):
     if lat.alg.kind != EtaleAlgebra.RAMIFIED:
         raise UnsupportedCase(refusal)
     plan = _PLANS.setdefault(lat, [])
-    step = plan[0] if plan else _plan_step(
-        lat, list(cols_of(identity(lat.alg, lat.n))), split_groups(lat))
+    step = plan[0] if plan else _plan_step(lat, standard_span(lat))
     if step.branch not in branches:
         raise UnsupportedCase(mismatch)
     drv = _Driver(lat)

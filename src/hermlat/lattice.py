@@ -22,7 +22,9 @@ the first call, and kept on the lattice like its determinant: they depend on
 L alone, every caller reads the same immutable value (the blocks are a tuple,
 their columns and Grams tuples), and they live exactly as long as the
 lattice.  Nothing is computed when a lattice is built, and a computation that
-raises keeps nothing.
+raises keeps nothing.  ``classify`` fills two more slots so, neither holding
+the lattice: ``standard_span`` and the answer of ``splits_hyperbolic``.
+``_FUNCTIONALS`` caches a function of (L, y), not of L, so it is no slot.
 """
 
 from __future__ import annotations
@@ -72,6 +74,8 @@ class HermitianLattice:
             self._det = None
         self._split = None
         self._dual_norms = None
+        self._span = None  # classify.standard_span
+        self._hyperbolic = None  # (classify.splits_hyperbolic's answer,)
 
     # -- basic maps ----------------------------------------------------------
 

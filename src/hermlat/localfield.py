@@ -27,7 +27,6 @@ raise ``PrecisionLoss`` at the same points.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 
 from .errors import HermlatError, PrecisionLoss
 
@@ -184,6 +183,7 @@ class LocalField:
         self.zero = self.from_int(0)
         self.one = self.from_int(1)
         self._upows = [self.one]  # uniformizer powers 0, 1, ..., filled on use
+        self._residues = {}  # m -> residue_system(m) as a tuple, filled on use
 
     # -- construction-time validation -------------------------------------
 
@@ -342,16 +342,15 @@ class LocalField:
         """Representatives of o/𝔭^m as sums sum_i r_i * pi^i."""
         return list(self._residue_system_cached(m))
 
-    @lru_cache(maxsize=None)
     def _residue_system_cached(self, m):
-        if m <= 0:
-            return (self.zero,)
-        pi = self.uniformizer()
-        reps = [self.zero]
-        for _ in range(m):
-            reps = [r * pi + lift for r in reps for lift in self.residue_lifts()]
-        # note: building high digits first keeps the count at q^m exactly
-        return tuple(reps)
+        if m not in self._residues:
+            pi, lifts = self.uniformizer(), self.residue_lifts()
+            reps = [self.zero]
+            for _ in range(m):
+                reps = [r * pi + lift for r in reps for lift in lifts]
+            # note: building high digits first keeps the count at q^m exactly
+            self._residues[m] = tuple(reps)
+        return self._residues[m]
 
     def unit_residues(self, m):
         return [r for r in self.residue_system(m) if not r.is_zero() and r.valuation() == 0]
@@ -363,12 +362,6 @@ class LocalField:
         if self.d > 1:
             parts.append(f"eisenstein deg {self.d}")
         return f"LocalField({', '.join(parts)}; N={self.precision})"
-
-    def __eq__(self, other):
-        return self is other
-
-    def __hash__(self):
-        return id(self)
 
 
 def _normal(field, co, shift, ncap):

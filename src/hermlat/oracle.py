@@ -8,7 +8,6 @@ by the algebra layer; property tests compare the two routes.
 from __future__ import annotations
 
 import random
-import weakref
 
 from .errors import HermlatError, UnsupportedCase
 from .etale import EtaleAlgebra
@@ -137,18 +136,9 @@ def _sigma_candidates(lat, qs, rng):
             return
 
 
-# lattice -> its splits_hyperbolic pair; an entry goes with its lattice
-_PAIR_CACHE = weakref.WeakKeyDictionary()
-
-
-def _cached_pair(lat):
-    if lat not in _PAIR_CACHE:
-        _PAIR_CACHE[lat] = splits_hyperbolic(lat)
-    return _PAIR_CACHE[lat]
-
-
 def random_eichler(lat, rng):
-    found = _cached_pair(lat)
+    """A random Eichler isometry on the pair ``splits_hyperbolic`` keeps on L."""
+    found = splits_hyperbolic(lat)
     if found is None:
         return None
     u, v, s_exp = found

@@ -14,7 +14,7 @@ import time
 import pytest
 
 import hermlat
-from hermlat.classify import isometric, rearrange_jordan
+from hermlat.classify import isometric, rearrange_jordan, splits_hyperbolic
 from hermlat.etale import EtaleAlgebra, NONNORM
 from hermlat.factorize import _drive, _Driver, factor_unitary, verify_factorization
 from hermlat.isometries import (
@@ -197,11 +197,7 @@ def test_criterion_5_generator_laws(catalog):
     for name, lat in catalog:
         alg = lat.alg
         rng = random.Random(name)
-        pair = None
-        if alg.kind != EtaleAlgebra.SPLIT or True:
-            from hermlat.oracle import _cached_pair
-
-            pair = _cached_pair(lat)
+        pair = splits_hyperbolic(lat)
         count = 0
         while count < per_lattice:
             count += 1

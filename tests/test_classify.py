@@ -115,13 +115,16 @@ def test_each_lattice_object_is_split_once(monkeypatch):
     """Deciding L against M, searching M for a hyperbolic pair and deciding
     L against M2 split each of L, M and M2 once and take the dual of each
     of their blocks once.  Every other splitting is of a sub-span: one per
-    round of the pair search after the first, which reads M's own
-    splitting, and one per deeper part of a cross-block attempt."""
+    deeper part of a cross-block attempt, and one per round of the pair
+    search after the first (which reads M's own splitting), except a round
+    whose columns are the deeper part the round before split: it reuses
+    that split."""
     cat = _catalog_lattice("q2sqrt2-sub")  # shared with other tests
     lat = HermitianLattice(cat.alg, cat.gram)
     m1 = _basis_change(lat, random.Random("split-once:1"))
     m2 = _basis_change(lat, random.Random("split-once:2"))
-    splits, duals, sub_spans = Counter(), Counter(), Counter()
+    splits, duals = Counter(), Counter()
+    sub_spans, rounds = [], []  # (caller, cols) of each sub-span split; cols of each round
     field, dual = HermitianLattice._jordan_split_field, HermitianLattice.dual_sublattice
     jcols, arrange = classify._jordan_cols, classify._arrange_first_block
 
@@ -134,12 +137,12 @@ def test_each_lattice_object_is_split_once(monkeypatch):
         return dual(self, a_exp)
 
     def count_sub_span(lat_, cols):
-        sub_spans[sys._getframe(1).f_code.co_name] += 1
+        sub_spans.append((sys._getframe(1).f_code.co_name, cols))
         return jcols(lat_, cols)
 
-    def count_round(*args):
-        sub_spans["rounds"] += 1
-        return arrange(*args)
+    def count_round(lat_, cols, groups):
+        rounds.append(cols)
+        return arrange(lat_, cols, groups)
 
     monkeypatch.setattr(HermitianLattice, "_jordan_split_field", count_split)
     monkeypatch.setattr(HermitianLattice, "dual_sublattice", count_dual)
@@ -150,10 +153,14 @@ def test_each_lattice_object_is_split_once(monkeypatch):
     assert isometry_conditions(lat, m2)[0]
     mine = {id(x): x for x in (lat, m1, m2)}
     assert {k: splits[k] for k in mine} == dict.fromkeys(mine, 1)
-    assert sub_spans["rounds"] > 1
-    assert sub_spans["_arrange_first_block"] == sub_spans["rounds"] - 1
-    assert (sum(v for k, v in splits.items() if k not in mine)
-            == sub_spans["_arrange_first_block"] + sub_spans["_deeper_part"])
+    assert len(rounds) > 1
+    deeper = [cols for name, cols in sub_spans if name == "deeper"]
+    reused = [cols for cols in rounds[1:] if any(cols is d for d in deeper)]
+    fresh = [cols for name, cols in sub_spans if name == "_next_round"]
+    assert reused
+    assert len(reused) + len(fresh) == len(rounds) - 1
+    assert {name for name, _ in sub_spans} <= {"deeper", "_next_round"}
+    assert sum(v for k, v in splits.items() if k not in mine) == len(sub_spans)
     assert duals == {k: len(x.jordan_split().blocks) for k, x in mine.items()}
 
 

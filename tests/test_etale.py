@@ -1,6 +1,8 @@
+import gc
 import math
 import operator
 import random
+import weakref
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -207,6 +209,24 @@ def test_different_exponent_method(Q2sqrt2, split2):
     assert Q2sqrt2.different_exponent() == 3
     with pytest.raises(HermlatError, match="different exponent is for"):
         split2.different_exponent()
+
+
+def test_filled_tables_let_a_dropped_algebra_go():
+    """The residue and norm tables an algebra and its field fill on use are
+    kept on them, not in a cache that holds them: once both are dropped,
+    they are freed."""
+    K = LocalField(2)
+    alg = EtaleAlgebra.quadratic(K, 0, -2)
+    alg.residue_system_O(2)
+    assert alg.unit_residues_O(2) is alg.unit_residues_O(2)
+    assert alg.norm_class(K.from_int(-1)) == NORM
+    assert alg.norm_class(K.from_int(3)) == NONNORM
+    assert alg.solve_norm_approx(K.from_int(5), 1) is alg.solve_norm_approx(K.from_int(5), 1)
+    assert len(K.residue_system(3)) == 8
+    refs = weakref.ref(alg), weakref.ref(K)
+    del alg, K
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
 
 
 def test_mixed_algebras_are_rejected(Q2):

@@ -9,7 +9,7 @@ import pytest
 
 import hermlat
 from hermlat import oracle
-from hermlat import factorize, isometries
+from hermlat import classify, factorize, isometries
 from hermlat.errors import HermlatError, UnsupportedCase, VerificationFailed
 from hermlat.factorize import (
     Factorization,
@@ -470,6 +470,27 @@ def test_a_second_call_recomputes_no_geometry(monkeypatch):
     factor_unitary(lat, random_unitary(lat, 5, 4)[0])
     assert not calls.keys() - {"_complement"}
     assert set(complement_callers) <= {"_split_residue_two_data"}
+
+
+@pytest.mark.parametrize("name", ["q2sqrt2-sub.lat", "q2i-h1h1.lat"])
+def test_factoring_reads_the_span_the_pair_search_kept(name, monkeypatch):
+    """``splits_hyperbolic`` keeps its answer and the standard span it
+    arranged on L: a second search returns the same object, and factoring
+    on L then arranges no span of the standard basis again."""
+    lat = _catalog_lattice(name)
+    found = classify.splits_hyperbolic(lat)
+    assert classify.splits_hyperbolic(lat) is found
+    standard = exact_key(list(cols_of(identity(lat.alg, lat.n))))
+    arranged = []
+    for module in (classify, factorize):
+        def spy(lat_, cols, groups, _original=module._arrange_first_block):
+            arranged.append(exact_key(cols))
+            return _original(lat_, cols, groups)
+
+        monkeypatch.setattr(module, "_arrange_first_block", spy)
+    factor_unitary(lat, random_unitary(lat, 4, 3)[0])
+    assert len(factorize._PLANS[lat]) > 1
+    assert standard not in arranged
 
 
 def test_a_pair_step_keeps_its_swap_word_as_data(monkeypatch):

@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, assume, event, given, settings, strategies a
 
 import hermlat
 from hermlat import oracle
+from hermlat.classify import splits_hyperbolic
 from hermlat.errors import HermlatError
 from hermlat.etale import EtaleAlgebra
 from hermlat.isometries import (
@@ -298,7 +299,7 @@ def perturbed_generators(draw):
     alg = lat.alg
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
     k = draw(st.integers(-2, 4))
-    u, v, _ = oracle._cached_pair(lat)
+    u, v, _ = splits_hyperbolic(lat)
     shape = draw(st.sampled_from(("symmetry", "isotropic", "eichler")))
     if shape == "eichler":
         raw = random_vector(lat, rng)

@@ -15,6 +15,11 @@ checked).  Every exception class of ``hermlat.errors`` but the base
 ``HermlatError`` is raised somewhere in ``src/hermlat``, and a caller in
 ``src/hermlat`` or ``perfbench`` acts on it: it is named in an ``except``
 clause or in an ``isinstance`` test.
+
+No method of a class in ``src/hermlat`` is decorated with
+``functools.lru_cache`` or ``functools.cache``: the cache is keyed by
+``self`` and holds it, so no instance would ever be freed.  Tables that an
+object fills on use live in dicts on the object itself.
 """
 
 import ast
@@ -189,3 +194,26 @@ def test_every_error_class_is_caught():
                 caught.update(_class_names(node.args[1]))
     assert classes and not set(classes) - caught, \
         f"error classes no caller acts on: {sorted(set(classes) - caught)}"
+
+
+def _decorator_name(node):
+    """The last name of a decorator: ``cache`` for ``@functools.cache``,
+    ``lru_cache`` for ``@lru_cache(maxsize=None)``."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def test_no_method_is_cached_on_self():
+    cached = []
+    for name, tree in _src_trees():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            cached += [f"{name}:{cls.name}.{fn.name}" for fn in cls.body
+                       if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                       and any(_decorator_name(d) in ("lru_cache", "cache")
+                               for d in fn.decorator_list)]
+    assert not cached, f"methods whose cache holds self: {cached}"

@@ -3,6 +3,7 @@ import random
 import weakref
 
 from hermlat import oracle
+from hermlat.classify import splits_hyperbolic, standard_span
 from hermlat.etale import NONNORM
 from hermlat.isometries import EichlerIsometry, Symmetry, in_unitary_group, matrix_of
 from hermlat.lattice import HermitianLattice, orthogonal_sum, standard_H
@@ -72,16 +73,17 @@ def test_random_unitary_zero_generators(Q2sqrt2):
     assert gens == [] and mat_eq(m, identity(Q2sqrt2, 2))
 
 
-def test_pair_cache_lets_a_dropped_lattice_go(Q2sqrt2):
+def test_a_kept_pair_lets_a_dropped_lattice_go(Q2sqrt2):
+    """The oracle's Eichler draws read the hyperbolic pair that L keeps with
+    its standard span; neither keeps L alive, so a dropped L is freed."""
     L = orthogonal_sum(standard_H(Q2sqrt2, 0),
                        HermitianLattice(Q2sqrt2, ((Q2sqrt2.from_int(2),),)))
-    gc.collect()  # lattices that earlier tests left in reference cycles go first
-    before = len(oracle._PAIR_CACHE)
-    pair = oracle._cached_pair(L)
-    assert pair is not None and oracle._cached_pair(L) is pair
-    assert len(oracle._PAIR_CACHE) == before + 1
+    pair = splits_hyperbolic(L)
+    assert pair is not None and splits_hyperbolic(L) is pair
+    assert standard_span(L).pair is pair
+    e = oracle.random_eichler(L, random.Random(3))
+    assert (e.u, e.v) == pair[:2]
     ref = weakref.ref(L)
-    del L
+    del L, e
     gc.collect()
     assert ref() is None
-    assert len(oracle._PAIR_CACHE) == before
