@@ -208,7 +208,7 @@ def _deepens(lat, cand, m):
 
 def _norm_shift(lat, w, z, q, qz, window):
     """The norm-balanced step w + pi^t lam0 z, t = v(q) - v(qz), with
-    Nr(lam0) = -q / (qz Nr(pi)^t) mod p^window: Nr(pi^t lam0) Q(z) cancels
+    Nr(lam0) = -q / (qz Nr(pi)^t) mod 𝔭^window: Nr(pi^t lam0) Q(z) cancels
     the leading digits of q = Q(w) (the cross terms Tr(lam <z,w>) are the
     caller's concern).  None when t < 0; errors of the norm solve pass
     through, so each caller keeps its own rule for them."""

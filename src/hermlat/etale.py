@@ -119,7 +119,7 @@ class EtaleAlgebra:
         # tables filled on use (an lru_cache on a method would hold self)
         self._residues = {}  # m -> residue_system_O(m) as a tuple
         self._unit_residues = {}  # m -> unit_residues_O(m)
-        self._norm_keys = {}  # k -> _unit_norm_keys(k)
+        self._norm_keys = None  # _unit_norm_keys()
         self._norm_key_units = {}  # (k, target) -> _unit_of_norm_key(k, target)
         self._rho = None
         self._eta = None
@@ -363,30 +363,40 @@ class EtaleAlgebra:
 
     def _residue_system_O(self, m):
         if m not in self._residues:
-            self._residues[m] = self._build_residue_system_O(m)
+            self._residues[m] = tuple(self._residue_walk(m))
         return self._residues[m]
 
-    def _build_residue_system_O(self, m):
+    def _residue_walk(self, m):
+        """The residues of O modulo P^m (p^m outside the ramified kind),
+        yielded one at a time in the order of residue_system_O(m): the
+        digits sum a_i * step^i by Horner steps r * step + lift from the top
+        digit, the top digit in the outer loop.  The one enumeration order
+        of O-residues; the tables and the norm-key search all read it."""
         if m <= 0:
-            return (self.zero,)
+            yield self.zero
+            return
         K = self.base
         if self.kind == self.SPLIT:
             reps = K.residue_system(m)
-            return tuple(AlgElement(self, a, b) for a in reps for b in reps)
+            yield from (AlgElement(self, a, b) for a in reps for b in reps)
+            return
         if self.kind == self.INERT:
             lifts = [self.element(a, b)
                      for a in K.residue_lifts() for b in K.residue_lifts()]
-            reps = [self.zero]
-            pi = self.from_K(K.uniformizer())
-            for _ in range(m):
-                reps = [r * pi + lift for r in reps for lift in lifts]
-            return tuple(reps)
-        lifts = [self.from_K(r) for r in K.residue_lifts()]
-        reps = [self.zero]
-        g = self.gen()
-        for _ in range(m):
-            reps = [r * g + lift for r in reps for lift in lifts]
-        return tuple(reps)
+            step = self.from_K(K.uniformizer())
+        else:
+            lifts = [self.from_K(r) for r in K.residue_lifts()]
+            step = self.gen()
+
+        def digits(r, left):
+            if left == 1:
+                for lift in lifts:
+                    yield r * step + lift
+            else:
+                for lift in lifts:
+                    yield from digits(r * step + lift, left - 1)
+
+        yield from digits(self.zero, m)
 
     def unit_residues_O(self, m):
         """The units of residue_system_O(m), in its order (a kept tuple)."""
@@ -396,7 +406,10 @@ class EtaleAlgebra:
         return self._unit_residues[m]
 
     def key_mod_p(self, x, m):
-        """Canonical hashable key of an integral x in K modulo p^m (v_p units)."""
+        """Canonical hashable key of an integral x in K modulo 𝔭_K^m, the
+        m-th power of the maximal ideal of o (p^m only when K is unramified
+        over Q_p): coordinate k, of t-degree tdeg, is kept modulo
+        p^ceil((m - tdeg)/d)."""
         K = self.base
         if m <= 0:
             return ()
@@ -413,19 +426,49 @@ class EtaleAlgebra:
         key = []
         for k, cval in enumerate(co):
             tdeg = k // f
-            digits = max(0, -(-(m * d - tdeg) // d))  # ceil((m*d - tdeg)/d)
+            digits = max(0, -(-(m - tdeg) // d))  # ceil((m - tdeg)/d)
             key.append(cval % (p ** digits) if digits else 0)
         return tuple(key)
 
     # -- norm classes ----------------------------------------------------------
 
-    def _unit_norm_keys(self, k):
-        """Keys mod p^k of Nr(O^x), from enumeration of units mod P^(2k)."""
-        if k not in self._norm_keys:
-            depth = 2 * k if self.kind == self.RAMIFIED else k
-            self._norm_keys[k] = {self.key_mod_p(u.norm(), k)
-                                  for u in self.unit_residues_O(max(depth, 1))}
-        return self._norm_keys[k]
+    def _unit_norm_keys(self):
+        """Keys mod 𝔭^e of Nr(O^x), ramified kind: the subgroup of
+        (o/𝔭^e)^x generated by the norms of generators of (O/P^e)^x.
+
+        Nr(u) mod 𝔭^e depends on u mod P^e only, as Tr(P^e) = 𝔭^e and
+        Nr(P^e) = 𝔭^e.  The nonzero residue lifts and 1 + b*g^i, for
+        1 <= i < e and b a lift of an F_p-basis of the residue field,
+        generate (O/P^e)^x; a breadth-first closure over keys multiplies
+        their norms out.  Nr(O^x) has index 2 in o^x and contains
+        1 + 𝔭^e (O'Meara, Introduction to Quadratic Forms, §63),
+        so the closure must hold half of the (q-1)*q^(e-1) unit keys."""
+        if self._norm_keys is None:
+            K, e = self.base, self.e
+            basis = [self.from_K(K.from_coeffs((0,) * a + (1,)))
+                     for a in range(K.f)]  # w^a, 0 <= a < f
+            gens = [self.from_K(r) for r in K.residue_lifts()[1:]]
+            gens += [self.one + b * self.uniformizer_pow(i)
+                     for i in range(1, e) for b in basis]
+            norms = [u.norm() for u in gens]
+            keys = {self.key_mod_p(K.one, e)}
+            frontier = [K.one]
+            while frontier:
+                fresh = []
+                for x in frontier:
+                    for n in norms:
+                        y = x * n
+                        key = self.key_mod_p(y, e)
+                        if key not in keys:
+                            keys.add(key)
+                            fresh.append(y)
+                frontier = fresh
+            if 2 * len(keys) != (K.q - 1) * K.q ** (e - 1):
+                raise UnsupportedCase(
+                    f"norm keys mod pi_K^{e}: {len(keys)} classes, not half of "
+                    f"the {(K.q - 1) * K.q ** (e - 1)} unit classes")
+            self._norm_keys = frozenset(keys)
+        return self._norm_keys
 
     def norm_class(self, a):
         """Decide a in Nr(O^x) for a unit a of o."""
@@ -437,8 +480,7 @@ class EtaleAlgebra:
             return NORM
         if self.kind == self.INERT:
             return NORM
-        k = max(self.e, 1)
-        return NORM if self.key_mod_p(a, k) in self._unit_norm_keys(k) else NONNORM
+        return NORM if self.key_mod_p(a, self.e) in self._unit_norm_keys() else NONNORM
 
     def in_E_norm_group(self, a):
         """Decide a in Nr(E^x) for a in K^x."""
@@ -452,7 +494,7 @@ class EtaleAlgebra:
         return self.norm_class(red) == NORM
 
     def solve_norm_approx(self, a, k):
-        """epsilon in O^x with a = Nr(epsilon) mod p^k; k <= e-1 always solvable."""
+        """epsilon in O^x with a = Nr(epsilon) mod 𝔭^k; k <= e-1 always solvable."""
         if self.kind == self.SPLIT:
             return AlgElement(self, a, self.base.one)
         if k <= 0:
@@ -460,17 +502,19 @@ class EtaleAlgebra:
         eps = self._unit_of_norm_key(k, self.key_mod_p(a, k))
         if eps is None:
             raise HermlatError(
-                f"no unit norm matches mod p^{k}; class obstruction")
+                f"no unit norm matches mod pi_K^{k}; class obstruction")
         return eps
 
     def _unit_of_norm_key(self, k, target):
         """The first unit residue mod P^(2k) (p^k unramified) whose norm has
-        key `target` mod p^k, or None."""
+        key `target` mod 𝔭^k, or None.  The residues are walked one at a
+        time and the walk stops at the first hit, so no table is built."""
         if (k, target) not in self._norm_key_units:
             depth = 2 * k if self.kind == self.RAMIFIED else k
             self._norm_key_units[(k, target)] = next(
-                (u for u in self.unit_residues_O(max(depth, 1))
-                 if self.key_mod_p(u.norm(), k) == target), None)
+                (u for u in self._residue_walk(max(depth, 1))
+                 if u.is_unit() and self.key_mod_p(u.norm(), k) == target),
+                None)
         return self._norm_key_units[(k, target)]
 
     def solve_norm_unit(self, a):

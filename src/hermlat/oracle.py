@@ -43,8 +43,11 @@ def enumerate_trace_image(alg, i, modulus_exp):
 
 
 def enumerate_norm_image(alg, modulus_exp):
-    """Set of canonical keys mod p^modulus_exp of Nr(O^x), together with the
-    full set of unit keys, as (image, units)."""
+    """Set of canonical keys mod 𝔭_K^modulus_exp (``key_mod_p``: the power
+    of the maximal ideal of K, not of p) of Nr(O^x), by taking the norm of
+    every unit of O/P^(2*modulus_exp), together with the full set of unit
+    keys, as (image, units).  The brute-force reference for the generated
+    subgroup of ``EtaleAlgebra._unit_norm_keys``."""
     image = set()
     units = set()
     K = alg.base

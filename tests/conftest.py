@@ -60,3 +60,20 @@ def F4base():
 @pytest.fixture(scope="session")
 def F4ram(F4base):
     return EtaleAlgebra.quadratic(F4base, 0, -2)
+
+
+def tower_algebra(d):
+    """E = K(sqrt(t)) over K = Q_2(t), t^d = 2: an Eisenstein step of degree
+    d below E, so e = 2d + 1 (the benchmark's tower algebras for d = 2, 3)."""
+    K = LocalField(2, eisenstein_poly=[-2] + [0] * (d - 1))
+    return EtaleAlgebra.quadratic(K, 0, -K.uniformizer())
+
+
+@pytest.fixture(scope="session")
+def tower5():
+    return tower_algebra(2)
+
+
+@pytest.fixture(scope="session")
+def tower7():
+    return tower_algebra(3)

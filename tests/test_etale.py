@@ -7,11 +7,12 @@ import weakref
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from hermlat.errors import HermlatError
+from hermlat.errors import HermlatError, UnsupportedCase
 from hermlat.etale import INF, NONNORM, NORM, AlgElement, EtaleAlgebra
 from hermlat.linalg import _dot
 from hermlat.localfield import LocalField
-from hermlat.oracle import enumerate_trace_image
+from hermlat.oracle import enumerate_trace_image, norm_image_index
+from conftest import tower_algebra
 from test_localfield import kernel_elements
 
 
@@ -79,8 +80,8 @@ def test_skew_elements(Q2sqrt2, Q2i, inert2):
     assert eta.trace().is_zero() and eta.is_unit()
 
 
-def test_u0(Q2sqrt2, Q2i):
-    for alg in (Q2sqrt2, Q2i):
+def test_u0(Q2sqrt2, Q2i, F4ram, tower5, tower7):
+    for alg in (Q2sqrt2, Q2i, F4ram, tower5, tower7):
         u0 = alg.u0()
         assert u0.valuation() == alg.e - 1
         assert alg.norm_class(alg.base.one + u0) == NONNORM
@@ -91,6 +92,59 @@ def test_norm_class(Q2sqrt2, split2, inert2):
     assert inert2.norm_class(inert2.base.from_int(3)) == NORM
     assert Q2sqrt2.norm_class(Q2sqrt2.base.from_int(-1)) == NORM
     assert Q2sqrt2.norm_class(Q2sqrt2.base.from_int(3)) == NONNORM
+
+
+def test_key_mod_p_counts_in_the_maximal_ideal_of_K(tower5):
+    # K = Q_2(t), t^2 = 2: keys are taken mod 𝔭^m, not mod p^m = 𝔭^(2m)
+    K = tower5.base
+    t3 = K.uniformizer_pow(3)
+    assert tower5.key_mod_p(t3, 3) == tower5.key_mod_p(K.zero, 3)
+    assert tower5.key_mod_p(t3, 4) != tower5.key_mod_p(K.zero, 4)
+    assert len({tower5.key_mod_p(r, 3) for r in K.residue_system(3)}) == 8
+
+
+@pytest.mark.parametrize("name", ["tower5", "tower7"])
+def test_norms_are_norm_classes_over_towers(name, request):
+    """Over an Eisenstein step the norm keys are taken mod 𝔭_K^e: every
+    norm of a unit is a norm class, and the norms have index 2."""
+    alg = request.getfixturevalue(name)
+    K = alg.base
+    rng = random.Random(alg.e)
+    units = 0
+    while units < 200:
+        u = alg.element(*(K.from_coeffs([rng.randrange(-64, 64)
+                                         for _ in range(K.nbasis)])
+                          for _ in range(2)))
+        if not u.is_unit():
+            continue
+        units += 1
+        assert alg.norm_class(u.norm()) == NORM
+    assert norm_image_index(alg, alg.e) == 2
+
+
+@pytest.mark.parametrize("d", [None, 3], ids=["f4ram", "e7-tower"])
+def test_norm_classes_build_no_large_residue_table(d):
+    """u0, norm_class and solve_norm_unit hold no O-residue table larger
+    than q^e: the norm keys come from a generated subgroup and the norm
+    solve walks residues until its first hit."""
+    if d is None:
+        alg = EtaleAlgebra.quadratic(LocalField(2, unramified_poly=[1, 1]), 0, -2)
+    else:
+        alg = tower_algebra(d)
+    K = alg.base
+    alg.u0()
+    alg.norm_class(K.from_int(3))
+    a = (alg.one + alg.gen()).norm()
+    assert alg.solve_norm_unit(a).norm() == a
+    tables = list(alg._residues.values()) + list(alg._unit_residues.values())
+    assert all(len(t) <= K.q ** alg.e for t in tables)
+
+
+def test_norm_key_closure_checks_its_index():
+    alg = EtaleAlgebra.quadratic(LocalField(2), 0, -2)
+    alg.e -= 1  # mod 𝔭^(e-1) every unit is a norm: index 1, not 2
+    with pytest.raises(UnsupportedCase, match="not half of"):
+        alg.norm_class(alg.base.from_int(3))
 
 
 def test_norm_class_coset_invariance(Q2sqrt2):
