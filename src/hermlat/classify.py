@@ -634,9 +634,9 @@ def cross_pair_A_second(lat, donor, plane2, scale_j):
 def rearrange_columns(lat, span, donor):
     """Replace the span's deeper plane (x2, y2) (``Span.deeper_plane``) by
     (z, y2) with z = pi^(j-i) * donor + x2: the norm rearrangement
-    n -> j - i + k as a basis change.  Returns (new_plane, other_cols),
-    other_cols spanning the orthogonal complement of the new plane inside
-    span(span.cols); None when there is no deeper plane."""
+    n -> j - i + k as a basis change.  Returns the new plane (z, y2), or None
+    when there is no deeper plane; its complement inside span(span.cols) is
+    ``_complement(lat, span.cols, [z, y2])``."""
     alg = lat.alg
     found = span.deeper_plane(lat)
     if found is None:
@@ -658,8 +658,7 @@ def rearrange_columns(lat, span, donor):
     pair = lat.inner(z, y2)
     if pair.is_zero() or alg.vP(pair) != j:
         raise UnsupportedCase("rearranged plane lost its scale")
-    others = _complement(lat, span.cols, [z, y2])
-    return (z, y2), others
+    return z, y2
 
 
 # ---------------------------------------------------------------------------
@@ -837,7 +836,7 @@ def _pair_after_rearrange(lat, span, donor, k):
     (x2, y2, n2), rest2 = found
     j, i = span.deeper(lat)[2], span.scale
     if n2 > j - i + k:
-        (z, y2b), _ = rearrange_columns(lat, span, donor)
+        z, y2b = rearrange_columns(lat, span, donor)
         x2, y2, n2 = normalize_plane(lat, z, y2b, j)
     if plane_is_hyperbolic(lat, (x2, y2, n2), j):
         return (*combine_pieces_pair(lat, donor, (x2, y2, n2), j), j)
@@ -875,11 +874,10 @@ def rearrange_jordan(lat):
     if not 0 < j - span.scale <= n - k:
         raise UnsupportedCase("rearrangement needs 0 < j-i <= n-k")
     donor, _ = _norm_attainer(lat, first.cols, first.gram, k)
-    moved = rearrange_columns(lat, span, donor)
-    if moved is None:
+    plane = rearrange_columns(lat, span, donor)
+    if plane is None:
         raise UnsupportedCase("deeper block has no subnormal plane")
-    (z, y2b), others = moved
-    new_cols = others + [z, y2b]
+    new_cols = _complement(lat, span.cols, plane) + list(plane)
     t = mat_from_cols(new_cols)
     gram = _gram_of(lat, new_cols)
     new_lat = HermitianLattice(alg, gram)

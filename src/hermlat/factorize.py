@@ -907,10 +907,10 @@ def _plan_subnormal(lat, span):
         if 0 < j - i < n_glob - k:
             # rearrange the deeper part to norm p^(j-i+k) against x2, which
             # attains the plane's norm, and restart
-            moved = rearrange_columns(lat, span, x2)
-            if moved is not None:
-                (z, y2b), others = moved
-                return _Step(span.cols, "restart", rest=others + [z, y2b])
+            plane = rearrange_columns(lat, span, x2)
+            if plane is not None:
+                rest = _complement(lat, span.cols, plane) + list(plane)
+                return _Step(span.cols, "restart", rest=rest)
         # global rescale so the deep norm attainer has form value p^n exactly
         x_deep, _ = _norm_attainer(lat, span.deeper_cols, dgram, n_glob)
         scale_factor = K.uniformizer_pow(n_glob) / lat.q_value(x_deep)
