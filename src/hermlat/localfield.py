@@ -11,13 +11,16 @@ digit count, so all ring operations are exact on representatives.
 The normalized valuation ``v`` gives the uniformizer of K valuation 1
 (so v(p) = d, the ramification degree of the Eisenstein step).
 
-Normal form.  Every element is built by ``FieldElement.__init__``, which
-leaves it in normal form: a nonzero element has ``ncap <= mcap`` and its
-coefficients reduced modulo ``p^ncap``; a zero element keeps
-``ncap <= max(mcap, 2*mcap - shift)``.  The ring operations produce most
-results already in this form, and hand those to ``_normal``, which runs the
-precision guard and nothing else; the rest go through ``__init__``.  When K
-is Q_p itself (``nbasis == 1``) the operations work on the single
+Normal form.  Every element, zero or not, keeps ``ncap <= mcap`` digits,
+its coefficients reduced modulo ``p^ncap``.  ``FieldElement.__init__``
+brings a result with more digits down to mcap: a nonzero one moves up to
+ncap - mcap digits of p-content into its shift, so the cap limits only
+relative precision; a zero keeps its absolute precision ``shift + ncap``,
+up to ``2*mcap``.  Only products can carry more than mcap digits, since a
+sum keeps at most the digits of its lower-shift operand.  The ring
+operations hand results already in normal form to ``_normal``, which runs
+the precision guard and nothing else; the rest go through ``__init__``.
+When K is Q_p itself (``nbasis == 1``) the operations work on the single
 coefficient directly, through ``_mul_raw`` and ``_add_raw``, which the flat
 kernel of ``etale`` shares; for p = 2 they reduce with bit masks.  Both
 shortcuts return the same ``(co, shift, ncap)`` as ``__init__`` would, and
@@ -379,25 +382,6 @@ def _normal(field, co, shift, ncap):
     return x
 
 
-def _single(field, c, shift, ncap):
-    """The normal-form ``(c, shift, ncap)`` of ``FieldElement(field, (c,),
-    shift, ncap)`` for a field with a single coordinate (K = Q_p) and
-    ncap > mcap: the renormalisation of ``__init__`` done on that coordinate
-    alone."""
-    mcap = field.mcap
-    top = 2 * mcap - shift  # ncap = min(ncap, max(mcap, top)), as in __init__
-    if ncap > top:
-        ncap = top if top > mcap else mcap
-    v = _int_valuation(c, field.p, ncap)
-    if v == ncap:  # zero modulo p^ncap
-        return 0, shift, ncap
-    # strip p^t, t = min(v, ncap - mcap): the digit count drops to mcap
-    t = v if v < ncap - mcap else ncap - mcap
-    if field._masks is not None:
-        return c >> t & field._masks[mcap], shift + t, mcap
-    return c // field._ppows[t] % field.pmod, shift + t, mcap
-
-
 # The ring operations of a single-coordinate field on raw fields: an element
 # enters as its ``(co[0], shift, ncap)`` and leaves as the normal-form triple
 # that ``FieldElement.__init__`` would give it.  ``FieldElement`` and the flat
@@ -410,8 +394,10 @@ def _mul_raw(field, x, sx, nx, vx, y, sy, ny, vy):
 
     The relative precision of a product is the least of its factors', so
     ncap >= min(nx, ny) and the precision guard cannot fire.  The raw
-    product has valuation vx + vy <= ncap; renormalising strips p^t off it,
-    and that valuation less t is the result's."""
+    product has valuation vx + vy <= ncap.  Past mcap digits it is
+    renormalised as ``__init__`` would: a zero keeps mcap digits at its
+    absolute precision, up to 2*mcap; otherwise p^t is stripped off, and
+    that valuation less t is the result's."""
     v = vx + vy
     r1, r2 = nx - vx, ny - vy
     n = v + (r1 if r1 < r2 else r2)
@@ -422,12 +408,9 @@ def _mul_raw(field, x, sx, nx, vx, y, sy, ny, vy):
         if masks is not None:
             return x * y & masks[n], s, n, v
         return x * y % field._ppows[n], s, n, v
-    # the renormalisation of _single, with the valuation already known
-    top = 2 * mcap - s
-    if n > top:
-        n = top if top > mcap else mcap
     if v >= n:
-        return 0, s, n, n
+        a = s + n
+        return 0, (a if a < 2 * mcap else 2 * mcap) - mcap, mcap, mcap
     t = v if v < n - mcap else n - mcap
     if masks is not None:
         return x * y >> t & masks[mcap], s + t, mcap, v - t
@@ -437,8 +420,10 @@ def _mul_raw(field, x, sx, nx, vx, y, sy, ny, vy):
 def _add_raw(field, x, sx, nx, y, sy, ny, sign):
     """``x + sign * y``, sign = 1 or -1: its ``(c, shift, ncap)``.  The sum
     is known modulo p^min(sx + nx, sy + ny), so its ncap is at least
-    min(nx, ny).  Subtracting in place gives the result of adding the
-    negation, since the coefficients agree modulo p^ncap of the sum."""
+    min(nx, ny), and at most the ncap of the operand of least shift: it
+    needs no renormalisation.  Subtracting in place gives the result of
+    adding the negation, since the coefficients agree modulo p^ncap of the
+    sum."""
     pp = field._ppows
     if sx == sy:
         s = sx
@@ -448,8 +433,6 @@ def _add_raw(field, x, sx, nx, y, sy, ny, sign):
         c = x * pp[sx - s] + sign * y * pp[sy - s]
     a1, a2 = sx + nx, sy + ny
     n = (a1 if a1 < a2 else a2) - s
-    if n > field.mcap:
-        return _single(field, c, s, n)
     if field._masks is not None:
         return c & field._masks[n], s, n
     return c % pp[n], s, n
@@ -472,26 +455,24 @@ class FieldElement:
         if ncap <= field.guard_digits:
             raise PrecisionLoss(
                 f"element retains only {ncap} digits (guard {field.guard_digits})")
-        p = field.p
-        # zero vectors keep their full absolute precision (bounded so the
-        # modulus stays cheap); nonzero vectors are renormalized so the digit
-        # cap limits only relative precision
-        ncap = min(ncap, max(field.mcap, -shift + 2 * field.mcap))
+        mcap = field.mcap
         mod = field.ppow(ncap)
         co = [c % mod for c in co]
-        if any(co):
-            if ncap > field.mcap:
-                t = min(_int_valuation(c, p, ncap) for c in co if c)
-                t = min(t, ncap - field.mcap)
+        if ncap > mcap:
+            # keep mcap digits: a nonzero vector moves its p-content, up to
+            # ncap - mcap digits, into the shift; a zero keeps its absolute
+            # precision, up to 2*mcap
+            if any(co):
+                t = min(min(_int_valuation(c, field.p, ncap) for c in co if c),
+                        ncap - mcap)
                 if t > 0:
                     pk = field.ppow(t)
                     co = [c // pk for c in co]
                     shift += t
-                    ncap -= t
-            if ncap > field.mcap:
-                ncap = field.mcap
-                mod = field.pmod
-                co = [c % mod for c in co]
+                co = [c % field.pmod for c in co]
+            else:
+                shift = min(shift + ncap, 2 * mcap) - mcap
+            ncap = mcap
         self.field = field
         self.co = tuple(co)
         self.shift = shift
@@ -544,8 +525,6 @@ class FieldElement:
     def __neg__(self):
         fld = self.field
         ncap = self.ncap
-        if ncap > fld.mcap:  # only zeros keep more than mcap digits
-            return self
         mod = fld._ppows[ncap]
         if fld.nbasis == 1:
             return _normal(fld, (-self.co[0] % mod,), self.shift, ncap)
@@ -576,8 +555,6 @@ class FieldElement:
         ncap = (a1 if a1 < a2 else a2) - s
         m1, m2 = pp[s1 - s], sign * pp[s2 - s]
         co = tuple(a * m1 + b * m2 for a, b in zip(self.co, other.co))
-        if ncap > fld.mcap:
-            return FieldElement(fld, co, s, ncap)
         mod = pp[ncap]
         return _normal(fld, tuple(c % mod for c in co), s, ncap)
 

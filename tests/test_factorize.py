@@ -11,6 +11,7 @@ import hermlat
 from hermlat import oracle
 from hermlat import classify, factorize, isometries
 from hermlat.errors import HermlatError, UnsupportedCase, VerificationFailed
+from hermlat.etale import EtaleAlgebra
 from hermlat.factorize import (
     Factorization,
     factor_unitary,
@@ -36,6 +37,7 @@ from hermlat.linalg import (
     vec_add,
     vec_scale,
 )
+from hermlat.localfield import LocalField
 from hermlat.oracle import random_symmetry, random_unitary
 from hermlat.specfile import parse_lattice
 
@@ -118,6 +120,28 @@ def test_roundtrip_small(alg_name, mk, request):
         verify_factorization(L, phi, f)
         if alg.kind in ("split", "inert"):
             assert not f.contains_eichler
+
+
+LARGE_RANK_FIELDS = [("Q2sqrt2", 2, 0, -2), ("Q3sqrt3", 3, 0, -3), ("inert2", 2, 1, 1)]
+
+
+@pytest.mark.parametrize("rank", [10, 12])
+@pytest.mark.parametrize("p,b,c", [f[1:] for f in LARGE_RANK_FIELDS],
+                         ids=[f[0] for f in LARGE_RANK_FIELDS])
+def test_large_rank_roundtrip_builds_no_large_power(p, b, c, rank):
+    """H(0) ⟂ H(1) ⟂ ... of rank 10 and 12 factors and certifies, and no
+    power of p cached by the field exceeds 4*mcap: a zero keeps at most mcap
+    digits, so no sum aligns an operand with a power of p from a runaway
+    shift."""
+    K = LocalField(p)
+    alg = EtaleAlgebra.quadratic(K, b, c)
+    lat = standard_H(alg, 0)
+    for k in range(1, rank // 2):
+        lat = orthogonal_sum(lat, standard_H(alg, k))
+    phi, _ = random_unitary(lat, 6, 0)
+    verify_factorization(lat, phi, factor_unitary(lat, phi))
+    assert max(K._ppows) <= 4 * K.mcap
+    assert K._masks is None or max(K._masks) <= 4 * K.mcap
 
 
 def _driver_word(lat, phi):

@@ -158,7 +158,12 @@ def _generic_mul(x, y):
     if ncap <= 0:
         raise PrecisionLoss("product has no guaranteed digits")
     co = fld._mul_co(x.co, y.co, fld.ppow(ncap))
-    return FieldElement(fld, co, x.shift + y.shift, ncap)
+    r = FieldElement(fld, co, x.shift + y.shift, ncap)
+    if ncap > fld.mcap and not any(r.co):
+        # a zero with more than mcap digits is stored at its absolute
+        # precision, up to 2*mcap
+        assert r.shift + r.ncap == min(x.shift + y.shift + ncap, 2 * fld.mcap)
+    return r
 
 
 def _generic_add(x, y):
@@ -195,7 +200,9 @@ def _outcome(fn, *args):
             raise
         return type(ex).__name__, str(ex)
     if isinstance(r, FieldElement):
-        # every result is in the normal form __init__ leaves behind
+        # every result, zero or not, is in the normal form __init__ leaves
+        # behind, with at most mcap digits
+        assert r.ncap <= r.field.mcap
         again = FieldElement(r.field, r.co, r.shift, r.ncap)
         assert (again.co, again.shift, again.ncap) == (r.co, r.shift, r.ncap)
         return r.co, r.shift, r.ncap
@@ -205,8 +212,9 @@ def _outcome(fn, *args):
 @st.composite
 def kernel_elements(draw, fld):
     """Elements built by the public constructor: units, elements with
-    p-content in their coefficients, zeros (up to the largest digit count a
-    zero keeps), and digit counts just above the guard; shifts of both signs."""
+    p-content in their coefficients, zeros (drawn with up to 3*mcap digits,
+    which the constructor brings down to mcap), and digit counts just above
+    the guard; shifts of both signs."""
     p, g, m = fld.p, fld.guard_digits, fld.mcap
     kind = draw(st.sampled_from(("unit", "content", "zero", "guard")))
     shift = draw(st.integers(-m, m))
