@@ -174,6 +174,23 @@ class EtaleAlgebra:
     def from_int(self, n):
         return self.from_K(self.base.from_int(n))
 
+    def divider(self, d):
+        """The map x -> x / d, its reciprocal part made once: conj(d) and
+        1/N(d), or the inverse of each slot when split.  Each quotient is
+        x * conj(d) * (1/N(d)), or x0 / d0 and x1 / d1 slot by slot, the
+        products that ``/`` forms."""
+        if self.kind == self.SPLIT:
+            if d.x0.is_zero() or d.x1.is_zero():
+                raise HermlatError(
+                    "split divisor has a zero component at precision")
+            i0, i1 = d.x0._invert(), d.x1._invert()
+            return lambda x: AlgElement(self, x.x0 * i0, x.x1 * i1)
+        nr = d.norm()
+        if nr.is_zero():
+            raise HermlatError("divisor is zero at precision")
+        cd, inv = d.conj(), self.from_K(nr._invert())
+        return lambda x: x * cd * inv
+
     def gen(self):
         """The second basis generator: (1,0) for split, the root g otherwise."""
         if self.kind == self.SPLIT:
@@ -658,16 +675,7 @@ class AlgElement:
             other = self._coerce(other)
             if other is NotImplemented:
                 return other
-        a = self.alg
-        if a.kind == EtaleAlgebra.SPLIT:
-            if other.x0.is_zero() or other.x1.is_zero():
-                raise HermlatError(
-                    "split divisor has a zero component at precision")
-            return AlgElement(a, self.x0 / other.x0, self.x1 / other.x1)
-        nr = other.norm()
-        if nr.is_zero():
-            raise HermlatError("divisor is zero at precision")
-        return self * other.conj() * self.alg.from_K(nr._invert())
+        return self.alg.divider(other)(self)
 
     def __rtruediv__(self, other):
         other = self._coerce(other)

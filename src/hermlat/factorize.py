@@ -626,10 +626,11 @@ def _transport_pair(drv, phi, u2, v2, scale_s, swap):
             continue
         gcu, gcv = lat.gram_conj(cur_u), lat.gram_conj(cur_v)
         puv = _dot(cur_u, gcv)
-        alpha = _dot(u2, gcv) / puv
-        beta = _dot(u2, gcu) / puv.conj()
-        gamma = _dot(v2, gcv) / puv
-        delta = _dot(v2, gcu) / puv.conj()
+        by_puv, by_pvu = alg.divider(puv), alg.divider(puv.conj())
+        alpha = by_puv(_dot(u2, gcv))
+        beta = by_pvu(_dot(u2, gcu))
+        gamma = by_puv(_dot(v2, gcv))
+        delta = by_pvu(_dot(v2, gcu))
         if beta.is_unit():
             g = make_symmetry(lat, *reflection_data(lat, cur_u, u2))
         elif gamma.is_unit():

@@ -20,12 +20,18 @@ degenerate cases where the rank-one form vanishes or, for y = 0 and
 is for bare matrices.
 
 A generator is I + sum w r^T over its update terms (w, r), one for a
-symmetry and two for an Eichler isometry (``_build``).  Its matrix and its
-action on vectors (``apply_generator``) and on matrices (``apply_word``) all
-come from these terms, built once with its lattice and kept with its
-functionals and, once decided, its membership verdict (a generator is not
-changed after construction); no word is multiplied out as matrices.  The
-rewriting identities (``compose_eichler``, ``twist_by_skew``) are exact, and
+symmetry and two for an Eichler isometry (``_build``).  Its action on
+vectors (``apply_generator``) and on matrices (``apply_word``) comes from
+these terms, made once per lattice and kept with its functionals and, once
+decided, its membership verdict (a generator is not changed after
+construction).  Its matrix is built from the terms only when
+``matrix_of`` asks for it, and then kept too; no word is multiplied out as
+matrices.  The integrality half of membership is read off the terms: the
+matrix is integral when min v(w) + min v(r) >= 0 for every term (slot by
+slot when E is split), since valuations of products add.  For one nonzero
+term that is exact both ways; only two terms that fail it, whose products
+may cancel, fall back to the matrix.  The rewriting identities
+(``compose_eichler``, ``twist_by_skew``) are exact, and
 ``eichler_to_symmetries`` checks each rewrite once where it is made: each
 symmetry's membership, and the word applied to the identity against the
 Eichler isometry's matrix.
@@ -125,18 +131,27 @@ def apply_word(lat, word, m):
 
 
 def matrix_of(lat, g):
-    """The matrix of g on the basis of lat, built once per lattice."""
-    return _build(lat, g)[0]
+    """The matrix of g on the basis of lat, built from its update terms on
+    the first call and kept with them."""
+    built = _build(lat, g)
+    if built[0] is None:
+        m = identity(lat.alg, lat.n)
+        for w, r in built[2]:
+            m = tuple(tuple(e + rj * wi for e, rj in zip(row, r))
+                      for row, wi in zip(m, w))
+        built[0] = m
+    return built[0]
 
 
 def _build(lat, g):
     """[matrix, functionals, terms, member] of g on lat, made once per
-    lattice and kept in g; ``member`` is None until ``in_unitary_group``
-    decides it.  g is I + sum w r^T over its update terms (w, r): (s, -c)
-    for a symmetry, c = G conj(s)/sigma; (y, a) and (u, b) for an Eichler
-    isometry, a = G conj(u)/<v,u> and b = mu a - G conj(y)/<u,v>.  The
-    functionals are G conj(s) of a symmetry, and (G conj(u), G conj(y),
-    <u,v>) of an Eichler isometry."""
+    lattice and kept in g; ``matrix`` is None until ``matrix_of`` builds it
+    and ``member`` until ``in_unitary_group`` decides it.  g is
+    I + sum w r^T over its update terms (w, r): (s, -c) for a symmetry,
+    c = G conj(s)/sigma; (y, a) and (u, b) for an Eichler isometry,
+    a = G conj(u)/<v,u> and b = mu a - G conj(y)/<u,v>.  The functionals
+    are G conj(s) of a symmetry, and (G conj(u), G conj(y), <u,v>) of an
+    Eichler isometry."""
     if isinstance(g, (Symmetry, EichlerIsometry)) and g._built is not None \
             and g._built[0] is lat:
         return g._built[1]
@@ -148,18 +163,16 @@ def _build(lat, g):
     elif isinstance(g, EichlerIsometry):
         gu = lat.gram_conj(g.u)
         gy = lat.gram_conj(g.y)
-        pvu = _dot(g.v, gu)
+        by_pvu = alg.divider(_dot(g.v, gu))
         puv = lat.inner(g.u, g.v)
-        a = tuple(e / pvu for e in gu)
-        b = tuple(g.mu * aj - ej / puv for aj, ej in zip(a, gy))
+        a = tuple(by_pvu(e) for e in gu)
+        by_puv = alg.divider(puv)
+        b = tuple(g.mu * aj - by_puv(ej) for aj, ej in zip(a, gy))
         f = (gu, gy, puv)
         terms = ((g.y, a), (g.u, b))
     else:
         raise HermlatError(f"not a generator: {g!r}")
-    m = identity(alg, lat.n)
-    for w, r in terms:
-        m = tuple(tuple(e + rj * wi for e, rj in zip(row, r)) for row, wi in zip(m, w))
-    g._built = (lat, [m, f, terms, None])
+    g._built = (lat, [None, f, terms, None])
     return g._built[1]
 
 
@@ -181,16 +194,52 @@ def gram_preserved(lat, m):
 
 def in_unitary_group(lat, g_or_matrix):
     """Membership in U(L).  A generator is tested from its data, in O(n^2),
-    once per lattice: the integrality of its matrix and its defining
-    identity (see the module docstring).  A bare matrix gets the exact test:
-    integral, and preserving the Gram."""
+    once per lattice: the integrality of its matrix, from its terms, and its
+    defining identity (see the module docstring).  A bare matrix gets the
+    exact test: integral, and preserving the Gram."""
     g = g_or_matrix
     if not isinstance(g, (Symmetry, EichlerIsometry)):
         return is_integral_matrix(g) and gram_preserved(lat, g)
     built = _build(lat, g)
     if built[3] is None:
-        built[3] = is_integral_matrix(built[0]) and _defect_vanishes(g, built[1])
+        integral = _terms_integral(lat.alg, built[2])
+        if integral is None:
+            integral = is_integral_matrix(matrix_of(lat, g))
+        built[3] = integral and _defect_vanishes(g, built[1])
     return built[3]
+
+
+def _terms_integral(alg, terms):
+    """Whether I + sum w r^T is integral, read off the valuations of its
+    terms: True when min v(w) + min v(r) >= 0 for every term, per slot when
+    E is split; False when exactly one term fails it; None when more do,
+    as their products may cancel.  A product of nonzero elements is nonzero
+    with the sum of their valuations, so the least valuation of w r^T is
+    min v(w) + min v(r), and neither I nor integral terms can lift a
+    negative one."""
+    split = alg.kind == EtaleAlgebra.SPLIT
+    failed = 0
+    for w, r in terms:
+        if split:
+            vw, vr = _least_slots(alg, w), _least_slots(alg, r)
+            failed += (vw is not None and vr is not None
+                       and (vw[0] + vr[0] < 0 or vw[1] + vr[1] < 0))
+        else:
+            vw = min((alg.vP(x) for x in w if not x.is_zero()), default=None)
+            vr = min((alg.vP(x) for x in r if not x.is_zero()), default=None)
+            failed += vw is not None and vr is not None and vw + vr < 0
+    if failed > 1:
+        return None
+    return not failed
+
+
+def _least_slots(alg, vec):
+    """The least valuation in each slot over the nonzero entries of vec
+    (INF for a slot that is zero throughout), or None when vec is zero."""
+    vals = [alg.valuation_P(x) for x in vec if not x.is_zero()]
+    if not vals:
+        return None
+    return min(v.a for v in vals), min(v.b for v in vals)
 
 
 def _defect_vanishes(g, f):

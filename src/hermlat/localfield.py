@@ -581,8 +581,17 @@ class FieldElement:
         if ncap <= 0:
             raise PrecisionLoss("product has no guaranteed digits")
         co = fld._mul_co(self.co, other.co, fld._ppows[ncap])
-        if ncap > fld.mcap:
-            return FieldElement(fld, co, s, ncap)
+        mcap = fld.mcap
+        if ncap > mcap:
+            if not any(co):
+                return FieldElement(fld, co, s, ncap)
+            # renormalise as __init__ would: the least valuation of a
+            # nonzero product's coefficients is (v1 + v2) // d, as in _mul_raw
+            t = (v1 + v2) // d
+            if t > ncap - mcap:
+                t = ncap - mcap
+            pk, pmod = fld._ppows[t], fld.pmod
+            return _normal(fld, tuple(c // pk % pmod for c in co), s + t, mcap)
         return _normal(fld, co, s, ncap)
 
     __rmul__ = __mul__

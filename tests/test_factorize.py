@@ -31,6 +31,7 @@ from hermlat.linalg import (
     basis_vector,
     cols_of,
     identity,
+    mat_eq,
     mat_from_cols,
     mat_mul,
     mat_vec,
@@ -412,6 +413,21 @@ def test_factor_unitary_multiplies_no_matrices(monkeypatch):
     f = factor_unitary(lat, phi)
     assert callers == [("gram_preserved", "_check_input")] * 2
     assert not f.contains_eichler and len(f) == 4
+
+
+@pytest.mark.parametrize("name", ["q2i-h0h0.lat", "f4ram.lat", "split3.lat"])
+def test_factoring_builds_no_generator_matrix(name):
+    """factor_unitary and its certificate apply and test every generator of
+    the word through its update terms: none has its matrix built, and the
+    word still multiplies out to phi."""
+    lat = _catalog_lattice(name)
+    for seed in range(3):
+        phi = random_unitary(lat, 4, seed)[0]
+        f = factor_unitary(lat, phi)
+        verify_factorization(lat, phi, f)
+        assert len(f) > 0
+        assert all(g._built[0] is lat and g._built[1][0] is None for g in f)
+        assert mat_eq(f.matrix(), phi)
 
 
 def _factor_key(lat, phi):

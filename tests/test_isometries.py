@@ -13,7 +13,9 @@ from hermlat.etale import EtaleAlgebra
 from hermlat.isometries import (
     EichlerIsometry,
     Symmetry,
+    _build,
     _reduce_eichler,
+    _terms_integral,
     _two_symmetries,
     apply_generator,
     apply_word,
@@ -345,6 +347,17 @@ def _outcome(test, lat, g):
         return type(ex)
 
 
+def _membership_by(lat, g):
+    """in_unitary_group on an unbuilt copy of g, and which test decided the
+    integrality of its matrix: its terms, or the matrix they fell back to."""
+    g = _unbuilt(g)
+    try:
+        member = in_unitary_group(lat, g)
+    except HermlatError as ex:
+        return type(ex), "raised"
+    return member, "terms" if g._built[1][0] is None else "matrix"
+
+
 def _matrix_test(lat, g):
     m = matrix_of(lat, g)
     return is_integral_matrix(m) and gram_preserved(lat, m)
@@ -354,13 +367,30 @@ def _matrix_test(lat, g):
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
 @given(perturbed_generators())
 def test_membership_agrees_with_the_matrix_test(case):
-    """in_unitary_group decides from the generator's identity and its
-    matrix's integrality exactly what the O(n^3) test decides on the
-    matrix, raised exceptions included."""
+    """in_unitary_group decides from the generator's identity and the
+    integrality read off its terms, or its matrix when they may cancel,
+    exactly what the O(n^3) test decides on the matrix, raised exceptions
+    included."""
     lat, g = case
     want = _outcome(_matrix_test, lat, g)
-    event(f"{type(g).__name__}: {getattr(want, '__name__', want)}")
-    assert _outcome(in_unitary_group, lat, g) == want
+    got, by = _membership_by(lat, g)
+    event(f"{type(g).__name__}: {getattr(want, '__name__', want)} by {by}")
+    assert got == want
+
+
+def test_cancelling_eichler_terms_fall_back_to_the_matrix(Q2sqrt2):
+    """E_y^mu on the pair (e1, e2) of H(0) ⟂ <2> with y = e1/2 and mu = sqrt2
+    (skew): both terms have a denominator 2, but <x, y> = <x, e1>/2 and
+    <u,v> = <v,u> = 1, so they cancel to x -> x + sqrt2 <x,e1> e1, which is
+    integral.  The terms cannot decide, the matrix does, and the isometry is
+    in U(L)."""
+    L = _membership_lattice("Q2(sqrt2)", 64)
+    alg = L.alg
+    u, v = basis_vector(alg, 3, 0), basis_vector(alg, 3, 1)
+    e = make_eichler(L, u, v, vec_scale(alg.one / alg.from_int(2), u), alg.gen())
+    assert _terms_integral(alg, _build(L, e)[2]) is None
+    assert _membership_by(L, e) == (True, "matrix")
+    assert _matrix_test(L, e)
 
 
 def test_eichler_data_on_an_anisotropic_u_are_rejected(Q2sqrt2):

@@ -1,12 +1,16 @@
-"""The schedule digest of ``tools/schedule_digest.py``.
+"""The schedule digest of ``tools/schedule_digest.py`` and the summary of
+``tools/bench_pair.py``.
 
-The tool is run on a small schedule built here, not on a benchmark schedule,
-so its records are checked without pinning ``perfbench/workloads.py``: one
-record per operation and a last schedule record, the same output on every
-run, and an operation that raises recorded as failed with its exception.
-The value digest sees values, not precision counts.
+The digest tool is run on a small schedule built here, not on a benchmark
+schedule, so its records are checked without pinning
+``perfbench/workloads.py``: one record per operation and a last schedule
+record, the same output on every run, and an operation that raises recorded
+as failed with its exception.  The value digest sees values, not precision
+counts.  The pair summary is checked on canned result lines; no benchmark
+runs.
 """
 
+import json
 import os
 import random
 import sys
@@ -22,6 +26,7 @@ from hermlat.specfile import parse_lattice
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "tools"))
+from bench_pair import format_rows, summarize  # noqa: E402
 from schedule_digest import digests, exact_key, schedule_records  # noqa: E402
 
 
@@ -70,3 +75,28 @@ def test_value_digest_ignores_the_precision_count():
     (sha_x, value_x), (sha_y, value_y) = (
         digests({"generators": [[e, alg.one]], "residual_precision": 64}) for e in (x, y))
     assert value_x == value_y and sha_x != sha_y
+
+
+def _result_line(per_s, p90, rss):
+    """A last line of ``perfbench/run.py``, as it prints it."""
+    metrics = {"factor_per_s": {"value": per_s, "unit": "1/s"},
+               "factor_s_p90": {"value": p90, "unit": "s"},
+               "peak_rss_mb": {"value": rss, "unit": "MB"}}
+    return json.dumps({"correct": True, "attempted": 40, "failed": 0, "metrics": metrics})
+
+
+def test_bench_pair_summary_counts_wins_in_the_better_direction():
+    pairs = [(json.loads(_result_line(*b)), json.loads(_result_line(*h)))
+             for b, h in (((30.0, 0.060, 25.0), (36.0, 0.050, 25.0)),
+                          ((31.0, 0.070, 25.0), (30.0, 0.050, 25.0)),
+                          ((29.0, 0.065, 25.0), (35.0, 0.070, 25.0)))]
+    better = {"factor_per_s": "higher", "factor_s_p90": "lower"}
+    rows = summarize(pairs, better)
+    assert [r[0] for r in rows] == ["factor_per_s", "factor_s_p90"]
+    per_s, p90 = rows
+    assert per_s[1] == (30.0, 29.5, 30.5) and per_s[2] == (35.0, 32.5, 35.5)
+    assert per_s[3:] == (2, 3)
+    assert p90[1] == (0.065, 0.0625, 0.0675) and p90[2][0] == 0.05
+    assert p90[3:] == (2, 3)
+    table = format_rows(rows).splitlines()
+    assert len(table) == 3 and table[1].startswith("factor_per_s") and table[1].endswith("2/3")
