@@ -25,6 +25,11 @@ coefficient directly, through ``_mul_raw`` and ``_add_raw``, which the flat
 kernel of ``etale`` shares; for p = 2 they reduce with bit masks.  Both
 shortcuts return the same ``(co, shift, ncap)`` as ``__init__`` would, and
 raise ``PrecisionLoss`` at the same points.
+
+Inversion.  A nonzero element is a power of p times a unit, after a twist
+by a power of t.  The unit is inverted by one exact modular inverse: of its
+coefficient modulo p^ncap when K = Q_p, otherwise by elimination on its
+multiplication matrix with unit pivots.
 """
 
 from __future__ import annotations
@@ -87,13 +92,6 @@ def gf_pow(a, n, p, redpoly):
         base = gf_mul(base, base, p, redpoly)
         n >>= 1
     return result
-
-
-def gf_inv(a, p, redpoly):
-    if not any(a):
-        raise ZeroDivisionError("zero in residue field")
-    q = p ** len(a)
-    return gf_pow(a, q - 2, p, redpoly)
 
 
 def gf_elements(p, f):
@@ -597,16 +595,38 @@ class FieldElement:
     __rmul__ = __mul__
 
     def _invert(self):
+        """The inverse, to the relative precision of self.
+
+        Write self = p^shift * t^-r * p^spow * num with num a unit of O_K,
+        r < d chosen so that v(self's coordinates) + r is a multiple of d.
+        A unit has exactly one inverse modulo p^ncap_u * O_K, and its
+        coordinates over the integral basis ``w^a t^b`` are reduced modulo
+        p^ncap_u, so any exact method gives the same ``(co, shift, ncap)``:
+        one modular inverse of the coefficient when K = Q_p, otherwise the
+        solution of ``M_num * y = 1`` modulo p^ncap_u, where M_num is the
+        matrix of multiplication by num, eliminated with unit pivots
+        (det M_num = N(num) is a unit, so one always exists)."""
         fld = self.field
         if self.is_zero():
             raise HermlatError("division by zero at working precision")
-        p, d, f = fld.p, fld.d, fld.f
+        p, d, f, n = fld.p, fld.d, fld.f, fld.nbasis
+        if n == 1:
+            c = self.co[0]
+            spow = _int_valuation(c, p, self.ncap)
+            ncap_u = self.ncap - spow
+            if ncap_u <= fld.guard_digits:
+                raise PrecisionLoss("inverse would fall below the precision guard")
+            mod = fld._ppows[ncap_u]
+            # c // p^spow is a unit, so the inverse exists
+            return _normal(fld, (pow(c // fld._ppows[spow], -1, mod),),
+                           -self.shift - spow, ncap_u)
         vnum = fld._co_valuation(self.co, self.ncap)
         r = (d - vnum % d) % d
         if r:
-            tco = [0] * fld.nbasis
-            tco[r * f] = 1
-            num = fld._mul_co(self.co, tuple(tco), fld.pmod)
+            tr = [0] * n
+            tr[r * f] = 1
+            tr = tuple(tr)
+            num = fld._mul_co(self.co, tr, fld.pmod)
         else:
             num = self.co
         spow = (vnum + r) // d
@@ -618,22 +638,28 @@ class FieldElement:
         ncap_u = self.ncap - spow
         if ncap_u <= fld.guard_digits:
             raise PrecisionLoss("inverse would fall below the precision guard")
-        # Hensel: invert the residue, then Newton-lift
-        res = tuple(c % p for c in num[:f])
-        y0 = gf_inv(res, p, fld._respoly)
-        y = tuple(list(y0) + [0] * (fld.nbasis - f))
         mod = fld._ppows[ncap_u]
-        known = 1
-        two = tuple([2] + [0] * (fld.nbasis - 1))
-        while known < ncap_u * d:
-            t = fld._mul_co(num, y, mod)
-            t = tuple((a - b) % mod for a, b in zip(two, t))
-            y = fld._mul_co(y, t, mod)
-            known *= 2
+        # rows[k] = (M_num[k][0..n-1] | [k == 0]): coordinate k of num * y
+        rows = [[0] * n + [int(k == 0)] for k in range(n)]
+        table = fld._mul_table
+        for i, ni in enumerate(num):
+            if ni:
+                for j, tij in enumerate(table[i]):
+                    for k, tk in enumerate(tij):
+                        if tk:
+                            rows[k][j] += ni * tk
+        for col in range(n):
+            piv = next(k for k in range(col, n) if rows[k][col] % p)
+            rows[col], rows[piv] = rows[piv], rows[col]
+            inv = pow(rows[col][col], -1, mod)
+            prow = rows[col] = [c * inv % mod for c in rows[col]]
+            for k, row in enumerate(rows):
+                a = row[col]
+                if a and k != col:
+                    rows[k] = [(x - a * y) % mod for x, y in zip(row, prow)]
+        y = tuple(row[n] for row in rows)
         if r:
-            tco = [0] * fld.nbasis
-            tco[r * f] = 1
-            y = fld._mul_co(y, tuple(tco), mod)
+            y = fld._mul_co(y, tr, mod)
         # a unit times a power of p: nonzero, and ncap_u <= ncap <= mcap
         return _normal(fld, y, -self.shift - spow, ncap_u)
 

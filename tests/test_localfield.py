@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hermlat.errors import HermlatError, PrecisionLoss
-from hermlat.localfield import FieldElement, LocalField
+from hermlat.localfield import FieldElement, LocalField, gf_pow
 
 
 def test_integer_arithmetic_embeds(Q2):
@@ -144,7 +144,8 @@ KERNEL_FIELDS = [
     LocalField(p, unramified_poly=upoly, eisenstein_poly=epoly,
                precision=prec, guard=guard)
     for p, upoly, epoly in ((2, None, None), (3, None, None), (5, None, None),
-                            (2, [1, 1], None), (2, None, [-2, 0]))
+                            (2, [1, 1], None), (2, None, [-2, 0]),
+                            (2, [1, 1], [-2, 0]), (3, None, [3, 3, 0]))
     for prec, guard in ((8, 4), (64, 16))
 ]
 
@@ -164,6 +165,36 @@ def _generic_mul(x, y):
         # precision, up to 2*mcap
         assert r.shift + r.ncap == min(x.shift + y.shift + ncap, 2 * fld.mcap)
     return r
+
+
+def _generic_invert(x):
+    """The inverse by a Newton lift at full precision: twist x into a unit
+    num (times t^r and divided by p^spow), invert num's residue, double the
+    known digits until p^ncap_u, and undo the twist."""
+    fld = x.field
+    p, d, f, n = fld.p, fld.d, fld.f, fld.nbasis
+    vnum = fld._co_valuation(x.co, x.ncap)
+    r = (d - vnum % d) % d
+    tr = tuple(int(k == r * f) for k in range(n))
+    num = fld._mul_co(x.co, tr, fld.pmod)
+    spow = (vnum + r) // d
+    pk = fld.ppow(spow)
+    assert not any(c % pk for c in num)
+    num = tuple(c // pk for c in num)
+    ncap_u = x.ncap - spow
+    if ncap_u <= fld.guard_digits:
+        raise PrecisionLoss("inverse would fall below the precision guard")
+    res = tuple(c % p for c in num[:f])
+    y = gf_pow(res, fld.q - 2, p, fld._respoly) + (0,) * (n - f)
+    mod = fld.ppow(ncap_u)
+    two = (2,) + (0,) * (n - 1)
+    known = 1
+    while known < ncap_u * d:
+        t = fld._mul_co(num, y, mod)
+        y = fld._mul_co(y, tuple((a - b) % mod for a, b in zip(two, t)), mod)
+        known *= 2
+    y = fld._mul_co(y, tr, mod)
+    return FieldElement(fld, y, -x.shift - spow, ncap_u)
 
 
 def _generic_add(x, y):
@@ -243,7 +274,28 @@ def test_kernel_matches_generic_constructor(data):
     assert _outcome(operator.neg, x) == _outcome(_generic_neg, x)
     assert _outcome(FieldElement.valuation, x) == _outcome(_generic_valuation, x)
     if any(x.co):
-        _outcome(FieldElement._invert, x)
+        assert _outcome(FieldElement._invert, x) == _outcome(_generic_invert, x)
+
+
+@pytest.mark.parametrize("fld", KERNEL_FIELDS, ids=repr)
+def test_inverse_times_element_is_one(fld):
+    """x * x^-1 - 1 is zero at working precision, for units and for
+    elements with p-content, at every twist t^r the field has."""
+    rng = random.Random(f"invert-{fld!r}")
+    p, m, g = fld.p, fld.mcap, fld.guard_digits
+    twists = set()
+    for trial in range(60):
+        # content p^k (none on even trials), and a least-valuation
+        # coordinate of t-degree b: the inverse keeps at least m - k - 1 > g
+        # digits
+        k = 0 if trial % 2 == 0 else rng.randrange(1, m - g - 1)
+        co = [rng.randrange(p ** (m - k - 1)) * p ** (k + 1) for _ in range(fld.nbasis)]
+        b = rng.randrange(fld.d)
+        co[b * fld.f] += p ** k * rng.randrange(1, p)
+        x = FieldElement(fld, co, rng.randrange(-m, m), m)
+        twists.add(-b % fld.d)
+        assert (x * x._invert() - 1).is_zero()
+    assert twists == set(range(fld.d))
 
 
 def test_mixed_fields_are_rejected():

@@ -6,8 +6,8 @@ schedule, so its records are checked without pinning
 ``perfbench/workloads.py``: one record per operation and a last schedule
 record, the same output on every run, and an operation that raises recorded
 as failed with its exception.  The value digest sees values, not precision
-counts.  The pair summary is checked on canned result lines; no benchmark
-runs.
+counts.  The comparison of two digest runs (``--against``) and the pair
+summary are checked on canned records and result lines; no benchmark runs.
 """
 
 import json
@@ -27,7 +27,13 @@ from hermlat.specfile import parse_lattice
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "tools"))
 from bench_pair import format_rows, summarize  # noqa: E402
-from schedule_digest import digests, exact_key, schedule_records  # noqa: E402
+from schedule_digest import (  # noqa: E402
+    compare,
+    digests,
+    exact_key,
+    format_comparison,
+    schedule_records,
+)
 
 
 def _schedule():
@@ -75,6 +81,40 @@ def test_value_digest_ignores_the_precision_count():
     (sha_x, value_x), (sha_y, value_y) = (
         digests({"generators": [[e, alg.one]], "residual_precision": 64}) for e in (x, y))
     assert value_x == value_y and sha_x != sha_y
+
+
+def _digest_run(ops, inputs="in", failed=0):
+    """The records of one digest run: ops are (sha256, value_sha256) pairs;
+    the schedule record's digests are joined from them."""
+    records = [{"record": "inputs", "workload": "ramified", "seed": 1, "digest": inputs}]
+    records += [{"record": "op", "index": i, "kind": "factor", "lattice": f"lat{i}",
+                 "sha256": sha, "value_sha256": value} for i, (sha, value) in enumerate(ops)]
+    records.append({"record": "schedule", "ops": len(ops), "failed": failed,
+                    "sha256": "".join(s for s, _ in ops),
+                    "value_sha256": "".join(v for _, v in ops)})
+    return records
+
+
+def test_digest_comparison_names_the_first_differing_op():
+    base = _digest_run([("a", "A"), ("b", "B"), ("c", "C")])
+    same = compare(base, _digest_run([("a", "A"), ("b", "B"), ("c", "C")]))
+    assert same == {"inputs": True, "sha256": True, "value_sha256": True,
+                    "failed": (0, 0), "first": None}
+    assert format_comparison(1, same) == (
+        "seed 1: sha256 equal, value_sha256 equal (failed 0 base, 0 head)")
+
+    # precision counts moved at op 1, values too at op 2
+    moved = compare(base, _digest_run([("a", "A"), ("x", "B"), ("y", "Y")], failed=1))
+    assert (moved["sha256"], moved["value_sha256"]) == (False, False)
+    assert moved["failed"] == (0, 1) and moved["first"] == (1, "factor", "lat1", ["sha256"])
+    assert format_comparison(2, moved).endswith(
+        "first differing op 1 (factor lat1): sha256")
+
+    # an op missing on one side differs in both digests; other inputs are named
+    short = compare(base, _digest_run([("a", "A"), ("b", "B")], inputs="other"))
+    assert not short["inputs"] and short["first"] == (2, "factor", "lat2",
+                                                      ["sha256", "value_sha256"])
+    assert format_comparison(3, short).startswith("seed 3: inputs DIFFER, sha256 DIFFER")
 
 
 def _result_line(per_s, p90, rss):

@@ -1,6 +1,7 @@
 """Exact digests of every result of one benchmark schedule.
 
     python3 tools/schedule_digest.py --workload ramified --seed 3
+    python3 tools/schedule_digest.py --workload ramified --seeds 1 2 3 --against HEAD~1
 
 Run from the root of a checkout; the program is imported from ``src/`` and
 the schedule from ``perfbench/workloads.py``, so the operations are the ones
@@ -26,6 +27,15 @@ lines on two commits show that they compute the same results on that
 schedule; equal ``value_sha256`` alone, the same values with other
 precision counts.
 
+Several seeds print one such block each.  With ``--against REV`` the
+revision is exported with ``git archive`` into a temporary directory, this
+script and ``bench_pair.py`` are copied into it, so both sides hash alike,
+and each seed's schedule is digested there ("base") and in the checkout
+("head"), each in a fresh process.  One line per seed tells whether
+``sha256`` and ``value_sha256`` of the whole schedule agree and names the
+first operation whose digests differ; the exit status is 1 if any seed
+differs.
+
 ``exact_key`` is the one exact form of results; the golden digests of
 ``tests/test_kernel_identity.py`` use it too.
 """
@@ -34,14 +44,19 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
+import shutil
+import subprocess
 import sys
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import workloads  # noqa: E402
+from bench_pair import export  # noqa: E402
 from hermlat import classify, factorize  # noqa: E402
 from hermlat.isometries import EichlerIsometry, matrix_of  # noqa: E402
 
@@ -146,20 +161,92 @@ def schedule_records(schedule):
            "sha256": whole.hexdigest(), "value_sha256": whole_value.hexdigest()}
 
 
+DIGESTS = ("sha256", "value_sha256")
+
+
+def compare(base, head):
+    """How two runs of one schedule differ, given the records each printed:
+    ``inputs`` (equal input digests), each of ``DIGESTS`` (equal digests of
+    the whole schedule), ``failed`` (the failure count of each side) and
+    ``first``: None, or the first operation whose records differ (a missing
+    one counts) as ``(index, kind, lattice, names of the differing
+    digests)``."""
+    def parts(records):
+        by_kind = {}
+        for r in records:
+            by_kind.setdefault(r["record"], []).append(r)
+        return by_kind["inputs"][0], by_kind.get("op", []), by_kind["schedule"][0]
+
+    (b_in, b_ops, b_all), (h_in, h_ops, h_all) = parts(base), parts(head)
+    out = {"inputs": b_in["digest"] == h_in["digest"],
+           "failed": (b_all["failed"], h_all["failed"]), "first": None}
+    out.update((k, b_all[k] == h_all[k]) for k in DIGESTS)
+    for b, h in itertools.zip_longest(b_ops, h_ops, fillvalue={}):
+        differ = [k for k in DIGESTS if b.get(k) != h.get(k)]
+        if differ:
+            op = b or h
+            out["first"] = (op["index"], op["kind"], op["lattice"], differ)
+            break
+    return out
+
+
+def format_comparison(seed, cmp):
+    words = [f"seed {seed}:"]
+    if not cmp["inputs"]:
+        words.append("inputs DIFFER,")
+    words.append(", ".join(f"{k} {'equal' if cmp[k] else 'DIFFER'}" for k in DIGESTS))
+    words.append("(failed %d base, %d head)" % cmp["failed"])
+    if cmp["first"] is not None:
+        index, kind, lattice, differ = cmp["first"]
+        words.append(f"first differing op {index} ({kind} {lattice}): {', '.join(differ)}")
+    return " ".join(words)
+
+
+def run_records(checkout, workload, seed):
+    """The records this script prints for one seed in checkout, in a fresh
+    process."""
+    out = subprocess.run([sys.executable, os.path.join("tools", "schedule_digest.py"),
+                          "--workload", workload, "--seed", str(seed)],
+                         cwd=checkout, check=True, capture_output=True, text=True).stdout
+    return [json.loads(line) for line in out.splitlines()]
+
+
+def against(rev, workload, seeds):
+    """Compare each seed's schedule at rev with the checkout; True if every
+    seed agrees on both digests and on its inputs."""
+    same = True
+    with tempfile.TemporaryDirectory(prefix="schedule-digest-") as base_dir:
+        export(rev, base_dir)
+        os.makedirs(os.path.join(base_dir, "tools"), exist_ok=True)
+        for name in ("schedule_digest.py", "bench_pair.py"):
+            shutil.copy(os.path.join(ROOT, "tools", name), os.path.join(base_dir, "tools"))
+        for seed in seeds:
+            cmp = compare(run_records(base_dir, workload, seed),
+                          run_records(ROOT, workload, seed))
+            same = same and cmp["inputs"] and all(cmp[k] for k in DIGESTS)
+            print(format_comparison(seed, cmp), flush=True)
+    return same
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", choices=workloads.WORKLOADS, required=True)
-    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--seeds", "--seed", dest="seeds", type=int, nargs="+", required=True)
+    ap.add_argument("--against", metavar="REV", help="compare with this revision")
     args = ap.parse_args(argv)
 
-    lats = workloads.build(args.workload)
-    schedule = workloads.make_inputs(args.workload, lats, args.seed)
-    print(json.dumps({"record": "inputs", "workload": args.workload, "seed": args.seed,
-                      "digest": workloads.digest(args.workload, lats, schedule)}),
-          flush=True)
-    for record in schedule_records(schedule):
-        print(json.dumps(record), flush=True)
+    if args.against:
+        return 0 if against(args.against, args.workload, args.seeds) else 1
+    for seed in args.seeds:
+        lats = workloads.build(args.workload)
+        schedule = workloads.make_inputs(args.workload, lats, seed)
+        print(json.dumps({"record": "inputs", "workload": args.workload, "seed": seed,
+                          "digest": workloads.digest(args.workload, lats, schedule)}),
+              flush=True)
+        for record in schedule_records(schedule):
+            print(json.dumps(record), flush=True)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
