@@ -22,7 +22,10 @@ or sum keeps at least the least ncap of its operands, so no intermediate
 can fall below the precision guard; the guard runs on the results.  Each
 operand's valuation is taken once per product, and those of b and c once,
 when the algebra is built.  Split algebras and bases with ``nbasis > 1``
-go through the composed path.
+go through the composed path.  A product of field kind with a zero factor
+multiplies no integers: the flat kernel works out the shift and ncap of
+each intermediate inline, and over ``nbasis > 1`` the zero products of K
+are added by precision alone (the zero rule of ``localfield``).
 """
 
 from __future__ import annotations
@@ -662,6 +665,13 @@ class AlgElement:
         if a.kind == EtaleAlgebra.SPLIT:
             return AlgElement(a, self.x0 * other.x0, self.x1 * other.x1)
         x0, x1, y0, y1 = self.x0, self.x1, other.x0, other.x1
+        if not (any(x0.co) or any(x1.co)) or not (any(y0.co) or any(y1.co)):
+            # a zero factor: every product and sum is a zero (see "Normal
+            # form" in localfield), so the sums need only precision data
+            cross = x1 * y1
+            new1 = (x0 * y1, x1 * y0) if a._b_zero else (x0 * y1, x1 * y0, a.b * cross)
+            return AlgElement(a, _zero_sum(a.base, (x0 * y0, a.c * cross)),
+                              _zero_sum(a.base, new1))
         cross = x1 * y1
         new1 = x0 * y1 + x1 * y0
         if not a._b_zero:
@@ -790,6 +800,13 @@ class AlgElement:
         return f"{self.x0.poly_str()} + ({self.x1.poly_str()})*pi"
 
 
+def _zero_sum(K, zeros):
+    """The sum of zeros of K, by ``_add_raw``'s rule: the least shift and
+    the least absolute precision, with no coefficient arithmetic."""
+    s = min(z.shift for z in zeros)
+    return _normal(K, K.zero.co, s, min(z.shift + z.ncap for z in zeros) - s)
+
+
 # ---------------------------------------------------------------------------
 # the flat kernel: field kinds over K = Q_p
 # ---------------------------------------------------------------------------
@@ -807,7 +824,9 @@ def _flat_product(alg, a, b):
     triples ``(c0, s0, n0, c1, s1, n1)``.  The intermediates are those of
     the composed product, ``cross = x1*y1``, ``x0*y1 + x1*y0 - b*cross``
     and ``x0*y0 - c*cross``, each formed by the rule of its
-    ``FieldElement`` operation; only the operands' valuations are new."""
+    ``FieldElement`` operation; only the operands' valuations are new.
+    When a or b is zero, every intermediate is a zero, worked out inline by
+    the zero rule of ``localfield``'s "Normal form" paragraph."""
     K = alg.base
     e = a.x0
     x0, s0, n0 = e.co[0], e.shift, e.ncap
@@ -826,6 +845,47 @@ def _flat_product(alg, a, b):
         p = K.p
         v0, v1 = _int_valuation(x0, p, n0), _int_valuation(x1, p, n1)
         w0, w1 = _int_valuation(y0, p, m0), _int_valuation(y1, p, m1)
+    if not (x0 or x1) or not (y0 or y1):
+        # a zero product of valuations v and w has ncap v + w (v(zero) =
+        # ncap) at the sum of the shifts, and past mcap it keeps its
+        # absolute precision, up to 2*mcap; a sum keeps the least shift and
+        # the least absolute precision: (s, r) for x1's, (u, k) for x0's
+        M = K.mcap
+        M2 = M + M
+        cs, cn = s1 + t1, v1 + w1                                # x1*y1
+        if cn > M:
+            cs, cn = (cs + cn if cs + cn < M2 else M2) - M, M
+        s, n = s0 + t1, v0 + w1                                  # x0*y1
+        if n > M:
+            s, n = (s + n if s + n < M2 else M2) - M, M
+        t, m = s1 + t0, v1 + w0                                  # x1*y0
+        if m > M:
+            t, m = (t + m if t + m < M2 else M2) - M, M
+        r = s + n if s + n < t + m else t + m
+        if t < s:
+            s = t
+        if not alg._b_zero:
+            _, t, _, m = alg._b_raw                              # b*cross
+            t, m = t + cs, m + cn
+            if m > M:
+                t, m = (t + m if t + m < M2 else M2) - M, M
+            if t + m < r:
+                r = t + m
+            if t < s:
+                s = t
+        u, k = s0 + t0, v0 + w0                                  # x0*y0
+        if k > M:
+            u, k = (u + k if u + k < M2 else M2) - M, M
+        _, t, _, m = alg._c_raw                                  # c*cross
+        t, m = t + cs, m + cn
+        if m > M:
+            t, m = (t + m if t + m < M2 else M2) - M, M
+        k += u
+        if t + m < k:
+            k = t + m
+        if t < u:
+            u = t
+        return 0, u, k - u, 0, s, r - s
     cross = _mul_raw(K, x1, s1, n1, v1, y1, t1, m1, w1)
     c, s, n, _ = _mul_raw(K, x0, s0, n0, v0, y1, t1, m1, w1)
     d, t, m, _ = _mul_raw(K, x1, s1, n1, v1, y0, t0, m0, w0)

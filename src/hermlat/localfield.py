@@ -20,6 +20,14 @@ up to ``2*mcap``.  Only products can carry more than mcap digits, since a
 sum keeps at most the digits of its lower-shift operand.  The ring
 operations hand results already in normal form to ``_normal``, which runs
 the precision guard and nothing else; the rest go through ``__init__``.
+The zero rule: a product with a zero factor is a zero, found from the
+precision data alone.  ``_mul_raw``'s rule with v(zero) = ncap gives it
+ncap = (d*n_zero + v_other) // d at shift s_x + s_y, where v_other is the
+other factor's ``_co_valuation`` (its valuation, capped at d*ncap), so
+n_zero + v_other over Q_p; past mcap it is stored as any zero is.  A sum
+keeps the least shift and the least absolute precision of its terms, by
+``_add_raw``'s rule, so a zero term still bounds the precision of a sum
+and is never skipped.
 When K is Q_p itself (``nbasis == 1``) the operations work on the single
 coefficient directly, through ``_mul_raw`` and ``_add_raw``, which the flat
 kernel of ``etale`` shares; for p = 2 they reduce with bit masks.  Both
@@ -557,6 +565,8 @@ class FieldElement:
         return _normal(fld, tuple(c % mod for c in co), s, ncap)
 
     def __mul__(self, other):
+        """The product, in normal form.  A product with a zero factor
+        follows the zero rule of the module docstring."""
         if other.__class__ is not FieldElement or other.field is not self.field:
             other = self._coerce(other)
             if other is NotImplemented:
@@ -570,15 +580,28 @@ class FieldElement:
             return _normal(fld, (c,), s, ncap)
         s = self.shift + other.shift
         d = fld.d
-        v1 = fld._co_valuation(self.co, n1)
-        v2 = fld._co_valuation(other.co, n2)
+        co1, co2 = self.co, other.co
+        if not any(co1) or not any(co2):
+            # a zero factor: the zero rule of the module docstring, with no
+            # integer multiply
+            if any(co1):
+                co1, co2, n1, n2 = co2, co1, n2, n1
+            ncap = n1 + fld._co_valuation(co2, n2) // d
+            mcap = fld.mcap
+            if ncap > mcap:
+                a = s + ncap
+                s = (a if a < 2 * mcap else 2 * mcap) - mcap
+                ncap = mcap
+            return _normal(fld, co1, s, ncap)
+        v1 = fld._co_valuation(co1, n1)
+        v2 = fld._co_valuation(co2, n2)
         rel1 = d * n1 - v1
         rel2 = d * n2 - v2
         atarget = v1 + v2 + min(rel1, rel2)
         ncap = atarget // d
         if ncap <= 0:
             raise PrecisionLoss("product has no guaranteed digits")
-        co = fld._mul_co(self.co, other.co, fld._ppows[ncap])
+        co = fld._mul_co(co1, co2, fld._ppows[ncap])
         mcap = fld.mcap
         if ncap > mcap:
             if not any(co):

@@ -5,12 +5,13 @@ import random
 import weakref
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
+from hermlat import etale, localfield
 from hermlat.errors import HermlatError, UnsupportedCase
 from hermlat.etale import INF, NONNORM, NORM, AlgElement, EtaleAlgebra
 from hermlat.linalg import _dot
-from hermlat.localfield import LocalField
+from hermlat.localfield import FieldElement, LocalField
 from hermlat.oracle import enumerate_trace_image, norm_image_index
 from conftest import tower_algebra
 from test_localfield import kernel_elements
@@ -360,27 +361,101 @@ def _triples(fn, *args):
 
 
 @st.composite
-def flat_elements(draw, alg):
+def kernel_alg_elements(draw, alg):
     """Elements whose coordinates are drawn like the K kernel's: units,
     p-content, zeros keeping extra digits, guard-level ncap, shifts of
-    both signs."""
-    return AlgElement(alg, draw(kernel_elements(alg.base)), draw(kernel_elements(alg.base)))
+    both signs.  A quarter of the draws is a zero of alg, whose two
+    coordinates are zeros of their own shift and ncap (drawn with up to
+    3*mcap digits), or ``alg.zero``."""
+    K = alg.base
+    if draw(st.integers(0, 3)) == 0:
+        zero = kernel_elements(K, kinds=("zero",))
+        return draw(st.one_of(st.just(alg.zero), st.builds(AlgElement, st.just(alg), zero, zero)))
+    return AlgElement(alg, draw(kernel_elements(K)), draw(kernel_elements(K)))
+
+
+def _assert_products_match(data, alg):
+    """x*y, y*x and a dot product over alg equal the composed path's by
+    exact triples; returns x and y."""
+    x = data.draw(kernel_alg_elements(alg))
+    y = data.draw(st.one_of(kernel_alg_elements(alg), st.just(x)))
+    event(f"zero factor in x*y: {x.is_zero() or y.is_zero()}")
+    assert _triples(operator.mul, x, y) == _triples(_composed_mul, x, y)
+    assert _triples(operator.mul, y, x) == _triples(_composed_mul, y, x)
+    n = data.draw(st.integers(1, 4))
+    xs = tuple(data.draw(kernel_alg_elements(alg)) for _ in range(n))
+    ys = tuple(data.draw(kernel_alg_elements(alg)) for _ in range(n))
+    event(f"zero factor in a dot term: {any(a.is_zero() or b.is_zero() for a, b in zip(xs, ys))}")
+    assert _triples(_dot, xs, ys) == _triples(_composed_dot, xs, ys)
+    return x, y
 
 
 @settings(max_examples=400, deadline=None)
 @given(st.data())
 def test_flat_kernel_matches_composed_path(data):
     alg = data.draw(st.sampled_from(FLAT_ALGEBRAS))
-    x = data.draw(flat_elements(alg))
-    y = data.draw(st.one_of(flat_elements(alg), st.just(x)))
-    for fast, composed in ((operator.mul, _composed_mul), (operator.sub, _composed_sub)):
-        assert _triples(fast, x, y) == _triples(composed, x, y)
-        assert _triples(fast, y, x) == _triples(composed, y, x)
+    x, y = _assert_products_match(data, alg)
+    assert _triples(operator.sub, x, y) == _triples(_composed_sub, x, y)
+    assert _triples(operator.sub, y, x) == _triples(_composed_sub, y, x)
     for fast, composed in ((AlgElement.conj, _composed_conj),
                            (AlgElement.trace, _composed_trace),
                            (AlgElement.norm, _composed_norm)):
         assert _triples(fast, x) == _triples(composed, x)
-    n = data.draw(st.integers(1, 4))
-    xs = tuple(data.draw(flat_elements(alg)) for _ in range(n))
-    ys = tuple(data.draw(flat_elements(alg)) for _ in range(n))
-    assert _triples(_dot, xs, ys) == _triples(_composed_dot, xs, ys)
+
+
+def _nonflat_algebras():
+    for prec, guard in ((8, 4), (64, 16)):
+        F4 = LocalField(2, unramified_poly=[1, 1], precision=prec, guard=guard)
+        T = LocalField(2, eisenstein_poly=[-2, 0], precision=prec, guard=guard)
+        yield EtaleAlgebra.quadratic(F4, 0, -2)   # f4ram
+        yield EtaleAlgebra.quadratic(F4, 2, 2)    # ramified, b != 0
+        yield EtaleAlgebra.quadratic(F4, 1, F4.gen_unramified())  # inert: x^2 + x + w
+        t = T.uniformizer()
+        yield EtaleAlgebra.quadratic(T, t, t)     # ramified over a tower, b != 0
+    yield tower_algebra(2)
+    yield tower_algebra(3)
+
+
+NONFLAT_ALGEBRAS = list(_nonflat_algebras())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_nonflat_products_match_composed_path(data):
+    """Field kinds over K = Q_2(w) and over Eisenstein towers: the zero
+    branch of ``AlgElement.__mul__`` and the general one give the triples
+    of the composed ``FieldElement`` formula."""
+    _assert_products_match(data, data.draw(st.sampled_from(NONFLAT_ALGEBRAS)))
+
+
+def _algebra_id(alg):
+    K = alg.base
+    b = "b0" if alg._b_zero else "b"
+    return f"{alg.kind}-{b}-p{K.p}-f{K.f}-d{K.d}"
+
+
+# the algebras at the default precision
+@pytest.mark.parametrize("alg", FLAT_ALGEBRAS[1::2] + NONFLAT_ALGEBRAS[4:], ids=_algebra_id)
+def test_a_zero_factor_multiplies_no_integers(alg, monkeypatch):
+    """A product with a zero factor, and a dot product of a Gram row that
+    holds zeros with a vector that is zero where the row is not, are worked
+    out from precision data: they give the same triples while the integer
+    products of K raise."""
+    K = alg.base
+    x = AlgElement(alg, K.from_int(3), K.from_int(6))
+    wide = FieldElement(K, (0,) * K.nbasis, -3, K.mcap + 5)  # stored at its absolute precision
+    z = AlgElement(alg, K.zero, wide)
+    row, col = (x, alg.zero, z), (alg.zero, x, x)
+    cases = ((operator.mul, alg.zero, x), (operator.mul, x, alg.zero),
+             (operator.mul, z, x), (operator.mul, x, z), (_dot, row, col))
+    expected = [_triples(fn, a, b) for fn, a, b in cases]
+
+    def boom(*args):
+        raise AssertionError("a product with a zero factor multiplied integers")
+
+    monkeypatch.setattr(localfield, "_mul_raw", boom)
+    monkeypatch.setattr(etale, "_mul_raw", boom)
+    monkeypatch.setattr(LocalField, "_mul_co", boom)
+    assert [_triples(fn, a, b) for fn, a, b in cases] == expected
+    with pytest.raises(AssertionError, match="multiplied integers"):
+        x * x

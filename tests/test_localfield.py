@@ -241,13 +241,14 @@ def _outcome(fn, *args):
 
 
 @st.composite
-def kernel_elements(draw, fld):
+def kernel_elements(draw, fld, kinds=("unit", "content", "zero", "guard")):
     """Elements built by the public constructor: units, elements with
     p-content in their coefficients, zeros (drawn with up to 3*mcap digits,
     which the constructor brings down to mcap), and digit counts just above
-    the guard; shifts of both signs."""
+    the guard; shifts of both signs.  ``kinds`` limits the draw to some of
+    these."""
     p, g, m = fld.p, fld.guard_digits, fld.mcap
-    kind = draw(st.sampled_from(("unit", "content", "zero", "guard")))
+    kind = draw(st.sampled_from(kinds))
     shift = draw(st.integers(-m, m))
     if kind == "zero":
         ncap = draw(st.integers(g + 1, 3 * m))
