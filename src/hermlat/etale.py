@@ -571,7 +571,14 @@ class EtaleAlgebra:
     # -- the normic defect -------------------------------------------------------
 
     def normic_defect(self, a):
-        """sup over beta of v_p(a - Nr(beta)) as an exponent; INF iff a in Nr(E)."""
+        """sup over beta of v_p(a - Nr(beta)) as an exponent; INF iff a in Nr(E).
+
+        A ramified non-norm a = Nr(pi)^v * unit has defect v + e - 1:
+        - at most: if v(a - Nr(beta)) >= v + e, then a / Nr(beta) is in
+          1 + 𝔭^e, which is a norm (O'Meara §63), so a would be one;
+        - at least: Nr(O^x) has index 2 in o^x and 1 + u0, v(u0) = e - 1,
+          is not a norm, so unit = Nr(beta) (1 + u0) for a unit beta, and
+          a - Nr(pi^v beta) has valuation v + e - 1."""
         if self.kind == self.SPLIT:
             return INF
         if not isinstance(a, FieldElement):
@@ -586,25 +593,7 @@ class EtaleAlgebra:
         if self.kind == self.INERT:
             # v is odd here (even-valuation elements reduce to unit norms)
             return v
-        nrpi = self.uniformizer().norm()
-        unit = a / nrpi ** v
-        best, prev = None, None
-        m = self.e + 2
-        for trial in range(4):
-            cur = 0
-            measurable = self.e + 1 + trial
-            for beta in self.unit_residues_O(m + trial):
-                diff = unit - beta.norm()
-                dv = measurable if diff.is_zero() else min(diff.valuation(), measurable)
-                if dv > cur:
-                    cur = dv
-            if prev is not None and cur == prev:
-                best = cur
-                break
-            prev = cur
-        else:
-            raise UnsupportedCase("normic defect enumeration did not stabilize")
-        return v + best
+        return v + self.e - 1
 
 
 class AlgElement:

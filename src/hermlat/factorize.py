@@ -13,17 +13,17 @@ subnormal plane; or a restart in a rearranged basis), the data that branch
 reads, and the complement the piece leaves (``lattice._complement``).  The
 *alignment* is what depends on phi: the generators that make phi fix the
 piece (``_peel_pair``, ``_peel_line``, ``_peel_subnormal``).  The plan of a
-lattice is kept in ``_PLANS``, weakly keyed by the lattice object, so it
-lives only as long as its lattice.  It is extended lazily: a call that
-reaches a step not yet planned computes it from its span, and stores it once
-its alignment and complement succeeded; a step that raises is not stored.
-Every later call on the lattice walks the stored steps, so it recomputes no
-geometry, and gets what it would have computed, bit for bit.  A step reads
-a ``classify.Span``; step 0 the one L keeps (``standard_span``), perhaps
-arranged already by the oracle or the decide path.  ``_PLANS`` is a module
-table, not a slot on L, as its tests pin its weak-key lifetime.  A pair step
-also keeps its swap word (``_scale_map_word``) once an alignment needed it,
-as ``(s, sigma)`` data.  The public single-step peels run step 0 of the plan.
+lattice is kept on it (``_plan``); no step holds the lattice, so the two
+make no reference cycle and are freed together.  It is extended lazily: a call
+that reaches a step not yet planned computes it from its span, and stores it
+once its alignment and complement succeeded; a step that raises is not
+stored.  Every later call on the lattice walks the stored steps, so it
+recomputes no geometry, and gets what it would have computed, bit for bit.
+A step reads a ``classify.Span``; step 0 the one L keeps
+(``standard_span``), perhaps arranged already by the oracle or the decide
+path.  A pair step also keeps its swap word (``_scale_map_word``) once an
+alignment needed it, as ``(s, sigma)`` data.  The public single-step peels
+run step 0 of the plan.
 
 The ramified line and plane peels share one alignment loop, ``_align``: each
 round emits the first generator one of the peel's moves yields for the
@@ -34,6 +34,11 @@ output word once g^-1 passed ``in_unitary_group``: ``map_isotropic`` and
 one itself, to choose its move.  A verdict is kept with the generator's
 built data, so the certificate reads the verdicts already reached.
 
+The peels emit Eichler isometries as they are; the unramified pair peel
+too, though the appendix rewrites its Eichler factor as symmetries.  The
+reduction pass (``_reduction_pass``) is the one place that rewrites an
+Eichler factor, through ``eichler_to_symmetries``.
+
 Without the certificate, ``factor_unitary`` guarantees the following, or
 raises ``UnsupportedCase``:
 - every generator of its word passed the membership test (in ``emit``, or
@@ -41,7 +46,8 @@ raises ``UnsupportedCase``:
 - the word's product is phi: the phi the driver ends with is the identity,
   and ``emit`` records the inverse of each generator it applies;
 - each rewrite of the reduction pass, applied to the identity, equals the
-  matrix of the Eichler factor it replaces (``eichler_to_symmetries``).
+  matrix of the Eichler factor it replaces (checked where the reduction
+  pass makes it, in ``eichler_to_symmetries``).
 It does not multiply its word out: ``verify_factorization``, the
 independent certificate from the generator list alone, is the one place
 that does.  Words are applied through ``isometries.apply_word``, so no
@@ -49,8 +55,6 @@ matrix product runs after the input check.
 """
 
 from __future__ import annotations
-
-import weakref
 
 from .errors import HermlatError, UnsupportedCase, VerificationFailed
 from .etale import EtaleAlgebra
@@ -219,11 +223,6 @@ def _reduction_pass(lat, gens):
     return out
 
 
-# lattice -> its plan, the list of the peel steps planned so far; a plan
-# goes with its lattice
-_PLANS = weakref.WeakKeyDictionary()
-
-
 class _Step:
     """One peel of span(cols) as far as it depends on L alone.
 
@@ -252,7 +251,7 @@ def _drive(drv, phi):
     """Walk the plan of drv.lat, extending it where phi reaches a step not
     yet planned, until phi fixes the span left."""
     lat = drv.lat
-    plan = _PLANS.setdefault(lat, [])
+    plan = lat._plan
     cols = list(cols_of(identity(lat.alg, lat.n)))
     idx = 0
     while cols:
@@ -430,20 +429,11 @@ def _peel_hyperbolic_unramified(drv, cols, phi, u, v):
     phi_v = mat_vec(phi, v)
     if vec_eq(phi_v, v):
         return phi
-    # phi(v) = mu*u + v + y with y in the complement of the pair
-    gv = lat.gram_conj(v)
-    puv = _dot(u, gv)
-    mu = _dot(phi_v, gv) / puv.conj()
-    y = vec_sub(vec_sub(phi_v, v), vec_scale(mu, u))
-    e = make_eichler(lat, u, v, y, mu)
-    syms = eichler_to_symmetries(lat, e)
-    if syms is None:
-        raise UnsupportedCase("unramified Eichler reduction unavailable")
-    # phi = E ∘ rest: peel E off through its symmetry word
-    inv_word = [s.inverse() for s in reversed(syms)]
-    phi = drv.emit_symmetries(inv_word, phi)
-    phi_v2 = mat_vec(phi, v)
-    if not vec_eq(phi_v2, v):
+    # phi = E ∘ rest with E fixing u and mapping v to phi(v); the
+    # reduction pass rewrites E as symmetries
+    e = _rot1_eichler(lat, u, v, phi_v)
+    phi = drv.emit(e.inverse(lat), phi)
+    if not vec_eq(mat_vec(phi, v), v):
         raise UnsupportedCase("hyperbolic peel did not fix v")
     return phi
 
@@ -694,21 +684,11 @@ def _postalign(drv, phi, cur_u, cur_v, u2, v2, scale_s, swap):
     return None
 
 
-def _realizes(lat, word, u2, v2, img_u, img_v, failure):
-    """The word, raising UnsupportedCase(failure) unless its product maps u2
-    to img_u and v2 to img_v."""
-    iu, iv = u2, v2
-    for g in reversed(word):
-        iu = apply_generator(lat, g, iu)
-        iv = apply_generator(lat, g, iv)
-    if not (vec_eq(iu, img_u) and vec_eq(iv, img_v)):
-        raise UnsupportedCase(failure)
-    return word
-
-
 def _plane_word_beta_unit(lat, u2, v2, img_u, img_v):
     """Symmetry word for the plane map u2 -> img_u, v2 -> img_v (identity on
-    the complement) in the case where img_u has a unit v2-coordinate."""
+    the complement) in the case where img_u has a unit v2-coordinate.  The
+    word is not checked here: ``_scale_map_word`` checks the word it is
+    composed into."""
     s, sigma = reflection_data(lat, u2, img_u)
     if sigma.is_zero():
         raise UnsupportedCase("degenerate plane alignment")
@@ -724,8 +704,7 @@ def _plane_word_beta_unit(lat, u2, v2, img_u, img_v):
         if not sigma2.trace().is_zero():
             raise UnsupportedCase("plane shear parameter is not skew")
         word.append(Symmetry(u2, sigma2))
-    return _realizes(lat, word, u2, v2, img_u, img_v,
-                     "plane word does not realize the map")
+    return word
 
 
 def _scale_map_word(lat, u2, v2, scale_s, a, swap):
@@ -734,7 +713,9 @@ def _scale_map_word(lat, u2, v2, scale_s, a, swap):
     It is the inverse of the swap word w0 (u2 -> v2, v2 -> c*u2 with
     c = conj(pi^s)/pi^s) after the word w1 of the swap composed with the
     scaling.  w0 depends on the pair alone: ``swap`` holds the (s, sigma) of
-    its inverse once computed, and an empty ``swap`` is filled here."""
+    its inverse once computed, and an empty ``swap`` is filled here.  The
+    composed word is the one that is checked: a wrong w1 or a wrong kept
+    w0 makes it miss the map."""
     alg = lat.alg
     if (a - alg.one).is_zero():
         return []
@@ -747,9 +728,14 @@ def _scale_map_word(lat, u2, v2, scale_s, a, swap):
     img_v = vec_scale(swap_coeff / a.conj(), u2)
     w1 = _plane_word_beta_unit(lat, u2, v2, img_u, img_v)
     word = [Symmetry(s, sigma) for s, sigma in swap] + w1
-    return _realizes(lat, word, u2, v2, vec_scale(a, u2),
-                     vec_scale(alg.one / a.conj(), v2),
-                     "plane scaling word failed")
+    iu, iv = u2, v2
+    for g in reversed(word):
+        iu = apply_generator(lat, g, iu)
+        iv = apply_generator(lat, g, iv)
+    if not (vec_eq(iu, vec_scale(a, u2))
+            and vec_eq(iv, vec_scale(alg.one / a.conj(), v2))):
+        raise UnsupportedCase("plane scaling word failed")
+    return word
 
 
 def _isotropic_partner_in_plane(lat, w, wp, puv):
@@ -991,7 +977,8 @@ def _subnormal_fix_v(drv, latr, a, phi, u, v, x_deep, i, k, n, j):
 def peel_hyperbolic(lat, phi, pair):
     """Emit generators aligning phi on the hyperbolic pair; returns
     (generators, complement_columns, residual_phi) with
-    product(generators) * residual_phi = phi."""
+    product(generators) * residual_phi = phi.  An Eichler factor is left as
+    it is: ``factor_unitary``'s reduction pass is what rewrites one."""
     _check_input(lat, phi)
     drv, cols = _Driver(lat), list(cols_of(identity(lat.alg, lat.n)))
     u, v = pair
@@ -1009,7 +996,7 @@ def _peel_first_step(lat, phi, refusal, branches, mismatch):
     _check_input(lat, phi)
     if lat.alg.kind != EtaleAlgebra.RAMIFIED:
         raise UnsupportedCase(refusal)
-    plan = _PLANS.setdefault(lat, [])
+    plan = lat._plan
     step = plan[0] if plan else _plan_step(lat, standard_span(lat))
     if step.branch not in branches:
         raise UnsupportedCase(mismatch)

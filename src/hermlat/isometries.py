@@ -34,7 +34,8 @@ may cancel, fall back to the matrix.  The rewriting identities
 (``compose_eichler``, ``twist_by_skew``) are exact, and
 ``eichler_to_symmetries`` checks each rewrite once where it is made: each
 symmetry's membership, and the word applied to the identity against the
-Eichler isometry's matrix.
+Eichler isometry's matrix.  In the factor driver only the reduction pass
+calls it, so every Eichler factor is rewritten there.
 """
 
 from __future__ import annotations

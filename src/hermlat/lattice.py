@@ -22,9 +22,11 @@ the first call, and kept on the lattice like its determinant: they depend on
 L alone, every caller reads the same immutable value (the blocks are a tuple,
 their columns and Grams tuples), and they live exactly as long as the
 lattice.  Nothing is computed when a lattice is built, and a computation that
-raises keeps nothing.  ``classify`` fills two more slots so, neither holding
-the lattice: ``standard_span`` and the answer of ``splits_hyperbolic``.
-``_FUNCTIONALS`` caches a function of (L, y), not of L, so it is no slot.
+raises keeps nothing.  Three more slots are kept so, none holding the
+lattice: ``classify`` fills ``standard_span`` and the answer of
+``splits_hyperbolic``, and ``factorize`` extends the plan of its peel steps
+(``_plan``).  ``_FUNCTIONALS`` caches a function of (L, y), not of L, so it
+is no slot.
 """
 
 from __future__ import annotations
@@ -76,6 +78,7 @@ class HermitianLattice:
         self._dual_norms = None
         self._span = None  # classify.standard_span
         self._hyperbolic = None  # (classify.splits_hyperbolic's answer,)
+        self._plan = []  # factorize's peel steps planned so far
 
     # -- basic maps ----------------------------------------------------------
 

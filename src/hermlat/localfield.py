@@ -20,6 +20,9 @@ up to ``2*mcap``.  Only products can carry more than mcap digits, since a
 sum keeps at most the digits of its lower-shift operand.  The ring
 operations hand results already in normal form to ``_normal``, which runs
 the precision guard and nothing else; the rest go through ``__init__``.
+A product keeps at least the digits of its shorter factor, as
+(v1 + v2 + min(d*n1 - v1, d*n2 - v2)) // d >= min(n1, n2), so it needs no
+digit check before the guard.
 The zero rule: a product with a zero factor is a zero, found from the
 precision data alone.  ``_mul_raw``'s rule with v(zero) = ncap gives it
 ncap = (d*n_zero + v_other) // d at shift s_x + s_y, where v_other is the
@@ -599,8 +602,6 @@ class FieldElement:
         rel2 = d * n2 - v2
         atarget = v1 + v2 + min(rel1, rel2)
         ncap = atarget // d
-        if ncap <= 0:
-            raise PrecisionLoss("product has no guaranteed digits")
         co = fld._mul_co(co1, co2, fld._ppows[ncap])
         mcap = fld.mcap
         if ncap > mcap:

@@ -170,6 +170,44 @@ def test_normic_defect(Q2sqrt2):
     assert Q2sqrt2.normic_defect(K.from_int(-1)) == INF
 
 
+def _defect_by_enumeration(alg, norms, a):
+    """v(a) plus the largest v(unit - Nr(beta)), unit = a / Nr(pi)^v(a),
+    over the norms of the units beta of O/P^(e+3); a difference is measured
+    up to e + 2 digits, so a norm reads v(a) + e + 2."""
+    v = a.valuation()
+    unit = a / alg.uniformizer().norm() ** v
+    measurable = alg.e + 2
+    best = 0
+    for nb in norms:
+        diff = unit - nb
+        dv = measurable if diff.is_zero() else min(diff.valuation(), measurable)
+        best = max(best, dv)
+    return v + best
+
+
+@pytest.mark.parametrize("name", ["Q2sqrt2", "Q2i", "F4ram", "Q3sqrt3", "Q5sqrt5",
+                                  "tower5", "tower7"])
+def test_normic_defect_of_a_non_norm_is_read_off_the_conductor(name, request):
+    """Every non-norm r * p^v (r a unit residue, v in {0, 1, 3}) has normic
+    defect v(r * p^v) + e - 1, and that is the largest v(a - Nr(beta)) that
+    an enumeration of unit residues beta finds."""
+    alg = (EtaleAlgebra.quadratic(LocalField(5), 0, -5) if name == "Q5sqrt5"
+           else request.getfixturevalue(name))
+    K = alg.base
+    norms = [beta.norm() for beta in alg.unit_residues_O(alg.e + 3)]
+    checked = 0
+    for r in K.unit_residues(min(alg.e + 2, 4)):
+        for v in (0, 1, 3):
+            a = r * K.ppow(v)
+            if alg.in_E_norm_group(a):
+                continue
+            defect = alg.normic_defect(a)
+            assert defect == a.valuation() + alg.e - 1
+            assert defect == _defect_by_enumeration(alg, norms, a), (name, v)
+            checked += 1
+    assert checked
+
+
 def test_solve_trace(Q2sqrt2, split2, inert2):
     alg = Q2sqrt2
     assert alg.solve_trace(alg.one, alg.base.zero).is_zero()

@@ -329,7 +329,7 @@ def test_exit_check_stops_an_emit_that_applies_more_than_it_records(monkeypatch)
     lat = _catalog_lattice("q2i-h1h1.lat")
     phi = random_unitary(lat, 4, 2)[0]
     factor_unitary(lat, phi)
-    u, v = factorize._PLANS[lat][0].piece
+    u, v = lat._plan[0].piece
     gv = lat.gram_conj(v)
     assert not lat.inner(u, v).is_zero()
     settled, moved = [], []
@@ -430,6 +430,32 @@ def test_factoring_builds_no_generator_matrix(name):
         assert mat_eq(f.matrix(), phi)
 
 
+@pytest.mark.parametrize("name", ["split3.lat", "split2h.lat", "inert2.lat", "inert3"])
+def test_only_the_reduction_pass_rewrites_eichler_factors(name, inert3, monkeypatch):
+    """The unramified pair peel emits its Eichler isometry as it is, and the
+    reduction pass rewrites it like every other Eichler factor: every call
+    of ``eichler_to_symmetries`` comes from ``_reduction_pass``, and the
+    word of symmetries certifies.  ``inert3`` is H(0) ⟂ <3> over Q_3(i)
+    (the catalog's inert3.lat, <1> ⟂ <3>, has no hyperbolic pair)."""
+    lat = orthogonal_sum(standard_H(inert3, 0),
+                         HermitianLattice(inert3, ((inert3.from_int(3),),))) \
+        if name == "inert3" else _catalog_lattice(name)
+    callers = []
+    rewrite = factorize.eichler_to_symmetries
+
+    def spy(lat_, e):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return rewrite(lat_, e)
+
+    monkeypatch.setattr(factorize, "eichler_to_symmetries", spy)
+    for seed in range(4):
+        phi = random_unitary(lat, 4, seed)[0]
+        f = factor_unitary(lat, phi)
+        verify_factorization(lat, phi, f)
+        assert not f.contains_eichler
+    assert callers and set(callers) == {"_reduction_pass"}
+
+
 def _factor_key(lat, phi):
     fac = factor_unitary(lat, phi)
     cert = verify_factorization(lat, phi, fac)
@@ -456,13 +482,13 @@ def test_a_cold_plan_and_a_warm_plan_give_the_same_result(monkeypatch):
         words = [random_unitary(lat, 4, seed)[0] for seed in (21, 22)]
         cold = []
         for phi in words:
-            factorize._PLANS.clear()
+            lat._plan.clear()
             runs.append([])
             cold.append(_factor_key(lat, phi))
         for phi, key in zip(words, cold):
             runs.append([])
             assert _factor_key(lat, phi) == key, path
-        plan = [exact_key(step.cols) for step in factorize._PLANS[lat]]
+        plan = [exact_key(step.cols) for step in lat._plan]
         assert all(spans == plan[:len(spans)] for spans in runs), path
         assert any(runs), path
         runs.clear()
@@ -470,19 +496,20 @@ def test_a_cold_plan_and_a_warm_plan_give_the_same_result(monkeypatch):
 
 def test_a_plan_goes_with_its_lattice():
     """No step of a plan holds its own lattice (the plane step's rescaled
-    lattice is another one), so the weak key dictionary lets it go."""
+    lattice is another one), so the plan kept on the lattice makes no
+    reference cycle: the lattice is freed by its last reference, with the
+    cyclic garbage collector off."""
     lat = _catalog_lattice("q2sqrt2-sub.lat")
     phi = random_unitary(lat, 4, 3)[0]  # its generators hold the lattice
-    gc.collect()  # lattices that earlier tests left in reference cycles go first
-    before = len(factorize._PLANS)
     factor_unitary(lat, phi)
-    assert len(factorize._PLANS) == before + 1
-    assert "plane" in [step.branch for step in factorize._PLANS[lat]]
+    assert "plane" in [step.branch for step in lat._plan]
     ref = weakref.ref(lat)
-    del lat
-    gc.collect()
-    assert ref() is None
-    assert len(factorize._PLANS) == before
+    gc.disable()
+    try:
+        del lat
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_a_second_call_recomputes_no_geometry(monkeypatch):
@@ -504,7 +531,7 @@ def test_a_second_call_recomputes_no_geometry(monkeypatch):
     factor_unitary(lat, random_unitary(lat, 4, 3)[0])
     assert set(calls) == {"_arrange_first_block", "_cross_block_attempt",
                           "plane_standard_form", "_complement"}
-    assert factorize._PLANS[lat][-1].rest == []  # the plan is complete
+    assert lat._plan[-1].rest == []  # the plan is complete
     calls.clear()
     complement_callers.clear()
     factor_unitary(lat, random_unitary(lat, 5, 4)[0])
@@ -529,7 +556,7 @@ def test_factoring_reads_the_span_the_pair_search_kept(name, monkeypatch):
 
         monkeypatch.setattr(module, "_arrange_first_block", spy)
     factor_unitary(lat, random_unitary(lat, 4, 3)[0])
-    assert len(factorize._PLANS[lat]) > 1
+    assert len(lat._plan) > 1
     assert standard not in arranged
 
 
@@ -537,8 +564,8 @@ def test_a_pair_step_keeps_its_swap_word_as_data(monkeypatch):
     """The swap word of a planned hyperbolic pair is computed by the first
     alignment that needs it and kept with the pair step as (s, sigma) data,
     not as generators, whose built data would hold the lattice: later
-    alignments on the pair reuse it, and the plan still goes with its
-    lattice."""
+    alignments on the pair reuse it, and the lattice is still freed by its
+    last reference."""
     lat = _catalog_lattice("q2sqrt2-h1h1.lat")
     calls = Counter()
     for name in ("_scale_map_word", "_plane_word_beta_unit"):
@@ -548,13 +575,16 @@ def test_a_pair_step_keeps_its_swap_word_as_data(monkeypatch):
         monkeypatch.setattr(factorize, name, spy)
     for seed in range(4):
         factor_unitary(lat, random_unitary(lat, 4, seed)[0])
-    kept = [step.data[3] for step in factorize._PLANS[lat]
+    kept = [step.data[3] for step in lat._plan
             if step.branch == "pair" and step.data[3]]
     assert kept and calls["_scale_map_word"] > len(kept)
     assert calls["_plane_word_beta_unit"] == calls["_scale_map_word"] + len(kept)
     assert all(type(s) is tuple and not isinstance(sigma, (Symmetry, EichlerIsometry))
                for swap in kept for s, sigma in swap)
     ref = weakref.ref(lat)
-    del lat, kept
-    gc.collect()
-    assert ref() is None
+    gc.disable()  # a kept generator would close a cycle through lat._plan
+    try:
+        del lat, kept
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -19,7 +19,8 @@ clause or in an ``isinstance`` test.
 No method of a class in ``src/hermlat`` is decorated with
 ``functools.lru_cache`` or ``functools.cache``: the cache is keyed by
 ``self`` and holds it, so no instance would ever be freed.  Tables that an
-object fills on use live in dicts on the object itself.
+object fills on use live in dicts on the object itself, and no module binds
+a ``weakref.WeakKeyDictionary`` at its top level to keep them beside it.
 """
 
 import ast
@@ -197,8 +198,9 @@ def test_every_error_class_is_caught():
 
 
 def _decorator_name(node):
-    """The last name of a decorator: ``cache`` for ``@functools.cache``,
-    ``lru_cache`` for ``@lru_cache(maxsize=None)``."""
+    """The last name of a decorator, or of what a call calls: ``cache`` for
+    ``@functools.cache``, ``lru_cache`` for ``@lru_cache(maxsize=None)``,
+    ``WeakKeyDictionary`` for ``weakref.WeakKeyDictionary()``."""
     if isinstance(node, ast.Call):
         node = node.func
     if isinstance(node, ast.Attribute):
@@ -217,3 +219,14 @@ def test_no_method_is_cached_on_self():
                        and any(_decorator_name(d) in ("lru_cache", "cache")
                                for d in fn.decorator_list)]
     assert not cached, f"methods whose cache holds self: {cached}"
+
+
+def test_no_module_keeps_a_weak_key_table():
+    tables = []
+    for name, tree in _src_trees():
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign)) \
+                    and isinstance(stmt.value, ast.Call) \
+                    and _decorator_name(stmt.value) == "WeakKeyDictionary":
+                tables.append(f"{name}:{stmt.lineno}")
+    assert not tables, f"module-level weak-key tables: {tables}"
