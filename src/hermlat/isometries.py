@@ -36,6 +36,12 @@ may cancel, fall back to the matrix.  The rewriting identities
 symmetry's membership, and the word applied to the identity against the
 Eichler isometry's matrix.  In the factor driver only the reduction pass
 calls it, so every Eichler factor is rewritten there.
+
+Over a split E, U(L) is a congruence subgroup of GL_n(O_K) in the Smith
+basis of L, and each invertible rank-one update of I in it is one symmetry;
+``eliminate_split`` factors an element by Gaussian elimination over O_K with
+them, at most one per column.  It rewrites a split Eichler isometry that no
+skew twist brings to a unit mu (residue field F_2), from its matrix.
 """
 
 from __future__ import annotations
@@ -299,15 +305,47 @@ def _pair_scale(alg, puv):
     return v.a
 
 
-def eichler_parameters_from_matrix(lat, u, v, m):
-    """Recover (y, mu) of an Eichler isometry on (u, v) from its matrix."""
-    alg = lat.alg
-    img_v = mat_vec(m, v)
-    puv = lat.inner(u, v)
-    mu = lat.inner(img_v, v) / puv.conj()
-    # img_v = mu*u + v + y
-    y = vec_sub(vec_sub(img_v, v), vec_scale(mu, u))
-    return y, mu
+def eliminate_split(lat, phi, emit):
+    """Reduce phi in U(L), E = K x K, to the identity by elimination in the
+    Smith basis t_1..t_n of L (the columns of its Jordan transform), one
+    symmetry per column at most: ``emit(g, phi)`` takes each symmetry g and
+    returns g*phi, and the phi left is returned.
+
+    The basis is orthogonal with <t_i, t_i>.x0 = d_i, so slot 0 of U(L) is
+    the congruence group of the P in GL_n(O_K) with D^-1 P^-T D integral,
+    D = diag(d), and slot 1 follows from slot 0.  Column j of phi has
+    Smith coordinates x_i = <phi t_j, t_i>.x0 / d_i.  Unless x = e_j, the
+    symmetry acting on slot 0 as I + (e_j - x) r^T takes x to e_j and fixes
+    e_i for i < j: r = e_j / x_j, or r = (e_j + e_k) / (x_j + x_k) when x_j
+    is not a unit, x_k a unit with k > j and v(d_k) = v(d_j).  Such a k
+    exists because the diagonal blocks of the group are invertible mod p,
+    and either r keeps the symmetry in the group.  With den = x_j, or
+    x_j + x_k in the second case, its data in Smith coordinates are
+    s = (e_j - x, e_j [+ (d_j / d_k) e_k]) and sigma = (-d_j den, d_j)."""
+    alg, n = lat.alg, lat.n
+    t = lat.jordan_split().transform
+    basis = cols_of(t)
+    fs = [lat.gram_conj(b) for b in basis]
+    ds = [_dot(b, f).x0 for b, f in zip(basis, fs)]
+    for j, tj in enumerate(basis):
+        img = mat_vec(phi, tj)
+        ej = [alg.base.one if i == j else alg.base.zero for i in range(n)]
+        x = [_dot(img, f).x0 / d for f, d in zip(fs, ds)]
+        s0 = [e - xi for e, xi in zip(ej, x)]
+        if all(c.is_zero() for c in s0):
+            continue
+        s1, den = ej, x[j]
+        if not den.is_unit():
+            vj = ds[j].valuation()
+            k = next((k for k in range(j + 1, n)
+                      if x[k].is_unit() and ds[k].valuation() == vj), None)
+            if k is None:
+                raise UnsupportedCase("no unit pivot in the column's Jordan block")
+            den = den + x[k]
+            s1[k] = ds[j] / ds[k]
+        s = mat_vec(t, tuple(alg.element(a, b) for a, b in zip(s0, s1)))
+        phi = emit(Symmetry(s, alg.element(-(ds[j] * den), ds[j])), phi)
+    return phi
 
 
 def eichler_to_symmetries(lat, e):
@@ -385,29 +423,15 @@ def _reduce_unramified(lat, e, fuel):
     if alg.kind != EtaleAlgebra.SPLIT:
         raise UnsupportedCase("no unit-producing skew twist found (inert)")
     # split residue field F_2, mu congruent to the twist unit in one slot:
-    # compose with the idempotent-weighted symmetry from the four-case proof
-    one, zero = K.one, K.zero
-    for idem, sig in (((zero, one), (-1, 1)), ((one, zero), (1, -1))):
-        s = vec_add(e.u, vec_scale(alg.element(*idem), e.y))
-        sigma = alg.element(K.from_int(sig[0]), K.from_int(sig[1]))
-        qs = lat.inner(s, s).as_K()
-        if not (sigma.trace() - qs).is_zero():
-            continue
-        g = Symmetry(s, sigma)
-        if not in_unitary_group(lat, g):
-            continue
-        m2 = apply_word(lat, [g, e], identity(alg, lat.n))
-        y2, mu2 = eichler_parameters_from_matrix(lat, e.u, e.v, m2)
-        e2 = EichlerIsometry(e.u, e.v, y2, mu2)
-        if not mat_eq(matrix_of(lat, e2), m2):
-            continue
-        if not mu2.is_unit():
-            continue
-        rest = _reduce_eichler(lat, e2, fuel - 1)
-        if rest is None:
-            return None
-        return [g.inverse()] + rest
-    raise UnsupportedCase("split residue-two reduction failed")
+    # eliminate the matrix of e
+    out = []
+
+    def record(g, m):
+        out.append(g.inverse())
+        return apply_word(lat, [g], m)
+
+    eliminate_split(lat, matrix_of(lat, e), record)
+    return out
 
 
 def _reduce_ramified(lat, e, fuel):

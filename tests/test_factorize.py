@@ -36,6 +36,7 @@ from hermlat.linalg import (
     mat_mul,
     mat_vec,
     vec_add,
+    vec_eq,
     vec_scale,
 )
 from hermlat.localfield import LocalField
@@ -45,6 +46,7 @@ from hermlat.specfile import parse_lattice
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "tools"))
 from schedule_digest import _generator, exact_key  # noqa: E402
+import workloads  # noqa: E402  (perfbench/, put on the path by schedule_digest)
 
 
 def test_identity_factorization(Q2sqrt2):
@@ -395,11 +397,23 @@ def test_membership_is_decided_once_per_generator(monkeypatch):
     assert any(isinstance(g, EichlerIsometry) for g in decided)
 
 
+def _split_eichler_word():
+    """split3 (H(0) ⟂ <3> over Q_3 x Q_3) and a symmetry times a rescaled
+    Eichler isometry drawn by ``hermlat.oracle``."""
+    lat = _catalog_lattice("split3.lat")
+    rng = random.Random("split-eichler-word")
+    phi = identity(lat.alg, lat.n)
+    for g in (random_symmetry(lat, rng), oracle.random_eichler(lat, rng)):
+        phi = mat_mul(phi, matrix_of(lat, g))
+    return lat, phi
+
+
 def test_factor_unitary_multiplies_no_matrices(monkeypatch):
     """The driver applies each generator, and the rewrite check each
-    rewrite, through the generators' update terms: the only matrix products
-    of one factor_unitary are the two of the input check's gram_preserved."""
-    lat, phi = _zero_mu_word()
+    rewrite, through the generators' update terms, on a field kind and on a
+    split one: the only matrix products of one factor_unitary are the two
+    of the input check's gram_preserved."""
+    words = [(*_zero_mu_word(), 4), (*_split_eichler_word(), 7)]
     callers = []
 
     def spy(a, b):
@@ -410,9 +424,11 @@ def test_factor_unitary_multiplies_no_matrices(monkeypatch):
     for module in vars(hermlat).values():
         if getattr(module, "mat_mul", None) is mat_mul:
             monkeypatch.setattr(module, "mat_mul", spy)
-    f = factor_unitary(lat, phi)
-    assert callers == [("gram_preserved", "_check_input")] * 2
-    assert not f.contains_eichler and len(f) == 4
+    for lat, phi, length in words:
+        callers.clear()
+        f = factor_unitary(lat, phi)
+        assert callers == [("gram_preserved", "_check_input")] * 2
+        assert not f.contains_eichler and len(f) == length
 
 
 @pytest.mark.parametrize("name", ["q2i-h0h0.lat", "f4ram.lat", "split3.lat"])
@@ -588,3 +604,106 @@ def test_a_pair_step_keeps_its_swap_word_as_data(monkeypatch):
         assert ref() is None
     finally:
         gc.enable()
+
+
+def _split_rank5():
+    """H(0) ⟂ <1> ⟂ <2> ⟂ <4> over Q_2 x Q_2: a first Jordan block of rank
+    3 and two deeper lines."""
+    alg = EtaleAlgebra.split(LocalField(2))
+    return orthogonal_sum(standard_H(alg, 0), *(HermitianLattice(alg, ((alg.from_int(a),),))
+                                                for a in (1, 2, 4)))
+
+
+def _smith_slot1(lat, y):
+    """Slot 1 of y in the Smith basis t_i of L: <t_i, y>.x0 / <t_i, t_i>.x0."""
+    return [lat.inner(t, y).x0 / lat.inner(t, t).x0
+            for t in cols_of(lat.jordan_split().transform)]
+
+
+def _eliminated(lat, phi):
+    """The word of ``eliminate_split`` for phi, each generator's inverse
+    recorded as ``_Driver.emit`` records it, and the phi it leaves."""
+    word = []
+
+    def record(g, m):
+        word.append(g.inverse())
+        return isometries.apply_word(lat, [g], m)
+
+    rest = isometries.eliminate_split(lat, phi, record)
+    return Factorization(lat, word), rest
+
+
+def test_split_elimination_factors_into_at_most_n_symmetries():
+    """Every split catalog lattice and a rank-5 one over Q_2, each in four
+    seeded GL_n(O) bases: words of k = 1..6 generators of ``hermlat.oracle``
+    are eliminated into at most n symmetries that certify.  A symmetry
+    whose slot 1 has two Smith coordinates took the non-unit pivot, and
+    some draw does.  One with a single coordinate moves one Smith column,
+    so rank(phi - I) = 1, and as an input it comes back as itself alone."""
+    lattices = [_catalog_lattice(f"{name}.lat")
+                for name in ("split2", "split2h", "split3", "split3b")] + [_split_rank5()]
+    pivots = 0
+    for base in lattices:
+        for b in range(4):
+            lat = workloads.random_basis_change(base, random.Random(b))
+            single = None
+            for k in range(1, 7):
+                phi = random_unitary(lat, k, 10 * b + k)[0]
+                f, rest = _eliminated(lat, phi)
+                assert mat_eq(rest, identity(lat.alg, lat.n))
+                verify_factorization(lat, phi, f)
+                assert all(isinstance(g, Symmetry) for g in f) and len(f) <= lat.n
+                for g in f:
+                    support = sum(not c.is_zero() for c in _smith_slot1(lat, g.s))
+                    assert support in (1, 2)
+                    pivots += support == 2
+                    single = single or (g if support == 1 else None)
+            (g,) = _eliminated(lat, matrix_of(lat, single))[0].generators
+            assert vec_eq(g.s, single.s) and (g.sigma - single.sigma).is_zero()
+    assert pivots
+
+
+def test_split_residue_two_eichler_rewrite_eliminates(monkeypatch):
+    """H(0) ⟂ <1> over Q_2 x Q_2 and E(u, v, y, mu) with y = (1,-1)·e₂,
+    mu = (1, 0): mu is not a unit, and mu - <v,u>/omega = (0, 1) is not one
+    either for the only skew twist omega = (1, -1) of the residue field
+    F_2.  The rewrite eliminates the Eichler matrix instead, into at most n
+    symmetries that reproduce it."""
+    alg = EtaleAlgebra.split(LocalField(2))
+    K = alg.base
+    lat = orthogonal_sum(standard_H(alg, 0), HermitianLattice(alg, ((alg.one,),)))
+    e = isometries.make_eichler(lat, basis_vector(alg, 3, 0), basis_vector(alg, 3, 1),
+                                vec_scale(alg.element(K.one, -K.one), basis_vector(alg, 3, 2)),
+                                alg.element(K.one, K.zero))
+    calls = []
+    eliminate = isometries.eliminate_split
+
+    def spy(*args):
+        calls.append(args)
+        return eliminate(*args)
+
+    monkeypatch.setattr(isometries, "eliminate_split", spy)
+    word = isometries.eichler_to_symmetries(lat, e)
+    assert calls
+    assert all(isinstance(g, Symmetry) for g in word) and len(word) <= lat.n
+    assert mat_eq(isometries.apply_word(lat, word, identity(alg, lat.n)), matrix_of(lat, e))
+
+
+def test_the_all_deep_pair_transport_is_reached(monkeypatch):
+    """q2i-h1h1 in the basis ``workloads.random_basis_change`` draws from
+    seed 4: a word of five generators reaches the pair transport where
+    alpha, beta, gamma and delta are all non-units, and its factorization
+    certifies."""
+    lat = workloads.random_basis_change(_catalog_lattice("q2i-h1h1.lat"), random.Random(4))
+    phi = random_unitary(lat, 5, 4000)[0]
+    calls = []
+    partner = factorize._isotropic_partner_in_plane
+
+    def spy(*args):
+        calls.append(args)
+        return partner(*args)
+
+    monkeypatch.setattr(factorize, "_isotropic_partner_in_plane", spy)
+    f = factor_unitary(lat, phi)
+    assert calls
+    assert verify_factorization(lat, phi, f)["det_consistent"]

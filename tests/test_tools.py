@@ -99,7 +99,7 @@ def test_digest_comparison_names_the_first_differing_op():
     base = _digest_run([("a", "A"), ("b", "B"), ("c", "C")])
     same = compare(base, _digest_run([("a", "A"), ("b", "B"), ("c", "C")]))
     assert same == {"inputs": True, "sha256": True, "value_sha256": True,
-                    "failed": (0, 0), "first": None}
+                    "failed": (0, 0), "first": None, "differing": {}}
     assert format_comparison(1, same) == (
         "seed 1: sha256 equal, value_sha256 equal (failed 0 base, 0 head)")
 
@@ -108,13 +108,32 @@ def test_digest_comparison_names_the_first_differing_op():
     assert (moved["sha256"], moved["value_sha256"]) == (False, False)
     assert moved["failed"] == (0, 1) and moved["first"] == (1, "factor", "lat1", ["sha256"])
     assert format_comparison(2, moved).endswith(
-        "first differing op 1 (factor lat1): sha256")
+        "first differing op 1 (factor lat1): sha256; "
+        "differing ops: lat1 factor 1, lat2 factor 1")
 
     # an op missing on one side differs in both digests; other inputs are named
     short = compare(base, _digest_run([("a", "A"), ("b", "B")], inputs="other"))
     assert not short["inputs"] and short["first"] == (2, "factor", "lat2",
                                                       ["sha256", "value_sha256"])
     assert format_comparison(3, short).startswith("seed 3: inputs DIFFER, sha256 DIFFER")
+
+
+def test_digest_comparison_counts_differing_ops_per_lattice_and_kind():
+    """Six ops on two lattices, factor and decide in turn: the two factor
+    ops of lattice a and both ops of b differ, and each (lattice, kind) is
+    counted; the decide ops of a, all equal, are not named."""
+    def run(shas):
+        records = _digest_run([(sha, sha.upper()) for sha in shas])
+        for op, (lattice, kind) in zip(records[1:-1], [("a", "factor"), ("a", "decide")] * 2
+                                       + [("b", "factor"), ("b", "decide")]):
+            op.update(lattice=lattice, kind=kind)
+        return records
+
+    cmp = compare(run("pqrstu"), run("PqRsTU"))
+    assert cmp["differing"] == {("a", "factor"): 2, ("b", "factor"): 1, ("b", "decide"): 1}
+    assert cmp["first"] == (0, "factor", "a", ["sha256"])
+    assert format_comparison(4, cmp).endswith(
+        "differing ops: a factor 2, b decide 1, b factor 1")
 
 
 def _result_line(per_s, p90, rss):

@@ -32,9 +32,9 @@ revision is exported with ``git archive`` into a temporary directory, this
 script and ``bench_pair.py`` are copied into it, so both sides hash alike,
 and each seed's schedule is digested there ("base") and in the checkout
 ("head"), each in a fresh process.  One line per seed tells whether
-``sha256`` and ``value_sha256`` of the whole schedule agree and names the
-first operation whose digests differ; the exit status is 1 if any seed
-differs.
+``sha256`` and ``value_sha256`` of the whole schedule agree, names the
+first operation whose digests differ and counts the differing operations
+per lattice and operation kind; the exit status is 1 if any seed differs.
 
 ``exact_key`` is the one exact form of results; the golden digests of
 ``tests/test_kernel_identity.py`` use it too.
@@ -51,6 +51,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
@@ -167,10 +168,11 @@ DIGESTS = ("sha256", "value_sha256")
 def compare(base, head):
     """How two runs of one schedule differ, given the records each printed:
     ``inputs`` (equal input digests), each of ``DIGESTS`` (equal digests of
-    the whole schedule), ``failed`` (the failure count of each side) and
+    the whole schedule), ``failed`` (the failure count of each side),
     ``first``: None, or the first operation whose records differ (a missing
     one counts) as ``(index, kind, lattice, names of the differing
-    digests)``."""
+    digests)``, and ``differing``: how many operations differ, by
+    ``(lattice, kind)``."""
     def parts(records):
         by_kind = {}
         for r in records:
@@ -179,14 +181,16 @@ def compare(base, head):
 
     (b_in, b_ops, b_all), (h_in, h_ops, h_all) = parts(base), parts(head)
     out = {"inputs": b_in["digest"] == h_in["digest"],
-           "failed": (b_all["failed"], h_all["failed"]), "first": None}
+           "failed": (b_all["failed"], h_all["failed"]), "first": None,
+           "differing": Counter()}
     out.update((k, b_all[k] == h_all[k]) for k in DIGESTS)
     for b, h in itertools.zip_longest(b_ops, h_ops, fillvalue={}):
         differ = [k for k in DIGESTS if b.get(k) != h.get(k)]
         if differ:
             op = b or h
-            out["first"] = (op["index"], op["kind"], op["lattice"], differ)
-            break
+            if out["first"] is None:
+                out["first"] = (op["index"], op["kind"], op["lattice"], differ)
+            out["differing"][op["lattice"], op["kind"]] += 1
     return out
 
 
@@ -198,7 +202,9 @@ def format_comparison(seed, cmp):
     words.append("(failed %d base, %d head)" % cmp["failed"])
     if cmp["first"] is not None:
         index, kind, lattice, differ = cmp["first"]
-        words.append(f"first differing op {index} ({kind} {lattice}): {', '.join(differ)}")
+        words.append(f"first differing op {index} ({kind} {lattice}): {', '.join(differ)};")
+        words.append("differing ops: " + ", ".join(
+            f"{lattice} {kind} {n}" for (lattice, kind), n in sorted(cmp["differing"].items())))
     return " ".join(words)
 
 
