@@ -171,23 +171,20 @@ def isotropy_refine(lat, u, helpers):
     """Exact isotropy kill allowing both trace-dominant and norm-balanced
     corrections along the helper directions.
 
-    Its 96 rounds can fail to converge: a norm-balanced step along a
-    helper that is u itself only rescales u.  Then the isotropic line of
-    span(u, y) is computed in closed form for each other helper y in turn
-    (``_isotropic_in_plane``), starting again from the u given."""
+    The rounds end when one finds no move, and can fail to converge within
+    96: a norm-balanced step along a helper that is u itself only rescales
+    u.  Either way the isotropic line of span(u, y) is computed in closed
+    form for each other helper y in turn (``_isotropic_in_plane``),
+    starting again from the u given."""
     start = u
     for _ in range(96):
         gu = lat.gram_conj(u)
         q = _dot(u, gu).as_K()
         if q.is_zero():
             return u
-        cand = _deepen_once(lat, u, gu, q, helpers)
-        if cand is None:
-            # mixed trace/norm cancellations: bounded residue search
-            cand = _residue_progress(lat, u, helpers, q.valuation())
-        if cand is None:
-            raise UnsupportedCase("no isotropy progress along helper directions")
-        u = cand
+        u = _deepen_once(lat, u, gu, q, helpers)
+        if u is None:
+            break
     for y in helpers:
         if y is start:
             continue
@@ -370,19 +367,6 @@ def normalize_plane(lat, x, y, scale_i):
         raise UnsupportedCase("plane basis does not attain the scale")
     y = _shift_into_trace_ideal(lat, y, x, scale_i)
     return x, y, k
-
-
-def _residue_progress(lat, u, helpers, m):
-    """Bounded residue search for a shift strictly deepening the form value."""
-    alg = lat.alg
-    for y in helpers:
-        for t in range(0, 4):
-            shift = alg.uniformizer_pow(t)
-            for lam0 in alg.unit_residues_O(1):
-                cand = vec_add(u, vec_scale(shift * lam0, y))
-                if _deepens(lat, cand, m):
-                    return cand
-    return None
 
 
 def plane_is_hyperbolic(lat, plane, scale_i):
@@ -576,9 +560,8 @@ def cross_pair_norm_drop(lat, plane1, rest_cols, scale_i):
 
 def _shift_into_trace_ideal(lat, w, z, scale_i):
     """Push Q(w) into Tr(P^scale_i) = p^floor((scale_i+e)/2) by norm shifts
-    along z (window <= e-1).  A shift that fails or does not deepen Q(w)
-    falls back to the residue search; UnsupportedCase when that finds nothing
-    or the rounds run out."""
+    along z (window <= e-1); UnsupportedCase when a shift fails or does not
+    deepen Q(w), or the rounds run out."""
     alg = lat.alg
     qz = lat.q_value(z)
     target = alg.trace_ideal(scale_i)
@@ -592,13 +575,9 @@ def _shift_into_trace_ideal(lat, w, z, scale_i):
         window = min(max(target - m, 1), max(alg.e - 1, 1))
         try:
             cand = _norm_shift(lat, w, z, q, qz, window)
-            if not _deepens(lat, cand, m):
-                cand = None
         except HermlatError:
             cand = None
-        if cand is None:
-            cand = _residue_progress(lat, w, [z], m)
-        if cand is None:
+        if cand is None or not _deepens(lat, cand, m):
             raise UnsupportedCase("norm shift stalled")
         w = cand
     raise UnsupportedCase("norm shift did not converge")

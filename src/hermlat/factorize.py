@@ -8,9 +8,9 @@ continues on the orthogonal complement.
 
 Each step has two halves.  The *plan* is what depends on L alone: the span,
 the arrangement of its first Jordan block, the branch that block calls for
-(a hyperbolic pair, also one found across blocks; a norm-attaining line; a
-subnormal plane; or a restart in a rearranged basis), the data that branch
-reads, and the complement the piece leaves (``lattice._complement``).  The
+(a hyperbolic pair, also one found across blocks; a norm-attaining line; or
+a subnormal plane), the data that branch reads, and the complement the
+piece leaves (``lattice._complement``).  The
 *alignment* is what depends on phi: the generators that make phi fix the
 piece (``_peel_pair``, ``_peel_line``, ``_peel_subnormal``).  The plan of a
 lattice is kept on it (``_plan``); no step holds the lattice, so the two
@@ -64,7 +64,6 @@ from .classify import (
     _jordan_cols,
     isotropy_refine,
     plane_standard_form,
-    rearrange_columns,
     standard_span,
 )
 from .isometries import (
@@ -226,25 +225,25 @@ def _reduction_pass(lat, gens):
 class _Step:
     """One peel of span(cols) as far as it depends on L alone.
 
-    ``branch`` is ``"pair"``, ``"line"``, ``"plane"`` or ``"restart"``, and
-    ``data`` holds the last arguments of its alignment (``_align_step``):
-    ``(u, v, s, swap)`` for a pair, ``(lines, deeper)`` for a line, the
-    rescaled lattice and standard plane of ``_plan_subnormal`` for a plane.
-    A pair's ``swap`` list is empty until an alignment first needs the
-    pair's swap word (``_scale_map_word``), then holds the ``(s, sigma)`` of
-    its inverse.  ``rest`` spans what is left to peel: the complement of
-    ``piece`` in span(cols), or the rearranged basis of a restart.  No field
-    holds the lattice itself (a swap word is kept as data, not as built
+    ``branch`` is ``"pair"``, ``"line"`` or ``"plane"``, and ``data`` holds
+    the last arguments of its alignment (``_align_step``): ``(u, v, s,
+    swap)`` for a pair, ``(lines, deeper)`` for a line, the rescaled lattice
+    and standard plane of ``_plan_subnormal`` for a plane.  A pair's
+    ``swap`` list is empty until an alignment first needs the pair's swap
+    word (``_scale_map_word``), then holds the ``(s, sigma)`` of its
+    inverse.  ``rest`` spans what is left to peel, the complement of
+    ``piece`` in span(cols), once ``_settle`` computed it.  No field holds
+    the lattice itself (a swap word is kept as data, not as built
     generators), so a plan does not keep its lattice alive."""
 
     __slots__ = ("cols", "branch", "data", "piece", "rest")
 
-    def __init__(self, cols, branch, data=(), piece=None, rest=None):
+    def __init__(self, cols, branch, data, piece):
         self.cols = cols
         self.branch = branch
         self.data = data
         self.piece = piece
-        self.rest = rest
+        self.rest = None
 
 
 def _drive(drv, phi):
@@ -283,15 +282,13 @@ def _plan_step(lat, span):
 
 
 def _align_step(drv, step, phi):
-    """The alignment of a step: the generators that make phi fix its piece
-    (a restart has none); returns the updated phi."""
+    """The alignment of a step: the generators that make phi fix its piece;
+    returns the updated phi."""
     if step.branch == "pair":
         return _peel_pair(drv, step.cols, phi, *step.data)
     if step.branch == "line":
         return _peel_line(drv, step.cols, phi, *step.data)
-    if step.branch == "plane":
-        return _peel_subnormal(drv, phi, *step.data)
-    return phi
+    return _peel_subnormal(drv, phi, *step.data)
 
 
 def _settle(lat, plan, idx, step):
@@ -318,9 +315,7 @@ def _peel_line(drv, cols, phi, lines, deeper):
     x = lines[0]
     if drv.lat.alg.kind != EtaleAlgebra.RAMIFIED:
         return _peel_unramified_line(drv, cols, phi, x)
-    if len(lines) >= 2:
-        return _peel_normal_rk2(drv, phi, x, lines[1])
-    return _peel_normal_rk1(drv, phi, x, deeper)
+    return _peel_normal(drv, phi, x, lines[1:] + deeper)
 
 
 # ---------------------------------------------------------------------------
@@ -817,32 +812,11 @@ def _steered_sigma(latr, qs_rho, target_vals):
     raise UnsupportedCase("no steered sigma reached the target window")
 
 
-def _peel_normal_rk2(drv, phi, x, y):
-    """First block carries two norm-attaining lines; fix phi(x) back to x."""
-    lat = drv.lat
-    alg = lat.alg
-    qx = lat.q_value(x)
-    qy = lat.q_value(y)
-    k = qx.valuation()
-
-    def steered(img):
-        # 1 - alpha in P^2: build s = x + c*y with Q(s) deep, steered sigma
-        c = alg.solve_norm_approx(-qx / qy, alg.e - 1)
-        s = vec_add(x, vec_scale(c, y))
-        qs = lat.q_value(s)
-        if qs.is_zero() or qs.valuation() < k + alg.e - 1:
-            raise UnsupportedCase("norm-mod combination missed its depth")
-        sigma = _steered_sigma(lat, alg.from_K(qs) * alg.rho(),
-                               [2 * k, 2 * k - 1])
-        return make_symmetry(lat, s, sigma)
-
-    return _align(drv, phi, x, 8,
-                  (lambda img: _direct_symmetry(lat, img, x), steered),
-                  "normal rank-2 peel did not converge")
-
-
-def _peel_normal_rk1(drv, phi, x, deeper):
-    """First block is a single line O*x next to a deeper part M."""
+def _peel_normal(drv, phi, x, rest):
+    """Fix phi(x) back to x for a norm-attaining line O*x of the first block;
+    ``rest`` spans the other lines of the block and the deeper part.  The
+    steered move combines x with the first norm attainer of span(rest): the
+    next line of the block when there is one, at the norm of x."""
     lat = drv.lat
     alg = lat.alg
     K = alg.base
@@ -858,11 +832,11 @@ def _peel_normal_rk1(drv, phi, x, deeper):
         return None
 
     def steered(img):
-        if not deeper:
-            raise UnsupportedCase("rank-1 peel stuck without a deeper part")
-        dgram = _gram_of(lat, deeper)
-        n = _norm_exp_of_gram(alg, dgram)
-        y0, _ = _norm_attainer(lat, deeper, dgram, n)
+        if not rest:
+            raise UnsupportedCase("normal-line peel stuck with nothing beside the line")
+        rgram = _gram_of(lat, rest)
+        n = _norm_exp_of_gram(alg, rgram)
+        y0, _ = _norm_attainer(lat, rest, rgram, n)
         qy = lat.q_value(y0)
         c = alg.solve_norm_approx(-K.uniformizer_pow(n - k) * qx / qy,
                                   alg.e - 1)
@@ -870,7 +844,7 @@ def _peel_normal_rk1(drv, phi, x, deeper):
         s = vec_add(vec_scale(alg.uniformizer_pow(n - k), x), y)
         qs = lat.q_value(s)
         if qs.is_zero() or qs.valuation() < n + alg.e - 1:
-            raise UnsupportedCase("rank-1 combination missed its depth")
+            raise UnsupportedCase("normal-line combination missed its depth")
         sigma = _steered_sigma(lat, alg.from_K(qs) * alg.rho(),
                                [n + k, n + k - 1])
         return make_symmetry(lat, s, sigma)
@@ -878,33 +852,33 @@ def _peel_normal_rk1(drv, phi, x, deeper):
     return _align(drv, phi, x, 10,
                   (lambda img: _direct_symmetry(lat, img, x), deep_alpha,
                    steered),
-                  "normal rank-1 peel did not converge")
+                  "normal-line peel did not converge")
 
 
 def _plan_subnormal(lat, span):
-    """The plan of a subnormal first-block plane: rearrange the deeper part
-    and restart, or the rescaled lattice, the standard plane (u, v) and the
-    exponents that the u and v alignments of ``_peel_subnormal`` read."""
+    """The plan of a subnormal first-block plane: the rescaled lattice, the
+    standard plane (u, v) and the exponents that the u and v alignments of
+    ``_peel_subnormal`` read.
+
+    The deeper part, of scale P^j and norm p^n, never needs the norm
+    rearrangement 0 < j - i < n - k against the plane (scale P^i, norm
+    p^k) first.  This plan runs only after ``classify._cross_pair`` found
+    no pair across the blocks; with those exponents it tried
+    ``_pair_after_rearrange``, which finds none only when the deeper block
+    has no plane to rearrange, or when j >= 2i + e - 2k.  The deeper plane
+    is P^j-modular, so Tr(P^j) lies in its norm and n <= floor((j + e)/2);
+    with n > j - i + k that gives j < 2i + e - 2k."""
     K = lat.alg.base
     i = span.scale
-    x2, y2, k = span.planes[0]
+    x2, y2, _ = span.planes[0]
 
     if span.deeper_cols:
         _, dgram, j, n_glob = span.deeper(lat)
-        if 0 < j - i < n_glob - k:
-            # rearrange the deeper part to norm p^(j-i+k) against x2, which
-            # attains the plane's norm, and restart
-            plane = rearrange_columns(lat, span, x2)
-            if plane is not None:
-                rest = _complement(lat, span.cols, plane) + list(plane)
-                return _Step(span.cols, "restart", rest=rest)
         # global rescale so the deep norm attainer has form value p^n exactly
         x_deep, _ = _norm_attainer(lat, span.deeper_cols, dgram, n_glob)
         scale_factor = K.uniformizer_pow(n_glob) / lat.q_value(x_deep)
     else:
-        x_deep = None
-        n_glob = None
-        j = None
+        x_deep = n_glob = j = None
         scale_factor = K.one
 
     latr = lat.rescale(scale_factor)
@@ -989,16 +963,16 @@ def peel_hyperbolic(lat, phi, pair):
     return drv.out, _complement(lat, cols, [u, v]), phi2
 
 
-def _peel_first_step(lat, phi, refusal, branches, mismatch):
+def _peel_first_step(lat, phi, refusal, branch, mismatch):
     """Step 0 of the plan of lat run on phi, refusing unramified kinds with
-    `refusal` and a step outside `branches` with `mismatch`; returns
-    (generators, complement_columns, residual_phi)."""
+    `refusal` and a step of another branch than `branch` with `mismatch`;
+    returns (generators, complement_columns, residual_phi)."""
     _check_input(lat, phi)
     if lat.alg.kind != EtaleAlgebra.RAMIFIED:
         raise UnsupportedCase(refusal)
     plan = lat._plan
     step = plan[0] if plan else _plan_step(lat, standard_span(lat))
-    if step.branch not in branches:
+    if step.branch != branch:
         raise UnsupportedCase(mismatch)
     drv = _Driver(lat)
     phi2 = _align_step(drv, step, phi)
@@ -1009,13 +983,11 @@ def peel_normal_dyadic(lat, phi):
     """One normal-line peeling step of the ramified driver; returns
     (generators, complement_columns, residual_phi)."""
     return _peel_first_step(lat, phi, "normal peeling is for the ramified kind",
-                            ("line",), "the first peel step is not a normal line")
+                            "line", "the first peel step is not a normal line")
 
 
 def peel_subnormal_dyadic(lat, phi):
-    """One subnormal-plane peeling step of the ramified driver (or the
-    restart of its plane in a rearranged basis); returns (generators,
-    complement_columns, residual_phi)."""
+    """One subnormal-plane peeling step of the ramified driver; returns
+    (generators, complement_columns, residual_phi)."""
     return _peel_first_step(lat, phi, "subnormal peeling is for the ramified kind",
-                            ("plane", "restart"),
-                            "the first peel step is not a subnormal plane")
+                            "plane", "the first peel step is not a subnormal plane")

@@ -46,6 +46,7 @@ from hermlat.specfile import parse_lattice
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "tools"))
 from schedule_digest import _generator, exact_key  # noqa: E402
+import reach  # noqa: E402
 import workloads  # noqa: E402  (perfbench/, put on the path by schedule_digest)
 
 
@@ -707,3 +708,87 @@ def test_the_all_deep_pair_transport_is_reached(monkeypatch):
     f = factor_unitary(lat, phi)
     assert calls
     assert verify_factorization(lat, phi, f)["det_consistent"]
+
+
+def _moves(lat, phi):
+    """Factor phi under a profile hook; returns the factorization and a
+    Counter of the moves of the ramified peels that returned, keyed by
+    (co_qualname, whether the move yielded a generator, n - k).  n - k is
+    read for a steered move of the normal-line peel: 0 when it combined x
+    with another line of the block, positive against the deeper part."""
+    ran = Counter()
+
+    def hook(frame, event, arg):
+        code = frame.f_code
+        if event == "return" and code.co_filename == factorize.__file__ \
+                and code.co_name in ("steered", "deep_alpha", "pre_pass"):
+            depth = None
+            if code.co_qualname == "_peel_normal.<locals>.steered":
+                depth = frame.f_locals["n"] - frame.f_locals["k"]
+            ran[code.co_qualname, arg is not None, depth] += 1
+
+    sys.setprofile(hook)
+    try:
+        f = factor_unitary(lat, phi)
+    finally:
+        sys.setprofile(None)
+    return f, ran
+
+
+def test_the_steered_normal_line_moves_are_reached(Q2i):
+    """A(0,0) ⟂ H(3) over Q_2(i): the first block is two norm-attaining
+    lines.  At seed 1 neither line is fixed by direct symmetries or
+    deep_alpha: the first peel steers against the second line, the second
+    against H(3).  At seed 4 deep_alpha yields."""
+    lat = orthogonal_sum(standard_A(Q2i, 0, 0), standard_H(Q2i, 3))
+    steered, deep_alpha = "_peel_normal.<locals>.steered", "_peel_normal.<locals>.deep_alpha"
+    phi = random_unitary(lat, 2, 1)[0]
+    f, ran = _moves(lat, phi)
+    assert ran[steered, True, 0] == 1 and ran[steered, True, 2] == 1
+    assert ran[deep_alpha, False, None] == 2
+    assert len(f) == 9 and verify_factorization(lat, phi, f)["det_consistent"]
+    phi = random_unitary(lat, 2, 4)[0]
+    f, ran = _moves(lat, phi)
+    assert ran[deep_alpha, True, None] == 1
+    assert verify_factorization(lat, phi, f)["det_consistent"]
+
+
+def test_the_steered_subnormal_move_is_reached(Q2sqrt2):
+    """A(0,1) ⟂ H(2) over Q_2(√2) at seed 1: the v-alignment of the
+    subnormal peel emits its steered symmetry."""
+    lat = orthogonal_sum(standard_A(Q2sqrt2, 0, 1), standard_H(Q2sqrt2, 2))
+    phi = random_unitary(lat, 2, 1)[0]
+    f, ran = _moves(lat, phi)
+    assert ran["_subnormal_fix_v.<locals>.steered", True, None] == 1
+    assert len(f) == 7 and verify_factorization(lat, phi, f)["det_consistent"]
+
+
+def test_no_subnormal_plan_needs_the_norm_rearrangement(monkeypatch):
+    """The argument of ``_plan_subnormal``'s docstring on real inputs: the
+    catalog and the out-of-catalog lattices of ``tools/reach.py``, each in
+    its own basis and in two random ones, factor -1, so every step of their
+    plans is planned (up to the first step that raises).  No subnormal plan
+    has a deeper part with 0 < j - i < n - k, and some have a deeper part."""
+    seen = []
+    plan = factorize._plan_subnormal
+
+    def spy(lat, span):
+        if span.deeper_cols:
+            _, _, j, n = span.deeper(lat)
+            i, k = span.scale, span.planes[0][2]
+            seen.append((i, k, j, n))
+            assert not 0 < j - i < n - k
+        return plan(lat, span)
+
+    monkeypatch.setattr(factorize, "_plan_subnormal", spy)
+    lats = [_catalog_lattice(os.path.basename(path)) for path in hermlat.catalog_files()]
+    lats += [lat for _, lat in reach.out_of_catalog()]
+    for lat in lats:
+        for basis in [lat] + [workloads.random_basis_change(lat, random.Random(s))
+                              for s in range(2)]:
+            minus = tuple(tuple(-a for a in row) for row in identity(basis.alg, basis.n))
+            try:
+                factor_unitary(basis, minus)
+            except UnsupportedCase:
+                continue
+    assert len(seen) >= 5

@@ -282,7 +282,7 @@ def _peel_hyperbolic():
 
 def _peel_normal():
     """diag(1, 3) over Q_2(√2): two norm-attaining lines in the first block,
-    the only input known to reach the rank-2 normal peel."""
+    so the normal-line peel has the second line beside x."""
     alg = _q2sqrt2()
     lat = HermitianLattice(alg, ((alg.one, alg.zero), (alg.zero, alg.from_int(3))))
     phi, _ = oracle.random_unitary(lat, 2, 4)
@@ -356,7 +356,7 @@ def _split_vector_reduction():
 PATHS = {"norm_drop_witness": (_norm_drop_witness, classify, "cross_pair_norm_drop"),
          "split_duals": (_split_duals, lattice, "_dual_basis"),
          "peel_hyperbolic": (_peel_hyperbolic, factorize, "_transport_pair"),
-         "peel_normal_dyadic": (_peel_normal, factorize, "_peel_normal_rk2"),
+         "peel_normal_dyadic": (_peel_normal, factorize, "_peel_normal"),
          "peel_subnormal_dyadic": (_peel_subnormal, factorize, "_peel_subnormal"),
          "steered_subnormal": (_steered_subnormal, factorize, "_steered_sigma"),
          "line_complement_slotwise": (_line_complement_slotwise, lattice, "_slotwise_keep"),

@@ -1,5 +1,5 @@
-"""The schedule digest of ``tools/schedule_digest.py`` and the summary of
-``tools/bench_pair.py``.
+"""The schedule digest of ``tools/schedule_digest.py``, the summary of
+``tools/bench_pair.py`` and the ledger of ``tools/reach.py``.
 
 The digest tool is run on a small schedule built here, not on a benchmark
 schedule, so its records are checked without pinning
@@ -27,6 +27,7 @@ from hermlat.specfile import parse_lattice
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "tools"))
 from bench_pair import format_rows, summarize  # noqa: E402
+from reach import census, defined, ledger  # noqa: E402
 from schedule_digest import (  # noqa: E402
     compare,
     digests,
@@ -62,6 +63,25 @@ def test_schedule_records_are_exact_and_repeatable():
     assert "error" not in ops[0] and "error" not in ops[1]
     assert ops[2]["error"][0] == "HermlatError"
     assert whole["ops"] == 3 and whole["failed"] == 1
+
+
+def test_reach_ledger_counts_one_operation():
+    """One factor op on q2i-h: factor_unitary and verify_factorization run
+    once each, every counted name is a defined one, nested moves are
+    defined too, and a function the op does not reach is listed as never
+    called; the profile hook is gone afterwards."""
+    counts, failed = census(_schedule()[:1])
+    names = defined()
+    assert sys.getprofile() is None and failed == []
+    assert counts["factorize", "factor_unitary"] == 1
+    assert counts["factorize", "verify_factorization"] == 1
+    assert set(counts) <= names
+    assert ("factorize", "_peel_normal.<locals>.steered") in names
+    assert ("factorize", "_peel_subnormal") not in counts
+    lines = ledger(counts, names, [("op 0", ["UnsupportedCase", "stuck"])])
+    assert "       1  factorize.factor_unitary" in lines
+    assert "   never  factorize._peel_subnormal" in lines
+    assert lines[-1] == "  failed  op 0: UnsupportedCase: stuck"
 
 
 def test_exact_key_sees_the_precision_count():
