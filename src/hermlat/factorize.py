@@ -1,6 +1,44 @@
 """Constructive factorization of unitary-group elements into symmetries and
 rescaled Eichler isometries.
 
+``factor_unitary`` takes one of two routes, never a mix of them: the
+reflection descent (``_descend``) or the peel driver below
+(``_factor_by_driver``).  The descent is the Cartan-Dieudonné descent over
+E: each round emits the symmetry that takes phi(e_j) back to e_j, for a
+basis vector e_j that phi moves, choosing the one of least v_P(sigma) among
+those whose sigma is invertible and which stabilize L.  It fixes every
+vector phi fixes, so the descent ends within n rounds.  When it ends at the
+identity, its word of at most n symmetries is the result; it has no Eichler
+factor, so no reduction pass runs.  Otherwise the descent's word is
+dropped, and the other route factors the original phi.  The descent stops
+short when, in some round, no candidate passes, since its candidates are
+only the reflections that take a column of phi home.
+
+Which route goes first depends on whether symmetries alone generate U(L):
+they do for every field kind but a ramified dyadic E/K with residue field
+F_2 (the paper's appendix).  Where they do, the descent runs first and the
+driver factors what it cannot finish.  In the residue-two case, on the
+catalog's ``H(i) ⟂ H(i)`` lattices over ``Q_2(i)`` and ``Q_2(√2)``, the
+descent finished every word of symmetries but only about half of the words
+holding an Eichler factor, and which half followed the generators drawn,
+not the shape of the word; a word it leaves costs the descent and the
+driver.  So the route, and with it the cost, followed the draw: on the
+``ramified`` benchmark the 90th percentile of the factor time ranged from
+0.015 s to 0.041 s over seeds 1-30 (one pass each); with the driver
+first, ten 30 s runs (seeds 1-10) put its quartiles at 0.030 and 0.032 s.  In the residue-two case the descent
+therefore runs one round, and only where rank(phi - 1) <= 1
+(``_rank_at_most_one``): then phi is a symmetry, every candidate is
+phi^-1, and the round finishes it.  Every other phi goes to the driver, and
+to the full descent only if the driver raises ``UnsupportedCase``.
+
+Split kinds keep the driver.  Their planned route is elimination in the
+Smith basis (``isometries.eliminate_split``), and the tracer test of
+``perfbench/test_perfbench.py``
+(``test_tracer_patches_import_bindings_and_restores_them``) traces the first
+factor operation of the ``unramified`` seed-3 schedule, a single symmetry
+on ``split2``, and asserts that ``_arrange_first_block`` runs: a descent on
+split kinds would finish that operation without it.
+
 The driver peels the lattice one hyperbolic plane, line, or subnormal plane
 at a time, emitting generators that align the images of the peeled basis
 vectors; the remaining map fixes the peeled part pointwise and the recursion
@@ -43,11 +81,15 @@ Without the certificate, ``factor_unitary`` guarantees the following, or
 raises ``UnsupportedCase``:
 - every generator of its word passed the membership test (in ``emit``, or
   in ``eichler_to_symmetries`` for the symmetries of a rewrite);
-- the word's product is phi: the phi the driver ends with is the identity,
-  and ``emit`` records the inverse of each generator it applies;
-- each rewrite of the reduction pass, applied to the identity, equals the
-  matrix of the Eichler factor it replaces (checked where the reduction
-  pass makes it, in ``eichler_to_symmetries``).
+- the word's product is phi: the phi the descent or the driver ends with is
+  the identity, and ``emit`` records the inverse of each generator it
+  applies;
+- on the driver's route, each rewrite of the reduction pass, applied to the
+  identity, equals the matrix of the Eichler factor it replaces (checked
+  where the reduction pass makes it, in ``eichler_to_symmetries``); the
+  descent's route has no rewrite.
+``hermlat factor --symmetries-only`` still refuses exactly a returned word
+that holds an Eichler factor; a word of the descent never does.
 It does not multiply its word out: ``verify_factorization``, the
 independent certificate from the generator list alone, is the one place
 that does.  Words are applied through ``isometries.apply_word``, so no
@@ -200,10 +242,95 @@ class _Driver:
 def factor_unitary(lat, phi):
     """Factor phi in U(L) into symmetries and rescaled Eichler isometries.
 
-    A final pass rewrites Eichler factors as symmetries wherever the
-    rewriting rules apply (always possible except in the ramified dyadic
-    residue-two case)."""
+    Split kinds take the peel driver (``_factor_by_driver``), whose final
+    pass rewrites Eichler factors as symmetries wherever the rewriting rules
+    apply (always possible except in the ramified dyadic residue-two case).
+    Other field kinds take the reflection descent (``_descend``) first, and
+    the driver where it does not finish.  In the residue-two case a phi
+    that is one symmetry takes one round of the descent, any other the
+    driver, and the full descent only where the driver raises (see the
+    module docstring)."""
     _check_input(lat, phi)
+    if lat.alg.kind == EtaleAlgebra.SPLIT:
+        return _factor_by_driver(lat, phi)
+    if not _residue_two(lat.alg):
+        fac = _descent(lat, phi, lat.n)
+        return fac if fac is not None else _factor_by_driver(lat, phi)
+    if _rank_at_most_one(lat, phi):
+        fac = _descent(lat, phi, 1)
+        if fac is not None:
+            return fac
+    try:
+        return _factor_by_driver(lat, phi)
+    except UnsupportedCase:
+        fac = _descent(lat, phi, lat.n)
+        if fac is None:
+            raise
+        return fac
+
+
+def _residue_two(alg):
+    """Whether E/K is ramified dyadic with residue field F_2, the one case
+    where symmetries need not generate U(L)."""
+    return alg.kind == EtaleAlgebra.RAMIFIED and alg.dyadic and alg.base.q == 2
+
+
+def _rank_at_most_one(lat, phi):
+    """Whether phi - 1 has rank at most one at working precision: each of
+    its columns makes vanishing 2 x 2 minors with the first nonzero one."""
+    one = lat.alg.one
+    cols = [tuple(a - one if i == j else a for i, a in enumerate(col))
+            for j, col in enumerate(cols_of(phi))]
+    cols = [c for c in cols if not all(a.is_zero() for a in c)]
+    if not cols:
+        return True
+    c = cols[0]
+    k = next(i for i, a in enumerate(c) if not a.is_zero())
+    return all((b[i] * c[k] - c[i] * b[k]).is_zero()
+               for b in cols[1:] for i in range(len(c)))
+
+
+def _descent(lat, phi, rounds):
+    """The word of at most `rounds` rounds of the reflection descent, or
+    None when they do not end at the identity."""
+    drv = _Driver(lat)
+    if mat_eq(_descend(drv, phi, rounds), identity(lat.alg, lat.n)):
+        return Factorization(lat, drv.out)
+    return None
+
+
+def _descend(drv, phi, rounds):
+    """The reflection descent: each round emits one symmetry S with
+    S(phi e_j) = e_j for a basis vector e_j that phi moves, the one of least
+    v_P(sigma) among the S = S_{phi e_j - e_j, sigma} of invertible sigma
+    that stabilize L; returns the phi left after `rounds` rounds, or once no
+    basis vector moves or no such S exists.  S fixes what phi fixes
+    (<y, phi x - x> = 0 when phi y = y), so the space S*phi fixes is larger
+    than the one of phi, and n rounds end the descent."""
+    lat = drv.lat
+    basis = cols_of(identity(lat.alg, lat.n))
+    for _ in range(rounds):
+        cands = []
+        for img, c in zip(cols_of(phi), basis):
+            if vec_eq(img, c):
+                continue
+            g = Symmetry(*reflection_data(lat, img, c))
+            if not g.sigma.is_zero():
+                cands.append((lat.alg.vP(g.sigma), g))
+        # membership in order of v_P(sigma), ties in basis order: the first
+        # member is the least one, and the later candidates go untested
+        cands.sort(key=lambda vg: vg[0])
+        g = next((g for _, g in cands if in_unitary_group(lat, g)), None)
+        if g is None:
+            break
+        phi = drv.emit(g, phi)
+    return phi
+
+
+def _factor_by_driver(lat, phi):
+    """The peel driver's factorization of phi: the plan walked by
+    ``_drive``, the check that it ends at the identity, and the reduction
+    pass."""
     drv = _Driver(lat)
     if not mat_eq(_drive(drv, phi), identity(lat.alg, lat.n)):
         raise UnsupportedCase("the driver left a map other than the identity")

@@ -200,7 +200,7 @@ def test_map_unit_vector(inert2, split2):
 
 def test_emit_rejects_a_non_member_from_map_isotropic(inert2, monkeypatch):
     """map_isotropic returns candidates; _Driver.emit is the one membership
-    test, so a word with a non-member fails there."""
+    test, so a word of the driver with a non-member fails there."""
     L = orthogonal_sum(standard_H(inert2, 0),
                        HermitianLattice(inert2, ((inert2.from_int(2),),)))
     phi, _ = random_unitary(L, 3, 5)
@@ -214,7 +214,7 @@ def test_emit_rejects_a_non_member_from_map_isotropic(inert2, monkeypatch):
 
     monkeypatch.setattr(factorize, "map_isotropic", broken)
     with pytest.raises(UnsupportedCase) as info:
-        factor_unitary(L, phi)
+        factorize._factor_by_driver(L, phi)
     assert calls
     assert info.traceback[-1].name == "emit"
 
@@ -467,14 +467,14 @@ def test_only_the_reduction_pass_rewrites_eichler_factors(name, inert3, monkeypa
     monkeypatch.setattr(factorize, "eichler_to_symmetries", spy)
     for seed in range(4):
         phi = random_unitary(lat, 4, seed)[0]
-        f = factor_unitary(lat, phi)
+        f = factorize._factor_by_driver(lat, phi)
         verify_factorization(lat, phi, f)
         assert not f.contains_eichler
     assert callers and set(callers) == {"_reduction_pass"}
 
 
 def _factor_key(lat, phi):
-    fac = factor_unitary(lat, phi)
+    fac = factorize._factor_by_driver(lat, phi)
     cert = verify_factorization(lat, phi, fac)
     return exact_key({"generators": [_generator(lat, g) for g in fac],
                       "residual_precision": cert["residual_precision"],
@@ -518,7 +518,7 @@ def test_a_plan_goes_with_its_lattice():
     cyclic garbage collector off."""
     lat = _catalog_lattice("q2sqrt2-sub.lat")
     phi = random_unitary(lat, 4, 3)[0]  # its generators hold the lattice
-    factor_unitary(lat, phi)
+    factorize._factor_by_driver(lat, phi)
     assert "plane" in [step.branch for step in lat._plan]
     ref = weakref.ref(lat)
     gc.disable()
@@ -545,13 +545,13 @@ def test_a_second_call_recomputes_no_geometry(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(factorize, name, spy)
-    factor_unitary(lat, random_unitary(lat, 4, 3)[0])
+    factorize._factor_by_driver(lat, random_unitary(lat, 4, 3)[0])
     assert set(calls) == {"_arrange_first_block", "_cross_block_attempt",
                           "plane_standard_form", "_complement"}
     assert lat._plan[-1].rest == []  # the plan is complete
     calls.clear()
     complement_callers.clear()
-    factor_unitary(lat, random_unitary(lat, 5, 4)[0])
+    factorize._factor_by_driver(lat, random_unitary(lat, 5, 4)[0])
     assert not calls.keys() - {"_complement"}
     assert set(complement_callers) <= {"_split_residue_two_data"}
 
@@ -572,7 +572,7 @@ def test_factoring_reads_the_span_the_pair_search_kept(name, monkeypatch):
             return _original(lat_, cols, groups)
 
         monkeypatch.setattr(module, "_arrange_first_block", spy)
-    factor_unitary(lat, random_unitary(lat, 4, 3)[0])
+    factorize._factor_by_driver(lat, random_unitary(lat, 4, 3)[0])
     assert len(lat._plan) > 1
     assert standard not in arranged
 
@@ -711,11 +711,12 @@ def test_the_all_deep_pair_transport_is_reached(monkeypatch):
 
 
 def _moves(lat, phi):
-    """Factor phi under a profile hook; returns the factorization and a
-    Counter of the moves of the ramified peels that returned, keyed by
-    (co_qualname, whether the move yielded a generator, n - k).  n - k is
-    read for a steered move of the normal-line peel: 0 when it combined x
-    with another line of the block, positive against the deeper part."""
+    """Factor phi by the peel driver under a profile hook; returns the
+    factorization and a Counter of the moves of the ramified peels that
+    returned, keyed by (co_qualname, whether the move yielded a generator,
+    n - k).  n - k is read for a steered move of the normal-line peel: 0
+    when it combined x with another line of the block, positive against the
+    deeper part."""
     ran = Counter()
 
     def hook(frame, event, arg):
@@ -729,7 +730,7 @@ def _moves(lat, phi):
 
     sys.setprofile(hook)
     try:
-        f = factor_unitary(lat, phi)
+        f = factorize._factor_by_driver(lat, phi)
     finally:
         sys.setprofile(None)
     return f, ran
@@ -766,9 +767,10 @@ def test_the_steered_subnormal_move_is_reached(Q2sqrt2):
 def test_no_subnormal_plan_needs_the_norm_rearrangement(monkeypatch):
     """The argument of ``_plan_subnormal``'s docstring on real inputs: the
     catalog and the out-of-catalog lattices of ``tools/reach.py``, each in
-    its own basis and in two random ones, factor -1, so every step of their
-    plans is planned (up to the first step that raises).  No subnormal plan
-    has a deeper part with 0 < j - i < n - k, and some have a deeper part."""
+    its own basis and in two random ones, factor -1 by the peel driver, so
+    every step of their plans is planned (up to the first step that
+    raises).  No subnormal plan has a deeper part with 0 < j - i < n - k,
+    and some have a deeper part."""
     seen = []
     plan = factorize._plan_subnormal
 
@@ -788,7 +790,138 @@ def test_no_subnormal_plan_needs_the_norm_rearrangement(monkeypatch):
                               for s in range(2)]:
             minus = tuple(tuple(-a for a in row) for row in identity(basis.alg, basis.n))
             try:
-                factor_unitary(basis, minus)
+                factorize._factor_by_driver(basis, minus)
             except UnsupportedCase:
                 continue
     assert len(seen) >= 5
+
+
+def _driven(monkeypatch):
+    """A list that gets the lattice of every call of the peel driver's
+    factorization (``factorize._factor_by_driver``)."""
+    calls = []
+    original = factorize._factor_by_driver
+
+    def spy(lat, phi):
+        calls.append(lat)
+        return original(lat, phi)
+
+    monkeypatch.setattr(factorize, "_factor_by_driver", spy)
+    return calls
+
+
+def _driver_failures():
+    """[(lattice, phi)]: 24 inputs on which the peel driver raises.  Eight
+    out of the catalog, ``phi = random_unitary(L, 1 + s % 6, s)``: over
+    Q_2(√2) A(1,1) ⟂ H(4) at s = 4, 8, A(1,1) ⟂ H(5) at s = 4 and
+    A(0,0) ⟂ H(4) at s = 1, 7, 8; A(1,2) ⟂ H(4) over the e = 5 tower field
+    at s = 5; <1, 3> ⟂ H(2) over Q_3(√3) at s = 1.  And q2sqrt2-h0h0 and
+    q2i-h1h1 in the bases ``workloads.random_basis_change`` draws from
+    seeds 0 and 2, ``phi = random_unitary(M, 4, t)`` for t = 0..3."""
+    q2s = EtaleAlgebra.quadratic(LocalField(2), 0, -2)
+    q3s = EtaleAlgebra.quadratic(LocalField(3), 0, -3)
+    K5 = LocalField(2, eisenstein_poly=[-2, 0])
+    e5 = EtaleAlgebra.quadratic(K5, 0, -K5.uniformizer())
+    diag13 = HermitianLattice(q3s, ((q3s.one, q3s.zero), (q3s.zero, q3s.from_int(3))))
+    seeded = [(orthogonal_sum(standard_A(q2s, 1, 1), standard_H(q2s, 4)), (4, 8)),
+              (orthogonal_sum(standard_A(q2s, 1, 1), standard_H(q2s, 5)), (4,)),
+              (orthogonal_sum(standard_A(q2s, 0, 0), standard_H(q2s, 4)), (1, 7, 8)),
+              (orthogonal_sum(standard_A(e5, 1, 2), standard_H(e5, 4)), (5,)),
+              (orthogonal_sum(diag13, standard_H(q3s, 2)), (1,))]
+    out = [(lat, random_unitary(lat, 1 + s % 6, s)[0]) for lat, seeds in seeded for s in seeds]
+    for name in ("q2sqrt2-h0h0", "q2i-h1h1"):
+        for b in (0, 2):
+            lat = workloads.random_basis_change(_catalog_lattice(f"{name}.lat"), random.Random(b))
+            out += [(lat, random_unitary(lat, 4, t)[0]) for t in range(4)]
+    return out
+
+
+def test_the_descent_factors_what_the_driver_cannot(monkeypatch):
+    """The peel driver alone raises ``UnsupportedCase`` on each input of
+    ``_driver_failures``; factor_unitary finishes each by the reflection
+    descent, into 2 to 4 symmetries that certify, at residual precision 232
+    or more.  It tries the driver first only in the residue-two case."""
+    inputs = _driver_failures()
+    assert len(inputs) == 24
+    for lat, phi in inputs:
+        with pytest.raises(UnsupportedCase):
+            factorize._factor_by_driver(lat, phi)
+    driven = _driven(monkeypatch)
+    for lat, phi in inputs:
+        driven.clear()
+        f = factor_unitary(lat, phi)
+        cert = verify_factorization(lat, phi, f)
+        assert all(isinstance(g, Symmetry) for g in f) and 2 <= len(f) <= 4
+        assert cert["residual_precision"] >= 232
+        assert driven == ([lat] if factorize._residue_two(lat.alg) else [])
+
+
+def test_the_residue_two_case_takes_the_driver_unless_phi_is_one_symmetry(monkeypatch):
+    """In the residue-two case the route depends on the shape of phi, not
+    on the generators drawn: on q2i-h0h0 and q2sqrt2-h1h1, at
+    ``random_unitary(L, k, s)`` for k = 1, 2 and s = 0..9, factor_unitary
+    returns one symmetry for a symmetry and the peel driver's word, bit for
+    bit, for every other input.  On ram3, where symmetries generate U(L),
+    the descent finishes the same words of two generators."""
+    driven = _driven(monkeypatch)
+    for name in ("q2i-h0h0", "q2sqrt2-h1h1", "ram3"):
+        lat = _catalog_lattice(f"{name}.lat")
+        for k in (1, 2):
+            for s in range(10):
+                phi, gens = random_unitary(lat, k, s)
+                driven.clear()
+                f = factor_unitary(lat, phi)
+                verify_factorization(lat, phi, f)
+                if name == "ram3":
+                    assert driven == [] and len(f) <= lat.n
+                elif k == 1 and isinstance(gens[0], Symmetry):
+                    assert driven == [] and len(f) == 1
+                else:
+                    assert driven == [lat]
+                    alone = factorize._factor_by_driver(lat, phi)
+                    assert exact_key([_generator(lat, g) for g in f]) \
+                        == exact_key([_generator(lat, g) for g in alone])
+
+
+def test_a_single_generator_comes_back_short():
+    """The 12 field-kind catalog lattices at ``random_unitary(L, 1, s)``,
+    s = 0..29: a symmetry comes back as one generator, an Eichler isometry
+    as at most three, and every word certifies."""
+    lats = [_catalog_lattice(os.path.basename(path)) for path in hermlat.catalog_files()]
+    lats = [lat for lat in lats if lat.alg.kind != EtaleAlgebra.SPLIT]
+    assert len(lats) == 12
+    drawn = Counter()
+    for lat in lats:
+        for s in range(30):
+            phi, (g,) = random_unitary(lat, 1, s)
+            f = factor_unitary(lat, phi)
+            verify_factorization(lat, phi, f)
+            assert len(f) == 1 if isinstance(g, Symmetry) else len(f) <= 3
+            drawn[type(g)] += 1
+    assert drawn[Symmetry] and drawn[EichlerIsometry]
+
+
+def test_descent_or_driver_never_a_mix(monkeypatch):
+    """The factor operations of the ``ramified`` benchmark schedules at
+    seeds 1-3: a word the descent finishes has at most n symmetries; where
+    it does not, factor_unitary returns the peel driver's word for the
+    original phi, bit for bit.  Both paths are taken."""
+    driven = _driven(monkeypatch)
+    lats = workloads.build("ramified")
+    finished = total = 0
+    for seed in (1, 2, 3):
+        for kind, item in workloads.make_inputs("ramified", lats, seed):
+            if kind != "factor":
+                continue
+            lat, phi = item.lattice, item.phi
+            driven.clear()
+            f = factor_unitary(lat, phi)
+            total += 1
+            if driven:
+                alone = factorize._factor_by_driver(lat, phi)
+                assert exact_key([_generator(lat, g) for g in f]) \
+                    == exact_key([_generator(lat, g) for g in alone])
+            else:
+                finished += 1
+                assert all(isinstance(g, Symmetry) for g in f) and len(f) <= lat.n
+    assert 0 < finished < total

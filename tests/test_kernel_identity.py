@@ -2,7 +2,8 @@
 
 For a few catalog lattices, one fixed seeded word of three generators
 (symmetries, with the third an Eichler isometry where the lattice has a
-hyperbolic pair) is factored and certified.  A SHA-256 over the exact
+hyperbolic pair) is factored, by ``factor_unitary`` and by the peel driver
+alone, and certified.  A SHA-256 over the exact
 representation ``(co, shift, ncap)`` of every entry of the input, of every
 emitted generator's matrix and of the certificate must stay what it was when
 these values were recorded: a change to the field arithmetic that alters any
@@ -99,11 +100,11 @@ def _word(lat, rng, k):
     return phi
 
 
-def run_digest(name):
+def run_digest(name, factor):
     with open(hermlat.catalog_path(name + ".lat")) as fh:
         lat = parse_lattice(fh.read())
     phi = _word(lat, random.Random(f"kernel-identity:{name}"), K_GENERATORS)
-    fac = factor_unitary(lat, phi)
+    fac = factor(lat, phi)
     cert = verify_factorization(lat, phi, fac)
     doc = {
         "input": exact_key(phi),
@@ -118,7 +119,29 @@ def run_digest(name):
 
 @pytest.mark.parametrize("name", sorted(EXPECTED))
 def test_factorization_is_bit_identical(name):
-    assert run_digest(name) == EXPECTED[name]
+    """The peel driver's factorization, which ``factor_unitary`` returns
+    where the reflection descent does not finish."""
+    assert run_digest(name, factorize._factor_by_driver) == EXPECTED[name]
+
+
+# lattice name -> SHA-256 of the run above through ``factor_unitary``: the
+# reflection descent finishes the words of f4ram and inert3; the peel driver
+# factors the other three, q2i-h and q2sqrt2-h0h0 because in their
+# residue-two case it goes first for a word that is not one symmetry
+EXPECTED_FACTOR = {
+    "split3": EXPECTED["split3"],
+    "inert3":
+        "03da0edc510f49956bdaf5849b6e0f89d48b82a81285fb7c8e14d8f57e11d2c4",
+    "q2i-h": EXPECTED["q2i-h"],
+    "q2sqrt2-h0h0": EXPECTED["q2sqrt2-h0h0"],
+    "f4ram":
+        "9fba9c68a708d7e7ba8b2060ca55bf6a11f0f03b92921702fa28294f850264a5",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_FACTOR))
+def test_factor_unitary_is_bit_identical(name):
+    assert run_digest(name, factor_unitary) == EXPECTED_FACTOR[name]
 
 
 # -- the decide path ---------------------------------------------------------
@@ -297,12 +320,12 @@ def _peel_subnormal():
 
 
 def _steered_subnormal():
-    """Criterion-1 trial 53 of q2sqrt2-sub: the subnormal peel runs out of
-    direct symmetries and emits a steered one."""
+    """Criterion-1 trial 53 of q2sqrt2-sub, factored by the peel driver: the
+    subnormal peel runs out of direct symmetries and emits a steered one."""
     with open(hermlat.catalog_path("q2sqrt2-sub.lat")) as fh:
         lat = parse_lattice(fh.read())
     phi, _ = oracle.random_unitary(lat, 1 + 53 % 6, 53)
-    fac = factor_unitary(lat, phi)
+    fac = factorize._factor_by_driver(lat, phi)
     cert = verify_factorization(lat, phi, fac)
     return {"generators": exact_key([_generator(lat, g) for g in fac]),
             "residual_precision": cert["residual_precision"],

@@ -69,8 +69,9 @@ def test_reach_ledger_counts_one_operation():
     """One factor op on q2i-h: factor_unitary and verify_factorization run
     once each, every counted name is a defined one, nested moves are
     defined too, and a function the op does not reach is listed as never
-    called; the profile hook is gone afterwards."""
-    counts, failed = census(_schedule()[:1])
+    called; the op, two symmetries in the residue-two case, is the peel
+    driver's, and the ledger says so; the profile hook is gone afterwards."""
+    counts, failed, routes = census(_schedule()[:1])
     names = defined()
     assert sys.getprofile() is None and failed == []
     assert counts["factorize", "factor_unitary"] == 1
@@ -78,8 +79,11 @@ def test_reach_ledger_counts_one_operation():
     assert set(counts) <= names
     assert ("factorize", "_peel_normal.<locals>.steered") in names
     assert ("factorize", "_peel_subnormal") not in counts
-    lines = ledger(counts, names, [("op 0", ["UnsupportedCase", "stuck"])])
+    assert routes == {("q2i-h", "driver"): 1}
+    assert counts["factorize", "_factor_by_driver"] == 1
+    lines = ledger(counts, names, [("op 0", ["UnsupportedCase", "stuck"])], routes)
     assert "       1  factorize.factor_unitary" in lines
+    assert "  routes  q2i-h: descent 0, driver 1" in lines
     assert "   never  factorize._peel_subnormal" in lines
     assert lines[-1] == "  failed  op 0: UnsupportedCase: stuck"
 

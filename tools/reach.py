@@ -21,8 +21,11 @@ of its own; a generator counts once per resume.  Lambdas and comprehensions
 are neither counted nor listed.
 
 Output: one line per function that ran, its count first; one ``never`` line
-per named function of ``src/hermlat`` that did not run; one ``failed`` line
-per operation that raised or whose input the oracle could not build.
+per named function of ``src/hermlat`` that did not run; one ``routes`` line
+per lattice with factor operations, saying how many of them the reflection
+descent finished and how many the peel driver did
+(``factorize._factor_by_driver`` returned a word); one ``failed`` line per
+operation that raised or whose input the oracle could not build.
 """
 
 from __future__ import annotations
@@ -99,21 +102,32 @@ def defined():
     return names
 
 
+DRIVER = ("factorize", "_factor_by_driver")
+
+
 def census(ops):
     """Run each ``(kind, item)`` of ops once under the profile hook; returns
-    the counts by (module, co_qualname) and (index, error) of each
-    operation that raised."""
-    counts = Counter()
+    the counts by (module, co_qualname), (index, error) of each operation
+    that raised, and the factor operations that did not raise counted by
+    (lattice name, ``"descent"`` or ``"driver"``): ``"driver"`` when the
+    peel driver's factorization returned a word, ``"descent"`` otherwise."""
+    counts, routes = Counter(), Counter()
+    driven = []
     prefix = SRC + os.sep
 
-    def hook(frame, event, _arg):
+    def hook(frame, event, arg):
         code = frame.f_code
-        if event == "call" and code.co_filename.startswith(prefix) \
-                and not code.co_name.startswith("<"):
-            counts[os.path.basename(code.co_filename)[:-3], code.co_qualname] += 1
+        if code.co_filename.startswith(prefix) and not code.co_name.startswith("<"):
+            key = os.path.basename(code.co_filename)[:-3], code.co_qualname
+            if event == "call":
+                counts[key] += 1
+            elif event == "return" and key == DRIVER and arg is not None:
+                # a frame that a raise unwinds returns None
+                driven.append(key)
 
     failed = []
     for index, (kind, item) in enumerate(ops):
+        driven.clear()
         sys.setprofile(hook)
         try:
             doc = schedule_digest.RESULTS[kind](item)
@@ -121,14 +135,18 @@ def census(ops):
             sys.setprofile(None)
         if "error" in doc:
             failed.append((index, doc["error"]))
-    return counts, failed
+        elif kind == "factor":
+            routes[item.lattice_name, "driver" if driven else "descent"] += 1
+    return counts, failed, routes
 
 
-def ledger(counts, names, failed):
+def ledger(counts, names, failed, routes):
     """The lines of the ledger (see the module docstring); failed holds
-    (where, error) pairs."""
+    (where, error) pairs, routes the counts ``census`` returns."""
     lines = [f"{counts[key]:>8}  {'.'.join(key)}" for key in sorted(counts)]
     lines += [f"{'never':>8}  {'.'.join(key)}" for key in sorted(names - set(counts))]
+    lines += [f"{'routes':>8}  {name}: descent {routes[name, 'descent']}, "
+              f"driver {routes[name, 'driver']}" for name in sorted({n for n, _ in routes})]
     lines += [f"{'failed':>8}  {where}: {': '.join(error)}" for where, error in failed]
     return lines
 
@@ -149,11 +167,13 @@ def main(argv=None):
     extra, skipped = extra_schedule()
     ops += extra
     where += [f"{item.lattice_name} seed {item.seed} (factor)" for _, item in extra]
-    counts, failed = census(ops)
+    counts, failed, routes = census(ops)
     print(f"# {len(ops)} operations: {', '.join(args.workload)} at seeds "
           f"{' '.join(map(str, args.seeds))}; {len(extra)} out of catalog")
+    print(f"# the descent finished {sum(routes[key] for key in routes if key[1] == 'descent')} "
+          f"of {sum(routes.values())} factor operations")
     failed = [(where[index], error) for index, error in failed] + skipped
-    for line in ledger(counts, defined(), failed):
+    for line in ledger(counts, defined(), failed, routes):
         print(line)
     return 0
 
