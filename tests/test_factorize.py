@@ -294,9 +294,10 @@ def _zero_mu_word():
 
 def test_eichler_with_zero_mu_factors_into_symmetries():
     """Case (e) of the ramified reduction must not ask for the valuation
-    of mu = 0."""
+    of mu = 0.  The driver alone reaches it: ``factor_unitary``'s descent
+    finishes this word without an Eichler factor."""
     lat, phi = _zero_mu_word()
-    f = factor_unitary(lat, phi)
+    f = factorize._factor_by_driver(lat, phi)
     cert = verify_factorization(lat, phi, f)
     assert cert["det_consistent"]
     assert not f.contains_eichler and len(f) == 4
@@ -331,7 +332,7 @@ def test_exit_check_stops_an_emit_that_applies_more_than_it_records(monkeypatch)
     see it, so the check that the driver ends at the identity must."""
     lat = _catalog_lattice("q2i-h1h1.lat")
     phi = random_unitary(lat, 4, 2)[0]
-    factor_unitary(lat, phi)
+    factorize._factor_by_driver(lat, phi)
     u, v = lat._plan[0].piece
     gv = lat.gram_conj(v)
     assert not lat.inner(u, v).is_zero()
@@ -354,7 +355,7 @@ def test_exit_check_stops_an_emit_that_applies_more_than_it_records(monkeypatch)
     monkeypatch.setattr(factorize._Driver, "emit", emit_and_shear)
     with pytest.raises(UnsupportedCase,
                        match="the driver left a map other than the identity"):
-        factor_unitary(lat, phi)
+        factorize._factor_by_driver(lat, phi)
     assert moved
 
 
@@ -410,10 +411,11 @@ def _split_eichler_word():
 
 
 def test_factor_unitary_multiplies_no_matrices(monkeypatch):
-    """The driver applies each generator, and the rewrite check each
-    rewrite, through the generators' update terms, on a field kind and on a
-    split one: the only matrix products of one factor_unitary are the two
-    of the input check's gram_preserved."""
+    """The descent and the driver apply each generator, and the rewrite
+    check each rewrite, through the generators' update terms, on a field
+    kind and on a split one: the only matrix products of one factor_unitary
+    are the two of the input check's gram_preserved, and the peel driver
+    alone, which rewrites the Eichler factor of both words, makes none."""
     words = [(*_zero_mu_word(), 4), (*_split_eichler_word(), 7)]
     callers = []
 
@@ -427,8 +429,11 @@ def test_factor_unitary_multiplies_no_matrices(monkeypatch):
             monkeypatch.setattr(module, "mat_mul", spy)
     for lat, phi, length in words:
         callers.clear()
-        f = factor_unitary(lat, phi)
+        assert not factor_unitary(lat, phi).contains_eichler
         assert callers == [("gram_preserved", "_check_input")] * 2
+        callers.clear()
+        f = factorize._factor_by_driver(lat, phi)
+        assert callers == []
         assert not f.contains_eichler and len(f) == length
 
 
@@ -840,7 +845,7 @@ def test_the_descent_factors_what_the_driver_cannot(monkeypatch):
     """The peel driver alone raises ``UnsupportedCase`` on each input of
     ``_driver_failures``; factor_unitary finishes each by the reflection
     descent, into 2 to 4 symmetries that certify, at residual precision 232
-    or more.  It tries the driver first only in the residue-two case."""
+    or more, and never runs the driver."""
     inputs = _driver_failures()
     assert len(inputs) == 24
     for lat, phi in inputs:
@@ -853,34 +858,55 @@ def test_the_descent_factors_what_the_driver_cannot(monkeypatch):
         cert = verify_factorization(lat, phi, f)
         assert all(isinstance(g, Symmetry) for g in f) and 2 <= len(f) <= 4
         assert cert["residual_precision"] >= 232
-        assert driven == ([lat] if factorize._residue_two(lat.alg) else [])
+        assert driven == []
 
 
-def test_the_residue_two_case_takes_the_driver_unless_phi_is_one_symmetry(monkeypatch):
-    """In the residue-two case the route depends on the shape of phi, not
-    on the generators drawn: on q2i-h0h0 and q2sqrt2-h1h1, at
-    ``random_unitary(L, k, s)`` for k = 1, 2 and s = 0..9, factor_unitary
-    returns one symmetry for a symmetry and the peel driver's word, bit for
-    bit, for every other input.  On ram3, where symmetries generate U(L),
-    the descent finishes the same words of two generators."""
-    driven = _driven(monkeypatch)
-    for name in ("q2i-h0h0", "q2sqrt2-h1h1", "ram3"):
-        lat = _catalog_lattice(f"{name}.lat")
-        for k in (1, 2):
-            for s in range(10):
-                phi, gens = random_unitary(lat, k, s)
-                driven.clear()
-                f = factor_unitary(lat, phi)
-                verify_factorization(lat, phi, f)
-                if name == "ram3":
-                    assert driven == [] and len(f) <= lat.n
-                elif k == 1 and isinstance(gens[0], Symmetry):
-                    assert driven == [] and len(f) == 1
-                else:
-                    assert driven == [lat]
-                    alone = factorize._factor_by_driver(lat, phi)
-                    assert exact_key([_generator(lat, g) for g in f]) \
-                        == exact_key([_generator(lat, g) for g in alone])
+def _key(lat, word):
+    return exact_key([_generator(lat, g) for g in word])
+
+
+def test_the_driver_factors_what_the_descent_leaves():
+    """The factor operations of the ``ramified`` benchmark schedules at
+    seeds 1-3: factor_unitary returns the reflection descent's word, at most
+    n symmetries, where the descent ends at the identity, and otherwise that
+    word followed by the peel driver's word for the map the descent left,
+    bit for bit.  Both shapes occur."""
+    lats = workloads.build("ramified")
+    shapes = Counter()
+    for seed in (1, 2, 3):
+        for kind, item in workloads.make_inputs("ramified", lats, seed):
+            if kind != "factor":
+                continue
+            lat, phi = item.lattice, item.phi
+            f = factor_unitary(lat, phi)
+            drv = factorize._Driver(lat)
+            rest = factorize._descend(drv, phi)
+            if mat_eq(rest, identity(lat.alg, lat.n)):
+                shapes["descent"] += 1
+                assert all(isinstance(g, Symmetry) for g in f) and len(f) <= lat.n
+                assert _key(lat, f) == _key(lat, drv.out)
+            else:
+                shapes["descent+driver"] += 1
+                driver = factorize._factor_by_driver(lat, rest)
+                assert _key(lat, f) == _key(lat, drv.out + driver.generators)
+    assert shapes["descent"] and shapes["descent+driver"]
+
+
+def test_the_driver_factors_phi_where_it_cannot_factor_the_remainder():
+    """On A(1,1) ⟂ H(4) over Q_2(√2) at ``random_unitary(L, 4, 3)`` the
+    descent stops short and the peel driver raises on the map it leaves;
+    factor_unitary returns the driver's word for phi itself, which
+    certifies."""
+    q2s = EtaleAlgebra.quadratic(LocalField(2), 0, -2)
+    lat = orthogonal_sum(standard_A(q2s, 1, 1), standard_H(q2s, 4))
+    phi = random_unitary(lat, 4, 3)[0]
+    rest = factorize._descend(factorize._Driver(lat), phi)
+    assert not mat_eq(rest, identity(lat.alg, lat.n))
+    with pytest.raises(UnsupportedCase):
+        factorize._factor_by_driver(lat, rest)
+    f = factor_unitary(lat, phi)
+    assert verify_factorization(lat, phi, f)["det_consistent"]
+    assert _key(lat, f) == _key(lat, factorize._factor_by_driver(lat, phi))
 
 
 def test_a_single_generator_comes_back_short():
@@ -899,29 +925,3 @@ def test_a_single_generator_comes_back_short():
             assert len(f) == 1 if isinstance(g, Symmetry) else len(f) <= 3
             drawn[type(g)] += 1
     assert drawn[Symmetry] and drawn[EichlerIsometry]
-
-
-def test_descent_or_driver_never_a_mix(monkeypatch):
-    """The factor operations of the ``ramified`` benchmark schedules at
-    seeds 1-3: a word the descent finishes has at most n symmetries; where
-    it does not, factor_unitary returns the peel driver's word for the
-    original phi, bit for bit.  Both paths are taken."""
-    driven = _driven(monkeypatch)
-    lats = workloads.build("ramified")
-    finished = total = 0
-    for seed in (1, 2, 3):
-        for kind, item in workloads.make_inputs("ramified", lats, seed):
-            if kind != "factor":
-                continue
-            lat, phi = item.lattice, item.phi
-            driven.clear()
-            f = factor_unitary(lat, phi)
-            total += 1
-            if driven:
-                alone = factorize._factor_by_driver(lat, phi)
-                assert exact_key([_generator(lat, g) for g in f]) \
-                    == exact_key([_generator(lat, g) for g in alone])
-            else:
-                finished += 1
-                assert all(isinstance(g, Symmetry) for g in f) and len(f) <= lat.n
-    assert 0 < finished < total

@@ -22,10 +22,14 @@ are neither counted nor listed.
 
 Output: one line per function that ran, its count first; one ``never`` line
 per named function of ``src/hermlat`` that did not run; one ``routes`` line
-per lattice with factor operations, saying how many of them the reflection
-descent finished and how many the peel driver did
-(``factorize._factor_by_driver`` returned a word); one ``failed`` line per
-operation that raised or whose input the oracle could not build.
+per lattice with factor operations, saying how many of them took each route
+and the mean length of their words; one ``failed`` line per operation that
+raised or whose input the oracle could not build.  The routes are
+``descent`` (the reflection descent finished the word, and no word of the
+peel driver ``factorize._factor_by_driver`` came back), ``descent+driver``
+(the word is the descent's followed by the driver's for the map the descent
+left) and ``driver`` (``factor_unitary`` returned the driver's word for phi:
+split kinds, and phi where the driver raised on the remainder).
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import inspect
 import os
 import sys
 import types
-from collections import Counter
+from collections import Counter, defaultdict
 
 import schedule_digest  # puts src/ and perfbench/ on the path
 import workloads  # noqa: E402
@@ -102,17 +106,17 @@ def defined():
     return names
 
 
-DRIVER = ("factorize", "_factor_by_driver")
+ROUTES = ("descent", "descent+driver", "driver")
+RETURNS = {("factorize", "factor_unitary"): "word", ("factorize", "_factor_by_driver"): "driver"}
 
 
 def census(ops):
     """Run each ``(kind, item)`` of ops once under the profile hook; returns
     the counts by (module, co_qualname), (index, error) of each operation
-    that raised, and the factor operations that did not raise counted by
-    (lattice name, ``"descent"`` or ``"driver"``): ``"driver"`` when the
-    peel driver's factorization returned a word, ``"descent"`` otherwise."""
-    counts, routes = Counter(), Counter()
-    driven = []
+    that raised, and the word lengths of the factor operations that did not
+    raise, listed by (lattice name, route) (see the module docstring)."""
+    counts, routes = Counter(), defaultdict(list)
+    returned = {}
     prefix = SRC + os.sep
 
     def hook(frame, event, arg):
@@ -121,13 +125,13 @@ def census(ops):
             key = os.path.basename(code.co_filename)[:-3], code.co_qualname
             if event == "call":
                 counts[key] += 1
-            elif event == "return" and key == DRIVER and arg is not None:
+            elif event == "return" and key in RETURNS and arg is not None:
                 # a frame that a raise unwinds returns None
-                driven.append(key)
+                returned[RETURNS[key]] = arg
 
     failed = []
     for index, (kind, item) in enumerate(ops):
-        driven.clear()
+        returned.clear()
         sys.setprofile(hook)
         try:
             doc = schedule_digest.RESULTS[kind](item)
@@ -136,17 +140,32 @@ def census(ops):
         if "error" in doc:
             failed.append((index, doc["error"]))
         elif kind == "factor":
-            routes[item.lattice_name, "driver" if driven else "descent"] += 1
+            word, driver = returned["word"], returned.get("driver")
+            route = ("descent" if driver is None else
+                     "driver" if word is driver else "descent+driver")
+            routes[item.lattice_name, route].append(len(word))
     return counts, failed, routes
+
+
+def route_counts(routes, names):
+    """``descent 3 (mean 2.0), descent+driver 0, driver 1 (mean 8.0)``: per
+    route, the number of factor operations on the lattices ``names`` that
+    took it and the mean length of their words."""
+    out = []
+    for route in ROUTES:
+        lengths = [n for name in names for n in routes.get((name, route), ())]
+        mean = f" (mean {sum(lengths) / len(lengths):.1f})" if lengths else ""
+        out.append(f"{route} {len(lengths)}{mean}")
+    return ", ".join(out)
 
 
 def ledger(counts, names, failed, routes):
     """The lines of the ledger (see the module docstring); failed holds
-    (where, error) pairs, routes the counts ``census`` returns."""
+    (where, error) pairs, routes the word lengths ``census`` returns."""
     lines = [f"{counts[key]:>8}  {'.'.join(key)}" for key in sorted(counts)]
     lines += [f"{'never':>8}  {'.'.join(key)}" for key in sorted(names - set(counts))]
-    lines += [f"{'routes':>8}  {name}: descent {routes[name, 'descent']}, "
-              f"driver {routes[name, 'driver']}" for name in sorted({n for n, _ in routes})]
+    lines += [f"{'routes':>8}  {name}: {route_counts(routes, [name])}"
+              for name in sorted({n for n, _ in routes})]
     lines += [f"{'failed':>8}  {where}: {': '.join(error)}" for where, error in failed]
     return lines
 
@@ -170,8 +189,9 @@ def main(argv=None):
     counts, failed, routes = census(ops)
     print(f"# {len(ops)} operations: {', '.join(args.workload)} at seeds "
           f"{' '.join(map(str, args.seeds))}; {len(extra)} out of catalog")
-    print(f"# the descent finished {sum(routes[key] for key in routes if key[1] == 'descent')} "
-          f"of {sum(routes.values())} factor operations")
+    names = sorted({n for n, _ in routes})
+    print(f"# routes of the {sum(map(len, routes.values()))} factor operations: "
+          f"{route_counts(routes, names)}")
     failed = [(where[index], error) for index, error in failed] + skipped
     for line in ledger(counts, defined(), failed, routes):
         print(line)
