@@ -1,31 +1,22 @@
 """Constructive factorization of unitary-group elements into symmetries and
 rescaled Eichler isometries.
 
-``factor_unitary`` runs the reflection descent (``_descend``) first, and the
-peel driver below (``_factor_by_driver``) on the map the descent leaves.  The
-descent is the Cartan-Dieudonné descent over E: each round emits the
-symmetry that takes phi(e_j) back to e_j, for a basis vector e_j that phi
-moves, choosing the one of least v_P(sigma) among those whose sigma is
-invertible and which stabilize L.  It fixes every vector phi fixes, so the
-descent ends within n rounds.  It stops short when, in some round, no
-candidate passes, since its candidates are only the reflections that take a
-column of phi home.  It stops short most often where symmetries need not
-generate U(L), for a ramified dyadic E/K with residue field F_2 (the paper's
-appendix).  When the descent ends at the identity, its word of at most n
-symmetries is the result.  Otherwise the driver factors the map left, and
-the result is the descent's word followed by the driver's, whose Eichler
-factors the reduction pass rewrites where it can.  Only where the driver
-raises ``UnsupportedCase`` on that remainder does it factor the original phi
-instead, which one out-of-catalog input needs (``A(1,1) ⟂ H(4)`` over
-``Q_2(√2)`` at ``random_unitary(L, 4, 3)``).
+``factor_unitary`` has one route.  It runs the reflection descent
+(``_descend``), then the peel driver below on the map the descent leaves,
+then the reduction pass over the whole word.  The descent is the
+Cartan-Dieudonné descent over E: each round emits the symmetry that takes
+phi(e_j) back to e_j, for a basis vector e_j that phi moves, choosing the
+one of least v_P(sigma) among those whose sigma is invertible and which
+stabilize L.  It fixes every vector phi fixes, so it ends within n rounds.
+It stops short when no candidate passes, most often where symmetries need
+not generate U(L), for a ramified dyadic E/K with residue field F_2 (the
+paper's appendix); the driver then factors what is left, Eichler factors
+included.  Where the descent ends at the identity the driver does not run.
 
-Split kinds keep the driver.  Their planned route is elimination in the
-Smith basis (``isometries.eliminate_split``), and the tracer test of
-``perfbench/test_perfbench.py``
-(``test_tracer_patches_import_bindings_and_restores_them``) traces the first
-factor operation of the ``unramified`` seed-3 schedule, a single symmetry
-on ``split2``, and asserts that ``_arrange_first_block`` runs: a descent on
-split kinds would finish that operation without it.
+Split kinds skip the descent: the tracer test of
+``perfbench/test_perfbench.py`` traces a single symmetry on ``split2`` and
+asserts that ``_arrange_first_block`` runs, which a finished descent would
+skip.  ``_factor_by_driver`` runs the driver alone, with the same finish.
 
 The driver peels the lattice one hyperbolic plane, line, or subnormal plane
 at a time, emitting generators that align the images of the peeled basis
@@ -48,8 +39,7 @@ recomputes no geometry, and gets what it would have computed, bit for bit.
 A step reads a ``classify.Span``; step 0 the one L keeps
 (``standard_span``), perhaps arranged already by the oracle or the decide
 path.  A pair step also keeps its swap word (``_scale_map_word``) once an
-alignment needed it, as ``(s, sigma)`` data.  The public single-step peels
-run step 0 of the plan.
+alignment needed it, as ``(s, sigma)`` data.
 
 The ramified line and plane peels share one alignment loop, ``_align``: each
 round emits the first generator one of the peel's moves yields for the
@@ -99,7 +89,6 @@ from .classify import (
 from .isometries import (
     EichlerIsometry,
     Symmetry,
-    _pair_scale,
     apply_generator,
     apply_word,
     det_of,
@@ -228,25 +217,16 @@ class _Driver:
 
 
 def factor_unitary(lat, phi):
-    """Factor phi in U(L) into symmetries and rescaled Eichler isometries.
-
-    Split kinds take the peel driver (``_factor_by_driver``), whose final
-    pass rewrites Eichler factors as symmetries wherever the rewriting rules
-    apply (always possible except in the ramified dyadic residue-two case).
-    Other field kinds take the reflection descent (``_descend``), then the
-    driver on the map it leaves, and the driver on phi itself only where
-    that raises (see the module docstring)."""
+    """Factor phi in U(L) into symmetries and rescaled Eichler isometries:
+    the reflection descent (``_descend``, not on split kinds), the peel
+    driver on the map it leaves, and the reduction pass, which rewrites
+    Eichler factors as symmetries wherever the rewriting rules apply (always
+    possible except in the ramified dyadic residue-two case)."""
     _check_input(lat, phi)
-    if lat.alg.kind == EtaleAlgebra.SPLIT:
-        return _factor_by_driver(lat, phi)
     drv = _Driver(lat)
-    rest = _descend(drv, phi)
-    if mat_eq(rest, identity(lat.alg, lat.n)):
-        return Factorization(lat, drv.out)
-    try:
-        return Factorization(lat, drv.out + _factor_by_driver(lat, rest).generators)
-    except UnsupportedCase:
-        return _factor_by_driver(lat, phi)
+    if lat.alg.kind != EtaleAlgebra.SPLIT:
+        phi = _descend(drv, phi)
+    return _finish(drv, phi)
 
 
 def _descend(drv, phi):
@@ -278,11 +258,17 @@ def _descend(drv, phi):
 
 
 def _factor_by_driver(lat, phi):
-    """The peel driver's factorization of phi: the plan walked by
-    ``_drive``, the check that it ends at the identity, and the reduction
-    pass."""
-    drv = _Driver(lat)
-    if not mat_eq(_drive(drv, phi), identity(lat.alg, lat.n)):
+    """The peel driver's factorization of phi alone, without the descent."""
+    return _finish(_Driver(lat), phi)
+
+
+def _finish(drv, phi):
+    """The word of drv followed by the peel driver's for phi: the plan
+    walked by ``_drive`` (unless phi is the identity already), the check
+    that it ends at the identity, and the reduction pass over the word."""
+    lat = drv.lat
+    one = identity(lat.alg, lat.n)
+    if not (mat_eq(phi, one) or mat_eq(_drive(drv, phi), one)):
         raise UnsupportedCase("the driver left a map other than the identity")
     return Factorization(lat, _reduction_pass(lat, drv.out))
 
@@ -896,7 +882,6 @@ def _peel_normal(drv, phi, x, rest):
     next line of the block when there is one, at the norm of x."""
     lat = drv.lat
     alg = lat.alg
-    K = alg.base
     qx = lat.q_value(x)
     k = qx.valuation()
 
@@ -915,12 +900,12 @@ def _peel_normal(drv, phi, x, rest):
         n = _norm_exp_of_gram(alg, rgram)
         y0, _ = _norm_attainer(lat, rest, rgram, n)
         qy = lat.q_value(y0)
-        c = alg.solve_norm_approx(-K.uniformizer_pow(n - k) * qx / qy,
-                                  alg.e - 1)
+        pi_nk = alg.uniformizer_pow(n - k)
+        c = alg.solve_norm_approx(-pi_nk.norm() * qx / qy, alg.e - 1)
         y = vec_scale(c, y0)
-        s = vec_add(vec_scale(alg.uniformizer_pow(n - k), x), y)
+        s = vec_add(vec_scale(pi_nk, x), y)
         qs = lat.q_value(s)
-        if qs.is_zero() or qs.valuation() < n + alg.e - 1:
+        if not qs.is_zero() and qs.valuation() < n + alg.e - 1:
             raise UnsupportedCase("normal-line combination missed its depth")
         sigma = _steered_sigma(lat, alg.from_K(qs) * alg.rho(),
                                [n + k, n + k - 1])
@@ -1003,8 +988,9 @@ def _subnormal_fix_v(drv, latr, a, phi, u, v, x_deep, i, k, n, j):
                 K.one - K.uniformizer_pow(h - n), e - 1)
         else:
             eps = alg.one
+        # v' is orthogonal to u, so the symmetry of s fixes u
         vprime = vec_sub(u, vec_scale(
-            alg.uniformizer_pow(i) * alg.from_K(K.uniformizer_pow(k - i)), v))
+            alg.from_K(latr.q_value(u)) / latr.inner(v, u), v))
         s = vec_add(vec_scale(eps * alg.uniformizer_pow(n - k), vprime),
                     x_deep)
         qs = latr.q_value(s)
@@ -1018,53 +1004,3 @@ def _subnormal_fix_v(drv, latr, a, phi, u, v, x_deep, i, k, n, j):
                   (lambda img: _direct_symmetry(lat, img, v, (latr, a)),
                    steered),
                   "subnormal v-alignment did not converge")
-
-
-# ---------------------------------------------------------------------------
-# public single-step peels
-# ---------------------------------------------------------------------------
-
-
-def peel_hyperbolic(lat, phi, pair):
-    """Emit generators aligning phi on the hyperbolic pair; returns
-    (generators, complement_columns, residual_phi) with
-    product(generators) * residual_phi = phi.  An Eichler factor is left as
-    it is: ``factor_unitary``'s reduction pass is what rewrites one."""
-    _check_input(lat, phi)
-    drv, cols = _Driver(lat), list(cols_of(identity(lat.alg, lat.n)))
-    u, v = pair
-    puv = lat.inner(u, v)
-    s = _pair_scale(lat.alg, puv) if lat.alg.kind != EtaleAlgebra.SPLIT \
-        else lat.alg.valuation_P(puv).a
-    phi2 = _peel_pair(drv, cols, phi, u, v, s, [])
-    return drv.out, _complement(lat, cols, [u, v]), phi2
-
-
-def _peel_first_step(lat, phi, refusal, branch, mismatch):
-    """Step 0 of the plan of lat run on phi, refusing unramified kinds with
-    `refusal` and a step of another branch than `branch` with `mismatch`;
-    returns (generators, complement_columns, residual_phi)."""
-    _check_input(lat, phi)
-    if lat.alg.kind != EtaleAlgebra.RAMIFIED:
-        raise UnsupportedCase(refusal)
-    plan = lat._plan
-    step = plan[0] if plan else _plan_step(lat, standard_span(lat))
-    if step.branch != branch:
-        raise UnsupportedCase(mismatch)
-    drv = _Driver(lat)
-    phi2 = _align_step(drv, step, phi)
-    return drv.out, list(_settle(lat, plan, 0, step)), phi2
-
-
-def peel_normal_dyadic(lat, phi):
-    """One normal-line peeling step of the ramified driver; returns
-    (generators, complement_columns, residual_phi)."""
-    return _peel_first_step(lat, phi, "normal peeling is for the ramified kind",
-                            "line", "the first peel step is not a normal line")
-
-
-def peel_subnormal_dyadic(lat, phi):
-    """One subnormal-plane peeling step of the ramified driver; returns
-    (generators, complement_columns, residual_phi)."""
-    return _peel_first_step(lat, phi, "subnormal peeling is for the ramified kind",
-                            "plane", "the first peel step is not a subnormal plane")

@@ -235,44 +235,6 @@ def test_det_consistency_on_factorizations(Q2sqrt2, inert2):
             assert (acc - mat_det(phi)).is_zero()
 
 
-def test_public_peel_wrappers(Q2sqrt2):
-    from hermlat.classify import splits_hyperbolic
-    from hermlat.factorize import (
-        peel_hyperbolic,
-        peel_normal_dyadic,
-        peel_subnormal_dyadic,
-    )
-    from hermlat.linalg import mat_vec
-
-    L = orthogonal_sum(standard_H(Q2sqrt2, 0),
-                       HermitianLattice(Q2sqrt2, ((Q2sqrt2.from_int(2),),)))
-    u, v, s = splits_hyperbolic(L)
-    phi, _ = random_unitary(L, 3, 9)
-    word, rest, phi2 = peel_hyperbolic(L, phi, (u, v))
-    assert len(rest) == 1
-    for vec in (u, v):
-        img = mat_vec(phi2, vec)
-        assert all((a - b).is_zero() for a, b in zip(img, vec))
-    # product(word) * phi2 = phi
-    acc = identity(Q2sqrt2, 3)
-    from hermlat.linalg import mat_mul, mat_eq
-
-    for g in word:
-        acc = mat_mul(acc, matrix_of(L, g))
-    assert mat_eq(mat_mul(acc, phi2), phi)
-
-    L2 = HermitianLattice(Q2sqrt2, ((Q2sqrt2.one, Q2sqrt2.zero),
-                                    (Q2sqrt2.zero, Q2sqrt2.from_int(3))))
-    phi, _ = random_unitary(L2, 2, 4)
-    word, rest, phi2 = peel_normal_dyadic(L2, phi)
-    assert len(rest) == 1
-
-    L3 = standard_A(Q2sqrt2, 0, 1)
-    phi, _ = random_unitary(L3, 2, 4)
-    word, rest, phi2 = peel_subnormal_dyadic(L3, phi)
-    assert rest == []
-
-
 def _catalog_lattice(name):
     with open(hermlat.catalog_path(name)) as fh:
         return parse_lattice(fh.read())
@@ -802,27 +764,29 @@ def test_no_subnormal_plan_needs_the_norm_rearrangement(monkeypatch):
 
 
 def _driven(monkeypatch):
-    """A list that gets the lattice of every call of the peel driver's
-    factorization (``factorize._factor_by_driver``)."""
+    """A list that gets the lattice of every run of the peel driver
+    (``factorize._drive``)."""
     calls = []
-    original = factorize._factor_by_driver
+    original = factorize._drive
 
-    def spy(lat, phi):
-        calls.append(lat)
-        return original(lat, phi)
+    def spy(drv, phi):
+        calls.append(drv.lat)
+        return original(drv, phi)
 
-    monkeypatch.setattr(factorize, "_factor_by_driver", spy)
+    monkeypatch.setattr(factorize, "_drive", spy)
     return calls
 
 
 def _driver_failures():
-    """[(lattice, phi)]: 24 inputs on which the peel driver raises.  Eight
-    out of the catalog, ``phi = random_unitary(L, 1 + s % 6, s)``: over
-    Q_2(√2) A(1,1) ⟂ H(4) at s = 4, 8, A(1,1) ⟂ H(5) at s = 4 and
+    """[(lattice, phi)]: 24 inputs that the reflection descent finishes.
+    Eight out of the catalog, ``phi = random_unitary(L, 1 + s % 6, s)``,
+    on which the peel driver alone takes a steered move where N(pi) = -p:
+    over Q_2(√2) A(1,1) ⟂ H(4) at s = 4, 8, A(1,1) ⟂ H(5) at s = 4 and
     A(0,0) ⟂ H(4) at s = 1, 7, 8; A(1,2) ⟂ H(4) over the e = 5 tower field
-    at s = 5; <1, 3> ⟂ H(2) over Q_3(√3) at s = 1.  And q2sqrt2-h0h0 and
-    q2i-h1h1 in the bases ``workloads.random_basis_change`` draws from
-    seeds 0 and 2, ``phi = random_unitary(M, 4, t)`` for t = 0..3."""
+    at s = 5; <1, 3> ⟂ H(2) over Q_3(√3) at s = 1.  Then 16 on which the
+    peel driver raises: q2sqrt2-h0h0 and q2i-h1h1 in the bases
+    ``workloads.random_basis_change`` draws from seeds 0 and 2,
+    ``phi = random_unitary(M, 4, t)`` for t = 0..3."""
     q2s = EtaleAlgebra.quadratic(LocalField(2), 0, -2)
     q3s = EtaleAlgebra.quadratic(LocalField(3), 0, -3)
     K5 = LocalField(2, eisenstein_poly=[-2, 0])
@@ -842,23 +806,58 @@ def _driver_failures():
 
 
 def test_the_descent_factors_what_the_driver_cannot(monkeypatch):
-    """The peel driver alone raises ``UnsupportedCase`` on each input of
-    ``_driver_failures``; factor_unitary finishes each by the reflection
-    descent, into 2 to 4 symmetries that certify, at residual precision 232
-    or more, and never runs the driver."""
+    """The peel driver alone raises on the 16 basis-change inputs of
+    ``_driver_failures``, whose first block it cannot arrange;
+    factor_unitary finishes each of the 24 inputs by the reflection descent,
+    into 2 to 4 symmetries that certify, at residual precision 232 or more,
+    and never runs the driver."""
     inputs = _driver_failures()
     assert len(inputs) == 24
-    for lat, phi in inputs:
-        with pytest.raises(UnsupportedCase):
+    for lat, phi in inputs[8:]:
+        with pytest.raises(UnsupportedCase, match="unexpected first-block shape"):
             factorize._factor_by_driver(lat, phi)
     driven = _driven(monkeypatch)
     for lat, phi in inputs:
-        driven.clear()
         f = factor_unitary(lat, phi)
         cert = verify_factorization(lat, phi, f)
         assert all(isinstance(g, Symmetry) for g in f) and 2 <= len(f) <= 4
         assert cert["residual_precision"] >= 232
-        assert driven == []
+    assert driven == []
+
+
+def test_the_driver_alone_takes_the_steered_moves_where_the_norm_of_pi_is_minus_p():
+    """The eight out-of-catalog inputs of ``_driver_failures``: the steered
+    moves solve against N(pi^(n-k)), the normal-line one takes an
+    isotropic combination, and the peel driver alone factors each input
+    into a word that certifies."""
+    inputs = _driver_failures()[:8]
+    for lat, phi in inputs:
+        f, ran = _moves(lat, phi)
+        assert verify_factorization(lat, phi, f)["det_consistent"]
+        assert any(qualname.endswith("steered") and yielded
+                   for qualname, yielded, _ in ran)
+
+
+def test_the_steered_subnormal_move_keeps_u_fixed(monkeypatch):
+    """A(1,1) ⟂ H(4) over Q_2(√2) at s = 4: the subnormal plane's u has
+    odd scale exponent, and the steered move of the v-alignment combines a
+    vector orthogonal to u, so phi still fixes u once v is aligned."""
+    q2s = EtaleAlgebra.quadratic(LocalField(2), 0, -2)
+    lat = orthogonal_sum(standard_A(q2s, 1, 1), standard_H(q2s, 4))
+    phi = random_unitary(lat, 5, 4)[0]
+    fixed = []
+    fix_v = factorize._subnormal_fix_v
+
+    def spy(drv, latr, a, phi, u, *rest):
+        phi = fix_v(drv, latr, a, phi, u, *rest)
+        fixed.append(vec_eq(mat_vec(phi, u), u))
+        return phi
+
+    monkeypatch.setattr(factorize, "_subnormal_fix_v", spy)
+    f, ran = _moves(lat, phi)
+    assert ran["_subnormal_fix_v.<locals>.steered", True, None] == 1
+    assert fixed == [True]
+    assert verify_factorization(lat, phi, f)["det_consistent"]
 
 
 def _key(lat, word):
@@ -892,21 +891,34 @@ def test_the_driver_factors_what_the_descent_leaves():
     assert shapes["descent"] and shapes["descent+driver"]
 
 
-def test_the_driver_factors_phi_where_it_cannot_factor_the_remainder():
+def test_the_driver_factors_the_remainder_of_a_steered_subnormal_input():
     """On A(1,1) ⟂ H(4) over Q_2(√2) at ``random_unitary(L, 4, 3)`` the
-    descent stops short and the peel driver raises on the map it leaves;
-    factor_unitary returns the driver's word for phi itself, which
-    certifies."""
+    descent stops short and the map it leaves takes the steered subnormal
+    move: factor_unitary returns the descent's word followed by the peel
+    driver's for that map, bit for bit, and the word certifies."""
     q2s = EtaleAlgebra.quadratic(LocalField(2), 0, -2)
     lat = orthogonal_sum(standard_A(q2s, 1, 1), standard_H(q2s, 4))
     phi = random_unitary(lat, 4, 3)[0]
-    rest = factorize._descend(factorize._Driver(lat), phi)
-    assert not mat_eq(rest, identity(lat.alg, lat.n))
-    with pytest.raises(UnsupportedCase):
-        factorize._factor_by_driver(lat, rest)
+    drv = factorize._Driver(lat)
+    rest = factorize._descend(drv, phi)
+    assert drv.out and not mat_eq(rest, identity(lat.alg, lat.n))
+    driver, ran = _moves(lat, rest)
+    assert ran["_subnormal_fix_v.<locals>.steered", True, None]
     f = factor_unitary(lat, phi)
+    assert _key(lat, f) == _key(lat, drv.out + driver.generators)
     assert verify_factorization(lat, phi, f)["det_consistent"]
-    assert _key(lat, f) == _key(lat, factorize._factor_by_driver(lat, phi))
+
+
+def test_every_out_of_catalog_input_certifies():
+    """Each input of ``tools/reach.py``'s out-of-catalog list that the
+    oracle builds at seeds 0-9 factors through factor_unitary and
+    certifies."""
+    ops, skipped = reach.extra_schedule()
+    assert len(ops) + len(skipped) == 10 * len(reach.out_of_catalog())
+    for _, item in ops:
+        f = factor_unitary(item.lattice, item.phi)
+        assert verify_factorization(item.lattice, item.phi, f)["det_consistent"], \
+            (item.lattice_name, item.seed)
 
 
 def test_a_single_generator_comes_back_short():

@@ -17,10 +17,11 @@ trace of ``isometry_conditions``).
 
 Paths that no benchmark schedule reaches are pinned by hand: the norm-drop
 witness of ``splits_hyperbolic`` on A(1,1) ⟂ <2> over Q_2(√2), the
-split-kind duals and Jordan splitting of a rank-3 lattice over Q_3, the three
-public single-step peels of ``factorize``, the steered-σ branch of the
-subnormal peel, the split-slot fallback of ``lattice._complement`` for a line
-and for a plane, ``rearrange_jordan`` and the split-vector Eichler rewrite.
+split-kind duals and Jordan splitting of a rank-3 lattice over Q_3, the peel
+driver alone on three small lattices that reach its pair transport,
+normal-line peel and subnormal peel, the steered-σ branch of the subnormal
+peel, the split-slot fallback of ``lattice._complement`` for a line and for a
+plane, ``rearrange_jordan`` and the split-vector Eichler rewrite.
 
 Both use ``exact_key`` of ``tools/schedule_digest.py``, the exact form that
 tool hashes whole benchmark schedules with.
@@ -223,21 +224,16 @@ EXPECTED_PATHS = {
     # (54b768ec… before zeros kept at most mcap digits)
     "split_duals":
         "15e6cbc27e3ee8ecd6fdaa77c571decb176a3500df2e38e7848d782df7fa4134",
-    # recorded before the factor driver's alignment loops, fixed-vector
-    # tests and step branches were each written once
-    # re-recorded, with peel_subnormal_dyadic, when words were applied
-    # through their generators' update terms: the returned φ₂ carries other
-    # precision counts, equal in value; word and rest are unchanged
-    # (9e30ec69… before)
-    # (a170c49e… before zeros kept at most mcap digits)
+    # re-recorded when the single-step peels were deleted: each is now the
+    # peel driver's whole factorization of the same lattice and phi
+    # (b699b239…, 18da023d… and 5414d98d… before, the step's word, rest and
+    # residual phi)
     "peel_hyperbolic":
-        "b699b239fef2abca684ab60a001c45e87a3c1dd533f3d2812d766e981185b5c7",
+        "f4c9b2e02237edcdf489f32219876a6b47c3f4bff6410d5644538b73462141ae",
     "peel_normal_dyadic":
-        "18da023dccffbaedb01d6292e9ed5b523853067c943700a0fcf16fdee5c060ac",
-    # (d7564e9d… before)
-    # (4ecfc9dd… before zeros kept at most mcap digits)
+        "1646a440392183de45862a692f6d10039373ad327c2c8a5509f7396efcdbeda9",
     "peel_subnormal_dyadic":
-        "5414d98d07c837c512cef5b4a2fb05fd4e8f4e4ed41405b110d25f700571e34c",
+        "42fb01315818bdd832b2f7718bbf7d7975ea37ec0fd4d1083a2e6c323c1abdf2",
     # (3dacaa59… before zeros kept at most mcap digits)
     "steered_subnormal":
         "2feb73ad1d8635a42928c06c4950260c44e51aa3fb2df2b3951e8bfc4af54345",
@@ -293,19 +289,20 @@ def _q2sqrt2():
     return EtaleAlgebra.quadratic(LocalField(2), 0, -2)
 
 
-def _peel_key(lat, peeled):
-    word, rest, phi2 = peeled
-    return {"word": exact_key([_generator(lat, g) for g in word]),
-            "rest": exact_key(rest), "phi": exact_key(phi2)}
+def _driver_run(lat, phi):
+    """The peel driver's factorization of phi alone, certified."""
+    fac = factorize._factor_by_driver(lat, phi)
+    cert = verify_factorization(lat, phi, fac)
+    return {"generators": exact_key([_generator(lat, g) for g in fac]),
+            "residual_precision": cert["residual_precision"],
+            "certificate": cert}
 
 
 def _peel_hyperbolic():
-    """H(0) ⟂ <2> over Q_2(√2): one pair transport."""
+    """H(0) ⟂ <2> over Q_2(√2): a pair transport, then a line."""
     alg = _q2sqrt2()
     lat = orthogonal_sum(standard_H(alg, 0), HermitianLattice(alg, ((alg.from_int(2),),)))
-    u, v, _ = splits_hyperbolic(lat)
-    phi, _ = oracle.random_unitary(lat, 3, 9)
-    return _peel_key(lat, factorize.peel_hyperbolic(lat, phi, (u, v)))
+    return _driver_run(lat, oracle.random_unitary(lat, 3, 9)[0])
 
 
 def _peel_normal():
@@ -313,15 +310,13 @@ def _peel_normal():
     so the normal-line peel has the second line beside x."""
     alg = _q2sqrt2()
     lat = HermitianLattice(alg, ((alg.one, alg.zero), (alg.zero, alg.from_int(3))))
-    phi, _ = oracle.random_unitary(lat, 2, 4)
-    return _peel_key(lat, factorize.peel_normal_dyadic(lat, phi))
+    return _driver_run(lat, oracle.random_unitary(lat, 2, 4)[0])
 
 
 def _peel_subnormal():
     """A(0,1) over Q_2(√2): one subnormal plane."""
     lat = standard_A(_q2sqrt2(), 0, 1)
-    phi, _ = oracle.random_unitary(lat, 2, 4)
-    return _peel_key(lat, factorize.peel_subnormal_dyadic(lat, phi))
+    return _driver_run(lat, oracle.random_unitary(lat, 2, 4)[0])
 
 
 def _steered_subnormal():
@@ -329,12 +324,7 @@ def _steered_subnormal():
     subnormal peel runs out of direct symmetries and emits a steered one."""
     with open(hermlat.catalog_path("q2sqrt2-sub.lat")) as fh:
         lat = parse_lattice(fh.read())
-    phi, _ = oracle.random_unitary(lat, 1 + 53 % 6, 53)
-    fac = factorize._factor_by_driver(lat, phi)
-    cert = verify_factorization(lat, phi, fac)
-    return {"generators": exact_key([_generator(lat, g) for g in fac]),
-            "residual_precision": cert["residual_precision"],
-            "certificate": cert}
+    return _driver_run(lat, oracle.random_unitary(lat, 1 + 53 % 6, 53)[0])
 
 
 def _split2h_mixed():

@@ -18,6 +18,7 @@ from types import SimpleNamespace
 
 import hermlat
 from hermlat import oracle
+from hermlat.factorize import factor_unitary
 from hermlat.isometries import matrix_of
 from hermlat.etale import AlgElement
 from hermlat.linalg import identity, mat_mul
@@ -69,9 +70,9 @@ def test_reach_ledger_counts_one_operation():
     """One factor op on q2i-h: factor_unitary and verify_factorization run
     once each, every counted name is a defined one, nested moves are
     defined too, and a function the op does not reach is listed as never
-    called; the op, two symmetries, is the reflection descent's, the peel
-    driver does not run, and the ledger says so with the word's length; the
-    profile hook is gone afterwards."""
+    called; the op, two symmetries, is the reflection descent's, no peel
+    step runs, and the ledger says so with the word's length; the profile
+    hook is gone afterwards."""
     counts, failed, routes = census(_schedule()[:1])
     names = defined()
     assert sys.getprofile() is None and failed == []
@@ -81,7 +82,7 @@ def test_reach_ledger_counts_one_operation():
     assert ("factorize", "_peel_normal.<locals>.steered") in names
     assert ("factorize", "_peel_subnormal") not in counts
     assert routes == {("q2i-h", "descent"): [2]}
-    assert ("factorize", "_factor_by_driver") not in counts
+    assert ("factorize", "_align_step") not in counts
     lines = ledger(counts, names, [("op 0", ["UnsupportedCase", "stuck"])], routes)
     assert "       1  factorize.factor_unitary" in lines
     assert "  routes  q2i-h: descent 1 (mean 2.0), descent+driver 0, driver 0" in lines
@@ -91,8 +92,9 @@ def test_reach_ledger_counts_one_operation():
 
 def test_reach_routes_tell_the_driver_on_the_remainder_from_the_driver_alone():
     """A word of the descent followed by the peel driver's for the map left
-    is counted as ``descent+driver``; a split lattice's word, which
-    factor_unitary takes from the driver as it is, as ``driver``."""
+    is counted as ``descent+driver``; a split lattice's word, which the
+    driver factors without a descent, as ``driver``; the census reads each
+    word's length off its result."""
     ops = []
     for name, seed in (("q2i-h1h1", 2), ("split3", 0)):
         with open(hermlat.catalog_path(f"{name}.lat")) as fh:
@@ -100,9 +102,9 @@ def test_reach_routes_tell_the_driver_on_the_remainder_from_the_driver_alone():
         phi = oracle.random_unitary(lat, 4, seed)[0]
         ops.append(("factor", SimpleNamespace(phi=phi, lattice_name=name, lattice=lat)))
     _, failed, routes = census(ops)
-    assert failed == [] and sorted(routes) == [("q2i-h1h1", "descent+driver"),
-                                               ("split3", "driver")]
-    assert all(len(lengths) == 1 for lengths in routes.values())
+    h1h1, split3 = [len(factor_unitary(item.lattice, item.phi)) for _, item in ops]
+    assert failed == []
+    assert routes == {("q2i-h1h1", "descent+driver"): [h1h1], ("split3", "driver"): [split3]}
 
 
 def test_exact_key_sees_the_precision_count():

@@ -24,12 +24,12 @@ Output: one line per function that ran, its count first; one ``never`` line
 per named function of ``src/hermlat`` that did not run; one ``routes`` line
 per lattice with factor operations, saying how many of them took each route
 and the mean length of their words; one ``failed`` line per operation that
-raised or whose input the oracle could not build.  The routes are
-``descent`` (the reflection descent finished the word, and no word of the
-peel driver ``factorize._factor_by_driver`` came back), ``descent+driver``
-(the word is the descent's followed by the driver's for the map the descent
-left) and ``driver`` (``factor_unitary`` returned the driver's word for phi:
-split kinds, and phi where the driver raised on the remainder).
+raised or whose input the oracle could not build.  The route is read off
+the counts: ``descent`` (the reflection descent finished the word, and no
+peel step ``factorize._align_step`` ran), ``descent+driver`` (a field kind
+where a peel step ran: the word is the descent's followed by the peel
+driver's for the map the descent left) and ``driver`` (split kinds, which
+take no descent).
 """
 
 from __future__ import annotations
@@ -56,8 +56,10 @@ EXTRA_SEEDS = range(10)
 def out_of_catalog():
     """[(name, lattice)]: lattices that no catalog entry and no tower lattice
     is isometric to.  The first two reach the steered moves of the normal
-    line and subnormal peels; the golden of ``peel_normal_dyadic`` is
-    ``<1, 3>``; the last four fail at some seeds."""
+    line and subnormal peels; ``<1, 3>`` has two norm-attaining lines in its
+    first block; the next two reach the steered moves where N(pi) = -p.
+    The oracle builds the last two at a few seeds only, and the peel driver
+    alone raises on those."""
     q2i = EtaleAlgebra.quadratic(LocalField(2), 2, 2)
     q2s = EtaleAlgebra.quadratic(LocalField(2), 0, -2)
     A, H, osum = lattice.standard_A, lattice.standard_H, lattice.orthogonal_sum
@@ -107,7 +109,7 @@ def defined():
 
 
 ROUTES = ("descent", "descent+driver", "driver")
-RETURNS = {("factorize", "factor_unitary"): "word", ("factorize", "_factor_by_driver"): "driver"}
+PEEL_STEP = ("factorize", "_align_step")
 
 
 def census(ops):
@@ -116,22 +118,17 @@ def census(ops):
     that raised, and the word lengths of the factor operations that did not
     raise, listed by (lattice name, route) (see the module docstring)."""
     counts, routes = Counter(), defaultdict(list)
-    returned = {}
     prefix = SRC + os.sep
 
     def hook(frame, event, arg):
         code = frame.f_code
-        if code.co_filename.startswith(prefix) and not code.co_name.startswith("<"):
-            key = os.path.basename(code.co_filename)[:-3], code.co_qualname
-            if event == "call":
-                counts[key] += 1
-            elif event == "return" and key in RETURNS and arg is not None:
-                # a frame that a raise unwinds returns None
-                returned[RETURNS[key]] = arg
+        if event == "call" and code.co_filename.startswith(prefix) \
+                and not code.co_name.startswith("<"):
+            counts[os.path.basename(code.co_filename)[:-3], code.co_qualname] += 1
 
     failed = []
     for index, (kind, item) in enumerate(ops):
-        returned.clear()
+        steps = counts[PEEL_STEP]
         sys.setprofile(hook)
         try:
             doc = schedule_digest.RESULTS[kind](item)
@@ -140,10 +137,9 @@ def census(ops):
         if "error" in doc:
             failed.append((index, doc["error"]))
         elif kind == "factor":
-            word, driver = returned["word"], returned.get("driver")
-            route = ("descent" if driver is None else
-                     "driver" if word is driver else "descent+driver")
-            routes[item.lattice_name, route].append(len(word))
+            route = ("driver" if item.lattice.alg.kind == EtaleAlgebra.SPLIT else
+                     "descent+driver" if counts[PEEL_STEP] > steps else "descent")
+            routes[item.lattice_name, route].append(len(doc["generators"]))
     return counts, failed, routes
 
 
