@@ -7,14 +7,15 @@ modular blocks, hyperbolic pairs wherever the classification forces one, and
 basis changes realizing the norm-rearrangement of a deeper Jordan block.
 All constructions are verified at working precision before they are returned.
 The complement of a rearranged plane comes from ``lattice._complement``, the
-one complement step the factor driver uses too.
+one complement step ``factorize`` uses too.
 
-A peel round reads a ``Span``, made once and shared by ``splits_hyperbolic``,
-the factor plan and ``rearrange_jordan`` (see its docstring).  The decide
-path reads what a lattice keeps of itself: ``isometry_conditions`` the
-Jordan splittings and dual norms, ``splits_hyperbolic`` the span of the
-standard basis that L keeps (``standard_span``, grouped by that splitting)
-and its own kept answer.  So each lattice object is split and arranged once.
+A peel round reads a ``Span``, made once and shared by
+``splits_hyperbolic``, the split kinds' factor plan and
+``rearrange_jordan`` (see its docstring).  The decide path reads what a
+lattice keeps of itself: ``isometry_conditions`` the Jordan splittings and
+dual norms, ``splits_hyperbolic`` the span of the standard basis that L
+keeps (``standard_span``, grouped by that splitting) and its own kept
+answer.  So each lattice object is split and arranged once.
 
 A form value Q(w) is deepened or killed by adding lambda*z, with lambda from
 the trace equation Tr(lambda <z,w>) = -Q(w) or from the norm congruence
@@ -28,7 +29,7 @@ direction, and ``EtaleAlgebra.solve_norm`` the exact solve of Nr(x) = a.
 from __future__ import annotations
 
 from .errors import HermlatError, PrecisionLoss, UnsupportedCase
-from .etale import NONNORM, NORM, EtaleAlgebra
+from .etale import EtaleAlgebra
 from .lattice import (
     HermitianLattice,
     _complement,
@@ -865,75 +866,3 @@ def rearrange_jordan(lat):
         raise UnsupportedCase(
             f"rearranged lattice failed the isometry check (condition {failed})")
     return new_lat, t
-
-
-def plane_standard_form(lat, x, y, scale_i):
-    """Exact standard basis (u, v) of a subnormal modular plane at scale i:
-    Q(u) = p^k exactly, <u,v> = pi^i exactly, and Q(v) either zero or of
-    valuation exactly i - k + e - 1 (and at least that deep in any case)."""
-    alg = lat.alg
-    K = alg.base
-    x, y, k = normalize_plane(lat, x, y, scale_i)
-    # 1. make the leading form value a unit-norm multiple of p^k, then exact
-    qx = lat.q_value(x)
-    eps = qx / K.uniformizer_pow(k)
-    if alg.norm_class(eps) == NONNORM:
-        pivot = lat.inner(y, x)
-        found = None
-        for tau in K.residue_system(max(alg.e, 1)):
-            if tau.is_zero():
-                continue
-            try:
-                lam = alg.solve_trace(pivot, tau * K.uniformizer_pow(
-                    alg.trace_ideal(scale_i)))
-            except HermlatError:
-                continue
-            cand = vec_add(x, vec_scale(lam, y))
-            qc = lat.q_value(cand)
-            if qc.is_zero() or qc.valuation() != k:
-                continue
-            if alg.norm_class(qc / K.uniformizer_pow(k)) == NORM:
-                found = cand
-                break
-        if found is None:
-            raise UnsupportedCase("no norm-class flip for the plane leader")
-        x = found
-        qx = lat.q_value(x)
-        eps = qx / K.uniformizer_pow(k)
-    mu = alg.solve_norm_unit(K.one / eps)
-    u = vec_scale(mu, x)
-    if lat.q_value(u) != K.uniformizer_pow(k):
-        raise UnsupportedCase("leader normalization failed")
-    # 2. pairing to exactly pi^i
-    pair = lat.inner(u, y)
-    target = alg.uniformizer_pow(scale_i)
-    v = vec_scale((target / pair).conj(), y)
-    # 3. drive Q(v) down, stalling only at the anisotropy level
-    floor = scale_i - k + alg.e - 1
-    v = _drive_corner_down(lat, u, v, floor)
-    # re-normalize the pairing (corner moves preserve it only up to deep terms)
-    pair = lat.inner(u, v)
-    v = vec_scale((target / pair).conj(), v)
-    qv = lat.q_value(v)
-    if not qv.is_zero() and qv.valuation() < floor:
-        raise UnsupportedCase("plane corner stuck above the anisotropy level")
-    if lat.inner(u, v) != target:
-        raise UnsupportedCase("pairing normalization failed")
-    return u, v, k
-
-
-def _drive_corner_down(lat, u, v, floor):
-    """Shift v by multiples of u until Q(v) vanishes or reaches the level
-    where the anisotropic obstruction stalls further progress."""
-    for _ in range(6 * (lat.alg.e + 3)):
-        gv = lat.gram_conj(v)
-        qv = _dot(v, gv).as_K()
-        if qv.is_zero():
-            return v
-        cand = _deepen_once(lat, v, gv, qv, [u])
-        if cand is None:
-            if qv.valuation() >= floor:
-                return v
-            raise UnsupportedCase("corner reduction stalled above the floor")
-        v = cand
-    return v

@@ -236,7 +236,8 @@ def cmd_roundtrip(args):
     npass = 0
     failures = []
     # working precision -> the spec's lattice: the trials at one precision
-    # share it, and with it its kept span, hyperbolic pair and factor plan
+    # share it, and with it its kept span, hyperbolic pair, pair chain and
+    # factor plan
     lats = {}
     for t in range(trials):
         seed = rng_seed + t

@@ -1,54 +1,49 @@
 """Constructive factorization of unitary-group elements into symmetries and
 rescaled Eichler isometries.
 
-``factor_unitary`` has one route.  It runs the reflection descent
-(``_descend``), then the peel driver below on the map the descent leaves,
-then the reduction pass over the whole word.  The descent is the
-Cartan-Dieudonné descent over E: each round emits the symmetry that takes
-phi(e_j) back to e_j, for a basis vector e_j that phi moves, choosing the
-one of least v_P(sigma) among those whose sigma is invertible and which
-stabilize L.  It fixes every vector phi fixes, so it ends within n rounds.
-It stops short when no candidate passes, most often where symmetries need
-not generate U(L), for a ramified dyadic E/K with residue field F_2 (the
-paper's appendix); the driver then factors what is left, Eichler factors
-included.  Where the descent ends at the identity the driver does not run.
+``factor_unitary`` builds a word (``_word``) by one of two routes, by the
+kind of the algebra, then runs the reduction pass over it.
 
-Split kinds skip the descent: the tracer test of
+Field kinds take the reflection descent (``_descend``), the Cartan-Dieudonné
+descent over E: each round emits the symmetry that takes phi(e_j) back to
+e_j, for a basis vector e_j that phi moves, choosing the one of least
+v_P(sigma) among those whose sigma is invertible and which stabilize L.  It
+fixes every vector phi fixes, so it ends within n rounds.  It stops short
+when no candidate passes, most often where symmetries need not generate
+U(L), for a ramified dyadic E/K with residue field F_2 (the paper's
+appendix), where the rescaled Eichler isometries of a hyperbolic pair are
+needed too.  So a stalled descent walks the lattice's chain of mutually
+orthogonal hyperbolic pairs (``_pair_chain``): for each pair phi still
+moves it emits the generators that make phi fix the pair (``_peel_pair``:
+the pair transport on ramified kinds, the unramified pair peel on inert
+ones), then descends again.  Each pair is peeled at most once: a descent
+fixes what phi fixes, and the generators of a later pair act inside the
+complement of the earlier ones.  A stall with no pair left raises
+``UnsupportedCase``.
+
+Split kinds take the peel driver (``_drive``), which peels the lattice one
+hyperbolic pair or line of its first Jordan block at a time; the remaining
+map fixes the peeled part pointwise, and the driver continues on the
+orthogonal complement.  They skip the descent because the tracer test of
 ``perfbench/test_perfbench.py`` traces a single symmetry on ``split2`` and
 asserts that ``_arrange_first_block`` runs, which a finished descent would
-skip.  ``_factor_by_driver`` runs the driver alone, with the same finish.
-
-The driver peels the lattice one hyperbolic plane, line, or subnormal plane
-at a time, emitting generators that align the images of the peeled basis
-vectors; the remaining map fixes the peeled part pointwise and the recursion
-continues on the orthogonal complement.
-
-Each step has two halves.  The *plan* is what depends on L alone: the span,
-the arrangement of its first Jordan block, the branch that block calls for
-(a hyperbolic pair, also one found across blocks; a norm-attaining line; or
-a subnormal plane), the data that branch reads, and the complement the
-piece leaves (``lattice._complement``).  The
-*alignment* is what depends on phi: the generators that make phi fix the
-piece (``_peel_pair``, ``_peel_line``, ``_peel_subnormal``).  The plan of a
+skip.  Each driver step has two halves.  The *plan* is what depends on L
+alone: the span, its first block's pair or first line, and the complement
+the piece leaves (``lattice._complement``).  The *alignment* is what
+depends on phi: the generators that make phi fix the piece.  The plan of a
 lattice is kept on it (``_plan``); no step holds the lattice, so the two
-make no reference cycle and are freed together.  It is extended lazily: a call
-that reaches a step not yet planned computes it from its span, and stores it
-once its alignment and complement succeeded; a step that raises is not
-stored.  Every later call on the lattice walks the stored steps, so it
-recomputes no geometry, and gets what it would have computed, bit for bit.
-A step reads a ``classify.Span``; step 0 the one L keeps
-(``standard_span``), perhaps arranged already by the oracle or the decide
-path.  A pair step also keeps its swap word (``_scale_map_word``) once an
-alignment needed it, as ``(s, sigma)`` data.
+make no reference cycle and are freed together.  It is extended lazily: a
+call that reaches a step not yet planned computes it from its span, and
+stores it once its alignment and complement succeeded; a step that raises
+is not stored.  Every later call on the lattice walks the stored steps, so
+it recomputes no geometry, and gets what it would have computed, bit for
+bit.  Step 0 reads the ``classify.Span`` L keeps (``standard_span``).
 
-The ramified line and plane peels share one alignment loop, ``_align``: each
-round emits the first generator one of the peel's moves yields for the
-current image of the peeled vector.
 ``_Driver.emit`` applies a generator g to phi and records g^-1 in the
 output word once g^-1 passed ``in_unitary_group``: ``map_isotropic`` and
-``map_unit_vector`` return candidates, and only ``_direct_symmetry`` tests
-one itself, to choose its move.  A verdict is kept with the generator's
-built data, so the certificate reads the verdicts already reached.
+``map_unit_vector`` return candidates, and the descent tests its own before
+it chooses.  A verdict is kept with the generator's built data, so the
+certificate reads the verdicts already reached.
 
 The peels emit Eichler isometries as they are; the unramified pair peel
 too, though the appendix rewrites its Eichler factor as symmetries.  The
@@ -59,13 +54,11 @@ Without the certificate, ``factor_unitary`` guarantees the following, or
 raises ``UnsupportedCase``:
 - every generator of its word passed the membership test (in ``emit``, or
   in ``eichler_to_symmetries`` for the symmetries of a rewrite);
-- the word's product is phi: the phi the descent or the driver ends with is
-  the identity, and ``emit`` records the inverse of each generator it
-  applies;
+- the word's product is phi: the phi ``_word`` ends with is the identity,
+  and ``emit`` records the inverse of each generator it applies;
 - each rewrite of the reduction pass, applied to the identity, equals the
   matrix of the Eichler factor it replaces (checked where the reduction pass
-  makes it, in ``eichler_to_symmetries``); the descent emits no Eichler
-  factor.
+  makes it, in ``eichler_to_symmetries``).
 ``hermlat factor --symmetries-only`` still refuses exactly a returned word
 that holds an Eichler factor.
 It does not multiply its word out: ``verify_factorization``, the
@@ -76,14 +69,15 @@ matrix product runs after the input check.
 
 from __future__ import annotations
 
+import itertools
+
 from .errors import HermlatError, UnsupportedCase, VerificationFailed
 from .etale import EtaleAlgebra
 from .classify import (
     _arrange_first_block,
-    _cross_block_attempt,
     _jordan_cols,
     isotropy_refine,
-    plane_standard_form,
+    splits_hyperbolic,
     standard_span,
 )
 from .isometries import (
@@ -99,13 +93,7 @@ from .isometries import (
     make_symmetry,
     reflection_data,
 )
-from .lattice import (
-    _complement,
-    _gram_of,
-    _min_vP_sym,
-    _norm_attainer,
-    _norm_exp_of_gram,
-)
+from .lattice import HermitianLattice, _complement, _gram_of, _min_vP_sym
 from .linalg import (
     _dot,
     cols_of,
@@ -113,6 +101,7 @@ from .linalg import (
     is_integral_matrix,
     mat_det,
     mat_eq,
+    mat_from_cols,
     mat_vec,
     vec_add,
     vec_eq,
@@ -218,15 +207,36 @@ class _Driver:
 
 def factor_unitary(lat, phi):
     """Factor phi in U(L) into symmetries and rescaled Eichler isometries:
-    the reflection descent (``_descend``, not on split kinds), the peel
-    driver on the map it leaves, and the reduction pass, which rewrites
-    Eichler factors as symmetries wherever the rewriting rules apply (always
+    the word of ``_word``, then the reduction pass, which rewrites Eichler
+    factors as symmetries wherever the rewriting rules apply (always
     possible except in the ramified dyadic residue-two case)."""
     _check_input(lat, phi)
+    return Factorization(lat, _reduction_pass(lat, _word(lat, phi)))
+
+
+def _word(lat, phi):
+    """The word of phi before the reduction pass.  Split kinds: the peel
+    driver's (``_drive``).  Field kinds: the reflection descent's; where it
+    stalls, for each pair of ``_pair_chain`` that phi still moves, the
+    pair's peel (``_peel_pair``) and the descent again.  Raises
+    UnsupportedCase when the map left is not the identity."""
     drv = _Driver(lat)
-    if lat.alg.kind != EtaleAlgebra.SPLIT:
-        phi = _descend(drv, phi)
-    return _finish(drv, phi)
+    one = identity(lat.alg, lat.n)
+    if lat.alg.kind == EtaleAlgebra.SPLIT:
+        if not mat_eq(_drive(drv, phi), one):
+            raise UnsupportedCase("the driver left a map other than the identity")
+        return drv.out
+    phi = _descend(drv, phi)
+    if not mat_eq(phi, one):
+        for u, v, s, cols, swap in _pair_chain(lat):
+            if vec_eq(mat_vec(phi, u), u) and vec_eq(mat_vec(phi, v), v):
+                continue
+            phi = _descend(drv, _peel_pair(drv, cols, phi, u, v, s, swap))
+            if mat_eq(phi, one):
+                break
+        else:
+            raise UnsupportedCase("the descent stalled with no hyperbolic pair left")
+    return drv.out
 
 
 def _descend(drv, phi):
@@ -257,20 +267,55 @@ def _descend(drv, phi):
     return phi
 
 
-def _factor_by_driver(lat, phi):
-    """The peel driver's factorization of phi alone, without the descent."""
-    return _finish(_Driver(lat), phi)
+def _pair_chain(lat):
+    """Iterate over the hyperbolic pairs a stalled descent peels, mutually
+    orthogonal: the pair of ``splits_hyperbolic(L)``, then the one
+    ``splits_hyperbolic`` finds in the Gram of its complement, and so on.
+    Each entry is ``(u, v, s, cols, swap)``: the pair with <u,v> = pi^s; a
+    basis cols of the vectors x of the span the pair was found in with
+    <x, span> inside P^s (a Jordan block of scale i < s scaled by
+    pi^(s-i)), which holds the pair's images and the unramified pair peel's
+    bridge vectors; and the pair's swap word (``_scale_map_word``), an empty
+    list until an alignment first needs it.
+
+    An entry is found when an iteration first reaches it, and kept on L
+    (``_chain``, with the complement the pair leaves, and None once no pair
+    is left), like the answer of ``splits_hyperbolic``.  Nothing is found
+    before a descent on L stalls, nor past the pair that finishes it: the
+    pair search raises on some spans whose pairs no word needs
+    (``classify.cross_pair_norm_drop``).  A search that raises keeps
+    nothing.  No entry holds L (the swap word is kept as data), so the
+    chain does not keep L alive."""
+    chain = lat._chain
+    for idx in itertools.count():
+        if idx == len(chain):
+            chain.append(_next_pair(lat, chain[-1][5] if chain else None))
+        if chain[idx] is None:
+            return
+        yield chain[idx][:5]
 
 
-def _finish(drv, phi):
-    """The word of drv followed by the peel driver's for phi: the plan
-    walked by ``_drive`` (unless phi is the identity already), the check
-    that it ends at the identity, and the reduction pass over the word."""
-    lat = drv.lat
-    one = identity(lat.alg, lat.n)
-    if not (mat_eq(phi, one) or mat_eq(_drive(drv, phi), one)):
-        raise UnsupportedCase("the driver left a map other than the identity")
-    return Factorization(lat, _reduction_pass(lat, drv.out))
+def _next_pair(lat, cols):
+    """The kept chain entry of the pair ``splits_hyperbolic`` finds in
+    span(cols), L itself for cols None: the entry of ``_pair_chain`` and
+    the complement of the pair in span(cols); None when there is none."""
+    alg = lat.alg
+    if cols is None:
+        sub, cols = lat, list(cols_of(identity(alg, lat.n)))
+    elif not cols:
+        return None
+    else:
+        sub = HermitianLattice(alg, _gram_of(lat, cols), _skip_checks=True)
+    found = splits_hyperbolic(sub)
+    if found is None:
+        return None
+    u, v, s = found
+    to_lat = mat_from_cols(cols)
+    if sub is not lat:
+        u, v = mat_vec(to_lat, u), mat_vec(to_lat, v)
+    deep = [mat_vec(to_lat, vec_scale(alg.uniformizer_pow(max(s - blk.scale_exp, 0)), c))
+            for blk in sub.jordan_split().blocks for c in blk.cols]
+    return u, v, s, deep, [], _complement(lat, cols, [u, v])
 
 
 def _reduction_pass(lat, gens):
@@ -285,26 +330,34 @@ def _reduction_pass(lat, gens):
     return out
 
 
+def _peel_pair(drv, cols, phi, u, v, scale_s, swap):
+    """Align phi on the pair (u, v) of the chain, with its entry's scale_s,
+    cols and swap (``_pair_chain``): the pair transport on ramified kinds,
+    the unramified pair peel on inert ones."""
+    if drv.lat.alg.kind == EtaleAlgebra.RAMIFIED:
+        return _transport_pair(drv, phi, u, v, scale_s, swap)
+    return _peel_hyperbolic_unramified(drv, cols, phi, u, v)
+
+
+# ---------------------------------------------------------------------------
+# the split-kind peel driver
+# ---------------------------------------------------------------------------
+
+
 class _Step:
     """One peel of span(cols) as far as it depends on L alone.
 
-    ``branch`` is ``"pair"``, ``"line"`` or ``"plane"``, and ``data`` holds
-    the last arguments of its alignment (``_align_step``): ``(u, v, s,
-    swap)`` for a pair, ``(lines, deeper)`` for a line, the rescaled lattice
-    and standard plane of ``_plan_subnormal`` for a plane.  A pair's
-    ``swap`` list is empty until an alignment first needs the pair's swap
-    word (``_scale_map_word``), then holds the ``(s, sigma)`` of its
-    inverse.  ``rest`` spans what is left to peel, the complement of
-    ``piece`` in span(cols), once ``_settle`` computed it.  No field holds
-    the lattice itself (a swap word is kept as data, not as built
-    generators), so a plan does not keep its lattice alive."""
+    ``branch`` is ``"pair"`` or ``"line"``, and ``piece`` the vectors its
+    alignment (``_align_step``) makes phi fix: the pair (u, v) of the first
+    block, or its first line [x].  ``rest`` spans what is left to peel, the
+    complement of ``piece`` in span(cols), once ``_settle`` computed it.  No
+    field holds the lattice, so a plan does not keep its lattice alive."""
 
-    __slots__ = ("cols", "branch", "data", "piece", "rest")
+    __slots__ = ("cols", "branch", "piece", "rest")
 
-    def __init__(self, cols, branch, data, piece):
+    def __init__(self, cols, branch, piece):
         self.cols = cols
         self.branch = branch
-        self.data = data
         self.piece = piece
         self.rest = None
 
@@ -320,7 +373,7 @@ def _drive(drv, phi):
         if all(vec_eq(mat_vec(phi, c), c) for c in cols):
             return phi
         step = plan[idx] if idx < len(plan) else _plan_step(
-            lat, standard_span(lat) if idx == 0
+            standard_span(lat) if idx == 0
             else _arrange_first_block(lat, cols, _jordan_cols(lat, cols)))
         phi = _align_step(drv, step, phi)
         cols = _settle(lat, plan, idx, step)
@@ -328,30 +381,24 @@ def _drive(drv, phi):
     return phi
 
 
-def _plan_step(lat, span):
-    """The step of a ``classify.Span``: the branch its first block calls for."""
-    pair = span.pair or _cross_block_attempt(lat, span)
-    if pair is not None:
-        return _Step(span.cols, "pair", (*pair, []), pair[:2])
-    lines = span.lines
-    if lines:
-        return _Step(span.cols, "line", (lines, span.deeper_cols), lines[:1])
-    planes = span.planes
-    if len(planes) != 1:
+def _plan_step(span):
+    """The step of a ``classify.Span``: its first block's pair, else its
+    first line."""
+    if span.pair is not None:
+        return _Step(span.cols, "pair", span.pair[:2])
+    if not span.lines:
         raise UnsupportedCase(
-            f"unexpected first-block shape: {len(lines)} lines, "
-            f"{len(planes)} planes after hyperbolic extraction")
-    return _plan_subnormal(lat, span)
+            f"unexpected first-block shape: no pair and no line, "
+            f"{len(span.planes)} planes")
+    return _Step(span.cols, "line", span.lines[:1])
 
 
 def _align_step(drv, step, phi):
     """The alignment of a step: the generators that make phi fix its piece;
     returns the updated phi."""
     if step.branch == "pair":
-        return _peel_pair(drv, step.cols, phi, *step.data)
-    if step.branch == "line":
-        return _peel_line(drv, step.cols, phi, *step.data)
-    return _peel_subnormal(drv, phi, *step.data)
+        return _peel_hyperbolic_unramified(drv, step.cols, phi, *step.piece)
+    return _peel_unramified_line(drv, step.cols, phi, *step.piece)
 
 
 def _settle(lat, plan, idx, step):
@@ -363,22 +410,6 @@ def _settle(lat, plan, idx, step):
     if idx == len(plan):
         plan.append(step)
     return step.rest
-
-
-def _peel_pair(drv, cols, phi, u, v, scale_s, swap):
-    """Align phi on the hyperbolic pair (u, v), <u,v> of scale scale_s;
-    ``swap`` keeps the pair's swap word (``_scale_map_word``)."""
-    if drv.lat.alg.kind == EtaleAlgebra.RAMIFIED:
-        return _transport_pair(drv, phi, u, v, scale_s, swap)
-    return _peel_hyperbolic_unramified(drv, cols, phi, u, v)
-
-
-def _peel_line(drv, cols, phi, lines, deeper):
-    """Fix phi on the first line x of the first block."""
-    x = lines[0]
-    if drv.lat.alg.kind != EtaleAlgebra.RAMIFIED:
-        return _peel_unramified_line(drv, cols, phi, x)
-    return _peel_normal(drv, phi, x, lines[1:] + deeper)
 
 
 # ---------------------------------------------------------------------------
@@ -815,192 +846,3 @@ def _isotropic_partner_in_plane(lat, w, wp, puv):
     if not lat.q_value(z).is_zero() or not (lat.inner(w, z) - puv).is_zero():
         raise UnsupportedCase("auxiliary isotropic vector failed its contract")
     return z
-
-
-def _align(drv, phi, x, fuel, moves, stuck):
-    """Emit generators until phi fixes x.  Each round emits the first
-    generator that one of `moves`, called on the current image of x, yields
-    (a move returns None where it does not apply; the last one always
-    yields or raises); after `fuel` rounds raise UnsupportedCase(stuck)."""
-    for _ in range(fuel):
-        img = mat_vec(phi, x)
-        if vec_eq(img, x):
-            return phi
-        for move in moves:
-            g = move(img)
-            if g is not None:
-                break
-        phi = drv.emit(g, phi)
-    raise UnsupportedCase(stuck)
-
-
-def _direct_symmetry(lat, img, target, rescaled=None):
-    """The symmetry of reflection_data(img, target) when its sigma is nonzero
-    and it stabilizes L, else None.  With rescaled = (latr, a) the data is
-    taken against latr = a*<,> and sigma scaled back."""
-    s, sigma = reflection_data(lat if rescaled is None else rescaled[0],
-                               img, target)
-    if sigma.is_zero():
-        return None
-    g = Symmetry(s, sigma) if rescaled is None \
-        else _scaled_symmetry(lat, s, sigma, rescaled[1])
-    return g if in_unitary_group(lat, g) else None
-
-
-def _scaled_symmetry(lat, s, sigma_r, scale_factor):
-    """The symmetry of L whose sigma is sigma_r against the rescaled form
-    scale_factor*<,>."""
-    return make_symmetry(lat, s, sigma_r / lat.alg.from_K(scale_factor))
-
-
-def _steered_sigma(latr, qs_rho, target_vals):
-    """sigma = Q(s)*rho + omega with v_P(sigma) steered into target_vals."""
-    alg = latr.alg
-    K = alg.base
-    base_val = None if qs_rho.is_zero() else alg.vP(qs_rho)
-    for t in target_vals:
-        cands = []
-        if base_val is not None and base_val == t:
-            cands.append(qs_rho)
-        if (t - alg.e) % 2 == 0:
-            for lam in K.residue_lifts():
-                if lam.is_zero():
-                    continue
-                cands.append(qs_rho + alg.special_skew(t) * alg.from_K(lam))
-        for sigma in cands:
-            if sigma.is_zero():
-                continue
-            if alg.vP(sigma) == t:
-                return sigma
-    raise UnsupportedCase("no steered sigma reached the target window")
-
-
-def _peel_normal(drv, phi, x, rest):
-    """Fix phi(x) back to x for a norm-attaining line O*x of the first block;
-    ``rest`` spans the other lines of the block and the deeper part.  The
-    steered move combines x with the first norm attainer of span(rest): the
-    next line of the block when there is one, at the norm of x."""
-    lat = drv.lat
-    alg = lat.alg
-    qx = lat.q_value(x)
-    k = qx.valuation()
-
-    def deep_alpha(img):
-        alpha = lat.inner(img, x) / qx
-        one_minus = alg.one - alpha
-        v_val = None if one_minus.is_zero() else alg.vP(one_minus)
-        if v_val is not None and v_val >= alg.e:
-            return make_symmetry(lat, x, alg.from_K(qx) * alg.rho())
-        return None
-
-    def steered(img):
-        if not rest:
-            raise UnsupportedCase("normal-line peel stuck with nothing beside the line")
-        rgram = _gram_of(lat, rest)
-        n = _norm_exp_of_gram(alg, rgram)
-        y0, _ = _norm_attainer(lat, rest, rgram, n)
-        qy = lat.q_value(y0)
-        pi_nk = alg.uniformizer_pow(n - k)
-        c = alg.solve_norm_approx(-pi_nk.norm() * qx / qy, alg.e - 1)
-        y = vec_scale(c, y0)
-        s = vec_add(vec_scale(pi_nk, x), y)
-        qs = lat.q_value(s)
-        if not qs.is_zero() and qs.valuation() < n + alg.e - 1:
-            raise UnsupportedCase("normal-line combination missed its depth")
-        sigma = _steered_sigma(lat, alg.from_K(qs) * alg.rho(),
-                               [n + k, n + k - 1])
-        return make_symmetry(lat, s, sigma)
-
-    return _align(drv, phi, x, 10,
-                  (lambda img: _direct_symmetry(lat, img, x), deep_alpha,
-                   steered),
-                  "normal-line peel did not converge")
-
-
-def _plan_subnormal(lat, span):
-    """The plan of a subnormal first-block plane: the rescaled lattice, the
-    standard plane (u, v) and the exponents that the u and v alignments of
-    ``_peel_subnormal`` read.
-
-    The deeper part, of scale P^j and norm p^n, never needs the norm
-    rearrangement 0 < j - i < n - k against the plane (scale P^i, norm
-    p^k) first.  This plan runs only after ``classify._cross_pair`` found
-    no pair across the blocks; with those exponents it tried
-    ``_pair_after_rearrange``, which finds none only when the deeper block
-    has no plane to rearrange, or when j >= 2i + e - 2k.  The deeper plane
-    is P^j-modular, so Tr(P^j) lies in its norm and n <= floor((j + e)/2);
-    with n > j - i + k that gives j < 2i + e - 2k."""
-    K = lat.alg.base
-    i = span.scale
-    x2, y2, _ = span.planes[0]
-
-    if span.deeper_cols:
-        _, dgram, j, n_glob = span.deeper(lat)
-        # global rescale so the deep norm attainer has form value p^n exactly
-        x_deep, _ = _norm_attainer(lat, span.deeper_cols, dgram, n_glob)
-        scale_factor = K.uniformizer_pow(n_glob) / lat.q_value(x_deep)
-    else:
-        x_deep = n_glob = j = None
-        scale_factor = K.one
-
-    latr = lat.rescale(scale_factor)
-    u, v, k = plane_standard_form(latr, x2, y2, i)
-    return _Step(span.cols, "plane",
-                 (latr, scale_factor, u, v, x_deep, i, k, n_glob, j), [u, v])
-
-
-def _peel_subnormal(drv, phi, latr, a, u, v, x_deep, i, k, n, j):
-    """Peel a subnormal first-block plane: fix u then v, following the
-    valuation-steered symmetry constructions."""
-    phi = _subnormal_fix_u(drv, latr, a, phi, u, v, i)
-    return _subnormal_fix_v(drv, latr, a, phi, u, v, x_deep, i, k, n, j)
-
-
-def _subnormal_fix_u(drv, latr, a, phi, u, v, i):
-    lat = drv.lat
-    alg = latr.alg
-    qv = latr.q_value(v)
-
-    def pre_pass(img):
-        # beta-deep pre-pass: S_{v, sigma} with sigma = Q(v) rho + omega
-        sigma = _steered_sigma(latr, alg.from_K(qv) * alg.rho(), [i, i - 1])
-        return _scaled_symmetry(lat, v, sigma, a)
-
-    return _align(drv, phi, u, 8,
-                  (lambda img: _direct_symmetry(lat, img, u, (latr, a)),
-                   pre_pass),
-                  "subnormal u-alignment did not converge")
-
-
-def _subnormal_fix_v(drv, latr, a, phi, u, v, x_deep, i, k, n, j):
-    lat = drv.lat
-    alg = latr.alg
-    K = alg.base
-    e = alg.e
-
-    def steered(img):
-        if x_deep is None:
-            raise UnsupportedCase("subnormal v-alignment stuck without M")
-        # the steered pass: s = eps * pi^(n-k) v' + x
-        h = (j + e) // 2
-        if h > n:
-            eps = alg.solve_norm_approx(
-                K.one - K.uniformizer_pow(h - n), e - 1)
-        else:
-            eps = alg.one
-        # v' is orthogonal to u, so the symmetry of s fixes u
-        vprime = vec_sub(u, vec_scale(
-            alg.from_K(latr.q_value(u)) / latr.inner(v, u), v))
-        s = vec_add(vec_scale(eps * alg.uniformizer_pow(n - k), vprime),
-                    x_deep)
-        qs = latr.q_value(s)
-        if not qs.is_zero() and qs.valuation() < h:
-            raise UnsupportedCase("steered vector misses its depth")
-        sigma = _steered_sigma(latr, alg.from_K(qs) * alg.rho(),
-                               [n - k + i, n - k + i - 1])
-        return _scaled_symmetry(lat, s, sigma, a)
-
-    return _align(drv, phi, v, 10,
-                  (lambda img: _direct_symmetry(lat, img, v, (latr, a)),
-                   steered),
-                  "subnormal v-alignment did not converge")

@@ -22,11 +22,12 @@ the first call, and kept on the lattice like its determinant: they depend on
 L alone, every caller reads the same immutable value (the blocks are a tuple,
 their columns and Grams tuples), and they live exactly as long as the
 lattice.  Nothing is computed when a lattice is built, and a computation that
-raises keeps nothing.  Three more slots are kept so, none holding the
+raises keeps nothing.  Four more slots are kept so, none holding the
 lattice: ``classify`` fills ``standard_span`` and the answer of
-``splits_hyperbolic``, and ``factorize`` extends the plan of its peel steps
-(``_plan``).  ``_FUNCTIONALS`` caches a function of (L, y), not of L, so it
-is no slot.
+``splits_hyperbolic``; ``factorize`` extends the chain of hyperbolic pairs
+that stalled descents peel (``_chain``) and, on split kinds, the plan of
+its peel driver's steps (``_plan``).  ``_FUNCTIONALS`` caches a
+function of (L, y), not of L, so it is no slot.
 """
 
 from __future__ import annotations
@@ -78,7 +79,8 @@ class HermitianLattice:
         self._dual_norms = None
         self._span = None  # classify.standard_span
         self._hyperbolic = None  # (classify.splits_hyperbolic's answer,)
-        self._plan = []  # factorize's peel steps planned so far
+        self._chain = []  # factorize._pair_chain: pairs found so far, None at its end
+        self._plan = []  # factorize's peel steps planned so far (split kinds)
 
     # -- basic maps ----------------------------------------------------------
 

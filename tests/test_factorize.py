@@ -1,4 +1,5 @@
 import gc
+import itertools
 import os
 import random
 import sys
@@ -148,18 +149,11 @@ def test_large_rank_roundtrip_builds_no_large_power(p, b, c, rank):
     assert K._masks is None or max(K._masks) <= 4 * K.mcap
 
 
-def _driver_word(lat, phi):
-    """The driver's word for phi, before the reduction pass."""
-    drv = factorize._Driver(lat)
-    factorize._drive(drv, phi)
-    return drv.out
-
-
 def test_hyperbolic_free_raw_output_is_symmetries_only(Q2sqrt2):
     L = standard_A(Q2sqrt2, 0, 1)
     for seed in range(6):
         phi, _ = random_unitary(L, 1 + seed % 5, seed)
-        assert all(isinstance(g, Symmetry) for g in _driver_word(L, phi))
+        assert all(isinstance(g, Symmetry) for g in factorize._word(L, phi))
 
 
 def test_map_isotropic(Q2sqrt2, inert2, split2):
@@ -200,10 +194,11 @@ def test_map_unit_vector(inert2, split2):
 
 def test_emit_rejects_a_non_member_from_map_isotropic(inert2, monkeypatch):
     """map_isotropic returns candidates; _Driver.emit is the one membership
-    test, so a word of the driver with a non-member fails there."""
+    test, so a word of the unramified pair peel with a non-member fails
+    there.  The descent stalls on this word, so the pair peel runs."""
     L = orthogonal_sum(standard_H(inert2, 0),
                        HermitianLattice(inert2, ((inert2.from_int(2),),)))
-    phi, _ = random_unitary(L, 3, 5)
+    phi, _ = random_unitary(L, 4, 22)
     original = factorize.map_isotropic
     calls = []
 
@@ -214,7 +209,7 @@ def test_emit_rejects_a_non_member_from_map_isotropic(inert2, monkeypatch):
 
     monkeypatch.setattr(factorize, "map_isotropic", broken)
     with pytest.raises(UnsupportedCase) as info:
-        factorize._factor_by_driver(L, phi)
+        factor_unitary(L, phi)
     assert calls
     assert info.traceback[-1].name == "emit"
 
@@ -244,8 +239,9 @@ def _zero_mu_word():
     """H(1) ⟂ H(1) over Q_2(i) (q2i-h1h1) and a word on it whose Eichler
     factor reaches the ramified reduction with mu exactly 0: a symmetry
     times a rescaled Eichler isometry drawn by ``hermlat.oracle`` from one
-    seeded generator.  The reduction pass rewrites the driver's Eichler
-    factor."""
+    seeded generator.  The descent stalls after one symmetry, the pair
+    transport emits three Eichler factors, and the reduction pass rewrites
+    them."""
     lat = _catalog_lattice("q2i-h1h1.lat")
     rng = random.Random(1161331496)
     phi = identity(lat.alg, lat.n)
@@ -254,15 +250,23 @@ def _zero_mu_word():
     return lat, phi
 
 
-def test_eichler_with_zero_mu_factors_into_symmetries():
+def test_eichler_with_zero_mu_factors_into_symmetries(monkeypatch):
     """Case (e) of the ramified reduction must not ask for the valuation
-    of mu = 0.  The driver alone reaches it: ``factor_unitary``'s descent
-    finishes this word without an Eichler factor."""
+    of mu = 0: an Eichler factor of the pair transport reaches it, and the
+    word comes back as ten symmetries that certify."""
     lat, phi = _zero_mu_word()
-    f = factorize._factor_by_driver(lat, phi)
+    zero_mu = []
+    reduce_ramified = isometries._reduce_ramified
+
+    def spy(lat_, e, fuel):
+        zero_mu.append(e.mu.is_zero())
+        return reduce_ramified(lat_, e, fuel)
+
+    monkeypatch.setattr(isometries, "_reduce_ramified", spy)
+    f = factor_unitary(lat, phi)
     cert = verify_factorization(lat, phi, f)
-    assert cert["det_consistent"]
-    assert not f.contains_eichler and len(f) == 4
+    assert cert["det_consistent"] and True in zero_mu
+    assert not f.contains_eichler and len(f) == 10
 
 
 def test_final_product_check_stops_a_wrong_rewrite(monkeypatch):
@@ -270,7 +274,7 @@ def test_final_product_check_stops_a_wrong_rewrite(monkeypatch):
     rewrite against its Eichler matrix must still stop a wrong rewrite.
     With the last symmetry of every rewrite dropped, no word comes back."""
     lat, phi = _zero_mu_word()
-    assert any(isinstance(g, EichlerIsometry) for g in _driver_word(lat, phi))
+    assert any(isinstance(g, EichlerIsometry) for g in factorize._word(lat, phi))
     assert not factor_unitary(lat, phi).contains_eichler
 
     reduce_eichler = isometries._reduce_eichler
@@ -291,10 +295,12 @@ def test_exit_check_stops_an_emit_that_applies_more_than_it_records(monkeypatch)
     applies the transvection x -> x + <x,v> v, v the second vector of the
     first step's pair: it fixes the orthogonal complement of v, where the
     later steps run, and moves the pair's u.  The later alignments do not
-    see it, so the check that the driver ends at the identity must."""
-    lat = _catalog_lattice("q2i-h1h1.lat")
+    see it, so the check that the driver ends at the identity must.  The
+    lattice is split3, a split kind, which factor_unitary factors by the
+    driver."""
+    lat = _catalog_lattice("split3.lat")
     phi = random_unitary(lat, 4, 2)[0]
-    factorize._factor_by_driver(lat, phi)
+    factor_unitary(lat, phi)
     u, v = lat._plan[0].piece
     gv = lat.gram_conj(v)
     assert not lat.inner(u, v).is_zero()
@@ -317,7 +323,7 @@ def test_exit_check_stops_an_emit_that_applies_more_than_it_records(monkeypatch)
     monkeypatch.setattr(factorize._Driver, "emit", emit_and_shear)
     with pytest.raises(UnsupportedCase,
                        match="the driver left a map other than the identity"):
-        factorize._factor_by_driver(lat, phi)
+        factor_unitary(lat, phi)
     assert moved
 
 
@@ -373,12 +379,13 @@ def _split_eichler_word():
 
 
 def test_factor_unitary_multiplies_no_matrices(monkeypatch):
-    """The descent and the driver apply each generator, and the rewrite
-    check each rewrite, through the generators' update terms, on a field
-    kind and on a split one: the only matrix products of one factor_unitary
-    are the two of the input check's gram_preserved, and the peel driver
-    alone, which rewrites the Eichler factor of both words, makes none."""
-    words = [(*_zero_mu_word(), 4), (*_split_eichler_word(), 7)]
+    """The descent, the pair peel and the driver apply each generator, and
+    the rewrite check each rewrite, through the generators' update terms, on
+    a field kind and on a split one: the only matrix products of one
+    factor_unitary are the two of the input check's gram_preserved.  The
+    word before the reduction pass (``_word``) holds Eichler factors on
+    both, so the rewrite check runs."""
+    words = [(*_zero_mu_word(), 10), (*_split_eichler_word(), 7)]
     callers = []
 
     def spy(a, b):
@@ -391,12 +398,12 @@ def test_factor_unitary_multiplies_no_matrices(monkeypatch):
             monkeypatch.setattr(module, "mat_mul", spy)
     for lat, phi, length in words:
         callers.clear()
-        assert not factor_unitary(lat, phi).contains_eichler
+        f = factor_unitary(lat, phi)
         assert callers == [("gram_preserved", "_check_input")] * 2
-        callers.clear()
-        f = factorize._factor_by_driver(lat, phi)
-        assert callers == []
         assert not f.contains_eichler and len(f) == length
+        callers.clear()
+        assert any(isinstance(g, EichlerIsometry) for g in factorize._word(lat, phi))
+        assert callers == []
 
 
 @pytest.mark.parametrize("name", ["q2i-h0h0.lat", "f4ram.lat", "split3.lat"])
@@ -414,7 +421,14 @@ def test_factoring_builds_no_generator_matrix(name):
         assert mat_eq(f.matrix(), phi)
 
 
-@pytest.mark.parametrize("name", ["split3.lat", "split2h.lat", "inert2.lat", "inert3"])
+# the seeds of each lattice: on inert kinds the descent finishes most
+# words, and these are the first seeds of random_unitary(L, 4, seed) at
+# which it stalls, so that the pair peel runs
+REWRITE_SEEDS = {"split3.lat": range(4), "split2h.lat": range(4),
+                 "inert2.lat": (22, 76), "inert3": (67,)}
+
+
+@pytest.mark.parametrize("name", list(REWRITE_SEEDS))
 def test_only_the_reduction_pass_rewrites_eichler_factors(name, inert3, monkeypatch):
     """The unramified pair peel emits its Eichler isometry as it is, and the
     reduction pass rewrites it like every other Eichler factor: every call
@@ -432,20 +446,32 @@ def test_only_the_reduction_pass_rewrites_eichler_factors(name, inert3, monkeypa
         return rewrite(lat_, e)
 
     monkeypatch.setattr(factorize, "eichler_to_symmetries", spy)
-    for seed in range(4):
+    for seed in REWRITE_SEEDS[name]:
         phi = random_unitary(lat, 4, seed)[0]
-        f = factorize._factor_by_driver(lat, phi)
+        f = factor_unitary(lat, phi)
         verify_factorization(lat, phi, f)
         assert not f.contains_eichler
     assert callers and set(callers) == {"_reduction_pass"}
 
 
 def _factor_key(lat, phi):
-    fac = factorize._factor_by_driver(lat, phi)
+    fac = factor_unitary(lat, phi)
     cert = verify_factorization(lat, phi, fac)
     return exact_key({"generators": [_generator(lat, g) for g in fac],
                       "residual_precision": cert["residual_precision"],
                       "certificate": cert})
+
+
+def _split_catalog():
+    """(path, lattice) of each split catalog lattice, the kinds that
+    factor_unitary factors by the peel driver and its plan."""
+    out = []
+    for path in hermlat.catalog_files():
+        with open(path) as fh:
+            lat = parse_lattice(fh.read())
+        if lat.alg.kind == EtaleAlgebra.SPLIT:
+            out.append((path, lat))
+    return out
 
 
 def test_a_cold_plan_and_a_warm_plan_give_the_same_result(monkeypatch):
@@ -460,9 +486,9 @@ def test_a_cold_plan_and_a_warm_plan_give_the_same_result(monkeypatch):
         return align_step(drv, step, phi)
 
     monkeypatch.setattr(factorize, "_align_step", spy)
-    for path in hermlat.catalog_files():
-        with open(path) as fh:
-            lat = parse_lattice(fh.read())
+    lats = _split_catalog()
+    assert len(lats) == 4
+    for path, lat in lats:
         words = [random_unitary(lat, 4, seed)[0] for seed in (21, 22)]
         cold = []
         for phi in words:
@@ -479,14 +505,13 @@ def test_a_cold_plan_and_a_warm_plan_give_the_same_result(monkeypatch):
 
 
 def test_a_plan_goes_with_its_lattice():
-    """No step of a plan holds its own lattice (the plane step's rescaled
-    lattice is another one), so the plan kept on the lattice makes no
-    reference cycle: the lattice is freed by its last reference, with the
-    cyclic garbage collector off."""
-    lat = _catalog_lattice("q2sqrt2-sub.lat")
+    """No step of a plan holds its own lattice, so the plan kept on the
+    lattice makes no reference cycle: the lattice is freed by its last
+    reference, with the cyclic garbage collector off."""
+    lat = _catalog_lattice("split3b.lat")
     phi = random_unitary(lat, 4, 3)[0]  # its generators hold the lattice
-    factorize._factor_by_driver(lat, phi)
-    assert "plane" in [step.branch for step in lat._plan]
+    factor_unitary(lat, phi)
+    assert {"pair", "line"} <= {step.branch for step in lat._plan}
     ref = weakref.ref(lat)
     gc.disable()
     try:
@@ -498,32 +523,24 @@ def test_a_plan_goes_with_its_lattice():
 
 def test_a_second_call_recomputes_no_geometry(monkeypatch):
     """Once the plan of a lattice is complete, factoring another phi on it
-    arranges no block, tries no cross-block pair, standardizes no plane and
-    takes no complement of a peeled piece."""
-    lat = _catalog_lattice("q2sqrt2-sub.lat")
+    arranges no block and takes no complement of a peeled piece."""
+    lat = _catalog_lattice("split3b.lat")
     calls = Counter()
-    complement_callers = []
-    for name in ("_arrange_first_block", "_cross_block_attempt",
-                 "plane_standard_form", "_complement"):
+    for name in ("_arrange_first_block", "_complement"):
         def spy(*args, _name=name, _original=getattr(factorize, name)):
             calls[_name] += 1
-            if _name == "_complement":
-                complement_callers.append(sys._getframe(1).f_code.co_name)
             return _original(*args)
 
         monkeypatch.setattr(factorize, name, spy)
-    factorize._factor_by_driver(lat, random_unitary(lat, 4, 3)[0])
-    assert set(calls) == {"_arrange_first_block", "_cross_block_attempt",
-                          "plane_standard_form", "_complement"}
+    factor_unitary(lat, random_unitary(lat, 4, 3)[0])
+    assert set(calls) == {"_arrange_first_block", "_complement"}
     assert lat._plan[-1].rest == []  # the plan is complete
     calls.clear()
-    complement_callers.clear()
-    factorize._factor_by_driver(lat, random_unitary(lat, 5, 4)[0])
-    assert not calls.keys() - {"_complement"}
-    assert set(complement_callers) <= {"_split_residue_two_data"}
+    factor_unitary(lat, random_unitary(lat, 5, 4)[0])
+    assert not calls
 
 
-@pytest.mark.parametrize("name", ["q2sqrt2-sub.lat", "q2i-h1h1.lat"])
+@pytest.mark.parametrize("name", ["split3b.lat", "split2h.lat"])
 def test_factoring_reads_the_span_the_pair_search_kept(name, monkeypatch):
     """``splits_hyperbolic`` keeps its answer and the standard span it
     arranged on L: a second search returns the same object, and factoring
@@ -539,34 +556,34 @@ def test_factoring_reads_the_span_the_pair_search_kept(name, monkeypatch):
             return _original(lat_, cols, groups)
 
         monkeypatch.setattr(module, "_arrange_first_block", spy)
-    factorize._factor_by_driver(lat, random_unitary(lat, 4, 3)[0])
+    factor_unitary(lat, random_unitary(lat, 4, 3)[0])
     assert len(lat._plan) > 1
     assert standard not in arranged
 
 
 def test_a_pair_step_keeps_its_swap_word_as_data(monkeypatch):
-    """The swap word of a planned hyperbolic pair is computed by the first
-    alignment that needs it and kept with the pair step as (s, sigma) data,
-    not as generators, whose built data would hold the lattice: later
-    alignments on the pair reuse it, and the lattice is still freed by its
-    last reference."""
-    lat = _catalog_lattice("q2sqrt2-h1h1.lat")
+    """The swap word of a hyperbolic pair of the chain is computed by the
+    first alignment that needs it and kept with the chain's entry as
+    (s, sigma) data, not as generators, whose built data would hold the
+    lattice: later alignments on the pair reuse it, and the lattice is
+    still freed by its last reference.  On q2i-h1h1 the descent stalls at
+    seeds 0, 4, 5 and 7 of these, and each stall aligns a pair by a swap."""
+    lat = _catalog_lattice("q2i-h1h1.lat")
     calls = Counter()
     for name in ("_scale_map_word", "_plane_word_beta_unit"):
         def spy(*args, _name=name, _original=getattr(factorize, name)):
             calls[_name] += 1
             return _original(*args)
         monkeypatch.setattr(factorize, name, spy)
-    for seed in range(4):
+    for seed in range(8):
         factor_unitary(lat, random_unitary(lat, 4, seed)[0])
-    kept = [step.data[3] for step in lat._plan
-            if step.branch == "pair" and step.data[3]]
+    kept = [entry[4] for entry in lat._chain if entry is not None and entry[4]]
     assert kept and calls["_scale_map_word"] > len(kept)
     assert calls["_plane_word_beta_unit"] == calls["_scale_map_word"] + len(kept)
     assert all(type(s) is tuple and not isinstance(sigma, (Symmetry, EichlerIsometry))
                for swap in kept for s, sigma in swap)
     ref = weakref.ref(lat)
-    gc.disable()  # a kept generator would close a cycle through lat._plan
+    gc.disable()  # a kept generator would close a cycle through lat._chain
     try:
         del lat, kept
         assert ref() is None
@@ -677,92 +694,6 @@ def test_the_all_deep_pair_transport_is_reached(monkeypatch):
     assert verify_factorization(lat, phi, f)["det_consistent"]
 
 
-def _moves(lat, phi):
-    """Factor phi by the peel driver under a profile hook; returns the
-    factorization and a Counter of the moves of the ramified peels that
-    returned, keyed by (co_qualname, whether the move yielded a generator,
-    n - k).  n - k is read for a steered move of the normal-line peel: 0
-    when it combined x with another line of the block, positive against the
-    deeper part."""
-    ran = Counter()
-
-    def hook(frame, event, arg):
-        code = frame.f_code
-        if event == "return" and code.co_filename == factorize.__file__ \
-                and code.co_name in ("steered", "deep_alpha", "pre_pass"):
-            depth = None
-            if code.co_qualname == "_peel_normal.<locals>.steered":
-                depth = frame.f_locals["n"] - frame.f_locals["k"]
-            ran[code.co_qualname, arg is not None, depth] += 1
-
-    sys.setprofile(hook)
-    try:
-        f = factorize._factor_by_driver(lat, phi)
-    finally:
-        sys.setprofile(None)
-    return f, ran
-
-
-def test_the_steered_normal_line_moves_are_reached(Q2i):
-    """A(0,0) ⟂ H(3) over Q_2(i): the first block is two norm-attaining
-    lines.  At seed 1 neither line is fixed by direct symmetries or
-    deep_alpha: the first peel steers against the second line, the second
-    against H(3).  At seed 4 deep_alpha yields."""
-    lat = orthogonal_sum(standard_A(Q2i, 0, 0), standard_H(Q2i, 3))
-    steered, deep_alpha = "_peel_normal.<locals>.steered", "_peel_normal.<locals>.deep_alpha"
-    phi = random_unitary(lat, 2, 1)[0]
-    f, ran = _moves(lat, phi)
-    assert ran[steered, True, 0] == 1 and ran[steered, True, 2] == 1
-    assert ran[deep_alpha, False, None] == 2
-    assert len(f) == 9 and verify_factorization(lat, phi, f)["det_consistent"]
-    phi = random_unitary(lat, 2, 4)[0]
-    f, ran = _moves(lat, phi)
-    assert ran[deep_alpha, True, None] == 1
-    assert verify_factorization(lat, phi, f)["det_consistent"]
-
-
-def test_the_steered_subnormal_move_is_reached(Q2sqrt2):
-    """A(0,1) ⟂ H(2) over Q_2(√2) at seed 1: the v-alignment of the
-    subnormal peel emits its steered symmetry."""
-    lat = orthogonal_sum(standard_A(Q2sqrt2, 0, 1), standard_H(Q2sqrt2, 2))
-    phi = random_unitary(lat, 2, 1)[0]
-    f, ran = _moves(lat, phi)
-    assert ran["_subnormal_fix_v.<locals>.steered", True, None] == 1
-    assert len(f) == 7 and verify_factorization(lat, phi, f)["det_consistent"]
-
-
-def test_no_subnormal_plan_needs_the_norm_rearrangement(monkeypatch):
-    """The argument of ``_plan_subnormal``'s docstring on real inputs: the
-    catalog and the out-of-catalog lattices of ``tools/reach.py``, each in
-    its own basis and in two random ones, factor -1 by the peel driver, so
-    every step of their plans is planned (up to the first step that
-    raises).  No subnormal plan has a deeper part with 0 < j - i < n - k,
-    and some have a deeper part."""
-    seen = []
-    plan = factorize._plan_subnormal
-
-    def spy(lat, span):
-        if span.deeper_cols:
-            _, _, j, n = span.deeper(lat)
-            i, k = span.scale, span.planes[0][2]
-            seen.append((i, k, j, n))
-            assert not 0 < j - i < n - k
-        return plan(lat, span)
-
-    monkeypatch.setattr(factorize, "_plan_subnormal", spy)
-    lats = [_catalog_lattice(os.path.basename(path)) for path in hermlat.catalog_files()]
-    lats += [lat for _, lat in reach.out_of_catalog()]
-    for lat in lats:
-        for basis in [lat] + [workloads.random_basis_change(lat, random.Random(s))
-                              for s in range(2)]:
-            minus = tuple(tuple(-a for a in row) for row in identity(basis.alg, basis.n))
-            try:
-                factorize._factor_by_driver(basis, minus)
-            except UnsupportedCase:
-                continue
-    assert len(seen) >= 5
-
-
 def _driven(monkeypatch):
     """A list that gets the lattice of every run of the peel driver
     (``factorize._drive``)."""
@@ -777,16 +708,30 @@ def _driven(monkeypatch):
     return calls
 
 
-def _driver_failures():
+def _peeled(monkeypatch):
+    """A list that gets, for every pair peel (``factorize._peel_pair``), the
+    length of the word emitted before it and the pair's u."""
+    calls = []
+    original = factorize._peel_pair
+
+    def spy(drv, cols, phi, u, *rest):
+        calls.append((len(drv.out), u))
+        return original(drv, cols, phi, u, *rest)
+
+    monkeypatch.setattr(factorize, "_peel_pair", spy)
+    return calls
+
+
+def _descent_inputs():
     """[(lattice, phi)]: 24 inputs that the reflection descent finishes.
-    Eight out of the catalog, ``phi = random_unitary(L, 1 + s % 6, s)``,
-    on which the peel driver alone takes a steered move where N(pi) = -p:
+    Eight out of the catalog, ``phi = random_unitary(L, 1 + s % 6, s)``:
     over Q_2(√2) A(1,1) ⟂ H(4) at s = 4, 8, A(1,1) ⟂ H(5) at s = 4 and
     A(0,0) ⟂ H(4) at s = 1, 7, 8; A(1,2) ⟂ H(4) over the e = 5 tower field
-    at s = 5; <1, 3> ⟂ H(2) over Q_3(√3) at s = 1.  Then 16 on which the
-    peel driver raises: q2sqrt2-h0h0 and q2i-h1h1 in the bases
-    ``workloads.random_basis_change`` draws from seeds 0 and 2,
-    ``phi = random_unitary(M, 4, t)`` for t = 0..3."""
+    at s = 5; <1, 3> ⟂ H(2) over Q_3(√3) at s = 1.  Then 16 in other
+    bases, whose first Jordan block ``classify`` cannot arrange:
+    q2sqrt2-h0h0 and q2i-h1h1 in the bases ``workloads.random_basis_change``
+    draws from seeds 0 and 2, ``phi = random_unitary(M, 4, t)`` for
+    t = 0..3."""
     q2s = EtaleAlgebra.quadratic(LocalField(2), 0, -2)
     q3s = EtaleAlgebra.quadratic(LocalField(3), 0, -3)
     K5 = LocalField(2, eisenstein_poly=[-2, 0])
@@ -806,72 +751,35 @@ def _driver_failures():
 
 
 def test_the_descent_factors_what_the_driver_cannot(monkeypatch):
-    """The peel driver alone raises on the 16 basis-change inputs of
-    ``_driver_failures``, whose first block it cannot arrange;
-    factor_unitary finishes each of the 24 inputs by the reflection descent,
-    into 2 to 4 symmetries that certify, at residual precision 232 or more,
-    and never runs the driver."""
-    inputs = _driver_failures()
+    """factor_unitary finishes each of the 24 inputs of
+    ``_descent_inputs`` by the reflection descent, into 2 to 4 symmetries
+    that certify, at residual precision 232 or more, and neither peels a
+    pair nor runs the peel driver."""
+    inputs = _descent_inputs()
     assert len(inputs) == 24
-    for lat, phi in inputs[8:]:
-        with pytest.raises(UnsupportedCase, match="unexpected first-block shape"):
-            factorize._factor_by_driver(lat, phi)
-    driven = _driven(monkeypatch)
+    driven, peeled = _driven(monkeypatch), _peeled(monkeypatch)
     for lat, phi in inputs:
         f = factor_unitary(lat, phi)
         cert = verify_factorization(lat, phi, f)
         assert all(isinstance(g, Symmetry) for g in f) and 2 <= len(f) <= 4
         assert cert["residual_precision"] >= 232
-    assert driven == []
-
-
-def test_the_driver_alone_takes_the_steered_moves_where_the_norm_of_pi_is_minus_p():
-    """The eight out-of-catalog inputs of ``_driver_failures``: the steered
-    moves solve against N(pi^(n-k)), the normal-line one takes an
-    isotropic combination, and the peel driver alone factors each input
-    into a word that certifies."""
-    inputs = _driver_failures()[:8]
-    for lat, phi in inputs:
-        f, ran = _moves(lat, phi)
-        assert verify_factorization(lat, phi, f)["det_consistent"]
-        assert any(qualname.endswith("steered") and yielded
-                   for qualname, yielded, _ in ran)
-
-
-def test_the_steered_subnormal_move_keeps_u_fixed(monkeypatch):
-    """A(1,1) ⟂ H(4) over Q_2(√2) at s = 4: the subnormal plane's u has
-    odd scale exponent, and the steered move of the v-alignment combines a
-    vector orthogonal to u, so phi still fixes u once v is aligned."""
-    q2s = EtaleAlgebra.quadratic(LocalField(2), 0, -2)
-    lat = orthogonal_sum(standard_A(q2s, 1, 1), standard_H(q2s, 4))
-    phi = random_unitary(lat, 5, 4)[0]
-    fixed = []
-    fix_v = factorize._subnormal_fix_v
-
-    def spy(drv, latr, a, phi, u, *rest):
-        phi = fix_v(drv, latr, a, phi, u, *rest)
-        fixed.append(vec_eq(mat_vec(phi, u), u))
-        return phi
-
-    monkeypatch.setattr(factorize, "_subnormal_fix_v", spy)
-    f, ran = _moves(lat, phi)
-    assert ran["_subnormal_fix_v.<locals>.steered", True, None] == 1
-    assert fixed == [True]
-    assert verify_factorization(lat, phi, f)["det_consistent"]
+    assert driven == [] and peeled == []
 
 
 def _key(lat, word):
     return exact_key([_generator(lat, g) for g in word])
 
 
-def test_the_driver_factors_what_the_descent_leaves():
+def test_the_driver_factors_what_the_descent_leaves(monkeypatch):
     """The factor operations of the ``ramified`` benchmark schedules at
     seeds 1-3: factor_unitary returns the reflection descent's word, at most
     n symmetries, where the descent ends at the identity, and otherwise that
-    word followed by the peel driver's word for the map the descent left,
-    bit for bit.  Both shapes occur."""
+    word followed by factor_unitary's word for the map the descent left,
+    bit for bit.  That second word begins with a pair peel: the descent
+    emits nothing on the map it stalled on.  Both shapes occur."""
     lats = workloads.build("ramified")
     shapes = Counter()
+    peeled = _peeled(monkeypatch)
     for seed in (1, 2, 3):
         for kind, item in workloads.make_inputs("ramified", lats, seed):
             if kind != "factor":
@@ -885,27 +793,79 @@ def test_the_driver_factors_what_the_descent_leaves():
                 assert all(isinstance(g, Symmetry) for g in f) and len(f) <= lat.n
                 assert _key(lat, f) == _key(lat, drv.out)
             else:
-                shapes["descent+driver"] += 1
-                driver = factorize._factor_by_driver(lat, rest)
-                assert _key(lat, f) == _key(lat, drv.out + driver.generators)
-    assert shapes["descent"] and shapes["descent+driver"]
+                shapes["descent+pair"] += 1
+                peeled.clear()
+                after = factor_unitary(lat, rest)
+                assert peeled and peeled[0][0] == 0
+                assert _key(lat, f) == _key(lat, drv.out + after.generators)
+    assert shapes["descent"] and shapes["descent+pair"]
 
 
-def test_the_driver_factors_the_remainder_of_a_steered_subnormal_input():
-    """On A(1,1) ⟂ H(4) over Q_2(√2) at ``random_unitary(L, 4, 3)`` the
-    descent stops short and the map it leaves takes the steered subnormal
-    move: factor_unitary returns the descent's word followed by the peel
-    driver's for that map, bit for bit, and the word certifies."""
-    q2s = EtaleAlgebra.quadratic(LocalField(2), 0, -2)
-    lat = orthogonal_sum(standard_A(q2s, 1, 1), standard_H(q2s, 4))
-    phi = random_unitary(lat, 4, 3)[0]
-    drv = factorize._Driver(lat)
-    rest = factorize._descend(drv, phi)
-    assert drv.out and not mat_eq(rest, identity(lat.alg, lat.n))
-    driver, ran = _moves(lat, rest)
-    assert ran["_subnormal_fix_v.<locals>.steered", True, None]
+def test_field_kinds_never_run_the_peel_driver(monkeypatch):
+    """The factor operations of the ``ramified`` schedules at seeds 1-3 and
+    of the ``tower`` schedule at seed 1, and the inputs of
+    ``tools/reach.py``'s out-of-catalog list: factor_unitary certifies each
+    without running the peel driver, and peels a pair on some."""
+    ops = []
+    for workload, seeds in (("ramified", (1, 2, 3)), ("tower", (1,))):
+        lats = workloads.build(workload)
+        ops += [item for seed in seeds
+                for kind, item in workloads.make_inputs(workload, lats, seed)
+                if kind == "factor"]
+    ops += [item for _, item in reach.extra_schedule()[0]]
+    assert {item.lattice_name for item in ops} >= set(workloads.TOWER)
+    driven, peeled = _driven(monkeypatch), _peeled(monkeypatch)
+    for item in ops:
+        f = factor_unitary(item.lattice, item.phi)
+        verify_factorization(item.lattice, item.phi, f)
+    assert driven == [] and peeled
+
+
+@pytest.mark.parametrize("name,pairs", [("q2sqrt2-h0h0", 2), ("e5:H(0)+H(1)", 2),
+                                        ("inert2", 1)])
+def test_the_pair_chain_holds_orthogonal_hyperbolic_pairs(name, pairs):
+    """Every pair (u, v, s) of the chain is isotropic with <u,v> = pi^s,
+    and the pairs are mutually orthogonal; the chain is kept on L."""
+    lat = dict(workloads.build("tower"))[name] if name in workloads.TOWER \
+        else _catalog_lattice(f"{name}.lat")
+    chain = list(factorize._pair_chain(lat))
+    assert len(chain) == pairs and lat._chain[-1] is None
+    assert all(x[0] is y[0] for x, y in zip(factorize._pair_chain(lat), chain))
+    for u, v, s, _, _ in chain:
+        assert lat.q_value(u).is_zero() and lat.q_value(v).is_zero()
+        assert (lat.inner(u, v) - lat.alg.uniformizer_pow(s)).is_zero()
+    for (u1, v1, *_), (u2, v2, *_) in itertools.combinations(chain, 2):
+        assert all(lat.inner(a, b).is_zero() for a in (u1, v1) for b in (u2, v2))
+
+
+def test_a_pair_chain_goes_with_its_lattice():
+    """No entry of the chain holds its lattice, so the chain kept on the
+    lattice makes no reference cycle: once the chain is built, the lattice
+    is freed by its last reference, with the cyclic garbage collector
+    off."""
+    lat = _catalog_lattice("q2sqrt2-h0h0.lat")
+    assert len(list(factorize._pair_chain(lat))) == 2
+    ref = weakref.ref(lat)
+    gc.disable()
+    try:
+        del lat
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_a_descent_that_stalls_again_peels_the_next_pair(monkeypatch):
+    """q2sqrt2-h0h0 at ``random_unitary(L, 6, 5)``: the descent stalls, the
+    first pair of the chain is peeled, the descent stalls again, and the
+    second pair is peeled; the word certifies, and no pair search ran past
+    the second pair."""
+    lat = _catalog_lattice("q2sqrt2-h0h0.lat")
+    phi = random_unitary(lat, 6, 5)[0]
+    peeled = _peeled(monkeypatch)
     f = factor_unitary(lat, phi)
-    assert _key(lat, f) == _key(lat, drv.out + driver.generators)
+    assert len(lat._chain) == 2
+    assert [u for _, u in peeled] == [entry[0] for entry in lat._chain]
+    assert 0 < peeled[0][0] < peeled[1][0]
     assert verify_factorization(lat, phi, f)["det_consistent"]
 
 
@@ -937,3 +897,53 @@ def test_a_single_generator_comes_back_short():
             assert len(f) == 1 if isinstance(g, Symmetry) else len(f) <= 3
             drawn[type(g)] += 1
     assert drawn[Symmetry] and drawn[EichlerIsometry]
+
+
+def test_an_inert_pair_below_the_first_block_is_peeled(inert2, inert3, monkeypatch):
+    """Inert lattices whose hyperbolic plane lies deeper than their first
+    Jordan block, at ``random_unitary(L, 1 + s % 6, s)`` where the descent
+    stalls: the unramified pair peel maps phi(u) to u by bridge vectors x
+    with <x, L> inside P^s, and the word certifies."""
+    def one(alg):
+        return HermitianLattice(alg, ((alg.one,),))
+
+    h1h1 = [orthogonal_sum(standard_H(alg, 1), standard_H(alg, 1), one(alg))
+            for alg in (inert2, inert3)]
+    inputs = [(orthogonal_sum(one(inert2), standard_H(inert2, 2)), 10), (h1h1[0], 8),
+              (h1h1[0], 11), (orthogonal_sum(one(inert3), standard_H(inert3, 1)), 11),
+              (h1h1[1], 11)]
+    peeled = _peeled(monkeypatch)
+    for lat, s in inputs:
+        phi = random_unitary(lat, 1 + s % 6, s)[0]
+        peeled.clear()
+        f = factor_unitary(lat, phi)
+        assert peeled and verify_factorization(lat, phi, f)["det_consistent"]
+
+
+def test_a_pair_search_past_the_pairs_a_word_needs_is_not_run(monkeypatch):
+    """Lattices of a hyperbolic plane beside A-planes and lines whose own
+    pair search raises (``classify.cross_pair_norm_drop`` and the isotropy
+    refinement), at ``random_unitary(L, 1 + s % 6, s)`` where the descent
+    stalls: the first pair of the chain finishes each word, which
+    certifies, though a search for the next pair raises."""
+    q2s = EtaleAlgebra.quadratic(LocalField(2), 0, -2)
+    q2i = EtaleAlgebra.quadratic(LocalField(2), 2, 2)
+
+    def line(alg, a):
+        return HermitianLattice(alg, ((alg.from_int(a),),))
+
+    inputs = [(orthogonal_sum(standard_H(q2s, 0), standard_A(q2s, 0, 1), standard_A(q2s, 1, 1)),
+               (4, 7)),
+              (orthogonal_sum(standard_H(q2s, 0), standard_A(q2s, 0, 1), line(q2s, 2)), (1, 4)),
+              (orthogonal_sum(standard_H(q2s, 0), standard_A(q2s, 2, 2), line(q2s, 4)), (1, 4)),
+              (orthogonal_sum(standard_H(q2i, 0), standard_A(q2i, 1, 1), standard_A(q2i, 2, 1)),
+               (2, 7))]
+    peeled = _peeled(monkeypatch)
+    for lat, seeds in inputs:
+        for s in seeds:
+            phi = random_unitary(lat, 1 + s % 6, s)[0]
+            peeled.clear()
+            f = factor_unitary(lat, phi)
+            assert len(peeled) == 1 and verify_factorization(lat, phi, f)["det_consistent"]
+        with pytest.raises(UnsupportedCase):
+            list(factorize._pair_chain(lat))

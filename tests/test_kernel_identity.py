@@ -2,8 +2,7 @@
 
 For a few catalog lattices, one fixed seeded word of three generators
 (symmetries, with the third an Eichler isometry where the lattice has a
-hyperbolic pair) is factored, by ``factor_unitary`` and by the peel driver
-alone, and certified.  A SHA-256 over the exact
+hyperbolic pair) is factored by ``factor_unitary`` and certified.  A SHA-256 over the exact
 representation ``(co, shift, ncap)`` of every entry of the input, of every
 emitted generator's matrix and of the certificate must stay what it was when
 these values were recorded: a change to the field arithmetic that alters any
@@ -17,11 +16,10 @@ trace of ``isometry_conditions``).
 
 Paths that no benchmark schedule reaches are pinned by hand: the norm-drop
 witness of ``splits_hyperbolic`` on A(1,1) ⟂ <2> over Q_2(√2), the
-split-kind duals and Jordan splitting of a rank-3 lattice over Q_3, the peel
-driver alone on three small lattices that reach its pair transport,
-normal-line peel and subnormal peel, the steered-σ branch of the subnormal
-peel, the split-slot fallback of ``lattice._complement`` for a line and for a
-plane, ``rearrange_jordan`` and the split-vector Eichler rewrite.
+split-kind duals and Jordan splitting of a rank-3 lattice over Q_3, a
+small lattice whose stalled descent reaches the pair transport, the
+split-slot fallback of ``lattice._complement`` for a line and for a plane,
+``rearrange_jordan`` and the split-vector Eichler rewrite.
 
 Both use ``exact_key`` of ``tools/schedule_digest.py``, the exact form that
 tool hashes whole benchmark schedules with.
@@ -59,28 +57,12 @@ from schedule_digest import _generator, exact_key  # noqa: E402
 K_GENERATORS = 3
 
 # lattice name -> SHA-256 of the run below, recorded before the flat
-# one-coordinate kernel replaced the generic element constructor
+# one-coordinate kernel replaced the generic element constructor: the peel
+# driver's factorization, which factor_unitary returns on split kinds
 EXPECTED = {
     # (8f55ac08… before zeros kept at most mcap digits)
     "split3":
         "3ac9df7e79947de4e45e65a4122fdc1f258a164591265e31939f8ff0980a0e58",
-    # (d52702fe… before zeros kept at most mcap digits)
-    "inert3":
-        "34b3124f828728d8e008c63d094eb5be99d2d861389ba80dde56048de22f2423",
-    # re-recorded, with f4ram, when the driver began to apply each
-    # generator through its update terms: the last emitted generator is
-    # built from an image with other precision counts, equal in value
-    # (bee6869a… before)
-    # (d6ff8af8… before zeros kept at most mcap digits)
-    "q2i-h":
-        "84ad0891aa79b4143a1b601f073e5ce5f45f613619c91f39a71352082e01ac24",
-    # (8d5f4dbc… before zeros kept at most mcap digits)
-    "q2sqrt2-h0h0":
-        "e2dd022895456486ddc6d857979de9292508b477df31c1f2a1ebac85482f6609",
-    # (537bd9e8… before)
-    # (8089fcd7… before zeros kept at most mcap digits)
-    "f4ram":
-        "9dbf50d7254717c7094fa9533a4b712a42d7a9e2cfdeb9ea46daad64b27c22d0",
 }
 
 
@@ -121,25 +103,27 @@ def run_digest(name, factor):
 @pytest.mark.parametrize("name", sorted(EXPECTED))
 def test_factorization_is_bit_identical(name):
     """The peel driver's factorization, which ``factor_unitary`` returns on
-    split kinds and runs on the map the reflection descent leaves on the
-    others."""
-    assert run_digest(name, factorize._factor_by_driver) == EXPECTED[name]
+    split kinds."""
+    assert run_digest(name, factor_unitary) == EXPECTED[name]
 
 
 # lattice name -> SHA-256 of the run above through ``factor_unitary``: the
 # reflection descent finishes the words of f4ram, inert3 and q2i-h; on
-# q2sqrt2-h0h0 it emits one symmetry, and that symmetry followed by the peel
-# driver's word for the map left is the driver's word for the whole input;
-# split3 takes the driver
+# q2sqrt2-h0h0 it emits one symmetry and stalls, and the pairs of the chain
+# finish the word; split3 takes the driver
 EXPECTED_FACTOR = {
     "split3": EXPECTED["split3"],
     "inert3":
         "03da0edc510f49956bdaf5849b6e0f89d48b82a81285fb7c8e14d8f57e11d2c4",
-    # (the driver's, EXPECTED["q2i-h"], before the descent ran first in the
+    # (the driver's, 84ad0891…, before the descent ran first in the
     # residue-two case)
     "q2i-h":
         "14025fef1c356b9b5e63d9b2d30dbf3fe267dca95f7f804efb6f5766011555ac",
-    "q2sqrt2-h0h0": EXPECTED["q2sqrt2-h0h0"],
+    # re-recorded when a stalled descent began to peel the pairs of the
+    # chain instead of running the peel driver on the map it left
+    # (e2dd0228…, the symmetry followed by the driver's word, before)
+    "q2sqrt2-h0h0":
+        "713dc82ce6ac45cad098b2db749b26926a71babe0e8650f719013cb25b634631",
     "f4ram":
         "9fba9c68a708d7e7ba8b2060ca55bf6a11f0f03b92921702fa28294f850264a5",
 }
@@ -224,19 +208,14 @@ EXPECTED_PATHS = {
     # (54b768ec… before zeros kept at most mcap digits)
     "split_duals":
         "15e6cbc27e3ee8ecd6fdaa77c571decb176a3500df2e38e7848d782df7fa4134",
-    # re-recorded when the single-step peels were deleted: each is now the
-    # peel driver's whole factorization of the same lattice and phi
-    # (b699b239…, 18da023d… and 5414d98d… before, the step's word, rest and
-    # residual phi)
+    # re-recorded when field kinds stopped running the peel driver: now
+    # factor_unitary's factorization, whose stalled descent peels the pair,
+    # on H(0) ⟂ <1>; the descent finishes every word of H(0) ⟂ <2> at
+    # random_unitary(L, k, s), k = 1..6, s = 0..29 (f4c9b2e0…, the peel
+    # driver's whole factorization on H(0) ⟂ <2>, before; b699b239…, the
+    # single step's word, rest and residual phi, before that)
     "peel_hyperbolic":
-        "f4c9b2e02237edcdf489f32219876a6b47c3f4bff6410d5644538b73462141ae",
-    "peel_normal_dyadic":
-        "1646a440392183de45862a692f6d10039373ad327c2c8a5509f7396efcdbeda9",
-    "peel_subnormal_dyadic":
-        "42fb01315818bdd832b2f7718bbf7d7975ea37ec0fd4d1083a2e6c323c1abdf2",
-    # (3dacaa59… before zeros kept at most mcap digits)
-    "steered_subnormal":
-        "2feb73ad1d8635a42928c06c4950260c44e51aa3fb2df2b3951e8bfc4af54345",
+        "c64eb775cfa2015189f1aa90739e332a9e6e5421c0393a525621fa5e770b3454",
     # recorded before the four complement copies became lattice._complement
     "line_complement_slotwise":
         "15d54b102eb0144ed3b12202727789291dc7261bcf026e59f1cc13329e9e87a2",
@@ -289,42 +268,17 @@ def _q2sqrt2():
     return EtaleAlgebra.quadratic(LocalField(2), 0, -2)
 
 
-def _driver_run(lat, phi):
-    """The peel driver's factorization of phi alone, certified."""
-    fac = factorize._factor_by_driver(lat, phi)
+def _peel_hyperbolic():
+    """H(0) ⟂ <1> over Q_2(√2): the descent stalls, and the pair transport
+    aligns the hyperbolic pair."""
+    alg = _q2sqrt2()
+    lat = orthogonal_sum(standard_H(alg, 0), HermitianLattice(alg, ((alg.one,),)))
+    phi = oracle.random_unitary(lat, 5, 1)[0]
+    fac = factor_unitary(lat, phi)
     cert = verify_factorization(lat, phi, fac)
     return {"generators": exact_key([_generator(lat, g) for g in fac]),
             "residual_precision": cert["residual_precision"],
             "certificate": cert}
-
-
-def _peel_hyperbolic():
-    """H(0) ⟂ <2> over Q_2(√2): a pair transport, then a line."""
-    alg = _q2sqrt2()
-    lat = orthogonal_sum(standard_H(alg, 0), HermitianLattice(alg, ((alg.from_int(2),),)))
-    return _driver_run(lat, oracle.random_unitary(lat, 3, 9)[0])
-
-
-def _peel_normal():
-    """diag(1, 3) over Q_2(√2): two norm-attaining lines in the first block,
-    so the normal-line peel has the second line beside x."""
-    alg = _q2sqrt2()
-    lat = HermitianLattice(alg, ((alg.one, alg.zero), (alg.zero, alg.from_int(3))))
-    return _driver_run(lat, oracle.random_unitary(lat, 2, 4)[0])
-
-
-def _peel_subnormal():
-    """A(0,1) over Q_2(√2): one subnormal plane."""
-    lat = standard_A(_q2sqrt2(), 0, 1)
-    return _driver_run(lat, oracle.random_unitary(lat, 2, 4)[0])
-
-
-def _steered_subnormal():
-    """Criterion-1 trial 53 of q2sqrt2-sub, factored by the peel driver: the
-    subnormal peel runs out of direct symmetries and emits a steered one."""
-    with open(hermlat.catalog_path("q2sqrt2-sub.lat")) as fh:
-        lat = parse_lattice(fh.read())
-    return _driver_run(lat, oracle.random_unitary(lat, 1 + 53 % 6, 53)[0])
 
 
 def _split2h_mixed():
@@ -374,9 +328,6 @@ def _split_vector_reduction():
 PATHS = {"norm_drop_witness": (_norm_drop_witness, classify, "cross_pair_norm_drop"),
          "split_duals": (_split_duals, lattice, "_dual_basis"),
          "peel_hyperbolic": (_peel_hyperbolic, factorize, "_transport_pair"),
-         "peel_normal_dyadic": (_peel_normal, factorize, "_peel_normal"),
-         "peel_subnormal_dyadic": (_peel_subnormal, factorize, "_peel_subnormal"),
-         "steered_subnormal": (_steered_subnormal, factorize, "_steered_sigma"),
          "line_complement_slotwise": (_line_complement_slotwise, lattice, "_slotwise_keep"),
          "pair_complement_slotwise": (_pair_complement_slotwise, lattice, "_slotwise_keep"),
          "rearrange_jordan": (_rearrange_jordan, classify, "rearrange_columns"),

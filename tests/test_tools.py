@@ -70,8 +70,8 @@ def test_reach_ledger_counts_one_operation():
     """One factor op on q2i-h: factor_unitary and verify_factorization run
     once each, every counted name is a defined one, nested moves are
     defined too, and a function the op does not reach is listed as never
-    called; the op, two symmetries, is the reflection descent's, no peel
-    step runs, and the ledger says so with the word's length; the profile
+    called; the op, two symmetries, is the reflection descent's, no pair
+    is peeled, and the ledger says so with the word's length; the profile
     hook is gone afterwards."""
     counts, failed, routes = census(_schedule()[:1])
     names = defined()
@@ -79,20 +79,20 @@ def test_reach_ledger_counts_one_operation():
     assert counts["factorize", "factor_unitary"] == 1
     assert counts["factorize", "verify_factorization"] == 1
     assert set(counts) <= names
-    assert ("factorize", "_peel_normal.<locals>.steered") in names
-    assert ("factorize", "_peel_subnormal") not in counts
+    assert ("factorize", "map_unit_vector.<locals>.push") in names
+    assert ("factorize", "_transport_pair") not in counts
     assert routes == {("q2i-h", "descent"): [2]}
-    assert ("factorize", "_align_step") not in counts
+    assert ("factorize", "_peel_pair") not in counts
     lines = ledger(counts, names, [("op 0", ["UnsupportedCase", "stuck"])], routes)
     assert "       1  factorize.factor_unitary" in lines
-    assert "  routes  q2i-h: descent 1 (mean 2.0), descent+driver 0, driver 0" in lines
-    assert "   never  factorize._peel_subnormal" in lines
+    assert "  routes  q2i-h: descent 1 (mean 2.0), descent+pair 0, driver 0" in lines
+    assert "   never  factorize._transport_pair" in lines
     assert lines[-1] == "  failed  op 0: UnsupportedCase: stuck"
 
 
 def test_reach_routes_tell_the_driver_on_the_remainder_from_the_driver_alone():
-    """A word of the descent followed by the peel driver's for the map left
-    is counted as ``descent+driver``; a split lattice's word, which the
+    """A word whose descent stalls, so that a pair of the chain is peeled,
+    is counted as ``descent+pair``; a split lattice's word, which the peel
     driver factors without a descent, as ``driver``; the census reads each
     word's length off its result."""
     ops = []
@@ -104,7 +104,7 @@ def test_reach_routes_tell_the_driver_on_the_remainder_from_the_driver_alone():
     _, failed, routes = census(ops)
     h1h1, split3 = [len(factor_unitary(item.lattice, item.phi)) for _, item in ops]
     assert failed == []
-    assert routes == {("q2i-h1h1", "descent+driver"): [h1h1], ("split3", "driver"): [split3]}
+    assert routes == {("q2i-h1h1", "descent+pair"): [h1h1], ("split3", "driver"): [split3]}
 
 
 def test_exact_key_sees_the_precision_count():

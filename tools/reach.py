@@ -16,8 +16,8 @@ before counting starts.
 
 A profile hook counts every entry into a frame whose code lies in
 ``src/hermlat``, keyed by module and ``co_qualname`` (Python 3.11 on), so a
-nested move such as ``factorize._peel_normal.<locals>.steered`` has a count
-of its own; a generator counts once per resume.  Lambdas and comprehensions
+nested function such as ``factorize.map_unit_vector.<locals>.push`` has a
+count of its own; a generator counts once per resume.  Lambdas and comprehensions
 are neither counted nor listed.
 
 Output: one line per function that ran, its count first; one ``never`` line
@@ -26,10 +26,10 @@ per lattice with factor operations, saying how many of them took each route
 and the mean length of their words; one ``failed`` line per operation that
 raised or whose input the oracle could not build.  The route is read off
 the counts: ``descent`` (the reflection descent finished the word, and no
-peel step ``factorize._align_step`` ran), ``descent+driver`` (a field kind
-where a peel step ran: the word is the descent's followed by the peel
-driver's for the map the descent left) and ``driver`` (split kinds, which
-take no descent).
+pair peel ``factorize._peel_pair`` ran), ``descent+pair`` (a field kind
+where a pair peel ran: the descent stalled, and the pairs of the lattice's
+chain were peeled, each followed by the descent again) and ``driver``
+(split kinds, which take the peel driver and no descent).
 """
 
 from __future__ import annotations
@@ -55,11 +55,10 @@ EXTRA_SEEDS = range(10)
 
 def out_of_catalog():
     """[(name, lattice)]: lattices that no catalog entry and no tower lattice
-    is isometric to.  The first two reach the steered moves of the normal
-    line and subnormal peels; ``<1, 3>`` has two norm-attaining lines in its
-    first block; the next two reach the steered moves where N(pi) = -p.
-    The oracle builds the last two at a few seeds only, and the peel driver
-    alone raises on those."""
+    is isometric to, each with an A-plane or ``<1, 3>`` as its first Jordan
+    block, four of them beside a hyperbolic plane at a deeper scale; over
+    Q_2(i) N(pi) = p, and over Q_2(√2) N(pi) = -p.  The oracle builds the
+    last two at a few seeds only."""
     q2i = EtaleAlgebra.quadratic(LocalField(2), 2, 2)
     q2s = EtaleAlgebra.quadratic(LocalField(2), 0, -2)
     A, H, osum = lattice.standard_A, lattice.standard_H, lattice.orthogonal_sum
@@ -108,8 +107,8 @@ def defined():
     return names
 
 
-ROUTES = ("descent", "descent+driver", "driver")
-PEEL_STEP = ("factorize", "_align_step")
+ROUTES = ("descent", "descent+pair", "driver")
+PAIR_PEEL = ("factorize", "_peel_pair")
 
 
 def census(ops):
@@ -128,7 +127,7 @@ def census(ops):
 
     failed = []
     for index, (kind, item) in enumerate(ops):
-        steps = counts[PEEL_STEP]
+        peels = counts[PAIR_PEEL]
         sys.setprofile(hook)
         try:
             doc = schedule_digest.RESULTS[kind](item)
@@ -138,13 +137,13 @@ def census(ops):
             failed.append((index, doc["error"]))
         elif kind == "factor":
             route = ("driver" if item.lattice.alg.kind == EtaleAlgebra.SPLIT else
-                     "descent+driver" if counts[PEEL_STEP] > steps else "descent")
+                     "descent+pair" if counts[PAIR_PEEL] > peels else "descent")
             routes[item.lattice_name, route].append(len(doc["generators"]))
     return counts, failed, routes
 
 
 def route_counts(routes, names):
-    """``descent 3 (mean 2.0), descent+driver 0, driver 1 (mean 8.0)``: per
+    """``descent 3 (mean 2.0), descent+pair 0, driver 1 (mean 8.0)``: per
     route, the number of factor operations on the lattices ``names`` that
     took it and the mean length of their words."""
     out = []
