@@ -20,10 +20,12 @@ answer.  So each lattice object is split and arranged once.
 A form value Q(w) is deepened or killed by adding lambda*z, with lambda from
 the trace equation Tr(lambda <z,w>) = -Q(w) or from the norm congruence
 Nr(lambda) Q(z) = -Q(w) mod a window.  Each move is written once:
-``_norm_shift`` is the norm-balanced step, ``_deepen_once`` the round that
-tries the trace kill and then the norm shift along each helper,
-``_shift_into_trace_ideal`` the loop pushing Q(w) into Tr(P^i) along one
-direction, and ``EtaleAlgebra.solve_norm`` the exact solve of Nr(x) = a.
+``_norm_shift`` is the norm-balanced step, ``_shift_into_trace_ideal`` the
+loop pushing Q(w) into Tr(P^i) along one direction,
+``EtaleAlgebra.solve_norm`` the exact solve of Nr(x) = a, and
+``isotropy_refine`` the one way a vector is made isotropic: the Newton lift
+of the trace kill along a helper, then the isotropic line of the plane in
+closed form (``_isotropic_in_plane``).
 """
 
 from __future__ import annotations
@@ -169,28 +171,31 @@ def modular_standard_form(lat):
 
 
 def isotropy_refine(lat, u, helpers):
-    """Exact isotropy kill allowing both trace-dominant and norm-balanced
-    corrections along the helper directions.
+    """An isotropic vector in span(u, y) for the first helper y that has
+    one, else UnsupportedCase.  No helper may be u itself: that plane is a
+    line, whose closed form is the zero vector.
 
-    The rounds end when one finds no move, and can fail to converge within
-    96: a norm-balanced step along a helper that is u itself only rescales
-    u.  Either way the isotropic line of span(u, y) is computed in closed
-    form for each other helper y in turn (``_isotropic_in_plane``),
-    starting again from the u given."""
-    start = u
-    for _ in range(96):
-        gu = lat.gram_conj(u)
-        q = _dot(u, gu).as_K()
-        if q.is_zero():
-            return u
-        u = _deepen_once(lat, u, gu, q, helpers)
-        if u is None:
-            break
+    Per helper, the Newton lift from u: w <- w + lambda*y with the trace
+    kill Tr(lambda <y,w>) = -Q(w), which leaves Q(w) = Nr(lambda) Q(y).  It
+    runs while Q(w) deepens, so it needs no round cap, and converges
+    quadratically.  If it stops short of Q(w) = 0, the isotropic line of
+    span(u, y) in closed form (``_isotropic_in_plane``)."""
+    alg = lat.alg
     for y in helpers:
-        if y is start:
-            continue
+        w, q = u, lat.q_value(u)
+        while not q.is_zero():
+            try:
+                lam = alg.solve_trace(lat.inner(y, w), -q)
+            except HermlatError:
+                break
+            cand = vec_add(w, vec_scale(lam, y))
+            if not _deepens(lat, cand, q.valuation()):
+                break
+            w, q = cand, lat.q_value(cand)
+        if q.is_zero():
+            return w
         try:
-            iso = _isotropic_in_plane(lat, start, y)
+            iso = _isotropic_in_plane(lat, u, y)
         except HermlatError:
             continue
         if iso is not None:
@@ -219,37 +224,9 @@ def _norm_shift(lat, w, z, q, qz, window):
     return vec_add(w, vec_scale(pit * lam0, z))
 
 
-def _deepen_once(lat, w, gw, q, helpers):
-    """One deepening round for q = Q(w) != 0 (gw = gram_conj(w)): along each
-    helper y not orthogonal to w, the trace kill Tr(lam <y,w>) = -q, else
-    the norm shift with window 1 (ramified kind).  Returns the first
-    candidate w + lam*y that deepens Q(w), or None."""
-    alg = lat.alg
-    m = q.valuation()
-    for y in helpers:
-        pair = _dot(y, gw)
-        if pair.is_zero():
-            continue
-        try:
-            cand = vec_add(w, vec_scale(alg.solve_trace(pair, -q), y))
-            if _deepens(lat, cand, m):
-                return cand
-        except HermlatError:
-            pass
-        qy = lat.q_value(y)
-        if alg.kind != EtaleAlgebra.RAMIFIED or qy.is_zero():
-            continue
-        try:
-            cand = _norm_shift(lat, w, y, q, qy, 1)
-        except HermlatError:
-            continue
-        if cand is not None and _deepens(lat, cand, m):
-            return cand
-    return None
-
-
 def _isotropic_in_plane(lat, u, y):
-    """Primitive isotropic u + lambda*y, or None when span(u, y) has none.
+    """Primitive isotropic u + lambda*y, or None when span(u, y) has none:
+    the fallback of ``isotropy_refine`` where its Newton lift stops short.
 
     With q = Q(u), p = <y,u> and det = q Q(y) - N(p),
     Q(u + lambda y) = q + Tr(lambda p) + N(lambda) Q(y)
@@ -391,7 +368,7 @@ def combine_pieces_pair(lat, donor, target_plane, scale_i):
     if k1 > k2:
         raise UnsupportedCase("donor norm must not exceed the plane norm")
     x2c = _shift_into_trace_ideal(lat, x2, donor, scale_i)
-    u = isotropy_refine(lat, x2c, [y2, x2c])
+    u = isotropy_refine(lat, x2c, [y2])
     return complete_with_partners(lat, u, [y2, x2], scale_i)
 
 
@@ -524,7 +501,7 @@ def extract_hyperbolic_in_modular(lat, cols, scale_i):
     # a hyperbolic plane: kill its second vector, complete the pair
     for (x, y, k) in norm_planes:
         if plane_is_hyperbolic(lat, (x, y, k), scale_i):
-            u = isotropy_refine(lat, y, [x, y])
+            u = isotropy_refine(lat, y, [x])
             return complete_with_partners(lat, u, [x, y], scale_i), (lines, norm_planes)
     # combine two pieces: the lowest-norm donor raises another plane
     pieces = [(lat.q_value(c).valuation(), c, None) for c in lines]
@@ -555,7 +532,7 @@ def cross_pair_norm_drop(lat, plane1, rest_cols, scale_i):
         raise UnsupportedCase("requires deeper norm <= plane norm")
     z, _ = _norm_attainer(lat, rest_cols, gram, n)
     u0 = _shift_into_trace_ideal(lat, x1, z, scale_i)
-    u = isotropy_refine(lat, u0, [y1, x1])
+    u = isotropy_refine(lat, u0, [y1])
     return complete_with_partners(lat, u, [y1, x1], scale_i)
 
 
@@ -650,13 +627,12 @@ class Span:
     """span(cols), grouped into Jordan blocks (``groups``, shallowest first;
     ``deeper_cols`` all but the first), with its first block arranged: its
     scale, the hyperbolic pair (u, v, scale) inside it or None, and its
-    ``lines`` and ``planes``, each plane normalized as ``(x, y, k)``.  The
-    cross-block attempt, ``deeper`` and ``deeper_plane`` are computed on
-    first use and kept (in a 1-tuple if they may be None).  No field holds
-    the lattice."""
+    ``lines`` and ``planes``, each plane normalized as ``(x, y, k)``.
+    ``deeper`` and ``deeper_plane`` are computed on first use and kept (in
+    a 1-tuple if it may be None).  No field holds the lattice."""
 
     __slots__ = ("cols", "groups", "scale", "pair", "lines", "planes",
-                 "deeper_cols", "_cross", "_deeper", "_deeper_plane")
+                 "deeper_cols", "_deeper", "_deeper_plane")
 
     def __init__(self, cols, groups, scale, pair, lines, planes):
         self.cols = cols
@@ -666,7 +642,7 @@ class Span:
         self.lines = lines
         self.planes = planes
         self.deeper_cols = [c for grp in groups[1:] for c in grp]
-        self._cross = self._deeper = self._deeper_plane = None
+        self._deeper = self._deeper_plane = None
 
     def deeper(self, lat):
         """The deeper part span(deeper_cols): its Jordan column groups, its
@@ -706,7 +682,7 @@ def splits_hyperbolic(lat):
 def _search_pair(lat):
     span = standard_span(lat) if lat.n else None
     while span is not None:
-        found = span.pair or _cross_block_attempt(lat, span)
+        found = span.pair or _cross_pair(lat, span)
         if found is not None:
             return found
         span = _next_round(lat, span)
@@ -766,16 +742,9 @@ def _arrange_first_block(lat, cols, groups):
     return Span(cols, groups, scale_i, pair, lines, planes)
 
 
-def _cross_block_attempt(lat, span):
-    """The hyperbolic pair (u, v, scale) across the span's first block and
-    its deeper part, or None when the classification excludes it; kept on
-    the span."""
-    if span._cross is None:
-        span._cross = (_cross_pair(lat, span),)
-    return span._cross[0]
-
-
 def _cross_pair(lat, span):
+    """The hyperbolic pair (u, v, scale) across the span's first block and
+    its deeper part, or None when the classification excludes it."""
     alg = lat.alg
     if alg.kind != EtaleAlgebra.RAMIFIED:
         return None

@@ -228,10 +228,10 @@ def _word(lat, phi):
         return drv.out
     phi = _descend(drv, phi)
     if not mat_eq(phi, one):
-        for u, v, s, cols, swap in _pair_chain(lat):
+        for u, v, s, cols in _pair_chain(lat):
             if vec_eq(mat_vec(phi, u), u) and vec_eq(mat_vec(phi, v), v):
                 continue
-            phi = _descend(drv, _peel_pair(drv, cols, phi, u, v, s, swap))
+            phi = _descend(drv, _peel_pair(drv, cols, phi, u, v, s))
             if mat_eq(phi, one):
                 break
         else:
@@ -271,12 +271,11 @@ def _pair_chain(lat):
     """Iterate over the hyperbolic pairs a stalled descent peels, mutually
     orthogonal: the pair of ``splits_hyperbolic(L)``, then the one
     ``splits_hyperbolic`` finds in the Gram of its complement, and so on.
-    Each entry is ``(u, v, s, cols, swap)``: the pair with <u,v> = pi^s; a
+    Each entry is ``(u, v, s, cols)``: the pair with <u,v> = pi^s, and a
     basis cols of the vectors x of the span the pair was found in with
     <x, span> inside P^s (a Jordan block of scale i < s scaled by
     pi^(s-i)), which holds the pair's images and the unramified pair peel's
-    bridge vectors; and the pair's swap word (``_scale_map_word``), an empty
-    list until an alignment first needs it.
+    bridge vectors.
 
     An entry is found when an iteration first reaches it, and kept on L
     (``_chain``, with the complement the pair leaves, and None once no pair
@@ -284,15 +283,14 @@ def _pair_chain(lat):
     before a descent on L stalls, nor past the pair that finishes it: the
     pair search raises on some spans whose pairs no word needs
     (``classify.cross_pair_norm_drop``).  A search that raises keeps
-    nothing.  No entry holds L (the swap word is kept as data), so the
-    chain does not keep L alive."""
+    nothing.  No entry holds L, so the chain does not keep L alive."""
     chain = lat._chain
     for idx in itertools.count():
         if idx == len(chain):
-            chain.append(_next_pair(lat, chain[-1][5] if chain else None))
+            chain.append(_next_pair(lat, chain[-1][4] if chain else None))
         if chain[idx] is None:
             return
-        yield chain[idx][:5]
+        yield chain[idx][:4]
 
 
 def _next_pair(lat, cols):
@@ -315,7 +313,7 @@ def _next_pair(lat, cols):
         u, v = mat_vec(to_lat, u), mat_vec(to_lat, v)
     deep = [mat_vec(to_lat, vec_scale(alg.uniformizer_pow(max(s - blk.scale_exp, 0)), c))
             for blk in sub.jordan_split().blocks for c in blk.cols]
-    return u, v, s, deep, [], _complement(lat, cols, [u, v])
+    return u, v, s, deep, _complement(lat, cols, [u, v])
 
 
 def _reduction_pass(lat, gens):
@@ -330,12 +328,12 @@ def _reduction_pass(lat, gens):
     return out
 
 
-def _peel_pair(drv, cols, phi, u, v, scale_s, swap):
-    """Align phi on the pair (u, v) of the chain, with its entry's scale_s,
-    cols and swap (``_pair_chain``): the pair transport on ramified kinds,
-    the unramified pair peel on inert ones."""
+def _peel_pair(drv, cols, phi, u, v, scale_s):
+    """Align phi on the pair (u, v) of the chain, with its entry's scale_s
+    and cols (``_pair_chain``): the pair transport on ramified kinds, the
+    unramified pair peel on inert ones."""
     if drv.lat.alg.kind == EtaleAlgebra.RAMIFIED:
-        return _transport_pair(drv, phi, u, v, scale_s, swap)
+        return _transport_pair(drv, phi, u, v, scale_s)
     return _peel_hyperbolic_unramified(drv, cols, phi, u, v)
 
 
@@ -689,7 +687,7 @@ def _rot1_eichler(lat, shared, u_from, u_to):
     return make_eichler(lat, shared, u_from, w, beta)
 
 
-def _transport_pair(drv, phi, u2, v2, scale_s, swap):
+def _transport_pair(drv, phi, u2, v2, scale_s):
     """Emit generators aligning the phi-images of the target pair (u2, v2);
     returns the updated phi (which then fixes u2 and v2 pointwise)."""
     lat = drv.lat
@@ -699,7 +697,7 @@ def _transport_pair(drv, phi, u2, v2, scale_s, swap):
         cur_v = mat_vec(phi, v2)
         if vec_eq(cur_u, u2) and vec_eq(cur_v, v2):
             return phi
-        done = _postalign(drv, phi, cur_u, cur_v, u2, v2, scale_s, swap)
+        done = _postalign(drv, phi, cur_u, cur_v, u2, v2, scale_s)
         if done is not None:
             phi = done
             continue
@@ -748,7 +746,7 @@ def _scalar_coeff(lat, img, target, partner):
     return None
 
 
-def _postalign(drv, phi, cur_u, cur_v, u2, v2, scale_s, swap):
+def _postalign(drv, phi, cur_u, cur_v, u2, v2, scale_s):
     """When one image is a scalar multiple of its target, finish the job:
     rotate the other image into place and undo the unit scaling inside the
     plane.  Returns the new phi, or None when not applicable."""
@@ -767,7 +765,7 @@ def _postalign(drv, phi, cur_u, cur_v, u2, v2, scale_s, swap):
         # the map left on the plane is u2 -> a*u2, v2 -> conj(a)^-1 v2
         a = other_coeff if swapped else c
         if not (a - alg.one).is_zero():
-            word = _scale_map_word(lat, u2, v2, scale_s, alg.one / a, swap)
+            word = _scale_map_word(lat, u2, v2, scale_s, alg.one / a)
             phi = drv.emit_symmetries(word, phi)
         return phi
     return None
@@ -796,27 +794,23 @@ def _plane_word_beta_unit(lat, u2, v2, img_u, img_v):
     return word
 
 
-def _scale_map_word(lat, u2, v2, scale_s, a, swap):
+def _scale_map_word(lat, u2, v2, scale_s, a):
     """Symmetry word for the unitary plane map u2 -> a*u2, v2 -> conj(a)^-1 v2.
 
     It is the inverse of the swap word w0 (u2 -> v2, v2 -> c*u2 with
     c = conj(pi^s)/pi^s) after the word w1 of the swap composed with the
-    scaling.  w0 depends on the pair alone: ``swap`` holds the (s, sigma) of
-    its inverse once computed, and an empty ``swap`` is filled here.  The
-    composed word is the one that is checked: a wrong w1 or a wrong kept
-    w0 makes it miss the map."""
+    scaling.  The composed word is the one that is checked: a wrong w0 or
+    w1 makes it miss the map."""
     alg = lat.alg
     if (a - alg.one).is_zero():
         return []
     pi_s = alg.uniformizer_pow(scale_s)
     swap_coeff = pi_s.conj() / pi_s
-    if not swap:
-        w0 = _plane_word_beta_unit(lat, u2, v2, v2, vec_scale(swap_coeff, u2))
-        swap.extend((g.s, g.sigma.conj()) for g in reversed(w0))
+    w0 = _plane_word_beta_unit(lat, u2, v2, v2, vec_scale(swap_coeff, u2))
     img_u = vec_scale(a, v2)
     img_v = vec_scale(swap_coeff / a.conj(), u2)
     w1 = _plane_word_beta_unit(lat, u2, v2, img_u, img_v)
-    word = [Symmetry(s, sigma) for s, sigma in swap] + w1
+    word = [g.inverse() for g in reversed(w0)] + w1
     iu, iv = u2, v2
     for g in reversed(word):
         iu = apply_generator(lat, g, iu)
@@ -829,18 +823,13 @@ def _scale_map_word(lat, u2, v2, scale_s, a, swap):
 
 def _isotropic_partner_in_plane(lat, w, wp, puv):
     """Isotropic z in span(w, w') with <w, z> = puv (the auxiliary plane of
-    the all-coefficients-deep rotation case)."""
+    the all-coefficients-deep rotation case), made isotropic from w' along
+    w by ``classify.isotropy_refine``."""
     alg = lat.alg
     pww = lat.inner(w, wp)
     if pww.is_zero() or alg.vP(pww) != alg.vP(puv):
         raise UnsupportedCase("auxiliary plane lost the pairing level")
-    qwp = lat.q_value(wp)
-    z = wp
-    if not qwp.is_zero():
-        lam = alg.solve_trace(pww, -qwp)
-        z = vec_add(wp, vec_scale(lam, w))
-    if not lat.q_value(z).is_zero():
-        z = isotropy_refine(lat, z, [w, wp])
+    z = isotropy_refine(lat, wp, [w])
     fac = (puv / lat.inner(w, z)).conj()
     z = vec_scale(fac, z)
     if not lat.q_value(z).is_zero() or not (lat.inner(w, z) - puv).is_zero():

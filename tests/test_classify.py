@@ -29,6 +29,8 @@ from hermlat.specfile import parse_lattice
 from test_isometries import _catalog_lattice
 from test_kernel_identity import _basis_change
 from test_lattice import _unit_basis_change, transformed
+import reach  # noqa: E402  (tools/, put on the path by test_kernel_identity)
+import workloads  # noqa: E402  (perfbench/, put on the path by schedule_digest)
 
 
 def test_hik_iff_classification(Q2sqrt2, Q2i):
@@ -193,10 +195,10 @@ def test_rearrange_jordan_hypotheses(Q2sqrt2):
 
 
 def test_isotropy_fallback_finds_the_pair():
-    """A GL_4(O) change of basis of H(1) ⟂ H(1) over Q_2(√2) on which every
-    round of ``isotropy_refine`` takes the norm-balanced step along the
-    helper that is u itself: u shrinks toward 0 and Q(u) = 0 is never
-    reached.  The closed-form fallback must find the hyperbolic pair.
+    """A GL_4(O) change of basis of H(1) ⟂ H(1) over Q_2(√2) on which the
+    Newton lift of ``isotropy_refine`` stops short of Q(w) = 0, so the
+    closed form of the plane (``_isotropic_in_plane``) must find the
+    isotropic vector of the hyperbolic pair.
 
     The change of basis is drawn from one seeded generator after the draws
     of a three-generator word (Eichler isometry, then two symmetries)."""
@@ -213,6 +215,79 @@ def test_isotropy_fallback_finds_the_pair():
     assert other.inner(u, v) == other.alg.uniformizer_pow(s)
     ok, _, _ = isometry_conditions(lat, other)
     assert ok
+
+
+# lattice -> the answer of ``splits_hyperbolic`` in the standard basis,
+# then in the bases ``workloads.random_basis_change`` draws from seeds 0-9:
+# T a pair, F None, "raises" a HermlatError
+SPLITS_TABLE = {
+    "f4ram": "T T T T T T T T T T T",
+    "inert2": "T T T T T T T T T T T",
+    "inert3": "F F F F F F F F F F F",
+    "q2i-diag": "F F F F F F F F F F F",
+    "q2i-h": "T T T T T T T T T T T",
+    "q2i-h0h0": "T T T T T T T T T T T",
+    "q2i-h1h1": "T F T F T T T T T T T",
+    "q2sqrt2-a01": "F F F F F F F F F F F",
+    "q2sqrt2-h0h0": "T F T F T T T T T T T",
+    "q2sqrt2-h1h1": "T T T T T T T T T T T",
+    "q2sqrt2-sub": "F F F F F F F F F F F",
+    "ram3": "T T T T T T T T T T T",
+    "split2": "F F F F F F F F F F F",
+    "split2h": "T T T T T T T T T T T",
+    "split3": "T T T T T T T T T T T",
+    "split3b": "T T T T T T T T T T T",
+    "Q_2(i) A(0,0)+H(3)": "T T T T T T T T T T T",
+    "Q_2(sqrt2) A(0,1)+H(2)": "T T T T T T T T T T T",
+    "Q_2(sqrt2) <1,3>": "F F F F F F F F F F F",
+    "Q_2(sqrt2) A(0,0)+H(4)": "T T T T T T T T T T T",
+    "Q_2(sqrt2) A(1,1)+H(4)": "T T T T T T T T T T T",
+    "Q_2(sqrt2) A(0,1)+A(1,1)": "raises T T T T T T raises raises raises T",
+    "Q_2(i) A(1,1)+A(2,1)": "raises T T T T T T raises raises raises T",
+    "e5:H(0)+H(1)": "T T T T T T T T T T T",
+    "e5:A(0,1)": "F F F F F F F F F F F",
+    "e5:A(0,2)+<1>": "F T T T T T T T T T T",
+    "e5:H(1,2)+H(1)": "T T T T T T T T T T T",
+    "e7:H(0)+<1>": "T T T T T T T T T T T",
+    "e7:H(0)+<1+u0>": "T T T T T T T T T T T",
+    "Q_2(sqrt2) A(0,1)+<2>": "raises T T T T T T raises raises raises T",
+    "Q_2(sqrt2) A(2,2)+<4>": "raises T T T T T T raises raises raises T",
+}
+
+
+def test_splits_hyperbolic_answer_table(Q2sqrt2):
+    """``splits_hyperbolic`` on the catalog lattices, ``reach.out_of_catalog``,
+    the six tower lattices and A(0,1) ⟂ <2>, A(2,2) ⟂ <4> over Q_2(√2),
+    each in 11 bases, answers as recorded in ``SPLITS_TABLE``; every pair it
+    returns is isotropic with <u,v> = pi^s.
+
+    The table pins today's answers, faults included.  Every lattice is one
+    isometry class, so a row should read one answer; seven rows do not,
+    and they are the faults of ROADMAP item 3: None in some bases for
+    q2i-h1h1 and q2sqrt2-h0h0; a raise in the standard basis and three
+    others for Q_2(√2) A(0,1)+A(1,1), Q_2(i) A(1,1)+A(2,1), A(0,1) ⟂ <2>
+    and A(2,2) ⟂ <4>; and None in the standard basis of e5:A(0,2)+<1>,
+    which splits a hyperbolic plane in every other basis."""
+    line = lambda a: HermitianLattice(Q2sqrt2, ((Q2sqrt2.from_int(a),),))  # noqa: E731
+    built = dict(reach.out_of_catalog() + workloads.build("tower"))
+    built["Q_2(sqrt2) A(0,1)+<2>"] = orthogonal_sum(standard_A(Q2sqrt2, 0, 1), line(2))
+    built["Q_2(sqrt2) A(2,2)+<4>"] = orthogonal_sum(standard_A(Q2sqrt2, 2, 2), line(4))
+    got = {}
+    for name in SPLITS_TABLE:
+        lat = built[name] if name in built else _catalog_lattice(name)
+        cells = []
+        for m in [lat] + [workloads.random_basis_change(lat, random.Random(b))
+                          for b in range(10)]:
+            try:
+                found = splits_hyperbolic(m)
+            except HermlatError:
+                cells.append("raises")
+                continue
+            cells.append("F" if found is None else "T")
+            if found is not None:
+                _check_pair(m, found)
+        got[name] = " ".join(cells)
+    assert got == SPLITS_TABLE
 
 
 RAMIFIED_CATALOG = ("f4ram", "q2i-diag", "q2i-h", "q2i-h0h0", "q2i-h1h1",

@@ -561,36 +561,6 @@ def test_factoring_reads_the_span_the_pair_search_kept(name, monkeypatch):
     assert standard not in arranged
 
 
-def test_a_pair_step_keeps_its_swap_word_as_data(monkeypatch):
-    """The swap word of a hyperbolic pair of the chain is computed by the
-    first alignment that needs it and kept with the chain's entry as
-    (s, sigma) data, not as generators, whose built data would hold the
-    lattice: later alignments on the pair reuse it, and the lattice is
-    still freed by its last reference.  On q2i-h1h1 the descent stalls at
-    seeds 0, 4, 5 and 7 of these, and each stall aligns a pair by a swap."""
-    lat = _catalog_lattice("q2i-h1h1.lat")
-    calls = Counter()
-    for name in ("_scale_map_word", "_plane_word_beta_unit"):
-        def spy(*args, _name=name, _original=getattr(factorize, name)):
-            calls[_name] += 1
-            return _original(*args)
-        monkeypatch.setattr(factorize, name, spy)
-    for seed in range(8):
-        factor_unitary(lat, random_unitary(lat, 4, seed)[0])
-    kept = [entry[4] for entry in lat._chain if entry is not None and entry[4]]
-    assert kept and calls["_scale_map_word"] > len(kept)
-    assert calls["_plane_word_beta_unit"] == calls["_scale_map_word"] + len(kept)
-    assert all(type(s) is tuple and not isinstance(sigma, (Symmetry, EichlerIsometry))
-               for swap in kept for s, sigma in swap)
-    ref = weakref.ref(lat)
-    gc.disable()  # a kept generator would close a cycle through lat._chain
-    try:
-        del lat, kept
-        assert ref() is None
-    finally:
-        gc.enable()
-
-
 def _split_rank5():
     """H(0) ⟂ <1> ⟂ <2> ⟂ <4> over Q_2 x Q_2: a first Jordan block of rank
     3 and two deeper lines."""
@@ -831,7 +801,7 @@ def test_the_pair_chain_holds_orthogonal_hyperbolic_pairs(name, pairs):
     chain = list(factorize._pair_chain(lat))
     assert len(chain) == pairs and lat._chain[-1] is None
     assert all(x[0] is y[0] for x, y in zip(factorize._pair_chain(lat), chain))
-    for u, v, s, _, _ in chain:
+    for u, v, s, _ in chain:
         assert lat.q_value(u).is_zero() and lat.q_value(v).is_zero()
         assert (lat.inner(u, v) - lat.alg.uniformizer_pow(s)).is_zero()
     for (u1, v1, *_), (u2, v2, *_) in itertools.combinations(chain, 2):
