@@ -13,13 +13,14 @@ when no candidate passes, most often where symmetries need not generate
 U(L), for a ramified dyadic E/K with residue field F_2 (the paper's
 appendix), where the rescaled Eichler isometries of a hyperbolic pair are
 needed too.  So a stalled descent walks the lattice's chain of mutually
-orthogonal hyperbolic pairs (``_pair_chain``): for each pair phi still
-moves it emits the generators that make phi fix the pair (``_peel_pair``:
-the pair transport on ramified kinds, the unramified pair peel on inert
-ones), then descends again.  Each pair is peeled at most once: a descent
-fixes what phi fixes, and the generators of a later pair act inside the
-complement of the earlier ones.  A stall with no pair left raises
-``UnsupportedCase``.
+orthogonal hyperbolic pairs (``_pair_chain``): for each pair (u, v) phi
+still moves it peels the pair (``_peel_pair``, the one pair peel of every
+kind), then descends again.  The peel takes phi(u) to u by at most two
+symmetries, then phi(v) to v by one Eichler isometry that fixes u: by
+Eichler's criterion it moves v to any vector with the same pairings.  Each
+pair is peeled at most once: a descent fixes what phi fixes, and the
+generators of a later pair act inside the complement of the earlier ones.
+A stall with no pair left raises ``UnsupportedCase``.
 
 Split kinds take the peel driver (``_drive``), which peels the lattice one
 hyperbolic pair or line of its first Jordan block at a time; the remaining
@@ -45,10 +46,10 @@ output word once g^-1 passed ``in_unitary_group``: ``map_isotropic`` and
 it chooses.  A verdict is kept with the generator's built data, so the
 certificate reads the verdicts already reached.
 
-The peels emit Eichler isometries as they are; the unramified pair peel
-too, though the appendix rewrites its Eichler factor as symmetries.  The
-reduction pass (``_reduction_pass``) is the one place that rewrites an
-Eichler factor, through ``eichler_to_symmetries``.
+The pair peel emits its Eichler isometry as it is, though the appendix
+rewrites it as symmetries wherever the residue allows.  The reduction pass
+(``_reduction_pass``) is the one place that rewrites an Eichler factor,
+through ``eichler_to_symmetries``.
 
 Without the certificate, ``factor_unitary`` guarantees the following, or
 raises ``UnsupportedCase``:
@@ -76,7 +77,6 @@ from .etale import EtaleAlgebra
 from .classify import (
     _arrange_first_block,
     _jordan_cols,
-    isotropy_refine,
     splits_hyperbolic,
     standard_span,
 )
@@ -228,10 +228,10 @@ def _word(lat, phi):
         return drv.out
     phi = _descend(drv, phi)
     if not mat_eq(phi, one):
-        for u, v, s, cols in _pair_chain(lat):
+        for u, v, cols in _pair_chain(lat):
             if vec_eq(mat_vec(phi, u), u) and vec_eq(mat_vec(phi, v), v):
                 continue
-            phi = _descend(drv, _peel_pair(drv, cols, phi, u, v, s))
+            phi = _descend(drv, _peel_pair(drv, cols, phi, u, v))
             if mat_eq(phi, one):
                 break
         else:
@@ -271,11 +271,11 @@ def _pair_chain(lat):
     """Iterate over the hyperbolic pairs a stalled descent peels, mutually
     orthogonal: the pair of ``splits_hyperbolic(L)``, then the one
     ``splits_hyperbolic`` finds in the Gram of its complement, and so on.
-    Each entry is ``(u, v, s, cols)``: the pair with <u,v> = pi^s, and a
-    basis cols of the vectors x of the span the pair was found in with
-    <x, span> inside P^s (a Jordan block of scale i < s scaled by
-    pi^(s-i)), which holds the pair's images and the unramified pair peel's
-    bridge vectors.
+    Each entry is ``(u, v, cols)``: the pair, with <u,v> = pi^s for the
+    s of ``splits_hyperbolic``, and a basis cols of the vectors x of the
+    span the pair was found in with <x, span> inside P^s (a Jordan block of
+    scale i < s scaled by pi^(s-i)), which holds the pair's images and the
+    pair peel's bridge vectors.
 
     An entry is found when an iteration first reaches it, and kept on L
     (``_chain``, with the complement the pair leaves, and None once no pair
@@ -287,10 +287,10 @@ def _pair_chain(lat):
     chain = lat._chain
     for idx in itertools.count():
         if idx == len(chain):
-            chain.append(_next_pair(lat, chain[-1][4] if chain else None))
+            chain.append(_next_pair(lat, chain[-1][3] if chain else None))
         if chain[idx] is None:
             return
-        yield chain[idx][:4]
+        yield chain[idx][:3]
 
 
 def _next_pair(lat, cols):
@@ -313,7 +313,7 @@ def _next_pair(lat, cols):
         u, v = mat_vec(to_lat, u), mat_vec(to_lat, v)
     deep = [mat_vec(to_lat, vec_scale(alg.uniformizer_pow(max(s - blk.scale_exp, 0)), c))
             for blk in sub.jordan_split().blocks for c in blk.cols]
-    return u, v, s, deep, _complement(lat, cols, [u, v])
+    return u, v, deep, _complement(lat, cols, [u, v])
 
 
 def _reduction_pass(lat, gens):
@@ -326,15 +326,6 @@ def _reduction_pass(lat, gens):
                 continue
         out.append(g)
     return out
-
-
-def _peel_pair(drv, cols, phi, u, v, scale_s):
-    """Align phi on the pair (u, v) of the chain, with its entry's scale_s
-    and cols (``_pair_chain``): the pair transport on ramified kinds, the
-    unramified pair peel on inert ones."""
-    if drv.lat.alg.kind == EtaleAlgebra.RAMIFIED:
-        return _transport_pair(drv, phi, u, v, scale_s)
-    return _peel_hyperbolic_unramified(drv, cols, phi, u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +386,7 @@ def _align_step(drv, step, phi):
     """The alignment of a step: the generators that make phi fix its piece;
     returns the updated phi."""
     if step.branch == "pair":
-        return _peel_hyperbolic_unramified(drv, step.cols, phi, *step.piece)
+        return _peel_pair(drv, step.cols, phi, *step.piece)
     return _peel_unramified_line(drv, step.cols, phi, *step.piece)
 
 
@@ -411,14 +402,15 @@ def _settle(lat, plan, idx, step):
 
 
 # ---------------------------------------------------------------------------
-# unramified branches
+# the pair and line peels
 # ---------------------------------------------------------------------------
 
 
 def map_isotropic(lat, cols, u_from, u_to):
     """Product of at most two symmetries of L mapping u_from to u_to, for
-    isotropic vectors pairing onto the scale of span(cols); unramified kinds.
-    Membership is left to ``_Driver.emit``, which applies the word."""
+    isotropic vectors pairing onto the scale of span(cols), through an
+    isotropic bridge where <u_from, u_to> falls short of it.  Membership
+    is left to ``_Driver.emit``, which applies the word."""
     alg = lat.alg
     scale = _min_vP_sym(alg, _gram_of(lat, cols))
     pair = lat.inner(u_from, u_to)
@@ -438,7 +430,8 @@ def _attains(alg, val, scale):
 
 
 def _isotropic_bridge(lat, cols, u, up, scale):
-    """Isotropic y with <u,y> and <u',y> both attaining the scale."""
+    """Isotropic y with <u,y> and <u',y> both attaining the scale, on every
+    kind: a column of cols or a sum of two, moved along u to Q(y) = 0."""
     alg = lat.alg
     K = alg.base
     if alg.kind == EtaleAlgebra.SPLIT and scale != 0:
@@ -507,7 +500,12 @@ def _isotropic_bridge(lat, cols, u, up, scale):
     return y
 
 
-def _peel_hyperbolic_unramified(drv, cols, phi, u, v):
+def _peel_pair(drv, cols, phi, u, v):
+    """Make phi fix the hyperbolic pair (u, v), whose images and bridge
+    vectors lie in span(cols): at most two symmetries take phi(u) to u
+    (``map_isotropic``), then one Eichler isometry fixing u takes phi(v) to
+    v; returns the updated phi.  The chain of a stalled descent and the
+    split driver's pair steps call it, on every kind."""
     lat = drv.lat
     phi_u = mat_vec(phi, u)
     if not vec_eq(phi_u, u):
@@ -523,6 +521,15 @@ def _peel_hyperbolic_unramified(drv, cols, phi, u, v):
     if not vec_eq(mat_vec(phi, v), v):
         raise UnsupportedCase("hyperbolic peel did not fix v")
     return phi
+
+
+def _rot1_eichler(lat, shared, u_from, u_to):
+    """Eichler isometry fixing `shared` and mapping u_from to u_to, for
+    hyperbolic pairs (shared, u_from), (shared, u_to) with equal products."""
+    gf = lat.gram_conj(u_from)
+    beta = _dot(vec_sub(u_to, u_from), gf) / _dot(shared, gf)
+    w = vec_sub(vec_sub(u_to, u_from), vec_scale(beta, shared))
+    return make_eichler(lat, shared, u_from, w, beta)
 
 
 def map_unit_vector(lat, cols, a, a_img):
@@ -671,167 +678,3 @@ def _split_residue_two_data(latr, cols, a, ap):
     if not latr.q_value(u).is_zero():
         raise UnsupportedCase("four-case trick vector is not isotropic")
     return u, sigma
-
-
-# ---------------------------------------------------------------------------
-# ramified branches
-# ---------------------------------------------------------------------------
-
-
-def _rot1_eichler(lat, shared, u_from, u_to):
-    """Eichler isometry fixing `shared` and mapping u_from to u_to, for
-    hyperbolic pairs (shared, u_from), (shared, u_to) with equal products."""
-    gf = lat.gram_conj(u_from)
-    beta = _dot(vec_sub(u_to, u_from), gf) / _dot(shared, gf)
-    w = vec_sub(vec_sub(u_to, u_from), vec_scale(beta, shared))
-    return make_eichler(lat, shared, u_from, w, beta)
-
-
-def _transport_pair(drv, phi, u2, v2, scale_s):
-    """Emit generators aligning the phi-images of the target pair (u2, v2);
-    returns the updated phi (which then fixes u2 and v2 pointwise)."""
-    lat = drv.lat
-    alg = lat.alg
-    for _ in range(8):
-        cur_u = mat_vec(phi, u2)
-        cur_v = mat_vec(phi, v2)
-        if vec_eq(cur_u, u2) and vec_eq(cur_v, v2):
-            return phi
-        done = _postalign(drv, phi, cur_u, cur_v, u2, v2, scale_s)
-        if done is not None:
-            phi = done
-            continue
-        gcu, gcv = lat.gram_conj(cur_u), lat.gram_conj(cur_v)
-        puv = _dot(cur_u, gcv)
-        by_puv, by_pvu = alg.divider(puv), alg.divider(puv.conj())
-        alpha = by_puv(_dot(u2, gcv))
-        beta = by_pvu(_dot(u2, gcu))
-        gamma = by_puv(_dot(v2, gcv))
-        delta = by_pvu(_dot(v2, gcu))
-        if beta.is_unit():
-            g = make_symmetry(lat, *reflection_data(lat, cur_u, u2))
-        elif gamma.is_unit():
-            g = make_symmetry(lat, *reflection_data(lat, cur_v, v2))
-        elif alpha.is_unit():
-            g = _rot1_eichler(lat, cur_v, cur_u,
-                              vec_scale(alg.one / alpha, u2))
-        elif delta.is_unit():
-            g = _rot1_eichler(lat, cur_u, cur_v,
-                              vec_scale(alg.one / delta, v2))
-        else:
-            w = vec_sub(vec_sub(u2, vec_scale(alpha, cur_u)),
-                        vec_scale(beta, cur_v))
-            wp = vec_sub(vec_sub(v2, vec_scale(gamma, cur_u)),
-                         vec_scale(delta, cur_v))
-            z = _isotropic_partner_in_plane(lat, w, wp, puv)
-            shared = vec_add(cur_v, z)
-            fac = alg.one + alpha
-            target = vec_scale(alg.one / fac, u2)
-            g = _rot1_eichler(lat, shared, cur_u, target)
-        phi = drv.emit(g, phi)
-    if vec_eq(mat_vec(phi, u2), u2) and vec_eq(mat_vec(phi, v2), v2):
-        return phi
-    raise UnsupportedCase("pair transport did not converge")
-
-
-def _scalar_coeff(lat, img, target, partner):
-    """If img = a * target (tested exactly), return the unit a, else None."""
-    gp = lat.gram_conj(partner)
-    denom = _dot(target, gp)
-    a = _dot(img, gp) / denom
-    if not a.is_unit():
-        return None
-    if vec_eq(img, vec_scale(a, target)):
-        return a
-    return None
-
-
-def _postalign(drv, phi, cur_u, cur_v, u2, v2, scale_s):
-    """When one image is a scalar multiple of its target, finish the job:
-    rotate the other image into place and undo the unit scaling inside the
-    plane.  Returns the new phi, or None when not applicable."""
-    lat = drv.lat
-    alg = lat.alg
-    for swapped, (img, target, other_img, other) in enumerate(
-            ((cur_u, u2, cur_v, v2), (cur_v, v2, cur_u, u2))):
-        c = _scalar_coeff(lat, img, target, other)
-        if c is None:
-            continue
-        other_coeff = alg.one / c.conj()
-        other_target = vec_scale(other_coeff, other)
-        if not vec_eq(other_img, other_target):
-            e = _rot1_eichler(lat, img, other_img, other_target)
-            phi = drv.emit(e, phi)
-        # the map left on the plane is u2 -> a*u2, v2 -> conj(a)^-1 v2
-        a = other_coeff if swapped else c
-        if not (a - alg.one).is_zero():
-            word = _scale_map_word(lat, u2, v2, scale_s, alg.one / a)
-            phi = drv.emit_symmetries(word, phi)
-        return phi
-    return None
-
-
-def _plane_word_beta_unit(lat, u2, v2, img_u, img_v):
-    """Symmetry word for the plane map u2 -> img_u, v2 -> img_v (identity on
-    the complement) in the case where img_u has a unit v2-coordinate.  The
-    word is not checked here: ``_scale_map_word`` checks the word it is
-    composed into."""
-    s, sigma = reflection_data(lat, u2, img_u)
-    if sigma.is_zero():
-        raise UnsupportedCase("degenerate plane alignment")
-    s1 = make_symmetry(lat, s, sigma)
-    rv = apply_generator(lat, s1.inverse(), img_v)
-    gamma = lat.inner(vec_sub(rv, v2), v2) / lat.inner(u2, v2)
-    recon = vec_add(v2, vec_scale(gamma, u2))
-    if not vec_eq(rv, recon):
-        raise UnsupportedCase("plane map residual is not a shear")
-    word = [s1]
-    if not gamma.is_zero():
-        sigma2 = -(lat.inner(v2, u2) / gamma)
-        if not sigma2.trace().is_zero():
-            raise UnsupportedCase("plane shear parameter is not skew")
-        word.append(Symmetry(u2, sigma2))
-    return word
-
-
-def _scale_map_word(lat, u2, v2, scale_s, a):
-    """Symmetry word for the unitary plane map u2 -> a*u2, v2 -> conj(a)^-1 v2.
-
-    It is the inverse of the swap word w0 (u2 -> v2, v2 -> c*u2 with
-    c = conj(pi^s)/pi^s) after the word w1 of the swap composed with the
-    scaling.  The composed word is the one that is checked: a wrong w0 or
-    w1 makes it miss the map."""
-    alg = lat.alg
-    if (a - alg.one).is_zero():
-        return []
-    pi_s = alg.uniformizer_pow(scale_s)
-    swap_coeff = pi_s.conj() / pi_s
-    w0 = _plane_word_beta_unit(lat, u2, v2, v2, vec_scale(swap_coeff, u2))
-    img_u = vec_scale(a, v2)
-    img_v = vec_scale(swap_coeff / a.conj(), u2)
-    w1 = _plane_word_beta_unit(lat, u2, v2, img_u, img_v)
-    word = [g.inverse() for g in reversed(w0)] + w1
-    iu, iv = u2, v2
-    for g in reversed(word):
-        iu = apply_generator(lat, g, iu)
-        iv = apply_generator(lat, g, iv)
-    if not (vec_eq(iu, vec_scale(a, u2))
-            and vec_eq(iv, vec_scale(alg.one / a.conj(), v2))):
-        raise UnsupportedCase("plane scaling word failed")
-    return word
-
-
-def _isotropic_partner_in_plane(lat, w, wp, puv):
-    """Isotropic z in span(w, w') with <w, z> = puv (the auxiliary plane of
-    the all-coefficients-deep rotation case), made isotropic from w' along
-    w by ``classify.isotropy_refine``."""
-    alg = lat.alg
-    pww = lat.inner(w, wp)
-    if pww.is_zero() or alg.vP(pww) != alg.vP(puv):
-        raise UnsupportedCase("auxiliary plane lost the pairing level")
-    z = isotropy_refine(lat, wp, [w])
-    fac = (puv / lat.inner(w, z)).conj()
-    z = vec_scale(fac, z)
-    if not lat.q_value(z).is_zero() or not (lat.inner(w, z) - puv).is_zero():
-        raise UnsupportedCase("auxiliary isotropic vector failed its contract")
-    return z

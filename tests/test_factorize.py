@@ -157,7 +157,9 @@ def test_hyperbolic_free_raw_output_is_symmetries_only(Q2sqrt2):
 
 
 def test_map_isotropic(Q2sqrt2, inert2, split2):
-    for alg in (inert2, split2):
+    """H(0) ⟂ <2> over a ramified, an inert and a split algebra: at most two
+    symmetries of L take u to v, the two basis vectors of H(0)."""
+    for alg in (Q2sqrt2, inert2, split2):
         L = orthogonal_sum(standard_H(alg, 0),
                            HermitianLattice(alg, ((alg.from_int(2),),)))
         cols = list(cols_of(identity(alg, 3)))
@@ -194,7 +196,7 @@ def test_map_unit_vector(inert2, split2):
 
 def test_emit_rejects_a_non_member_from_map_isotropic(inert2, monkeypatch):
     """map_isotropic returns candidates; _Driver.emit is the one membership
-    test, so a word of the unramified pair peel with a non-member fails
+    test, so a word of the pair peel with a non-member fails
     there.  The descent stalls on this word, so the pair peel runs."""
     L = orthogonal_sum(standard_H(inert2, 0),
                        HermitianLattice(inert2, ((inert2.from_int(2),),)))
@@ -239,9 +241,8 @@ def _zero_mu_word():
     """H(1) ⟂ H(1) over Q_2(i) (q2i-h1h1) and a word on it whose Eichler
     factor reaches the ramified reduction with mu exactly 0: a symmetry
     times a rescaled Eichler isometry drawn by ``hermlat.oracle`` from one
-    seeded generator.  The descent stalls after one symmetry, the pair
-    transport emits three Eichler factors, and the reduction pass rewrites
-    them."""
+    seeded generator.  The descent stalls after one symmetry, the pair peel
+    emits its Eichler factor, and the reduction pass rewrites it."""
     lat = _catalog_lattice("q2i-h1h1.lat")
     rng = random.Random(1161331496)
     phi = identity(lat.alg, lat.n)
@@ -252,8 +253,8 @@ def _zero_mu_word():
 
 def test_eichler_with_zero_mu_factors_into_symmetries(monkeypatch):
     """Case (e) of the ramified reduction must not ask for the valuation
-    of mu = 0: an Eichler factor of the pair transport reaches it, and the
-    word comes back as ten symmetries that certify."""
+    of mu = 0: an Eichler factor of the pair peel reaches it, and the
+    word comes back as nine symmetries that certify."""
     lat, phi = _zero_mu_word()
     zero_mu = []
     reduce_ramified = isometries._reduce_ramified
@@ -266,7 +267,7 @@ def test_eichler_with_zero_mu_factors_into_symmetries(monkeypatch):
     f = factor_unitary(lat, phi)
     cert = verify_factorization(lat, phi, f)
     assert cert["det_consistent"] and True in zero_mu
-    assert not f.contains_eichler and len(f) == 10
+    assert not f.contains_eichler and len(f) == 9
 
 
 def test_final_product_check_stops_a_wrong_rewrite(monkeypatch):
@@ -385,7 +386,7 @@ def test_factor_unitary_multiplies_no_matrices(monkeypatch):
     factor_unitary are the two of the input check's gram_preserved.  The
     word before the reduction pass (``_word``) holds Eichler factors on
     both, so the rewrite check runs."""
-    words = [(*_zero_mu_word(), 10), (*_split_eichler_word(), 7)]
+    words = [(*_zero_mu_word(), 9), (*_split_eichler_word(), 7)]
     callers = []
 
     def spy(a, b):
@@ -430,7 +431,7 @@ REWRITE_SEEDS = {"split3.lat": range(4), "split2h.lat": range(4),
 
 @pytest.mark.parametrize("name", list(REWRITE_SEEDS))
 def test_only_the_reduction_pass_rewrites_eichler_factors(name, inert3, monkeypatch):
-    """The unramified pair peel emits its Eichler isometry as it is, and the
+    """The pair peel emits its Eichler isometry as it is, and the
     reduction pass rewrites it like every other Eichler factor: every call
     of ``eichler_to_symmetries`` comes from ``_reduction_pass``, and the
     word of symmetries certifies.  ``inert3`` is H(0) ⟂ <3> over Q_3(i)
@@ -644,26 +645,6 @@ def test_split_residue_two_eichler_rewrite_eliminates(monkeypatch):
     assert mat_eq(isometries.apply_word(lat, word, identity(alg, lat.n)), matrix_of(lat, e))
 
 
-def test_the_all_deep_pair_transport_is_reached(monkeypatch):
-    """q2i-h1h1 in the basis ``workloads.random_basis_change`` draws from
-    seed 4: a word of five generators reaches the pair transport where
-    alpha, beta, gamma and delta are all non-units, and its factorization
-    certifies."""
-    lat = workloads.random_basis_change(_catalog_lattice("q2i-h1h1.lat"), random.Random(4))
-    phi = random_unitary(lat, 5, 4000)[0]
-    calls = []
-    partner = factorize._isotropic_partner_in_plane
-
-    def spy(*args):
-        calls.append(args)
-        return partner(*args)
-
-    monkeypatch.setattr(factorize, "_isotropic_partner_in_plane", spy)
-    f = factor_unitary(lat, phi)
-    assert calls
-    assert verify_factorization(lat, phi, f)["det_consistent"]
-
-
 def _driven(monkeypatch):
     """A list that gets the lattice of every run of the peel driver
     (``factorize._drive``)."""
@@ -690,6 +671,39 @@ def _peeled(monkeypatch):
 
     monkeypatch.setattr(factorize, "_peel_pair", spy)
     return calls
+
+
+def test_a_pair_peel_takes_one_eichler_step(monkeypatch):
+    """Inputs ``random_unitary(L, k, s)`` on which the descent stalls:
+    q2sqrt2-h0h0, q2i-h1h1, ram3, e5:H(0)+H(1) and inert2, and q2i-h1h1 in
+    the basis ``workloads.random_basis_change`` draws from seed 4.  Each
+    pair peel emits at most three generators, exactly one of them an
+    Eichler isometry: at most two symmetries take phi(u) to u, and the
+    Eichler isometry takes phi(v) to v.  Every word certifies."""
+    tower = dict(workloads.build("tower"))
+    h1h1 = _catalog_lattice("q2i-h1h1.lat")
+    inputs = [(_catalog_lattice("q2sqrt2-h0h0.lat"), 6, 5), (h1h1, 3, 8), (h1h1, 2, 7),
+              (_catalog_lattice("ram3.lat"), 4, 39), (tower["e5:H(0)+H(1)"], 6, 5),
+              (_catalog_lattice("inert2.lat"), 5, 22),
+              (workloads.random_basis_change(h1h1, random.Random(4)), 5, 4000)]
+    emitted = []
+    original = factorize._peel_pair
+
+    def spy(drv, *args):
+        start = len(drv.out)
+        phi = original(drv, *args)
+        emitted.append(drv.out[start:])
+        return phi
+
+    monkeypatch.setattr(factorize, "_peel_pair", spy)
+    for lat, k, s in inputs:
+        phi = random_unitary(lat, k, s)[0]
+        emitted.clear()
+        f = factor_unitary(lat, phi)
+        assert emitted and verify_factorization(lat, phi, f)["det_consistent"]
+        for word in emitted:
+            assert len(word) <= 3
+            assert sum(isinstance(g, EichlerIsometry) for g in word) == 1
 
 
 def _descent_inputs():
@@ -794,16 +808,18 @@ def test_field_kinds_never_run_the_peel_driver(monkeypatch):
 @pytest.mark.parametrize("name,pairs", [("q2sqrt2-h0h0", 2), ("e5:H(0)+H(1)", 2),
                                         ("inert2", 1)])
 def test_the_pair_chain_holds_orthogonal_hyperbolic_pairs(name, pairs):
-    """Every pair (u, v, s) of the chain is isotropic with <u,v> = pi^s,
-    and the pairs are mutually orthogonal; the chain is kept on L."""
+    """Every pair (u, v) of the chain is isotropic with <u,v> = pi^s, for
+    s = v_P(<u,v>), and the pairs are mutually orthogonal; the chain is kept
+    on L."""
     lat = dict(workloads.build("tower"))[name] if name in workloads.TOWER \
         else _catalog_lattice(f"{name}.lat")
     chain = list(factorize._pair_chain(lat))
     assert len(chain) == pairs and lat._chain[-1] is None
     assert all(x[0] is y[0] for x, y in zip(factorize._pair_chain(lat), chain))
-    for u, v, s, _ in chain:
+    for u, v, _ in chain:
         assert lat.q_value(u).is_zero() and lat.q_value(v).is_zero()
-        assert (lat.inner(u, v) - lat.alg.uniformizer_pow(s)).is_zero()
+        uv = lat.inner(u, v)
+        assert (uv - lat.alg.uniformizer_pow(lat.alg.vP(uv))).is_zero()
     for (u1, v1, *_), (u2, v2, *_) in itertools.combinations(chain, 2):
         assert all(lat.inner(a, b).is_zero() for a in (u1, v1) for b in (u2, v2))
 
@@ -872,7 +888,7 @@ def test_a_single_generator_comes_back_short():
 def test_an_inert_pair_below_the_first_block_is_peeled(inert2, inert3, monkeypatch):
     """Inert lattices whose hyperbolic plane lies deeper than their first
     Jordan block, at ``random_unitary(L, 1 + s % 6, s)`` where the descent
-    stalls: the unramified pair peel maps phi(u) to u by bridge vectors x
+    stalls: the pair peel maps phi(u) to u by bridge vectors x
     with <x, L> inside P^s, and the word certifies."""
     def one(alg):
         return HermitianLattice(alg, ((alg.one,),))

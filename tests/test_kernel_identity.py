@@ -17,7 +17,7 @@ trace of ``isometry_conditions``).
 Paths that no benchmark schedule reaches are pinned by hand: the norm-drop
 witness of ``splits_hyperbolic`` on A(1,1) ⟂ <2> over Q_2(√2), the
 split-kind duals and Jordan splitting of a rank-3 lattice over Q_3, a
-small lattice whose stalled descent reaches the pair transport, the
+small lattice whose stalled descent reaches the pair peel, the
 split-slot fallback of ``lattice._complement`` for a line and for a plane,
 ``rearrange_jordan`` and the split-vector Eichler rewrite.
 
@@ -106,11 +106,12 @@ EXPECTED_FACTOR = {
     # residue-two case)
     "q2i-h":
         "14025fef1c356b9b5e63d9b2d30dbf3fe267dca95f7f804efb6f5766011555ac",
-    # re-recorded when a stalled descent began to peel the pairs of the
-    # chain instead of running the peel driver on the map it left
-    # (e2dd0228…, the symmetry followed by the driver's word, before)
+    # re-recorded when the inert pair peel replaced the ramified pair
+    # transport: the same word shape, other generators (713dc82c…, the
+    # transport's, before; e2dd0228…, the symmetry followed by the driver's
+    # word, before that)
     "q2sqrt2-h0h0":
-        "713dc82ce6ac45cad098b2db749b26926a71babe0e8650f719013cb25b634631",
+        "bc06b62d1970d2e1bbdda36866412c6819a23014642f4277baedb9e5f45d71c2",
     "f4ram":
         "9fba9c68a708d7e7ba8b2060ca55bf6a11f0f03b92921702fa28294f850264a5",
 }
@@ -195,14 +196,17 @@ EXPECTED_PATHS = {
     # (54b768ec… before zeros kept at most mcap digits)
     "split_duals":
         "15e6cbc27e3ee8ecd6fdaa77c571decb176a3500df2e38e7848d782df7fa4134",
-    # re-recorded when field kinds stopped running the peel driver: now
-    # factor_unitary's factorization, whose stalled descent peels the pair,
-    # on H(0) ⟂ <1>; the descent finishes every word of H(0) ⟂ <2> at
-    # random_unitary(L, k, s), k = 1..6, s = 0..29 (f4c9b2e0…, the peel
-    # driver's whole factorization on H(0) ⟂ <2>, before; b699b239…, the
-    # single step's word, rest and residual phi, before that)
+    # re-recorded when the inert pair peel replaced the ramified pair
+    # transport: 4 generators at residual precision 245 (c64eb775…, the
+    # transport's 6 at 244, before); re-recorded before that when field
+    # kinds stopped running the peel driver: now factor_unitary's
+    # factorization, whose stalled descent peels the pair, on H(0) ⟂ <1>;
+    # the descent finishes every word of H(0) ⟂ <2> at random_unitary(L, k,
+    # s), k = 1..6, s = 0..29 (f4c9b2e0…, the peel driver's whole
+    # factorization on H(0) ⟂ <2>, before; b699b239…, the single step's
+    # word, rest and residual phi, before that)
     "peel_hyperbolic":
-        "c64eb775cfa2015189f1aa90739e332a9e6e5421c0393a525621fa5e770b3454",
+        "d24a016b0c0873294a81e96393a792aee5a456565d64617dd1c08b6ec3f74ee4",
     # recorded before the four complement copies became lattice._complement
     "line_complement_slotwise":
         "15d54b102eb0144ed3b12202727789291dc7261bcf026e59f1cc13329e9e87a2",
@@ -256,7 +260,7 @@ def _q2sqrt2():
 
 
 def _peel_hyperbolic():
-    """H(0) ⟂ <1> over Q_2(√2): the descent stalls, and the pair transport
+    """H(0) ⟂ <1> over Q_2(√2): the descent stalls, and the pair peel
     aligns the hyperbolic pair."""
     alg = _q2sqrt2()
     lat = orthogonal_sum(standard_H(alg, 0), HermitianLattice(alg, ((alg.one,),)))
@@ -314,7 +318,7 @@ def _split_vector_reduction():
 
 PATHS = {"norm_drop_witness": (_norm_drop_witness, classify, "cross_pair_norm_drop"),
          "split_duals": (_split_duals, lattice, "_dual_basis"),
-         "peel_hyperbolic": (_peel_hyperbolic, factorize, "_transport_pair"),
+         "peel_hyperbolic": (_peel_hyperbolic, factorize, "_peel_pair"),
          "line_complement_slotwise": (_line_complement_slotwise, lattice, "_slotwise_keep"),
          "pair_complement_slotwise": (_pair_complement_slotwise, lattice, "_slotwise_keep"),
          "rearrange_jordan": (_rearrange_jordan, classify, "rearrange_columns"),

@@ -1,5 +1,6 @@
 """The schedule digest of ``tools/schedule_digest.py``, the summary of
-``tools/bench_pair.py`` and the ledger of ``tools/reach.py``.
+``tools/bench_pair.py``, the ledger of ``tools/reach.py`` and the
+certification sweep of ``tools/sweep.py``.
 
 The digest tool is run on a small schedule built here, not on a benchmark
 schedule, so its records are checked without pinning
@@ -18,7 +19,7 @@ from types import SimpleNamespace
 
 import hermlat
 from hermlat import oracle
-from hermlat.factorize import factor_unitary
+from hermlat.factorize import factor_unitary, verify_factorization
 from hermlat.isometries import matrix_of
 from hermlat.etale import AlgElement
 from hermlat.linalg import identity, mat_mul
@@ -36,6 +37,7 @@ from schedule_digest import (  # noqa: E402
     format_comparison,
     schedule_records,
 )
+from sweep import sweep  # noqa: E402
 
 
 def _schedule():
@@ -80,13 +82,13 @@ def test_reach_ledger_counts_one_operation():
     assert counts["factorize", "verify_factorization"] == 1
     assert set(counts) <= names
     assert ("factorize", "map_unit_vector.<locals>.push") in names
-    assert ("factorize", "_transport_pair") not in counts
+    assert ("factorize", "_drive") not in counts
     assert routes == {("q2i-h", "descent"): [2]}
     assert ("factorize", "_peel_pair") not in counts
     lines = ledger(counts, names, [("op 0", ["UnsupportedCase", "stuck"])], routes)
     assert "       1  factorize.factor_unitary" in lines
     assert "  routes  q2i-h: descent 1 (mean 2.0), descent+pair 0, driver 0" in lines
-    assert "   never  factorize._transport_pair" in lines
+    assert "   never  factorize._drive" in lines
     assert lines[-1] == "  failed  op 0: UnsupportedCase: stuck"
 
 
@@ -105,6 +107,31 @@ def test_reach_routes_tell_the_driver_on_the_remainder_from_the_driver_alone():
     h1h1, split3 = [len(factor_unitary(item.lattice, item.phi)) for _, item in ops]
     assert failed == []
     assert routes == {("q2i-h1h1", "descent+pair"): [h1h1], ("split3", "driver"): [split3]}
+
+
+def test_sweep_summarizes_what_it_certified(capsys):
+    """The sweep of q2sqrt2-h0h0 at seeds 4 and 5, whose descents stall:
+    its counts, word lengths, Eichler words and least precision are those
+    of factor_unitary and verify_factorization on the same two inputs, and
+    it prints them."""
+    with open(hermlat.catalog_path("q2sqrt2-h0h0.lat")) as fh:
+        lat = parse_lattice(fh.read())
+    summary = sweep([("q2sqrt2-h0h0", lat)], [4, 5])
+    words, precision = [], []
+    for s in (4, 5):
+        phi = oracle.random_unitary(lat, 1 + s % 6, s)[0]
+        words.append(factor_unitary(lat, phi))
+        precision.append(verify_factorization(lat, phi, words[-1])["residual_precision"])
+    lengths = [len(f) for f in words]
+    assert summary == {"built": 2, "not_built": 0, "certified": 2, "failed": [],
+                       "mean_length": sum(lengths) / 2, "max_length": max(lengths),
+                       "eichler_words": sum(f.contains_eichler for f in words),
+                       "min_precision": min(precision)}
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "inputs: 2 built, 0 not built, 2 certified, 0 failed"
+    assert out[1] == (f"words: mean length {sum(lengths) / 2:.3f}, max {max(lengths)}, "
+                      f"{summary['eichler_words']} with an Eichler factor")
+    assert out[2] == f"min residual precision: {min(precision)}" and len(out) == 3
 
 
 def test_exact_key_sees_the_precision_count():
