@@ -73,12 +73,13 @@ def out_of_catalog():
             ("Q_2(i) A(1,1)+A(2,1)", osum(A(q2i, 1, 1), A(q2i, 2, 1)))]
 
 
-def extra_schedule():
-    """The factor operations of ``out_of_catalog`` at ``EXTRA_SEEDS``, and
-    (where, error) of each input the oracle could not build."""
+def extra_schedule(lats=None, seeds=EXTRA_SEEDS):
+    """The factor operations of the (name, lattice) pairs lats
+    (``out_of_catalog`` for None) at seeds, and (where, error) of each
+    input the oracle could not build."""
     ops, skipped = [], []
-    for name, lat in out_of_catalog():
-        for s in EXTRA_SEEDS:
+    for name, lat in out_of_catalog() if lats is None else lats:
+        for s in seeds:
             k = 1 + s % 6
             try:
                 phi, _ = oracle.random_unitary(lat, k, s)

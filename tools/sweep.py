@@ -30,7 +30,6 @@ import sys
 import reach  # puts src/ and perfbench/ on the path
 import workloads  # noqa: E402
 import hermlat  # noqa: E402
-from hermlat import oracle  # noqa: E402
 from hermlat.errors import HermlatError  # noqa: E402
 from hermlat.etale import EtaleAlgebra  # noqa: E402
 from hermlat.factorize import factor_unitary, verify_factorization  # noqa: E402
@@ -59,25 +58,19 @@ def sweep(lats, seeds=SEEDS):
     """Factor and certify each (name, lattice) of lats at each seed, print
     the summary lines and return them as a dict (see the module
     docstring)."""
-    built = skipped = 0
+    ops, not_built = reach.extra_schedule(lats, seeds)
+    built, skipped = len(ops), len(not_built)
     lengths, eichler, precision, failed = [], 0, [], []
-    for name, lat in lats:
-        for s in seeds:
-            try:
-                phi = oracle.random_unitary(lat, 1 + s % 6, s)[0]
-            except HermlatError:
-                skipped += 1
-                continue
-            built += 1
-            try:
-                f = factor_unitary(lat, phi)
-                cert = verify_factorization(lat, phi, f)
-            except HermlatError as ex:
-                failed.append(f"{name} seed {s}: {type(ex).__name__}: {ex}")
-                continue
-            lengths.append(len(f))
-            eichler += f.contains_eichler
-            precision.append(cert["residual_precision"])
+    for _, item in ops:
+        try:
+            f = factor_unitary(item.lattice, item.phi)
+            cert = verify_factorization(item.lattice, item.phi, f)
+        except HermlatError as ex:
+            failed.append(f"{item.lattice_name} seed {item.seed}: {type(ex).__name__}: {ex}")
+            continue
+        lengths.append(len(f))
+        eichler += f.contains_eichler
+        precision.append(cert["residual_precision"])
     summary = {"built": built, "not_built": skipped, "certified": len(lengths),
                "failed": failed,
                "mean_length": sum(lengths) / len(lengths) if lengths else None,
