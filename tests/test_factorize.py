@@ -176,6 +176,46 @@ def test_map_isotropic(Q2sqrt2, inert2, split2):
         assert all((a - b).is_zero() for a, b in zip(img, v))
 
 
+def test_map_isotropic_bridges_a_ramified_pair(Q2sqrt2, monkeypatch):
+    """H(0) ⟂ H(0) over Q_2(√2) in the basis e1+e2, e2, e3+e4, e4, whose
+    columns are not isotropic, and u_from = phi(e1) for seeded unitaries
+    phi, where <u_from, e1> falls short of the scale.  ``map_isotropic``
+    goes through ``_isotropic_bridge``, which moves a column along u_from
+    by the ramified correction rho·Q(x)/<u,x>: the bridge is integral and
+    isotropic, its two symmetries lie in U(L), and the word maps u_from
+    to e1."""
+    from hermlat.isometries import apply_generator
+
+    L = orthogonal_sum(standard_H(Q2sqrt2, 0), standard_H(Q2sqrt2, 0))
+    e = [basis_vector(Q2sqrt2, 4, i) for i in range(4)]
+    cols = [vec_add(e[0], e[1]), e[1], vec_add(e[2], e[3]), e[3]]
+    sums = cols + [vec_add(a, b) for a, b in itertools.combinations(cols, 2)]
+    bridges = []
+    original = factorize._isotropic_bridge
+
+    def spy(*args):
+        y = original(*args)
+        bridges.append(y)
+        return y
+
+    monkeypatch.setattr(factorize, "_isotropic_bridge", spy)
+    for k, s in ((2, 0), (6, 2), (6, 8)):
+        u_from = mat_vec(random_unitary(L, k, s)[0], e[0])
+        assert not factorize._attains(Q2sqrt2, L.inner(u_from, e[0]), 0)
+        bridges.clear()
+        word = map_isotropic(L, cols, u_from, e[0])
+        assert len(bridges) == 1 and len(word) == 2
+        y = bridges[0]
+        assert not any(vec_eq(y, x) for x in sums)  # the correction moved it
+        assert all(c.is_zero() or Q2sqrt2.vP(c) >= 0 for c in y)
+        assert L.q_value(y).is_zero()
+        assert all(isometries.in_unitary_group(L, g) for g in word)
+        img = u_from
+        for g in reversed(word):
+            img = apply_generator(L, g, img)
+        assert vec_eq(img, e[0])
+
+
 def test_map_unit_vector(inert2, split2):
     from hermlat.isometries import apply_generator
 

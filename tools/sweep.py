@@ -2,16 +2,15 @@
 field-kind lattice the project knows.
 
     python3 tools/sweep.py
-    python3 tools/sweep.py --seeds 0 1 2
 
 Run from the root of a checkout; the program is imported from ``src/``.  The
 lattices (``lattices``) are the field-kind catalog lattices, each in the
 standard basis and in the bases ``workloads.random_basis_change`` draws
 from seeds 100-102, then the lattices of ``reach.out_of_catalog()`` and the
 tower lattices of ``perfbench/workloads.py``.  Each lattice L is factored
-at ``phi = oracle.random_unitary(L, 1 + s % 6, s)`` for every seed s (0-9
-by default): ``factor_unitary``, then ``verify_factorization``.  An input
-the oracle cannot build is counted as not built; an input whose factoring
+at ``phi = oracle.random_unitary(L, 1 + s % 6, s)`` for s = 0-9:
+``factor_unitary``, then ``verify_factorization``.  An input the oracle
+cannot build is counted as not built; an input whose factoring
 or certificate raises is counted as failed, with its message.
 
 Output: the inputs built, not built, certified and failed; the mean and
@@ -22,7 +21,6 @@ certified inputs; the least residual precision of their certificates; one
 
 from __future__ import annotations
 
-import argparse
 import os
 import random
 import sys
@@ -87,12 +85,8 @@ def sweep(lats, seeds=SEEDS):
     return summary
 
 
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--seeds", type=int, nargs="+", default=list(SEEDS))
-    args = ap.parse_args(argv)
-    summary = sweep(lattices(), args.seeds)
-    return 1 if summary["failed"] else 0
+def main():
+    return 1 if sweep(lattices())["failed"] else 0
 
 
 if __name__ == "__main__":
